@@ -1,7 +1,7 @@
 //! Calibration probe: prints saturation points for all four systems.
 //!
-//! This is the tool used to fix the cost-model constants recorded in
-//! EXPERIMENTS.md; it is not part of the figure harness.
+//! This is the tool used to fix the `CostModel` constants in
+//! `nt_simnet`; it is not part of the figure harness.
 use nt_bench::{run_system, BenchParams, System};
 use nt_network::SEC;
 

@@ -1,7 +1,6 @@
 //! Plain-text table output for bench targets.
 //!
-//! The harness prints the same series the paper plots; `EXPERIMENTS.md`
-//! records paper-vs-measured values from these tables.
+//! The harness prints the same series the paper plots.
 
 use crate::metrics::RunStats;
 

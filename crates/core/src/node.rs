@@ -1,8 +1,8 @@
 //! Node construction and the role-agnostic driver surface.
 //!
 //! Historically each host was built through a per-role constructor ladder
-//! (`Primary::new` / `Primary::with_store` and the `Worker` equivalents)
-//! whose argument lists grew with every feature. [`NodeBuilder`] replaces
+//! (`Primary::new` / `Primary::with_store`) whose argument lists grew
+//! with every feature. [`NodeBuilder`] replaces
 //! that ladder with one configuration surface, and [`Node`] wraps either
 //! role behind the uniform `on_start` / `handle` / `on_timer` driver API —
 //! the contract both hosts of the state machines (the deterministic
@@ -23,7 +23,7 @@ use crate::worker::Worker;
 use nt_crypto::KeyPair;
 use nt_execution::Execution;
 use nt_network::{Actor, Context, Effect, NodeId};
-use nt_storage::DynStore;
+use nt_storage::{DynStore, MemStore};
 use nt_types::{CommitEvent, Committee, ValidatorId, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -145,13 +145,16 @@ impl NodeBuilder {
     /// Builds the bare worker state machine for slot `worker`.
     pub fn build_worker<Ext: Clone + Send + 'static>(self, worker: WorkerId) -> Worker<Ext> {
         let addr = self.address_book();
+        // A worker always writes through a store; without a shared backend
+        // it gets one of its own.
+        let store = self.store.unwrap_or_else(|| Arc::new(MemStore::new()));
         Worker::build(
             self.committee,
             self.config,
             addr,
             self.me,
             worker,
-            self.store.map(BlockStore::new),
+            BlockStore::new(store),
         )
     }
 

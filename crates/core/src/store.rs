@@ -13,7 +13,7 @@
 
 use crate::dag::Dag;
 use nt_codec::{decode_from_slice, encode_to_vec};
-use nt_crypto::{Digest, Hashable};
+use nt_crypto::Digest;
 use nt_execution::SnapshotPackage;
 use nt_storage::{DynStore, StoreError};
 use nt_types::{Batch, Certificate, Committee, Header, Round, ValidatorId};
@@ -122,6 +122,13 @@ const APP_STATE_KEY: &[u8] = b"k/app";
 /// superseded and garbage-collected on the next `put_snapshot`.
 const SNAPSHOTS_RETAINED: usize = 2;
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`BlockStore::encode_batch`] on this thread, for the worker
+    /// tests that pin one encode and one hash per batch.
+    pub(crate) static BATCH_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl BlockStore {
     /// Wraps a backend store.
     pub fn new(inner: DynStore) -> Self {
@@ -157,10 +164,22 @@ impl BlockStore {
         Ok(Some(cert))
     }
 
-    /// Persists a batch (idempotent).
-    pub fn put_batch(&self, batch: &Batch) -> Result<(), BlockStoreError> {
-        let digest = batch.digest();
-        self.inner.put(&batch_key(&digest), &encode_to_vec(batch))?;
+    /// Encodes `batch` and digests that encoding: the one `(digest, bytes)`
+    /// pair a worker makes per batch, which [`BlockStore::put_batch`]
+    /// writes and every report names.
+    pub fn encode_batch(batch: &Batch) -> (Digest, Vec<u8>) {
+        #[cfg(test)]
+        BATCH_ENCODES.with(|n| n.set(n.get() + 1));
+        let bytes = encode_to_vec(batch);
+        // `Batch::digest` over the encoding already in hand (the
+        // `batch_roundtrip` test holds the two equal).
+        (Digest::of_parts(&[b"batch", &bytes]), bytes)
+    }
+
+    /// Persists a batch as the pair [`BlockStore::encode_batch`] made
+    /// (idempotent).
+    pub fn put_batch(&self, digest: &Digest, bytes: &[u8]) -> Result<(), BlockStoreError> {
+        self.inner.put(&batch_key(digest), bytes)?;
         Ok(())
     }
 
@@ -173,6 +192,11 @@ impl BlockStore {
         Ok(Some(batch))
     }
 
+    /// True if the batch is stored; never reads its bytes.
+    pub fn has_batch(&self, digest: &Digest) -> Result<bool, BlockStoreError> {
+        Ok(self.inner.contains(&batch_key(digest))?)
+    }
+
     /// Deletes a batch and its committed marker (garbage collection).
     pub fn delete_batch(&self, digest: &Digest) -> Result<(), BlockStoreError> {
         self.inner.delete(&batch_key(digest))?;
@@ -180,18 +204,15 @@ impl BlockStore {
         Ok(())
     }
 
-    /// All persisted batches (restart recovery of a worker's store).
-    pub fn load_batches(&self) -> Result<Vec<Batch>, BlockStoreError> {
-        let mut batches = Vec::new();
-        for key in self.inner.keys_with_prefix(b"b/")? {
-            let Some(bytes) = self.inner.get(&key)? else {
-                continue;
-            };
-            if let Ok(batch) = decode_from_slice::<Batch>(&bytes) {
-                batches.push(batch);
-            }
-        }
-        Ok(batches)
+    /// Digests of all persisted batches, so restart recovery can walk them
+    /// one [`BlockStore::get_batch`] at a time.
+    pub fn batch_digests(&self) -> Result<Vec<Digest>, BlockStoreError> {
+        Ok(self
+            .inner
+            .keys_with_prefix(b"b/")?
+            .iter()
+            .filter_map(|key| Some(Digest(key.get(2..)?.try_into().ok()?)))
+            .collect())
     }
 
     /// Marks one of our own batches as committed (its digest reached the
@@ -555,7 +576,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_crypto::{KeyPair, Scheme};
+    use nt_crypto::{Hashable, KeyPair, Scheme};
     use nt_storage::MemStore;
     use nt_types::{ValidatorId, Vote, WorkerId};
     use std::sync::Arc;
@@ -614,8 +635,12 @@ mod tests {
     fn batch_roundtrip() {
         let s = store();
         let batch = Batch::synthetic(ValidatorId(0), WorkerId(0), 1, 10, 5_120, vec![]);
-        s.put_batch(&batch).unwrap();
-        let back = s.get_batch(&batch.digest()).unwrap().unwrap();
+        let (digest, bytes) = BlockStore::encode_batch(&batch);
+        assert_eq!(digest, batch.digest(), "the digest is the batch's own");
+        assert!(!s.has_batch(&digest).unwrap());
+        s.put_batch(&digest, &bytes).unwrap();
+        assert!(s.has_batch(&digest).unwrap());
+        let back = s.get_batch(&digest).unwrap().unwrap();
         assert_eq!(back, batch);
     }
 
@@ -755,18 +780,22 @@ mod tests {
         let s = store();
         let a = Batch::synthetic(ValidatorId(0), WorkerId(0), 1, 10, 5_120, vec![]);
         let b = Batch::synthetic(ValidatorId(1), WorkerId(0), 2, 20, 10_240, vec![]);
-        s.put_batch(&a).unwrap();
-        s.put_batch(&b).unwrap();
+        for batch in [&a, &b] {
+            let (digest, bytes) = BlockStore::encode_batch(batch);
+            s.put_batch(&digest, &bytes).unwrap();
+        }
         s.put_committed_batch(&a.digest()).unwrap();
-        let mut recovered = s.load_batches().unwrap();
-        recovered.sort_by_key(|b| b.seq);
-        assert_eq!(recovered, vec![a.clone(), b.clone()]);
+        let mut recovered = s.batch_digests().unwrap();
+        recovered.sort();
+        let mut expected = vec![a.digest(), b.digest()];
+        expected.sort();
+        assert_eq!(recovered, expected);
         assert!(s.committed_batches().unwrap().contains(&a.digest()));
         // GC removes the batch and its marker together.
         s.delete_batch(&a.digest()).unwrap();
         assert_eq!(s.get_batch(&a.digest()).unwrap(), None);
         assert!(s.committed_batches().unwrap().is_empty());
-        assert_eq!(s.load_batches().unwrap(), vec![b]);
+        assert_eq!(s.batch_digests().unwrap(), vec![b.digest()]);
     }
 
     #[test]

@@ -7,22 +7,37 @@
 //! primary for inclusion in a block. Peer batches are stored and reported
 //! to the primary immediately, which is what lets the primary vote for
 //! blocks whose payload its own workers already hold.
+//!
+//! A worker *stores, then forwards the digest* (§4.2) — it does not also
+//! keep. The only batch bytes resident in a worker are its own batches
+//! still collecting acknowledgments (`pending`, bounded by the ack round
+//! trip); everything else lives in the [`BlockStore`] and is read back on
+//! demand, so memory stays fixed however much has been disseminated (§3.3:
+//! "validators can operate with a fixed size memory"). A batch its
+//! validator's garbage collection deleted from a shared store is gone
+//! here too, and is fetched from peers like any other missing batch.
+//!
+//! Each batch is encoded once and hashed once per worker
+//! ([`BlockStore::encode_batch`]): that `(digest, bytes)` pair is what the
+//! store writes and what every report names.
 
 use crate::config::NarwhalConfig;
 use crate::deployment::AddressBook;
 use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::store::BlockStore;
-use nt_crypto::{Digest, Hashable as _};
+use nt_crypto::Digest;
 use nt_network::{Actor, Context, NodeId, Time};
-use nt_storage::DynStore;
 use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 const TAG_SEAL: u64 = 1;
 const TAG_RETRY: u64 = 2;
 
 struct PendingBatch {
     batch: Batch,
+    /// `batch`'s encoding, made with its digest at seal: what the store
+    /// gets once the quorum forms.
+    bytes: Vec<u8>,
     acked: HashSet<ValidatorId>,
     created: Time,
 }
@@ -48,61 +63,29 @@ pub struct Worker<Ext: Clone + Send + 'static> {
     seq: u64,
     sample_seq: u64,
     // Replication.
-    store: HashMap<Digest, Batch>,
-    /// Ordered maps: the retry timer walks these to emit resends and
-    /// fetch retries, and message order must be a pure function of state
-    /// for seeded runs to reproduce (hash-map order is randomized per
-    /// process).
+    /// Every batch this worker vouches for: the validator's shared backend
+    /// (the paper's per-validator RocksDB instance), or a private
+    /// in-memory one when the node was built without a store.
+    store: BlockStore,
+    /// Own batches still collecting acknowledgments — the only batches
+    /// held in memory. Ordered maps: the retry timer walks these to emit
+    /// resends and fetch retries, and message order must be a pure
+    /// function of state for seeded runs to reproduce (hash-map order is
+    /// randomized per process).
     pending: BTreeMap<Digest, PendingBatch>,
     // Fetching batches the primary asked for.
     fetching: BTreeMap<Digest, FetchState>,
-    /// Durable write-through store (`None` = volatile, simulation default).
-    block_store: Option<BlockStore>,
     _ext: std::marker::PhantomData<Ext>,
 }
 
 impl<Ext: Clone + Send + 'static> Worker<Ext> {
-    /// Creates a volatile worker for slot `worker_id` of validator `me`.
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn new(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        worker_id: WorkerId,
-    ) -> Self {
-        Self::build(committee, config, addr, me, worker_id, None)
-    }
-
-    /// Creates a worker that persists batches through `store` and recovers
-    /// them on start. Share the same backend with the validator's primary
-    /// (the paper's per-validator RocksDB instance).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn with_store(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        worker_id: WorkerId,
-        store: DynStore,
-    ) -> Self {
-        Self::build(
-            committee,
-            config,
-            addr,
-            me,
-            worker_id,
-            Some(BlockStore::new(store)),
-        )
-    }
-
     pub(crate) fn build(
         committee: Committee,
         config: NarwhalConfig,
         addr: AddressBook,
         me: ValidatorId,
         worker_id: WorkerId,
-        block_store: Option<BlockStore>,
+        store: BlockStore,
     ) -> Self {
         Worker {
             committee,
@@ -116,31 +99,42 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             buffer_opened: 0,
             seq: 0,
             sample_seq: 0,
-            store: HashMap::new(),
+            store,
             pending: BTreeMap::new(),
             fetching: BTreeMap::new(),
-            block_store,
             _ext: std::marker::PhantomData,
         }
     }
 
-    /// Number of batches currently stored (tests/metrics).
+    /// Number of batches in the store (tests/metrics).
     pub fn stored_batches(&self) -> usize {
-        self.store.len()
+        self.store.batch_digests().expect("block store").len()
     }
 
-    /// Reloads persisted batches after a crash and re-reports them to the
-    /// primary, which rebuilds its availability view (`stored_batches`)
-    /// from the reports — own uncommitted batches re-enter the proposal
-    /// queue there, committed ones are filtered by the primary's own
-    /// recovered state. Also resumes the batch/sample sequence counters so
-    /// new batches never collide with pre-crash digests.
+    /// Number of batches held in memory (tests/metrics): own batches
+    /// still short of their acknowledgment quorum.
+    pub fn resident_batches(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// True if this worker can serve the batch: it is pending or stored.
+    fn holds(&self, digest: &Digest) -> bool {
+        self.pending.contains_key(digest) || self.store.has_batch(digest).expect("block store")
+    }
+
+    /// Re-reports every persisted batch to the primary after a crash, one
+    /// batch in memory at a time; the primary rebuilds its availability
+    /// view (`stored_batches`) from the reports — own uncommitted batches
+    /// re-enter the proposal queue there, committed ones are filtered by
+    /// the primary's own recovered state. Also resumes the batch/sample
+    /// sequence counters so new batches never collide with pre-crash
+    /// digests.
     fn recover(&mut self, ctx: &mut Context<NarwhalMsg<Ext>>) {
-        let Some(store) = self.block_store.clone() else {
-            return;
-        };
-        for batch in store.load_batches().expect("block store") {
-            let digest = batch.digest();
+        for digest in self.store.batch_digests().expect("block store") {
+            // Unreadable records are skipped, as on-disk data always is.
+            let Ok(Some(batch)) = self.store.get_batch(&digest) else {
+                continue;
+            };
             if batch.creator == self.me && batch.worker == self.worker_id {
                 self.seq = self.seq.max(batch.seq);
                 for sample in &batch.samples {
@@ -149,8 +143,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
                     self.sample_seq = self.sample_seq.max(sample.id & ((1 << 40) - 1));
                 }
             }
-            self.store.insert(digest, batch.clone());
-            self.report(&batch, ctx);
+            self.report(digest, &batch, ctx);
         }
     }
 
@@ -159,13 +152,6 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
     /// up to the timer period.
     fn retry_interval(&self) -> Time {
         self.config.sync_retry_delay.min(self.config.resend_delay)
-    }
-
-    /// Persists a batch if a durable store is configured.
-    fn persist(&self, batch: &Batch) {
-        if let Some(store) = &self.block_store {
-            store.put_batch(batch).expect("block store");
-        }
     }
 
     fn next_sample_id(&mut self) -> u64 {
@@ -181,23 +167,36 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         }
     }
 
+    /// Persists a batch and hands its digest to the primary — in that
+    /// order: a report is a promise that the store can serve the bytes.
+    fn store_and_report(
+        &self,
+        digest: Digest,
+        bytes: &[u8],
+        batch: &Batch,
+        ctx: &mut Context<NarwhalMsg<Ext>>,
+    ) {
+        self.store.put_batch(&digest, bytes).expect("block store");
+        self.report(digest, batch, ctx);
+    }
+
     /// Seals and disseminates a batch.
     fn seal(&mut self, batch: Batch, ctx: &mut Context<NarwhalMsg<Ext>>) {
-        let digest = batch.digest();
-        self.store.insert(digest, batch.clone());
-        let peers = self.addr.peer_workers(self.me, self.worker_id);
+        let (digest, bytes) = BlockStore::encode_batch(&batch);
         let mut acked = HashSet::new();
         acked.insert(self.me);
         if acked.len() >= self.committee.quorum_threshold() {
             // Single-validator committee: no replication needed.
-            self.persist(&batch);
-            self.report(&batch, ctx);
+            self.store_and_report(digest, &bytes, &batch, ctx);
         } else {
-            ctx.broadcast(peers, &NarwhalMsg::Batch(batch.clone()));
+            for peer in self.addr.peer_workers(self.me, self.worker_id) {
+                ctx.send(peer, NarwhalMsg::Batch(batch.clone()));
+            }
             self.pending.insert(
                 digest,
                 PendingBatch {
                     batch,
+                    bytes,
                     acked,
                     created: ctx.now(),
                 },
@@ -244,9 +243,9 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             .collect()
     }
 
-    fn report(&self, batch: &Batch, ctx: &mut Context<NarwhalMsg<Ext>>) {
+    fn report(&self, digest: Digest, batch: &Batch, ctx: &mut Context<NarwhalMsg<Ext>>) {
         let info = BatchInfo {
-            digest: batch.digest(),
+            digest,
             worker: self.worker_id,
             creator: batch.creator,
             tx_count: batch.tx_count(),
@@ -286,26 +285,17 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 // Re-broadcast own batches stuck without a quorum (§4.1:
                 // retransmission stops once the round advances; workers stop
                 // when the quorum forms or the batch is garbage collected).
-                let resend: Vec<(Vec<NodeId>, Batch)> = self
-                    .pending
-                    .values()
-                    .filter(|p| now.saturating_sub(p.created) >= self.config.resend_delay)
-                    .map(|p| {
-                        let targets = self
-                            .addr
-                            .peer_workers(self.me, self.worker_id)
-                            .into_iter()
-                            .filter(|node| {
-                                self.addr
-                                    .worker_of(*node)
-                                    .is_some_and(|(v, _)| !p.acked.contains(&v))
-                            })
-                            .collect();
-                        (targets, p.batch.clone())
-                    })
-                    .collect();
-                for (targets, batch) in resend {
-                    ctx.broadcast(targets, &NarwhalMsg::Batch(batch));
+                let peers = self.addr.peer_workers(self.me, self.worker_id);
+                for p in self.pending.values() {
+                    if now.saturating_sub(p.created) < self.config.resend_delay {
+                        continue;
+                    }
+                    for &node in &peers {
+                        let owner = self.addr.worker_of(node);
+                        if owner.is_some_and(|(v, _)| !p.acked.contains(&v)) {
+                            ctx.send(node, NarwhalMsg::Batch(p.batch.clone()));
+                        }
+                    }
                 }
                 // Retry outstanding fetches against rotating targets,
                 // deterministically skipping ourselves: the old fallback
@@ -362,14 +352,13 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 }
             }
             NarwhalMsg::Batch(batch) => {
-                let digest = batch.digest();
-                let first_seen = !self.store.contains_key(&digest);
-                self.store.insert(digest, batch.clone());
+                let (digest, bytes) = BlockStore::encode_batch(&batch);
+                let first_seen = !self.holds(&digest);
                 // Persist *before* acknowledging: the ack is a storage
                 // promise another validator's certificate will depend on
                 // (§4.2), so it must survive our crash.
                 if first_seen {
-                    self.persist(&batch);
+                    self.store.put_batch(&digest, &bytes).expect("block store");
                 }
                 ctx.send(
                     from,
@@ -379,7 +368,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     },
                 );
                 if first_seen {
-                    self.report(&batch, ctx);
+                    self.report(digest, &batch, ctx);
                 }
                 self.fetching.remove(&digest);
             }
@@ -392,15 +381,17 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                         // Quorum reached: the batch is now replicated
                         // enough to be referenced by a block — persist it
                         // before the digest reaches the primary.
-                        self.persist(&done.batch);
-                        self.report(&done.batch, ctx);
+                        self.store_and_report(digest, &done.bytes, &done.batch, ctx);
                     }
                 }
             }
             NarwhalMsg::BatchRequest { digests } => {
                 let batches: Vec<Batch> = digests
                     .iter()
-                    .filter_map(|d| self.store.get(d).cloned())
+                    .filter_map(|d| match self.pending.get(d) {
+                        Some(p) => Some(p.batch.clone()),
+                        None => self.store.get_batch(d).expect("block store"),
+                    })
                     .collect();
                 if !batches.is_empty() {
                     ctx.send(from, NarwhalMsg::BatchResponse { batches });
@@ -408,12 +399,9 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
             }
             NarwhalMsg::BatchResponse { batches } => {
                 for batch in batches {
-                    let digest = batch.digest();
-                    if self.fetching.remove(&digest).is_some() || !self.store.contains_key(&digest)
-                    {
-                        self.store.insert(digest, batch.clone());
-                        self.persist(&batch);
-                        self.report(&batch, ctx);
+                    let (digest, bytes) = BlockStore::encode_batch(&batch);
+                    if self.fetching.remove(&digest).is_some() || !self.holds(&digest) {
+                        self.store_and_report(digest, &bytes, &batch, ctx);
                     }
                 }
             }
@@ -422,20 +410,20 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 worker: _,
                 creator,
             } => {
-                if let Some(batch) = self.store.get(&digest) {
-                    // Already held: re-persist, then (re-)report. The report
-                    // is a promise that the durable store can serve the
-                    // bytes — but the primary may have garbage-collected
-                    // them since we first persisted (an execution backlog
-                    // catching up after a restart fetches batches whose
-                    // rounds GC already pruned), so the write-through must
-                    // be repeated, not assumed.
-                    let batch = batch.clone();
-                    self.persist(&batch);
-                    self.report(&batch, ctx);
+                if self.pending.contains_key(&digest) {
+                    // Own batch still collecting acknowledgments: its
+                    // report follows the quorum.
+                } else if let Some(batch) = self.store.get_batch(&digest).expect("block store") {
+                    // Held: (re-)report, straight from the store — a hit
+                    // is proof the bytes are durable, nothing to rewrite.
+                    self.report(digest, &batch, ctx);
                 } else if let std::collections::btree_map::Entry::Vacant(e) =
                     self.fetching.entry(digest)
                 {
+                    // Never seen, or deleted by our validator's garbage
+                    // collection (an execution backlog catching up after
+                    // a restart asks for batches whose rounds GC already
+                    // pruned): peers still hold it.
                     e.insert(FetchState {
                         creator,
                         attempts: 0,
@@ -459,9 +447,13 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
 mod tests {
     use super::*;
     use crate::consensus::NoExt;
-    use nt_crypto::Scheme;
+    use crate::store::BATCH_ENCODES;
+    use nt_crypto::{Hashable as _, Scheme};
     use nt_network::Effect;
     use nt_network::{MS, SEC};
+    use nt_storage::{DynStore, MemStore, Store, StoreError};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     type Msg = NarwhalMsg<NoExt>;
 
@@ -488,6 +480,69 @@ mod tests {
             .collect()
     }
 
+    /// A `MemStore` that counts the writes and value reads reaching it.
+    #[derive(Default)]
+    struct Counting {
+        inner: MemStore,
+        puts: AtomicUsize,
+        gets: AtomicUsize,
+    }
+
+    impl Store for Counting {
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+            self.puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &[u8]) -> Result<bool, StoreError> {
+            self.inner.contains(key)
+        }
+        fn keys_with_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+            self.inner.keys_with_prefix(prefix)
+        }
+        fn len(&self) -> Result<usize, StoreError> {
+            self.inner.len()
+        }
+    }
+
+    fn worker_over(store: DynStore) -> Worker<NoExt> {
+        let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
+        crate::node::NodeBuilder::new(committee, 0)
+            .config(NarwhalConfig::with_load(10_000.0))
+            .store(store)
+            .build_worker(WorkerId(0))
+    }
+
+    fn peer_batch(seq: u64) -> Batch {
+        Batch::synthetic(ValidatorId(1), WorkerId(0), seq, 100, 51_200, vec![])
+    }
+
+    /// Delivers `msg` from node 5 (validator 1's worker) and returns the sends.
+    fn deliver(worker: &mut Worker<NoExt>, msg: Msg) -> Vec<(NodeId, Msg)> {
+        let mut ctx = Context::new(0, 4);
+        worker.on_message(5, msg, &mut ctx);
+        sends(ctx.drain())
+    }
+
+    /// Seals one own batch at `now` and returns its digest.
+    fn seal_own(worker: &mut Worker<NoExt>, now: Time) -> Digest {
+        let mut ctx = Context::new(now, 4);
+        worker.on_timer(TAG_SEAL, &mut ctx);
+        sends(ctx.drain())
+            .into_iter()
+            .find_map(|(_, m)| match m {
+                NarwhalMsg::Batch(b) => Some(b.digest()),
+                _ => None,
+            })
+            .expect("batch sent")
+    }
+
     #[test]
     fn synthetic_seal_broadcasts_batch() {
         let (_, _, mut workers) = setup(4);
@@ -505,15 +560,7 @@ mod tests {
     #[test]
     fn quorum_of_acks_reports_to_primary() {
         let (_, addr, mut workers) = setup(4);
-        let mut ctx = Context::new(200 * MS, addr.worker(ValidatorId(0), WorkerId(0)));
-        workers[0].on_timer(TAG_SEAL, &mut ctx);
-        let digest = sends(ctx.drain())
-            .into_iter()
-            .find_map(|(_, m)| match m {
-                NarwhalMsg::Batch(b) => Some(b.digest()),
-                _ => None,
-            })
-            .expect("batch sent");
+        let digest = seal_own(&mut workers[0], 200 * MS);
 
         // First ack (self + 1 = 2 of 3): no report yet.
         let mut ctx = Context::new(210 * MS, 4);
@@ -553,15 +600,7 @@ mod tests {
     #[test]
     fn duplicate_acks_do_not_double_count() {
         let (_, _, mut workers) = setup(4);
-        let mut ctx = Context::new(200 * MS, 4);
-        workers[0].on_timer(TAG_SEAL, &mut ctx);
-        let digest = sends(ctx.drain())
-            .into_iter()
-            .find_map(|(_, m)| match m {
-                NarwhalMsg::Batch(b) => Some(b.digest()),
-                _ => None,
-            })
-            .unwrap();
+        let digest = seal_own(&mut workers[0], 200 * MS);
         for _ in 0..3 {
             let mut ctx = Context::new(210 * MS, 4);
             workers[0].on_message(
@@ -654,15 +693,7 @@ mod tests {
     fn retry_timer_resends_unacked_batches_to_non_ackers() {
         let (_, addr, mut workers) = setup(4);
         // Seal a batch (goes to 3 peers, awaiting 2f+1 = 3 acks incl self).
-        let mut ctx = Context::new(200 * MS, 4);
-        workers[0].on_timer(TAG_SEAL, &mut ctx);
-        let digest = sends(ctx.drain())
-            .into_iter()
-            .find_map(|(_, m)| match m {
-                NarwhalMsg::Batch(b) => Some(b.digest()),
-                _ => None,
-            })
-            .unwrap();
+        let digest = seal_own(&mut workers[0], 200 * MS);
         // One ack arrives (validator 1); validators 2 and 3 are silent.
         let mut ctx = Context::new(250 * MS, 4);
         workers[0].on_message(
@@ -727,10 +758,8 @@ mod tests {
 
     #[test]
     fn restarted_worker_recovers_batches_and_sequence() {
-        use nt_storage::MemStore;
-        use std::sync::Arc;
         let (committee, addr, _) = setup(4);
-        let backend: nt_storage::DynStore = Arc::new(MemStore::new());
+        let backend: DynStore = Arc::new(MemStore::new());
         let mut worker: Worker<NoExt> = crate::node::NodeBuilder::new(committee.clone(), 0)
             .config(NarwhalConfig::with_load(10_000.0))
             .store(backend.clone())
@@ -741,15 +770,7 @@ mod tests {
         worker.on_message(5, NarwhalMsg::Batch(peer_batch.clone()), &mut ctx);
         ctx.drain();
         // An own batch is persisted once its ack quorum forms.
-        let mut ctx = Context::new(200 * MS, 4);
-        worker.on_timer(TAG_SEAL, &mut ctx);
-        let own_digest = sends(ctx.drain())
-            .into_iter()
-            .find_map(|(_, m)| match m {
-                NarwhalMsg::Batch(b) => Some(b.digest()),
-                _ => None,
-            })
-            .unwrap();
+        let own_digest = seal_own(&mut worker, 200 * MS);
         for voter in [1u32, 2] {
             let mut ctx = Context::new(210 * MS, 4);
             worker.on_message(
@@ -789,6 +810,122 @@ mod tests {
         assert_eq!(reports.len(), 2, "recovered batches re-reported");
         assert!(reports.contains(&own_digest));
         assert!(reports.contains(&peer_batch.digest()));
+    }
+
+    #[test]
+    fn only_pending_batches_are_resident() {
+        let mut worker = worker_over(Arc::new(MemStore::new()));
+        // N = 3 peer batches: stored, acknowledged, never kept.
+        for seq in 1..=3 {
+            deliver(&mut worker, NarwhalMsg::Batch(peer_batch(seq)));
+        }
+        assert_eq!((worker.resident_batches(), worker.stored_batches()), (0, 3));
+        // M = 2 own batches: resident until the quorum, stored after.
+        for k in 1..=2u64 {
+            let digest = seal_own(&mut worker, k * 200 * MS);
+            assert_eq!(worker.resident_batches(), 1);
+            assert_eq!(worker.stored_batches(), 2 + k as usize, "not yet stored");
+            for voter in [1u32, 2] {
+                let voter = ValidatorId(voter);
+                deliver(&mut worker, NarwhalMsg::BatchAck { digest, voter });
+            }
+        }
+        assert_eq!((worker.resident_batches(), worker.stored_batches()), (0, 5));
+    }
+
+    #[test]
+    fn batch_request_for_a_pending_batch_is_served_from_memory() {
+        let store = Arc::new(Counting::default());
+        let mut worker = worker_over(store.clone());
+        let digest = seal_own(&mut worker, 200 * MS);
+        let out = deliver(
+            &mut worker,
+            NarwhalMsg::BatchRequest {
+                digests: vec![digest],
+            },
+        );
+        assert!(matches!(
+            &out[..],
+            [(5, NarwhalMsg::BatchResponse { batches })] if batches[0].digest() == digest
+        ));
+        assert_eq!(store.puts.load(Ordering::Relaxed), 0, "not stored yet");
+        assert_eq!(store.gets.load(Ordering::Relaxed), 0, "store not asked");
+    }
+
+    #[test]
+    fn restarted_worker_serves_requests_without_loading() {
+        let store: DynStore = Arc::new(MemStore::new());
+        let batch = peer_batch(9);
+        deliver(
+            &mut worker_over(store.clone()),
+            NarwhalMsg::Batch(batch.clone()),
+        );
+        // A fresh incarnation that has not even run `on_start`.
+        let mut revived = worker_over(store);
+        assert_eq!(revived.resident_batches(), 0);
+        let out = deliver(
+            &mut revived,
+            NarwhalMsg::BatchRequest {
+                digests: vec![batch.digest()],
+            },
+        );
+        assert!(matches!(
+            &out[..],
+            [(5, NarwhalMsg::BatchResponse { batches })] if batches[0] == batch
+        ));
+    }
+
+    #[test]
+    fn one_encode_one_hash_one_put_per_received_batch() {
+        let store = Arc::new(Counting::default());
+        let mut worker = worker_over(store.clone());
+        let counts = || {
+            (
+                BATCH_ENCODES.with(std::cell::Cell::get),
+                store.puts.load(Ordering::Relaxed),
+                store.gets.load(Ordering::Relaxed),
+            )
+        };
+        let (encodes, ..) = counts();
+        let out = deliver(&mut worker, NarwhalMsg::Batch(peer_batch(9)));
+        assert_eq!(out.len(), 2, "acknowledged and reported");
+        assert_eq!(counts(), (encodes + 1, 1, 0));
+        // A duplicate is recognized by the index alone and not rewritten.
+        let out = deliver(&mut worker, NarwhalMsg::Batch(peer_batch(9)));
+        assert_eq!(out.len(), 1, "acknowledged only");
+        assert_eq!(counts(), (encodes + 2, 1, 0));
+    }
+
+    #[test]
+    fn fetch_batch_hit_writes_nothing_and_gc_deleted_falls_through_to_peers() {
+        let store = Arc::new(Counting::default());
+        let mut worker = worker_over(store.clone());
+        let batch = peer_batch(9);
+        let digest = batch.digest();
+        deliver(&mut worker, NarwhalMsg::Batch(batch));
+        let fetch = || NarwhalMsg::FetchBatch {
+            digest,
+            worker: WorkerId(0),
+            creator: ValidatorId(1),
+        };
+        // Held: re-reported from the store, nothing re-persisted.
+        let out = deliver(&mut worker, fetch());
+        assert!(matches!(
+            &out[..],
+            [(_, NarwhalMsg::ReportBatch(info))] if info.digest == digest
+        ));
+        assert_eq!(store.puts.load(Ordering::Relaxed), 1, "no re-put on a hit");
+        // The validator's GC deletes the bytes from the shared store: the
+        // worker has no copy of its own and asks the creator again.
+        BlockStore::new(store.clone())
+            .delete_batch(&digest)
+            .unwrap();
+        let out = deliver(&mut worker, fetch());
+        assert!(matches!(
+            &out[..],
+            [(5, NarwhalMsg::BatchRequest { digests })] if digests[..] == [digest]
+        ));
+        assert_eq!(store.puts.load(Ordering::Relaxed), 1);
     }
 
     #[test]

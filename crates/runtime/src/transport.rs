@@ -10,10 +10,11 @@
 //!   process; the peer's reconnect logic takes it from there.
 //! - **Outbound**: each peer has a bounded outbox drained by a writer
 //!   thread that connects lazily and reconnects with capped exponential
-//!   backoff + jitter ([`Backoff`]). When the outbox is full or the peer is
-//!   down past the buffering, frames are dropped — the same at-most-once
-//!   contract the actors already survive under the simulator's loss
-//!   schedules.
+//!   backoff + jitter ([`Backoff`]). When the outbox is full, or a connect
+//!   attempt fails, the frames queued so far are dropped and counted — the
+//!   same at-most-once contract the actors already survive under the
+//!   simulator's loss schedules — so a dead peer never pins more than one
+//!   backoff interval's worth of frames in memory.
 //!
 //! The transport never interprets payloads: it moves `(NodeId, Vec<u8>)`
 //! pairs. Decoding (and dropping undecodable payloads) is the driver's job.
@@ -87,8 +88,9 @@ impl Transport {
             let (tx, rx) = sync_channel(OUTBOX_CAPACITY);
             outboxes.insert(peer, tx);
             let stop = stop.clone();
+            let dropped_sends = dropped_sends.clone();
             threads.push(std::thread::spawn(move || {
-                writer_loop(me, peer, addr, rx, stop);
+                writer_loop(me, peer, addr, rx, stop, dropped_sends);
             }));
         }
 
@@ -270,6 +272,7 @@ fn writer_loop(
     addr: SocketAddr,
     outbox: Receiver<Vec<u8>>,
     stop: Arc<AtomicBool>,
+    dropped_sends: Arc<AtomicU64>,
 ) {
     let mut backoff = Backoff::for_link(me as u64, peer as u64);
     let mut conn: Option<TcpStream> = None;
@@ -285,15 +288,23 @@ fn writer_loop(
         if conn.is_none() {
             conn = try_connect(addr, &mut backoff, &stop);
         }
-        if let Some(stream) = conn.as_mut() {
-            if stream.write_all(&frame).is_err() {
-                // The peer is gone; this frame is lost (at-most-once) and
-                // the next send goes through a fresh connection.
-                conn = None;
+        match conn.as_mut() {
+            Some(stream) => {
+                if stream.write_all(&frame).is_err() {
+                    // The peer is gone; this frame is lost (at-most-once)
+                    // and the next send goes through a fresh connection.
+                    conn = None;
+                }
+            }
+            // Still down after the backoff sleep: this frame and all that
+            // queued behind it meanwhile are stale — the protocol's own
+            // retransmission covers them — so drop them now instead of
+            // holding a full outbox for a peer that may never return.
+            None => {
+                let dropped = 1 + outbox.try_iter().count() as u64;
+                dropped_sends.fetch_add(dropped, Ordering::Relaxed);
             }
         }
-        // Not connected: the frame is dropped. The outbox keeps buffering
-        // up to its capacity while backoff paces reconnect attempts.
     }
 }
 
@@ -459,6 +470,48 @@ mod tests {
             }
         }
         assert!(delivered.is_some(), "reconnect never delivered");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn frames_queued_for_a_dead_peer_are_dropped_and_counted() {
+        // A port nobody listens on.
+        let dead = TcpListener::bind(loopback()).unwrap().local_addr().unwrap();
+        let b = Transport::start(1, loopback(), &[(0, dead)]).unwrap();
+        const STALE: u64 = 1000;
+        for _ in 0..STALE {
+            b.send(0, vec![0]);
+        }
+        // One failed connect and its backoff sleep (under 75 ms) later the
+        // whole queue is gone, every frame of it counted.
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while b.dropped_sends() < STALE && std::time::Instant::now() < deadline {
+            std::thread::sleep(POLL);
+        }
+        assert_eq!(b.dropped_sends(), STALE);
+        // The peer comes back: only what is sent from now on reaches it.
+        let a = Transport::start(0, dead, &[]).unwrap();
+        let mut sent = STALE;
+        let mut received = Vec::new();
+        while received.is_empty() && std::time::Instant::now() < deadline {
+            b.send(0, vec![1]);
+            sent += 1;
+            received.extend(t_recv(&a));
+        }
+        while let Some(delivery) = t_recv(&a) {
+            received.push(delivery);
+        }
+        assert!(!received.is_empty(), "reconnect never delivered");
+        assert!(
+            received.iter().all(|(_, payload)| payload == &[1]),
+            "a frame queued while the peer was down was delivered"
+        );
+        assert_eq!(
+            received.len() as u64 + b.dropped_sends(),
+            sent,
+            "every frame is either delivered or counted as dropped"
+        );
         a.shutdown();
         b.shutdown();
     }

@@ -27,8 +27,8 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         // Calibrated against the paper's single-worker saturation point
-        // (~140-170k tx/s of 512 B transactions per §7.1); see
-        // EXPERIMENTS.md for the calibration run.
+        // (~140-170k tx/s of 512 B transactions per §7.1) with the
+        // `calibrate` bin of `nt_bench`.
         CostModel {
             recv_message_ns: 20_000,
             recv_byte_ns: 9.0,

@@ -10,29 +10,181 @@
 //! ```
 //!
 //! A `vlen` of `u32::MAX` marks a tombstone (deletion). The CRC covers
-//! `klen || vlen || key || value`. On open, the log is replayed into an
-//! in-memory index; a torn tail (truncated or checksum-failing record) is
-//! detected, the log is truncated to the last good record, and recovery
-//! proceeds — mirroring how RocksDB handles a crash mid-write.
+//! `klen || vlen || key || value`.
+//!
+//! The log is the only copy of the values. The resident index maps each
+//! live key to the *file offset and length* of its latest value, and a
+//! `get` is one positioned read — so resident memory is proportional to
+//! the number of live keys, never to the bytes stored (§3.3: "validators
+//! can operate with a fixed size memory"). Invariant: **every append is
+//! flushed to the OS before the index learns its offset**, so an offset
+//! found in the index is readable through any handle on the file.
+//!
+//! On open, the log is streamed once into the index; a torn tail
+//! (truncated or checksum-failing record) is detected, the log is
+//! truncated to the last good record, and recovery proceeds — mirroring
+//! how RocksDB handles a crash mid-write.
 
-use crate::{crc32, Store, StoreError};
+use crate::{Crc32, Store, StoreError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const TOMBSTONE: u32 = u32::MAX;
+/// Bytes before the key in every record: crc, klen, vlen.
+const HEADER_LEN: u64 = 12;
+
+/// Where a live key's latest value sits in the log.
+#[derive(Clone, Copy)]
+struct Slot {
+    offset: u64,
+    len: u32,
+}
+
+/// The index over a log's complete records and the accounting that goes
+/// with it: what a replay produces and what appends keep current.
+struct Log {
+    index: BTreeMap<Vec<u8>, Slot>,
+    /// Bytes of live key + value data; used to decide when compaction
+    /// pays off.
+    live_bytes: u64,
+    /// Offset just past the last complete record (= the log's size).
+    end: u64,
+    /// Records in the log (including dead ones).
+    records: usize,
+}
+
+impl Log {
+    /// Folds the record at `self.end` — `key` with a value of `vlen` bytes,
+    /// or a tombstone (`None`) — into the index. An overwrite replaces the
+    /// old value's bytes (the key is already counted) instead of accruing
+    /// a second full key + value.
+    fn apply(&mut self, key: &[u8], vlen: Option<u32>) {
+        let offset = self.end + HEADER_LEN + key.len() as u64;
+        match vlen.map(|len| Slot { offset, len }) {
+            Some(slot) => match self.index.get_mut(key) {
+                Some(old) => {
+                    self.live_bytes = self.live_bytes - old.len as u64 + slot.len as u64;
+                    *old = slot;
+                }
+                None => {
+                    self.live_bytes += key.len() as u64 + slot.len as u64;
+                    self.index.insert(key.to_vec(), slot);
+                }
+            },
+            None => {
+                if let Some(old) = self.index.remove(key) {
+                    self.live_bytes -= key.len() as u64 + old.len as u64;
+                }
+            }
+        }
+        self.end = offset + vlen.unwrap_or(0) as u64;
+        self.records += 1;
+    }
+}
+
+/// Streams the first `max_records` complete records of the log at `path`
+/// (a missing file is an empty log), stopping early at a torn tail. Holds
+/// one key and one read buffer at a time — never the log, never a value.
+fn replay(path: &Path, max_records: usize) -> Result<Log, StoreError> {
+    let mut log = Log {
+        index: BTreeMap::new(),
+        live_bytes: 0,
+        end: 0,
+        records: 0,
+    };
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(log),
+        Err(e) => return Err(e.into()),
+    };
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(64 * 1024, file);
+    let mut key = Vec::new();
+    while log.records < max_records && file_len - log.end >= HEADER_LEN {
+        let mut header = [0u8; HEADER_LEN as usize];
+        reader.read_exact(&mut header)?;
+        let stored_crc = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+        let klen = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        let vlen_raw = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        let vlen = if vlen_raw == TOMBSTONE { 0 } else { vlen_raw };
+        // Lengths come off the disk: bound them by what the file holds
+        // before sizing anything by them.
+        if file_len - log.end - HEADER_LEN < klen as u64 + vlen as u64 {
+            break;
+        }
+        let mut crc = Crc32::new();
+        crc.update(&header[4..]);
+        key.resize(klen as usize, 0);
+        reader.read_exact(&mut key)?;
+        crc.update(&key);
+        let mut left = vlen as usize;
+        while left > 0 {
+            let buffered = reader.fill_buf()?;
+            if buffered.is_empty() {
+                return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
+            }
+            let n = buffered.len().min(left);
+            crc.update(&buffered[..n]);
+            reader.consume(n);
+            left -= n;
+        }
+        if crc.finish() != stored_crc {
+            break;
+        }
+        log.apply(&key, (vlen_raw != TOMBSTONE).then_some(vlen));
+    }
+    Ok(log)
+}
+
+/// Checksums and writes one record, header / key / value straight into
+/// `w` — no assembled copy of the record.
+fn write_record(w: &mut impl Write, key: &[u8], value: Option<&[u8]>) -> Result<(), StoreError> {
+    let too_long = || std::io::Error::new(ErrorKind::InvalidInput, "key or value over 4 GiB");
+    let klen = u32::try_from(key.len()).map_err(|_| too_long())?;
+    let vlen = match value {
+        Some(v) => u32::try_from(v.len())
+            .ok()
+            .filter(|&len| len != TOMBSTONE)
+            .ok_or_else(too_long)?,
+        None => TOMBSTONE,
+    };
+    let value = value.unwrap_or_default();
+    let mut lens = [0u8; 8];
+    lens[..4].copy_from_slice(&klen.to_le_bytes());
+    lens[4..].copy_from_slice(&vlen.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&lens);
+    crc.update(key);
+    crc.update(value);
+    w.write_all(&crc.finish().to_le_bytes())?;
+    w.write_all(&lens)?;
+    w.write_all(key)?;
+    w.write_all(value)?;
+    Ok(())
+}
+
+/// Reads the value at `slot` through `file`, the handle it was paired
+/// with under the lock. A handle that outlived a [`WalStore::compact`]
+/// still names the old log, where its slots stay valid; a slot past the
+/// end of its file is an error. Only [`Store::tear_tail`] shortens a log
+/// in place, and it models a crash: no read is in flight across one.
+fn read_slot(file: &File, slot: Slot) -> Result<Vec<u8>, StoreError> {
+    let mut value = vec![0u8; slot.len as usize];
+    file.read_exact_at(&mut value, slot.offset)?;
+    Ok(value)
+}
 
 struct Inner {
-    index: BTreeMap<Vec<u8>, Vec<u8>>,
+    log: Log,
     writer: BufWriter<File>,
-    /// Bytes of live records; used to decide when compaction pays off.
-    live_bytes: u64,
-    /// Total log bytes written.
-    total_bytes: u64,
-    /// Records appended over the log's lifetime (including dead ones).
-    records: usize,
+    /// Read handle on the file `log`'s offsets refer to; replaced together
+    /// with the index whenever the file is.
+    reader: Arc<File>,
     /// Records covered by the latest durability barrier ([`Store::sync_barrier`]
     /// or the state found on open); [`Store::tear_tail`] cannot cross it.
     synced_records: usize,
@@ -43,6 +195,12 @@ struct Inner {
 pub struct WalStore {
     path: PathBuf,
     inner: Mutex<Inner>,
+}
+
+/// Opens the append and read handles on the log at `path`.
+fn open_handles(path: &Path) -> Result<(BufWriter<File>, Arc<File>), StoreError> {
+    let writer = OpenOptions::new().create(true).append(true).open(path)?;
+    Ok((BufWriter::new(writer), Arc::new(File::open(path)?)))
 }
 
 impl WalStore {
@@ -61,67 +219,21 @@ impl WalStore {
 
     fn open_with(path: impl AsRef<Path>, sync_writes: bool) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let mut index = BTreeMap::new();
-        let mut good_end: u64 = 0;
-        let mut live_bytes: u64 = 0;
-        let mut replayed: usize = 0;
-
-        if path.exists() {
-            let mut file = File::open(&path)?;
-            let mut data = Vec::new();
-            file.read_to_end(&mut data)?;
-            let mut pos: usize = 0;
-            while pos < data.len() {
-                match read_record(&data[pos..]) {
-                    Some((key, value, len)) => {
-                        match value {
-                            Some(v) => {
-                                // Mirror the live `append` accounting: an
-                                // overwrite replaces the old value's bytes
-                                // (the key is already counted) instead of
-                                // accruing a second full key + value.
-                                let (key_len, value_len) = (key.len() as u64, v.len() as u64);
-                                if let Some(old) = index.insert(key, v) {
-                                    live_bytes =
-                                        live_bytes.saturating_sub(old.len() as u64) + value_len;
-                                } else {
-                                    live_bytes += key_len + value_len;
-                                }
-                            }
-                            None => {
-                                if let Some(old) = index.remove(&key) {
-                                    live_bytes =
-                                        live_bytes.saturating_sub((key.len() + old.len()) as u64);
-                                }
-                            }
-                        }
-                        pos += len;
-                        good_end = pos as u64;
-                        replayed += 1;
-                    }
-                    None => break, // Torn tail: stop at the last good record.
-                }
-            }
-            if (good_end as usize) < data.len() {
-                // Truncate the torn tail so future appends start clean.
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(good_end)?;
-            }
+        let log = replay(&path, usize::MAX)?;
+        let (writer, reader) = open_handles(&path)?;
+        // Truncate a torn tail so future appends start clean.
+        if reader.metadata()?.len() > log.end {
+            writer.get_ref().set_len(log.end)?;
         }
-
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        file.seek(SeekFrom::End(0))?;
         Ok(WalStore {
             path,
             inner: Mutex::new(Inner {
-                index,
-                writer: BufWriter::new(file),
-                live_bytes,
-                total_bytes: good_end,
-                records: replayed,
                 // Whatever the log held at open is on disk and therefore
                 // durable: a later tear must not touch it.
-                synced_records: replayed,
+                synced_records: log.records,
+                log,
+                writer,
+                reader,
                 sync_writes,
             }),
         })
@@ -133,111 +245,30 @@ impl WalStore {
         let mut inner = self.inner.lock();
         let tmp_path = self.path.with_extension("compact");
         {
-            let tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(tmp);
-            for (key, value) in &inner.index {
-                w.write_all(&encode_record(key, Some(value)))?;
+            let mut w = BufWriter::new(File::create(&tmp_path)?);
+            for (key, slot) in &inner.log.index {
+                write_record(&mut w, key, Some(&read_slot(&inner.reader, *slot)?))?;
             }
             w.flush()?;
             w.get_ref().sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        let size = file.metadata()?.len();
-        inner.writer = BufWriter::new(file);
-        inner.total_bytes = size;
-        inner.records = inner.index.len();
+        inner.log = replay(&self.path, usize::MAX)?;
+        (inner.writer, inner.reader) = open_handles(&self.path)?;
         // The compacted log was fsynced before the rename.
-        inner.synced_records = inner.records;
-        inner.live_bytes = inner
-            .index
-            .iter()
-            .map(|(k, v)| (k.len() + v.len()) as u64)
-            .sum();
-        Ok(size)
-    }
-
-    /// Discards the last `ops` records of the log, as if the process had
-    /// crashed before those appends reached disk, and rebuilds the
-    /// in-memory index from the surviving prefix. The log is truncated to
-    /// the last surviving record boundary (what [`WalStore::open`]'s
-    /// torn-tail scan would itself do to a ragged file) so the store stays
-    /// appendable in place.
-    ///
-    /// Returns the number of records discarded (at most `ops`).
-    fn tear_tail_records(&self, ops: usize) -> Result<usize, StoreError> {
-        let mut inner = self.inner.lock();
-        inner.writer.flush()?;
-        let mut file = File::open(&self.path)?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)?;
-        drop(file);
-        // Offsets of every complete record.
-        let mut offsets: Vec<usize> = Vec::new();
-        let mut pos = 0;
-        while pos < data.len() {
-            match read_record(&data[pos..]) {
-                Some((_, _, len)) => {
-                    offsets.push(pos);
-                    pos += len;
-                }
-                None => break,
-            }
-        }
-        let tearable = offsets.len().saturating_sub(inner.synced_records);
-        let torn = ops.min(tearable);
-        if torn == 0 {
-            return Ok(0);
-        }
-        let keep = offsets.len() - torn;
-        let good_end = if keep == 0 { 0 } else { offsets[keep] };
-        let file = OpenOptions::new().write(true).open(&self.path)?;
-        file.set_len(good_end as u64)?;
-        file.sync_all()?;
-        drop(file);
-        // Rebuild the index from the surviving prefix.
-        let mut index = BTreeMap::new();
-        let mut live_bytes: u64 = 0;
-        let mut pos = 0;
-        while pos < good_end {
-            let (key, value, len) = read_record(&data[pos..]).expect("verified above");
-            match value {
-                Some(v) => {
-                    let (key_len, value_len) = (key.len() as u64, v.len() as u64);
-                    if let Some(old) = index.insert(key, v) {
-                        live_bytes = live_bytes.saturating_sub(old.len() as u64) + value_len;
-                    } else {
-                        live_bytes += key_len + value_len;
-                    }
-                }
-                None => {
-                    if let Some(old) = index.remove(&key) {
-                        live_bytes = live_bytes.saturating_sub((key.len() + old.len()) as u64);
-                    }
-                }
-            }
-            pos += len;
-        }
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        inner.index = index;
-        inner.writer = BufWriter::new(file);
-        inner.live_bytes = live_bytes;
-        inner.total_bytes = good_end as u64;
-        inner.records = keep;
-        Ok(torn)
+        inner.synced_records = inner.log.records;
+        Ok(inner.log.end)
     }
 
     /// Current log file size in bytes (including dead records).
     pub fn log_bytes(&self) -> u64 {
-        self.inner.lock().total_bytes
+        self.inner.lock().log.end
     }
 
     /// Bytes of live key + value data (excluding overwritten and deleted
     /// records); the numerator of the compaction-pays-off heuristic.
     pub fn live_bytes(&self) -> u64 {
-        self.inner.lock().live_bytes
+        self.inner.lock().log.live_bytes
     }
 
     /// Flushes buffered writes to the OS (and disk if opened durable).
@@ -251,32 +282,15 @@ impl WalStore {
     }
 
     fn append(&self, key: &[u8], value: Option<&[u8]>) -> Result<(), StoreError> {
-        let record = encode_record(key, value);
         let mut inner = self.inner.lock();
-        inner.writer.write_all(&record)?;
+        write_record(&mut inner.writer, key, value)?;
+        // The record reaches the OS before the index can hand out its
+        // offset to a reader.
         inner.writer.flush()?;
         if inner.sync_writes {
             inner.writer.get_ref().sync_all()?;
         }
-        inner.total_bytes += record.len() as u64;
-        inner.records += 1;
-        match value {
-            Some(v) => {
-                if let Some(old) = inner.index.insert(key.to_vec(), v.to_vec()) {
-                    inner.live_bytes =
-                        inner.live_bytes.saturating_sub(old.len() as u64) + v.len() as u64;
-                } else {
-                    inner.live_bytes += (key.len() + v.len()) as u64;
-                }
-            }
-            None => {
-                if let Some(old) = inner.index.remove(key) {
-                    inner.live_bytes = inner
-                        .live_bytes
-                        .saturating_sub((key.len() + old.len()) as u64);
-                }
-            }
-        }
+        inner.log.apply(key, value.map(|v| v.len() as u32));
         Ok(())
     }
 }
@@ -287,16 +301,30 @@ impl Store for WalStore {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.inner.lock().index.get(key).cloned())
+        // Pair the slot with the handle it is valid for under the lock;
+        // read outside it, so a large value never stalls writers.
+        let (reader, slot) = {
+            let inner = self.inner.lock();
+            match inner.log.index.get(key) {
+                Some(slot) => (inner.reader.clone(), *slot),
+                None => return Ok(None),
+            }
+        };
+        read_slot(&reader, slot).map(Some)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         self.append(key, None)
     }
 
+    fn contains(&self, key: &[u8]) -> Result<bool, StoreError> {
+        Ok(self.inner.lock().log.index.contains_key(key))
+    }
+
     fn keys_with_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         let inner = self.inner.lock();
         Ok(inner
+            .log
             .index
             .range(prefix.to_vec()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -305,68 +333,35 @@ impl Store for WalStore {
     }
 
     fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.inner.lock().index.len())
+        Ok(self.inner.lock().log.index.len())
     }
 
     fn sync_barrier(&self) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
         inner.writer.flush()?;
         inner.writer.get_ref().sync_all()?;
-        inner.synced_records = inner.records;
+        inner.synced_records = inner.log.records;
         Ok(())
     }
 
+    /// Discards the last `ops` un-synced records, as if the process had
+    /// crashed before those appends reached disk: the index is rebuilt
+    /// from the surviving prefix and the log truncated to its last record
+    /// boundary (what [`WalStore::open`]'s torn-tail scan would itself do
+    /// to a ragged file), so the store stays appendable in place.
     fn tear_tail(&self, ops: usize) -> Result<usize, StoreError> {
-        self.tear_tail_records(ops)
+        let mut inner = self.inner.lock();
+        let torn = ops.min(inner.log.records - inner.synced_records);
+        if torn == 0 {
+            return Ok(0);
+        }
+        let prefix = replay(&self.path, inner.log.records - torn)?;
+        let file = inner.writer.get_ref();
+        file.set_len(prefix.end)?;
+        file.sync_all()?;
+        inner.log = prefix;
+        Ok(torn)
     }
-}
-
-fn encode_record(key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
-    let vlen = value.map_or(TOMBSTONE, |v| v.len() as u32);
-    let klen = key.len() as u32;
-    let body_len = 8 + key.len() + value.map_or(0, <[u8]>::len);
-    let mut body = Vec::with_capacity(body_len);
-    body.extend_from_slice(&klen.to_le_bytes());
-    body.extend_from_slice(&vlen.to_le_bytes());
-    body.extend_from_slice(key);
-    if let Some(v) = value {
-        body.extend_from_slice(v);
-    }
-    let mut record = Vec::with_capacity(4 + body.len());
-    record.extend_from_slice(&crc32(&body).to_le_bytes());
-    record.extend_from_slice(&body);
-    record
-}
-
-/// Parses one record from `data`. Returns `(key, value, record_len)`;
-/// `None` if the data is truncated or the checksum fails.
-#[allow(clippy::type_complexity)]
-fn read_record(data: &[u8]) -> Option<(Vec<u8>, Option<Vec<u8>>, usize)> {
-    if data.len() < 12 {
-        return None;
-    }
-    let stored_crc = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
-    let klen = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
-    let vlen_raw = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    let vlen = if vlen_raw == TOMBSTONE {
-        0
-    } else {
-        vlen_raw as usize
-    };
-    let total = 12 + klen + vlen;
-    if data.len() < total {
-        return None;
-    }
-    if crc32(&data[4..total]) != stored_crc {
-        return None;
-    }
-    let key = data[12..12 + klen].to_vec();
-    let value = if vlen_raw == TOMBSTONE {
-        None
-    } else {
-        Some(data[12 + klen..total].to_vec())
-    };
-    Some((key, value, total))
 }
 
 #[cfg(test)]
@@ -617,6 +612,93 @@ mod tests {
         // A store torn to nothing accepts new writes.
         s.put(b"fresh", b"x").unwrap();
         assert_eq!(s.get(b"fresh").unwrap(), Some(b"x".to_vec()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn large_and_empty_values_survive_every_rewrite() {
+        // 300 KB bypasses the `BufWriter` (capacity 8 KiB) and spans many
+        // replay buffers; an empty value writes and reads zero bytes.
+        let path = tmp("large");
+        let big: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let big2: Vec<u8> = big.iter().rev().copied().collect();
+        let check = |s: &WalStore, big: &[u8], empty: &[u8], small: &[u8]| {
+            assert_eq!(s.get(b"big").unwrap().as_deref(), Some(big));
+            assert_eq!(s.get(b"empty").unwrap().as_deref(), Some(empty));
+            assert_eq!(s.get(b"small").unwrap().as_deref(), Some(small));
+        };
+        let s = WalStore::open(&path).unwrap();
+        s.put(b"big", &big).unwrap();
+        s.put(b"empty", b"").unwrap();
+        s.put(b"small", b"x").unwrap();
+        check(&s, &big, b"", b"x");
+        // Overwrites in both directions: offsets move to the new records.
+        s.put(b"big", &big2).unwrap();
+        s.put(b"empty", b"filled").unwrap();
+        s.put(b"small", b"").unwrap();
+        check(&s, &big2, b"filled", b"");
+        drop(s);
+        let s = WalStore::open(&path).unwrap();
+        check(&s, &big2, b"filled", b"");
+        let live = (3 + 300_000) + (5 + 6) + 5;
+        assert_eq!(s.live_bytes(), live);
+        assert_eq!(s.compact().unwrap(), live + 3 * HEADER_LEN);
+        check(&s, &big2, b"filled", b"");
+        // Writes after the compaction land behind it and can tear.
+        s.put(b"big", &big).unwrap();
+        s.put(b"empty", b"").unwrap();
+        check(&s, &big, b"", b"");
+        assert_eq!(s.tear_tail(2).unwrap(), 2);
+        check(&s, &big2, b"filled", b"");
+        assert_eq!(s.live_bytes(), live);
+        assert_eq!(s.log_bytes(), std::fs::metadata(&path).unwrap().len());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reader_from_before_a_compaction_never_sees_foreign_bytes() {
+        let path = tmp("swap");
+        let s = WalStore::open(&path).unwrap();
+        s.put(b"a", b"dead").unwrap();
+        s.put(b"pad", &[7u8; 4096]).unwrap();
+        s.put(b"a", b"alive").unwrap();
+        s.put(b"z", b"last").unwrap();
+        // What a `get` holds between leaving the lock and reading.
+        let (reader, slot) = {
+            let inner = s.inner.lock();
+            (inner.reader.clone(), inner.log.index[b"a".as_slice()])
+        };
+        s.compact().unwrap();
+        // Every offset moved; the new index is right for the new file.
+        assert!(s.inner.lock().log.index[b"a".as_slice()].offset < slot.offset);
+        assert_eq!(s.get(b"a").unwrap(), Some(b"alive".to_vec()));
+        assert_eq!(s.get(b"pad").unwrap(), Some(vec![7u8; 4096]));
+        assert_eq!(s.get(b"z").unwrap(), Some(b"last".to_vec()));
+        // The old pair still names the old file, and reads the old value.
+        assert_eq!(read_slot(&reader, slot).unwrap(), b"alive");
+        // A slot that runs past the end of its file is an error.
+        let inner = s.inner.lock();
+        let past_end = Slot {
+            offset: inner.log.end - 1,
+            len: 2,
+        };
+        assert!(read_slot(&inner.reader, past_end).is_err());
+        drop(inner);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn contains_never_reads_the_value() {
+        let path = tmp("contains");
+        let s = WalStore::open(&path).unwrap();
+        s.put(b"big", &vec![1u8; 1 << 20]).unwrap();
+        // Take the bytes away underneath the store: anything that needed
+        // them fails, anything answered by the index does not.
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(0).unwrap();
+        assert!(s.contains(b"big").unwrap());
+        assert!(!s.contains(b"other").unwrap());
+        assert!(s.get(b"big").is_err());
         std::fs::remove_file(&path).ok();
     }
 
