@@ -149,9 +149,12 @@ fn bench_cert_verify(c: &mut Criterion) {
     // CI smoke: under `-- --test` criterion runs each body once without
     // timing, so measure the pair by hand and pin the amortization claim —
     // batch verification of a 2f + 1 set must be at least 2x faster than
-    // checking the same signatures one by one.
+    // checking the same signatures one by one. The verdict is the median
+    // ratio over interleaved samples: a neighbour's burst on a shared CI
+    // box lands on one sample (and on both halves of it), not on the gate.
     if std::env::args().any(|a| a == "--test") {
-        let reps = 100;
+        const SAMPLES: usize = 7;
+        let reps = 20;
         let time = |f: &dyn Fn()| {
             let start = std::time::Instant::now();
             for _ in 0..reps {
@@ -162,17 +165,27 @@ fn bench_cert_verify(c: &mut Criterion) {
         // Warm both paths once before timing.
         verify_each(Scheme::Ed25519, &items).expect("valid");
         verify_batch(Scheme::Ed25519, &items).expect("valid");
-        let t_single = time(&|| {
-            verify_each(Scheme::Ed25519, black_box(&items)).expect("valid");
-        });
-        let t_batch = time(&|| {
-            verify_batch(Scheme::Ed25519, black_box(&items)).expect("valid");
-        });
+        let mut samples: Vec<(f64, f64)> = (0..SAMPLES)
+            .map(|_| {
+                let t_single = time(&|| {
+                    verify_each(Scheme::Ed25519, black_box(&items)).expect("valid");
+                });
+                let t_batch = time(&|| {
+                    verify_batch(Scheme::Ed25519, black_box(&items)).expect("valid");
+                });
+                (t_single, t_batch)
+            })
+            .collect();
+        samples.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
+        let (t_single, t_batch) = samples[SAMPLES / 2];
         println!(
-            "smoke: cert verify 2f+1 single {:.3}ms batch {:.3}ms ({:.2}x)",
+            "smoke: cert verify 2f+1 single {:.3}ms batch {:.3}ms ({:.2}x, median of {SAMPLES}; \
+             range {:.2}x-{:.2}x)",
             t_single * 1e3 / reps as f64,
             t_batch * 1e3 / reps as f64,
-            t_single / t_batch
+            t_single / t_batch,
+            samples[0].0 / samples[0].1,
+            samples[SAMPLES - 1].0 / samples[SAMPLES - 1].1,
         );
         assert!(
             t_single >= 2.0 * t_batch,

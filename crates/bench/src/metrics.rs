@@ -8,7 +8,7 @@
 
 use nt_network::{NodeId, Time, SEC};
 use nt_simnet::SimResult;
-use nt_types::{CommitEvent, Round, ValidatorId};
+use nt_types::{CommitEvent, ProposalCounts, Round, ValidatorId};
 use std::collections::{HashMap, HashSet};
 
 /// Aggregated statistics from one run.
@@ -37,6 +37,10 @@ pub struct RunStats {
     /// Mean per-validator count of anchors committed indirectly (via the
     /// recursive path rule).
     pub indirect_commits: f64,
+    /// Why blocks were proposed, summed over the validators (each one's
+    /// last commit event carries its totals): own payload, followed a live
+    /// round, header deadline, consensus wish.
+    pub proposals: ProposalCounts,
     /// Total committed transactions over the whole run.
     pub total_txs: u64,
     /// Number of latency samples observed.
@@ -74,6 +78,8 @@ impl RunStats {
         // Cumulative per-validator commit counters: the last event a node
         // emits carries its final (direct, indirect) totals.
         let mut counter_finals: HashMap<NodeId, (u64, u64)> = HashMap::new();
+        // Likewise its proposal counters (restarting from zero with it).
+        let mut proposal_finals: HashMap<NodeId, ProposalCounts> = HashMap::new();
 
         for (at, node, ev) in commits {
             total_txs += ev.tx_count;
@@ -84,6 +90,7 @@ impl RunStats {
                     *i = (*i).max(ev.indirect_commits);
                 })
                 .or_insert((ev.direct_commits, ev.indirect_commits));
+            proposal_finals.insert(*node, ev.proposals);
             // A batch creator's commit event is emitted by the creator's own
             // primary: count it once (node == author's primary by layout).
             if *at < warmup || *at > duration {
@@ -123,6 +130,13 @@ impl RunStats {
                 counter_finals.values().map(|(_, i)| *i as f64).sum::<f64>() / n,
             )
         };
+        let mut proposals = ProposalCounts::default();
+        for p in proposal_finals.values() {
+            proposals.payload += p.payload;
+            proposals.followed += p.followed;
+            proposals.deadline += p.deadline;
+            proposals.wish += p.wish;
+        }
 
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let pct = |p: f64| -> f64 {
@@ -142,6 +156,7 @@ impl RunStats {
             decision_rounds: mean(&decision_gaps),
             direct_commits,
             indirect_commits,
+            proposals,
             total_txs,
             samples: latencies.len(),
             lag_drops: 0,

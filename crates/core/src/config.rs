@@ -80,8 +80,12 @@ pub struct NarwhalConfig {
     pub tx_bytes: usize,
     /// Seal a non-empty batch after this delay even if under-sized.
     pub max_batch_delay: Time,
-    /// Propose a block after this delay even with an empty payload
-    /// (empty blocks keep the DAG — and thus consensus — alive).
+    /// An idle primary proposes an empty block after this delay *unless the
+    /// round is already live*: once it has voted for a peer's
+    /// payload-bearing block of its round it proposes at once, so rounds
+    /// follow payload arriving anywhere in the committee and only an
+    /// all-idle committee runs on this clock (empty blocks keep the DAG —
+    /// and thus consensus — alive).
     pub max_header_delay: Time,
     /// Upper bound on waiting for a parent the consensus protocol *wished*
     /// for (Bullshark's wave leader) before proposing leaderless — the

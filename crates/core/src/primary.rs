@@ -34,7 +34,9 @@ use nt_execution::{
 };
 use nt_network::{Actor, Context, NodeId, Time};
 use nt_storage::DynStore;
-use nt_types::{Certificate, CommitEvent, Committee, Header, Round, ValidatorId, Vote};
+use nt_types::{
+    Certificate, CommitEvent, Committee, Header, ProposalCounts, Round, ValidatorId, Vote,
+};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 const TAG_PROPOSE: u64 = 1;
@@ -87,6 +89,15 @@ enum AnchorKey {
     Digest(Digest, ValidatorId),
 }
 
+/// The proposal wait in force: its round, the due time of the one
+/// `TAG_PROPOSE` timer armed for it, and whether only a wish still held it.
+#[derive(Default)]
+struct ProposalWait {
+    round: Round,
+    until: Time,
+    by_wish: bool,
+}
+
 /// The primary of one validator, generic over the consensus plug-in.
 pub struct Primary<C: DagConsensus> {
     committee: Committee,
@@ -99,6 +110,11 @@ pub struct Primary<C: DagConsensus> {
     round: Round,
     round_entered: Time,
     last_proposed: Round,
+    /// The latest round in which we voted for a payload-bearing block: the
+    /// committee has work in that round, so an idle proposal need not wait.
+    live_round: Round,
+    wait: ProposalWait,
+    proposals: ProposalCounts,
     current_header: Option<Header>,
     current_votes: Vec<Vote>,
     /// The block digest we acknowledged per (round, creator): enforces
@@ -240,6 +256,9 @@ impl<C: DagConsensus> Primary<C> {
             round: 0,
             round_entered: 0,
             last_proposed: 0,
+            live_round: 0,
+            wait: ProposalWait::default(),
+            proposals: ProposalCounts::default(),
             current_header: None,
             current_votes: Vec::new(),
             voted: BTreeMap::new(),
@@ -454,6 +473,11 @@ impl<C: DagConsensus> Primary<C> {
         self.ordered.len()
     }
 
+    /// Why each block so far was proposed (also on every [`CommitEvent`]).
+    pub fn proposal_counts(&self) -> ProposalCounts {
+        self.proposals
+    }
+
     /// Access to the consensus plug-in (tests/metrics).
     pub fn consensus(&self) -> &C {
         &self.consensus
@@ -617,6 +641,7 @@ impl<C: DagConsensus> Primary<C> {
             decided_round: self.dag.highest_round(),
             direct_commits,
             indirect_commits,
+            proposals: self.proposals,
             header_digest: digest,
             ..Default::default()
         };
@@ -815,50 +840,41 @@ impl<C: DagConsensus> Primary<C> {
         if self.dag.round_size(self.round - 1) < self.committee.quorum_threshold() {
             return;
         }
-        // Wait for payload — and for any parents the consensus protocol
-        // wishes to reference (partial synchrony: Bullshark waits for the
-        // wave leader so it commits in two rounds) — but never beyond
-        // max_header_delay: empty or leaderless blocks keep the DAG and
-        // consensus advancing.
+        // Round pacing: a block goes out once it has something to say and
+        // everything it was asked to reference.
+        // - Payload: own digests are pending, or the round is *live* — we
+        //   voted for a peer's payload-bearing block of it, so rounds move
+        //   with payload arriving anywhere, not with idle validators' clocks
+        //   (§3.1). A vote means the parents are known and our worker holds
+        //   every batch: only real dissemination speeds rounds up. With no
+        //   payload anywhere, an empty block at `max_header_delay` keeps the
+        //   DAG and consensus advancing.
+        // - Parent wishes (Bullshark's wave leader): the one certificate
+        //   whose absence costs a whole wave, so worth the leader timeout —
+        //   a WAN round-trip — where payload is only worth the header delay.
+        // - Coverage wishes. Our *own* previous certificate is chain
+        //   continuity: a block without it strands the chain below until GC
+        //   re-injection (a gc_depth-round cliff, ~16 s p99 on 10/20-node
+        //   committees), so it is worth the full header delay. *Other*
+        //   validators' (an anchor sweeping the slowest regions' chains) are
+        //   opportunistic and must stay inside the quorum slack before the
+        //   2f + 1st certificate the round advance waits for, or the wait
+        //   stretches the cadence; fig-7 WAN stragglers trail round entry by
+        //   tens of milliseconds, so 3/8 of the header delay catches them.
         let now = ctx.now();
         let deadline = self.round_entered + self.config.max_header_delay;
-        // The leader timeout is the longer of the two bounds: a wished
-        // parent is the one certificate whose absence costs a whole wave
-        // (the leader misses its direct quorum), so it is worth waiting a
-        // WAN round-trip for, where payload is only worth the header delay.
         let wish_deadline = self.round_entered
             + self
                 .config
                 .max_leader_delay
                 .max(self.config.max_header_delay);
+        let coverage_deadline = self.round_entered + self.config.max_header_delay * 3 / 8;
         let awaiting_parent = now < wish_deadline
             && self
                 .consensus
                 .parent_wishes(&self.dag, self.round)
                 .into_iter()
                 .any(|(round, author)| self.dag.get(round, author).is_none());
-        // Coverage: parents the consensus protocol wants referenced for
-        // commit-latency reasons but that are only worth the payload
-        // deadline, not the leader timeout — Bullshark wishes for its own
-        // previous certificate (chain continuity: a block proposed without
-        // it strands the whole chain below until GC re-injection, a
-        // gc_depth-round latency cliff observed as ~16 s p99 on 10/20-node
-        // committees) and, when about to propose its own anchor, for full
-        // previous-round coverage so the anchor's history sweeps the
-        // slowest regions' chains on every wave.
-        // Two bounds within the coverage wishes: a wish for the author's
-        // *own* previous certificate is chain continuity — a break
-        // strands the whole chain below until GC re-injection, so it is
-        // worth the full header deadline. Wishes for *other* validators'
-        // certificates are opportunistic coverage and must stay well
-        // inside the quorum slack (the gap between this block's
-        // certificate forming and the 2f + 1st certificate the round
-        // advance actually waits for), or the wait itself would stretch
-        // the cadence it is trying not to touch; on the fig-7 WAN
-        // topology the stragglers trail round entry by a few tens of
-        // milliseconds, so three eighths of the header deadline catches
-        // them with slack to spare.
-        let coverage_deadline = self.round_entered + self.config.max_header_delay * 3 / 8;
         let wishes = self
             .consensus
             .coverage_wishes(&self.dag, self.round, self.me);
@@ -870,7 +886,8 @@ impl<C: DagConsensus> Primary<C> {
             && wishes
                 .iter()
                 .any(|&(round, author)| author != self.me && self.dag.get(round, author).is_none());
-        let awaiting_payload = now < deadline && self.pending_digests.is_empty();
+        let awaiting_payload =
+            now < deadline && self.pending_digests.is_empty() && self.live_round != self.round;
         if awaiting_parent || awaiting_own || awaiting_coverage || awaiting_payload {
             let until = if awaiting_parent {
                 wish_deadline
@@ -879,9 +896,26 @@ impl<C: DagConsensus> Primary<C> {
             } else {
                 deadline
             };
-            ctx.timer(until - now, TAG_PROPOSE);
+            // One timer per wait, however many certificates and reports
+            // land here; `until > now`, so a fired timer's successor differs.
+            if (self.wait.round, self.wait.until) != (self.round, until) {
+                (self.wait.round, self.wait.until) = (self.round, until);
+                ctx.timer(until - now, TAG_PROPOSE);
+            }
+            self.wait.by_wish = !awaiting_payload;
             return;
         }
+        let counts = &mut self.proposals;
+        let trigger = if self.wait.round == self.round && self.wait.by_wish {
+            &mut counts.wish
+        } else if !self.pending_digests.is_empty() {
+            &mut counts.payload
+        } else if now < deadline {
+            &mut counts.followed
+        } else {
+            &mut counts.deadline
+        };
+        *trigger += 1;
         let parents: Vec<Digest> = self
             .dag
             .round_certs(self.round - 1)
@@ -1065,6 +1099,10 @@ impl<C: DagConsensus> Primary<C> {
         }
         let vote = Vote::new(&self.keypair, self.me, digest, header.round, header.author);
         ctx.send(self.addr.primary(header.author), NarwhalMsg::Vote(vote));
+        if !header.payload.is_empty() {
+            self.live_round = header.round;
+            self.try_propose(ctx);
+        }
     }
 
     fn handle_vote(&mut self, vote: Vote, ctx: &mut Context<NarwhalMsg<C::Ext>>) {
@@ -2524,5 +2562,278 @@ mod tests {
             other => panic!("expected response, got {other:?}"),
         }
         let _ = committee;
+    }
+
+    // ---- round pacing -------------------------------------------------
+
+    /// Validator 0's primary over `consensus`, started idle at time 0.
+    fn started<C: DagConsensus<Ext = NoExt>>(
+        consensus: C,
+    ) -> (Committee, Vec<KeyPair>, Primary<C>) {
+        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let mut primary = crate::node::NodeBuilder::new(committee.clone(), 0)
+            .keypair(kps[0].clone())
+            .build_primary(consensus);
+        primary.on_start(&mut Context::new(0, 0));
+        (committee, kps, primary)
+    }
+
+    fn deliver<C: DagConsensus<Ext = NoExt>>(
+        primary: &mut Primary<C>,
+        from: u32,
+        msg: Msg,
+        now: Time,
+    ) -> Vec<Effect<Msg>> {
+        let mut ctx = Context::new(now, 0);
+        primary.on_message(from as NodeId, msg, &mut ctx);
+        ctx.drain()
+    }
+
+    /// Validator 1's worker-0 batch number `seq`, as our worker reports it.
+    fn peer_batch(seq: u64) -> BatchInfo {
+        BatchInfo {
+            digest: Digest::of(&seq.to_le_bytes()),
+            worker: WorkerId(0),
+            creator: ValidatorId(1),
+            tx_count: 100,
+            tx_bytes: 51_200,
+            samples: vec![],
+        }
+    }
+
+    /// A block of `author` at `round` over `parents`, carrying
+    /// `peer_batch(seq)` for each `seq` in `payload`.
+    fn block(
+        kps: &[KeyPair],
+        author: u32,
+        round: Round,
+        parents: &[Certificate],
+        payload: &[u64],
+    ) -> Header {
+        Header::new(
+            &kps[author as usize],
+            ValidatorId(author),
+            round,
+            payload
+                .iter()
+                .map(|seq| (peer_batch(*seq).digest, WorkerId(0)))
+                .collect(),
+            parents.iter().map(Certificate::header_digest).collect(),
+            None,
+        )
+    }
+
+    fn certify(committee: &Committee, kps: &[KeyPair], header: Header) -> Certificate {
+        let votes: Vec<Vote> = (0..3)
+            .map(|v| {
+                Vote::new(
+                    &kps[v],
+                    ValidatorId(v as u32),
+                    header.digest(),
+                    header.round,
+                    header.author,
+                )
+            })
+            .collect();
+        Certificate::from_votes(committee, header, &votes).expect("quorum")
+    }
+
+    /// Empty certified round-1 blocks of `authors`.
+    fn round_one(committee: &Committee, kps: &[KeyPair], authors: &[u32]) -> Vec<Certificate> {
+        let genesis = Certificate::genesis_set(committee);
+        authors
+            .iter()
+            .map(|a| certify(committee, kps, block(kps, *a, 1, &genesis, &[])))
+            .collect()
+    }
+
+    fn proposed(effects: &[Effect<Msg>]) -> Vec<&Header> {
+        let mut headers: Vec<&Header> = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    msg: NarwhalMsg::Header(h),
+                    ..
+                } => Some(h),
+                _ => None,
+            })
+            .collect();
+        headers.dedup();
+        headers
+    }
+
+    fn voted(effects: &[Effect<Msg>]) -> bool {
+        effects.iter().any(|e| {
+            matches!(
+                e,
+                Effect::Send {
+                    msg: NarwhalMsg::Vote(_),
+                    ..
+                }
+            )
+        })
+    }
+
+    fn propose_timers(effects: &[Effect<Msg>]) -> usize {
+        effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Timer { tag, .. } if *tag == TAG_PROPOSE))
+            .count()
+    }
+
+    #[test]
+    fn idle_primary_follows_a_live_round_in_the_voting_handler() {
+        let (committee, kps, mut p) = started(NoConsensus);
+        let genesis = Certificate::genesis_set(&committee);
+        deliver(&mut p, 4, NarwhalMsg::ReportBatch(peer_batch(1)), MS);
+        let out = deliver(
+            &mut p,
+            1,
+            NarwhalMsg::Header(block(&kps, 1, 1, &genesis, &[1])),
+            2 * MS,
+        );
+        assert!(voted(&out));
+        let headers = proposed(&out);
+        assert_eq!(headers.len(), 1, "own block leaves with the vote");
+        assert_eq!((headers[0].round, headers[0].payload.len()), (1, 0));
+        let counts = p.proposal_counts();
+        assert_eq!(
+            (counts.followed, counts.payload, counts.deadline),
+            (1, 0, 0)
+        );
+    }
+
+    #[test]
+    fn an_empty_peer_block_does_not_make_the_round_live() {
+        let (committee, kps, mut p) = started(NoConsensus);
+        let genesis = Certificate::genesis_set(&committee);
+        let out = deliver(
+            &mut p,
+            1,
+            NarwhalMsg::Header(block(&kps, 1, 1, &genesis, &[])),
+            MS,
+        );
+        assert!(voted(&out));
+        assert!(proposed(&out).is_empty());
+        assert_eq!(
+            propose_timers(&out),
+            0,
+            "the round's timer is already armed"
+        );
+    }
+
+    #[test]
+    fn a_round_is_live_only_once_we_vote_in_it() {
+        let (committee, kps, mut p) = started(NoConsensus);
+        let genesis = Certificate::genesis_set(&committee);
+        // The batch is not stored yet: no vote, so no proposal either.
+        let out = deliver(
+            &mut p,
+            1,
+            NarwhalMsg::Header(block(&kps, 1, 1, &genesis, &[1])),
+            MS,
+        );
+        assert!(!voted(&out) && proposed(&out).is_empty());
+        let out = deliver(&mut p, 4, NarwhalMsg::ReportBatch(peer_batch(1)), 2 * MS);
+        assert!(voted(&out));
+        assert_eq!(proposed(&out).len(), 1, "the report releases both");
+
+        // Round 2, idle again. A payload-bearing block of round 1 (the
+        // round behind) gets no vote and releases nothing.
+        let parents = round_one(&committee, &kps, &[1, 2, 3]);
+        for cert in &parents {
+            deliver(&mut p, 1, NarwhalMsg::Certificate(cert.clone()), 3 * MS);
+        }
+        assert_eq!(p.round(), 2);
+        deliver(&mut p, 4, NarwhalMsg::ReportBatch(peer_batch(2)), 4 * MS);
+        let out = deliver(
+            &mut p,
+            2,
+            NarwhalMsg::Header(block(&kps, 2, 1, &genesis, &[2])),
+            5 * MS,
+        );
+        assert!(!voted(&out) && proposed(&out).is_empty());
+        // The same payload in a round-2 block does.
+        let out = deliver(
+            &mut p,
+            1,
+            NarwhalMsg::Header(block(&kps, 1, 2, &parents, &[2])),
+            6 * MS,
+        );
+        assert!(voted(&out));
+        assert_eq!(proposed(&out)[0].round, 2);
+    }
+
+    #[test]
+    fn a_live_round_without_a_parent_quorum_proposes_nothing() {
+        let (_, _, mut p) = started(NoConsensus);
+        // A recovered or snapshot-installed primary can sit at a round whose
+        // parents it does not hold yet.
+        p.round = 3;
+        p.live_round = 3;
+        let mut ctx = Context::new(MS, 0);
+        p.try_propose(&mut ctx);
+        assert!(ctx.drain().is_empty());
+        assert_eq!(p.last_proposed, 0);
+    }
+
+    /// Wishes for validator 3's certificate as a parent, Bullshark-style.
+    struct WishForThree;
+
+    impl DagConsensus for WishForThree {
+        type Ext = NoExt;
+
+        fn on_certificate(&mut self, _: &Dag, _: &Certificate, _: &mut ConsensusOut<NoExt>) {}
+
+        fn parent_wishes(&self, _: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
+            vec![(round - 1, ValidatorId(3))]
+        }
+    }
+
+    #[test]
+    fn a_missing_wished_leader_still_holds_a_live_round() {
+        let (committee, kps, mut p) = started(WishForThree);
+        let config = NarwhalConfig::default();
+        let parents = round_one(&committee, &kps, &[0, 1, 2]);
+        for cert in &parents {
+            deliver(&mut p, 1, NarwhalMsg::Certificate(cert.clone()), MS);
+        }
+        assert_eq!(p.round(), 2);
+        deliver(&mut p, 4, NarwhalMsg::ReportBatch(peer_batch(1)), 2 * MS);
+        let out = deliver(
+            &mut p,
+            1,
+            NarwhalMsg::Header(block(&kps, 1, 2, &parents, &[1])),
+            3 * MS,
+        );
+        assert!(voted(&out));
+        assert!(
+            proposed(&out).is_empty(),
+            "validator 3's block is wished for"
+        );
+        // The header delay passes: the leader timeout is the longer bound.
+        let mut ctx = Context::new(MS + config.max_header_delay, 0);
+        p.on_timer(TAG_PROPOSE, &mut ctx);
+        assert!(proposed(&ctx.drain()).is_empty());
+        let mut ctx = Context::new(MS + config.max_leader_delay, 0);
+        p.on_timer(TAG_PROPOSE, &mut ctx);
+        assert_eq!(proposed(&ctx.drain()).len(), 1);
+        assert_eq!(p.proposal_counts().wish, 1);
+    }
+
+    #[test]
+    fn one_proposal_timer_per_wait() {
+        let (committee, kps, mut p) = started(NoConsensus);
+        let mut timers = 0;
+        for cert in round_one(&committee, &kps, &[1, 2, 3, 0]) {
+            let out = deliver(&mut p, 1, NarwhalMsg::Certificate(cert), MS);
+            assert!(proposed(&out).is_empty(), "idle");
+            timers += propose_timers(&out);
+        }
+        assert_eq!(p.round(), 2);
+        assert_eq!(
+            timers, 1,
+            "one timer for round 2, none for the fourth parent"
+        );
     }
 }

@@ -47,7 +47,12 @@ impl CoinShare {
     /// Verifies the share's signature.
     pub fn verify(&self, scheme: Scheme) -> bool {
         self.author
-            .verify_with(scheme, &share_message(self.wave), &self.signature)
+            .verify_with(scheme, &self.message(), &self.signature)
+    }
+
+    /// The byte string the share's signature covers (for batched checks).
+    pub fn message(&self) -> [u8; 16] {
+        share_message(self.wave)
     }
 }
 

@@ -17,11 +17,15 @@
 //! appends a `# start` marker, so restarts are visible to log consumers,
 //! and whenever the bounded commit subscription sheds events because the
 //! log consumer lagged, a `# dropped <total>` marker records the running
-//! count — silent loss is never silent in the log. `--app ledger` attaches
+//! count — silent loss is never silent in the log. A primary also prints a
+//! one-line `stats` summary to stderr every ten seconds it committed in:
+//! where its commit sequence and DAG round stand, and why it proposed its
+//! blocks (own payload, followed a live round, header deadline, consensus
+//! wish). `--app ledger` attaches
 //! the account-ledger execution engine to primaries, which stamps a
 //! non-zero `app_root` per commit and snapshots app state into the store.
 
-use narwhal::NodeRole;
+use narwhal::{CommitStream, NodeRole};
 use nt_network::NodeId;
 use nt_runtime::{build_node_with_app, AppKind, CommitteeConfig, KeyFile, Transport};
 use nt_storage::{DynStore, WalStore};
@@ -31,10 +35,47 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Commit subscription depth; a stalled log consumer drops past this.
 const COMMIT_BUFFER: usize = 65536;
+/// How often a primary prints its stats line.
+const STATS_INTERVAL: Duration = Duration::from_secs(10);
+
+/// Prints the newest commit's cumulative counters once per
+/// [`STATS_INTERVAL`], until the node is gone. Every event carries running
+/// totals, so a shallow subscription that sheds events loses nothing.
+fn stats_loop(commits: CommitStream) {
+    let mut last = None;
+    let mut due = Instant::now() + STATS_INTERVAL;
+    loop {
+        if let Some(event) = commits.next_timeout(due.saturating_duration_since(Instant::now())) {
+            last = Some(event);
+            continue;
+        }
+        // Nothing before the interval was up: the node hung up.
+        let node_gone = Instant::now() < due;
+        if let Some(event) = last.take() {
+            let p = event.proposals;
+            eprintln!(
+                "narwhal-node: stats sequence={} round={} direct={} indirect={} \
+                 proposals payload={} followed={} deadline={} wish={}",
+                event.sequence,
+                event.decided_round,
+                event.direct_commits,
+                event.indirect_commits,
+                p.payload,
+                p.followed,
+                p.deadline,
+                p.wish,
+            );
+        }
+        if node_gone {
+            return;
+        }
+        due += STATS_INTERVAL;
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -193,6 +234,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }));
     }
 
+    // Workers commit nothing; only a primary has stats to print.
+    let stats_thread = (role == NodeRole::Primary).then(|| {
+        let commits = node.subscribe_commits(64);
+        std::thread::spawn(move || stats_loop(commits))
+    });
+
     let peers: Vec<(NodeId, SocketAddr)> = config
         .all_hosts()
         .into_iter()
@@ -210,8 +257,8 @@ fn run(args: &[String]) -> Result<(), String> {
     // signals, crash-recovery is exercised by killing and restarting.
     let never_stop = AtomicBool::new(false);
     nt_runtime::drive(node, transport, &never_stop);
-    if let Some(t) = log_thread {
-        let _ = t.join();
+    for thread in log_thread.into_iter().chain(stats_thread) {
+        let _ = thread.join();
     }
     Ok(())
 }

@@ -253,6 +253,14 @@ impl WalStore {
             w.get_ref().sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
+        // The rename is an update of the directory: until that reaches the
+        // disk a crash can bring the old log back — minus whatever the
+        // caller, told the compaction succeeded, did next.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         inner.log = replay(&self.path, usize::MAX)?;
         (inner.writer, inner.reader) = open_handles(&self.path)?;
         // The compacted log was fsynced before the rename.
@@ -520,6 +528,34 @@ mod tests {
         let s = WalStore::open(&path).unwrap();
         assert_eq!(s.get(b"hot").unwrap(), Some(99u32.to_le_bytes().to_vec()));
         assert_eq!(s.get(b"cold").unwrap(), Some(b"x".to_vec()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compacted_log_reopens_with_the_same_contents_and_accounting() {
+        let path = tmp("compact_reopen");
+        let s = WalStore::open(&path).unwrap();
+        for i in 0..50u32 {
+            s.put(b"hot", &i.to_le_bytes()).unwrap();
+            s.put(&i.to_le_bytes(), b"cold").unwrap();
+        }
+        s.delete(&7u32.to_le_bytes()).unwrap();
+        let live = s.live_bytes();
+        assert_eq!(live, (3 + 4) + 49 * (4 + 4));
+        let compacted = s.compact().unwrap();
+        assert_eq!(s.live_bytes(), live);
+        // Nothing is written after the compaction: what reopens is the
+        // renamed file alone.
+        drop(s);
+        assert!(!path.with_extension("compact").exists());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), compacted);
+        let s = WalStore::open(&path).unwrap();
+        assert_eq!(s.live_bytes(), live);
+        assert_eq!(s.log_bytes(), compacted);
+        assert_eq!(s.len().unwrap(), 50);
+        assert_eq!(s.get(b"hot").unwrap(), Some(49u32.to_le_bytes().to_vec()));
+        assert_eq!(s.get(&7u32.to_le_bytes()).unwrap(), None);
+        assert_eq!(s.get(&8u32.to_le_bytes()).unwrap(), Some(b"cold".to_vec()));
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,7 +8,7 @@
 //! enough to extend the local DAG (no separate header fetch).
 
 use crate::committee::{Committee, ValidatorId};
-use crate::header::{Header, HeaderError};
+use crate::header::{Header, HeaderError, SignedParts};
 use crate::vote::{vote_message, Vote};
 use crate::{Round, WireSize};
 use nt_codec::{Decode, DecodeError, Encode, Reader};
@@ -82,33 +82,24 @@ impl Certificate {
     }
 
     /// Verifies the embedded block, quorum size, voter uniqueness and every
-    /// vote signature.
+    /// signature.
     ///
-    /// The `2f + 1` vote signatures all cover the same message, so they are
-    /// checked as one batched multiscalar equation ([`verify_batch`]); a bad
-    /// batch falls back to the sequential pass to name the offending voter.
+    /// The block signature, its coin share and the `2f + 1` vote signatures
+    /// are checked as one batched multiscalar equation ([`verify_batch`]);
+    /// a bad batch falls back to the sequential pass to name the offender.
     pub fn verify(&self, committee: &Committee) -> Result<(), CertificateError> {
-        let msg = self.structural_checks(committee)?;
-        let Some(msg) = msg else {
-            // Genesis: no votes to check.
+        let Some(signed) = self.structural_checks(committee)? else {
+            // Genesis: nothing is signed.
             return Ok(());
         };
-        let items: Vec<BatchItem<'_>> = self
-            .votes
-            .iter()
-            .map(|(voter, signature)| BatchItem {
-                public: committee.public_key(*voter),
-                message: &msg,
-                signature: *signature,
-            })
-            .collect();
-        verify_batch(committee.scheme(), &items)
-            .map_err(|i| CertificateError::InvalidSignature(self.votes[i].0))
+        let mut items = Vec::with_capacity(self.votes.len() + 2);
+        self.push_items(committee, &signed, &mut items);
+        verify_batch(committee.scheme(), &items).map_err(|i| self.culprit(i))
     }
 
     /// Verifies a group of certificates in one multiscalar equation,
-    /// amortizing the doubling chain across *all* their vote signatures
-    /// (used for bulk ingress: `CertResponse` pulls and snapshot frontiers).
+    /// amortizing the doubling chain across *all* their signatures (used
+    /// for bulk ingress: `CertResponse` pulls and snapshot frontiers).
     ///
     /// Returns the index of the first certificate that fails together with
     /// its error. Structural checks (headers, quorums, voter sets) stay
@@ -117,46 +108,62 @@ impl Certificate {
         committee: &Committee,
         certs: &[Certificate],
     ) -> Result<(), (usize, CertificateError)> {
-        // Vote messages must outlive the batch items borrowing them.
-        let mut messages: Vec<(usize, Vec<u8>)> = Vec::with_capacity(certs.len());
+        // The signed messages must outlive the batch items borrowing them.
+        let mut signed: Vec<(usize, Signed)> = Vec::with_capacity(certs.len());
+        let mut malformed = None;
         for (c, cert) in certs.iter().enumerate() {
-            if let Some(msg) = cert.structural_checks(committee).map_err(|e| (c, e))? {
-                messages.push((c, msg));
+            match cert.structural_checks(committee) {
+                Ok(Some(parts)) => signed.push((c, parts)),
+                Ok(None) => {}
+                // Certificates before this one may still fail a signature.
+                Err(e) => {
+                    malformed = Some((c, e));
+                    break;
+                }
             }
         }
         let mut items: Vec<BatchItem<'_>> = Vec::new();
-        let mut owner: Vec<(usize, usize)> = Vec::new();
-        for (c, msg) in &messages {
-            for (v, (voter, signature)) in certs[*c].votes.iter().enumerate() {
-                items.push(BatchItem {
-                    public: committee.public_key(*voter),
-                    message: msg,
-                    signature: *signature,
-                });
-                owner.push((*c, v));
-            }
+        // Per signed certificate: its first item, and its index in `certs`.
+        let mut starts: Vec<(usize, usize)> = Vec::with_capacity(signed.len());
+        for (c, parts) in &signed {
+            starts.push((items.len(), *c));
+            certs[*c].push_items(committee, parts, &mut items);
         }
         verify_batch(committee.scheme(), &items).map_err(|i| {
-            let (c, v) = owner[i];
-            (c, CertificateError::InvalidSignature(certs[c].votes[v].0))
-        })
+            let (start, c) = starts[starts.partition_point(|&(start, _)| start <= i) - 1];
+            (c, certs[c].culprit(i - start))
+        })?;
+        malformed.map_or(Ok(()), Err)
     }
 
     /// The non-signature half of [`Certificate::verify`]: header validity,
-    /// voter membership/uniqueness and quorum size. Returns the vote message
+    /// voter membership/uniqueness and quorum size. Returns the messages
     /// the signatures must cover, or `None` for genesis certificates.
-    fn structural_checks(
-        &self,
-        committee: &Committee,
-    ) -> Result<Option<Vec<u8>>, CertificateError> {
-        self.header
-            .verify(committee)
-            .map_err(CertificateError::BadHeader)?;
-        if self.round() == 0 {
+    fn structural_checks(&self, committee: &Committee) -> Result<Option<Signed>, CertificateError> {
+        let Some(header) = self
+            .header
+            .structural_checks(committee)
+            .map_err(CertificateError::BadHeader)?
+        else {
             // Genesis certificates carry no votes and are valid iff the
             // header is the canonical genesis (checked above).
             return Ok(None);
+        };
+        if let Err(e) = self.vote_set_checks(committee) {
+            // A bad block signature outranks a malformed vote set.
+            self.header
+                .verify(committee)
+                .map_err(CertificateError::BadHeader)?;
+            return Err(e);
         }
+        let vote_message = vote_message(&header.digest, self.round(), self.origin());
+        Ok(Some(Signed {
+            header,
+            vote_message,
+        }))
+    }
+
+    fn vote_set_checks(&self, committee: &Committee) -> Result<(), CertificateError> {
         let mut voters: Vec<ValidatorId> = self.votes.iter().map(|(id, _)| *id).collect();
         voters.sort_unstable();
         voters.dedup();
@@ -169,17 +176,41 @@ impl Certificate {
                 need: committee.quorum_threshold(),
             });
         }
-        for (voter, _) in &self.votes {
-            if !committee.contains(*voter) {
-                return Err(CertificateError::UnknownVoter(*voter));
-            }
+        match self.votes.iter().find(|(v, _)| !committee.contains(*v)) {
+            Some((voter, _)) => Err(CertificateError::UnknownVoter(*voter)),
+            None => Ok(()),
         }
-        Ok(Some(vote_message(
-            &self.header_digest(),
-            self.round(),
-            self.origin(),
-        )))
     }
+
+    /// Appends every signature of this certificate to a batch: the block's
+    /// own, then the votes in order.
+    fn push_items<'a>(
+        &self,
+        committee: &Committee,
+        signed: &'a Signed,
+        items: &mut Vec<BatchItem<'a>>,
+    ) {
+        self.header.push_items(committee, &signed.header, items);
+        items.extend(self.votes.iter().map(|(voter, signature)| BatchItem {
+            public: committee.public_key(*voter),
+            message: &signed.vote_message,
+            signature: *signature,
+        }));
+    }
+
+    /// The error for the `index`-th item [`Certificate::push_items`] appended.
+    fn culprit(&self, index: usize) -> CertificateError {
+        match index.checked_sub(self.header.signed_items()) {
+            None => CertificateError::BadHeader(Header::culprit(index)),
+            Some(vote) => CertificateError::InvalidSignature(self.votes[vote].0),
+        }
+    }
+}
+
+/// The byte strings a certificate's signatures cover.
+struct Signed {
+    header: SignedParts,
+    vote_message: Vec<u8>,
 }
 
 /// Why a certificate failed verification.

@@ -5,6 +5,24 @@ use crate::transaction::TxSample;
 use crate::Round;
 use nt_crypto::Digest;
 
+/// Why a primary's blocks were proposed, one count per trigger: what ended
+/// the proposal wait. Cumulative since the primary started. Narrow counters:
+/// the struct rides every [`CommitEvent`], and commit subscribers size
+/// their buffers by it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProposalCounts {
+    /// Own batch digests were pending.
+    pub payload: u32,
+    /// Idle, but the round was live: the primary had voted for a peer's
+    /// payload-bearing block of the round.
+    pub followed: u32,
+    /// Idle in an idle round: `max_header_delay` ran out.
+    pub deadline: u32,
+    /// Ready earlier, but held for a parent the consensus protocol wished
+    /// for until it arrived or its own timeout ran out.
+    pub wish: u32,
+}
+
 /// One committed block's worth of output, emitted by a consensus actor.
 ///
 /// The metrics collector aggregates these to compute throughput (committed
@@ -46,6 +64,8 @@ pub struct CommitEvent {
     /// Cumulative count of anchors committed indirectly (via the recursive
     /// path rule) up to and including this event.
     pub indirect_commits: u64,
+    /// The emitting validator's proposal triggers up to this event.
+    pub proposals: ProposalCounts,
     /// Application state root after executing this block, stamped by the
     /// attached execution engine. Zero when no engine is attached: the
     /// mempool/consensus layers never interpret it.

@@ -8,7 +8,9 @@
 use crate::committee::{Committee, ValidatorId, WorkerId};
 use crate::{Round, WireSize};
 use nt_codec::{Decode, DecodeError, Encode, Reader};
-use nt_crypto::{CoinShare, Digest, Hashable, KeyPair, PublicKey, Signature};
+use nt_crypto::{
+    verify_batch, BatchItem, CoinShare, Digest, Hashable, KeyPair, PublicKey, Signature,
+};
 
 /// A Narwhal mempool block.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -56,7 +58,25 @@ impl Header {
     /// Verifies the creator signature and structural validity against the
     /// committee (§3.1 conditions 1 and 3; conditions 2 and 4 are stateful
     /// and checked by the primary).
+    ///
+    /// The block signature and the coin share are checked as one batched
+    /// multiscalar equation ([`verify_batch`]).
     pub fn verify(&self, committee: &Committee) -> Result<(), HeaderError> {
+        let Some(signed) = self.structural_checks(committee)? else {
+            return Ok(());
+        };
+        let mut items = Vec::with_capacity(2);
+        self.push_items(committee, &signed, &mut items);
+        verify_batch(committee.scheme(), &items).map_err(Header::culprit)
+    }
+
+    /// The non-signature half of [`Header::verify`]. Returns the byte
+    /// strings the signatures must cover, or `None` for a genesis block,
+    /// which carries none.
+    pub(crate) fn structural_checks(
+        &self,
+        committee: &Committee,
+    ) -> Result<Option<SignedParts>, HeaderError> {
         if !committee.contains(self.author) {
             return Err(HeaderError::UnknownAuthor);
         }
@@ -70,7 +90,7 @@ impl Header {
             // Genesis blocks are deterministic and unsigned; they are valid
             // iff they equal the canonical genesis for their author.
             return if *self == Header::genesis(self.author) {
-                Ok(())
+                Ok(None)
             } else {
                 Err(HeaderError::InvalidGenesis)
             };
@@ -81,16 +101,58 @@ impl Header {
         if sorted.len() != self.parents.len() {
             return Err(HeaderError::DuplicateParents);
         }
+        let digest = self.digest();
         let public = committee.public_key(self.author);
-        if !public.verify_digest(committee.scheme(), &self.digest(), &self.signature) {
-            return Err(HeaderError::InvalidSignature);
+        if self.coin_share.is_some_and(|share| share.author != public) {
+            // A bad block signature outranks a foreign share.
+            return Err(
+                if public.verify_digest(committee.scheme(), &digest, &self.signature) {
+                    HeaderError::InvalidCoinShare
+                } else {
+                    HeaderError::InvalidSignature
+                },
+            );
         }
-        if let Some(share) = &self.coin_share {
-            if share.author != public || !share.verify(committee.scheme()) {
-                return Err(HeaderError::InvalidCoinShare);
-            }
+        Ok(Some(SignedParts {
+            digest,
+            share: self.coin_share.map(|share| share.message()),
+        }))
+    }
+
+    /// Appends this block's signatures to a batch: the block signature,
+    /// then the coin share if there is one.
+    pub(crate) fn push_items<'a>(
+        &self,
+        committee: &Committee,
+        signed: &'a SignedParts,
+        items: &mut Vec<BatchItem<'a>>,
+    ) {
+        let public = committee.public_key(self.author);
+        items.push(BatchItem {
+            public,
+            message: signed.digest.as_bytes(),
+            signature: self.signature,
+        });
+        if let (Some(share), Some(message)) = (&self.coin_share, &signed.share) {
+            items.push(BatchItem {
+                public,
+                message,
+                signature: share.signature,
+            });
         }
-        Ok(())
+    }
+
+    /// How many items [`Header::push_items`] appends.
+    pub(crate) fn signed_items(&self) -> usize {
+        1 + usize::from(self.coin_share.is_some())
+    }
+
+    /// The error for the `index`-th item [`Header::push_items`] appended.
+    pub(crate) fn culprit(index: usize) -> HeaderError {
+        match index {
+            0 => HeaderError::InvalidSignature,
+            _ => HeaderError::InvalidCoinShare,
+        }
     }
 
     /// The signing key's public identity under `committee`.
@@ -137,6 +199,15 @@ impl Header {
             signature: Signature::default(),
         }
     }
+}
+
+/// The byte strings a block's signatures cover, computed once so that the
+/// items of a batched check can borrow them.
+pub(crate) struct SignedParts {
+    /// The block digest: what the creator signed.
+    pub(crate) digest: Digest,
+    /// The coin share's message, if the block carries a share.
+    share: Option<[u8; 16]>,
 }
 
 /// Why a block failed verification.

@@ -17,7 +17,7 @@ pub mod vote;
 
 pub use batch::{Batch, BatchPayload, BatchPayloadRef, BatchRef};
 pub use certificate::Certificate;
-pub use commit::CommitEvent;
+pub use commit::{CommitEvent, ProposalCounts};
 pub use committee::{Committee, ValidatorId, ValidatorInfo, WorkerId};
 pub use header::Header;
 pub use transaction::{Transaction, TransactionRef, TxSample};
