@@ -86,3 +86,48 @@ fn same_seed_same_run_under_a_fault_schedule() {
     assert_eq!(a.stats.samples, b.stats.samples);
     assert!(a.violations.is_empty() && b.violations.is_empty());
 }
+
+/// FNV-1a over the identity of every commit: when, where, which slot of the
+/// total order, which block.
+fn fold_commits(result: &SimResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (time, node, ev) in &result.commits {
+        eat(&time.to_le_bytes());
+        eat(&(*node as u64).to_le_bytes());
+        eat(&ev.sequence.to_le_bytes());
+        eat(&ev.round.to_le_bytes());
+        eat(&ev.author.0.to_le_bytes());
+        eat(ev.header_digest.as_bytes());
+    }
+    h
+}
+
+/// Golden decisions: what each commit rule decided on seed 42 when these
+/// values were recorded (the PR 13 tree). A refactor of the rules must
+/// leave them untouched; only a deliberate protocol change may re-pin them
+/// (see `.claude/skills/verify/SKILL.md`).
+#[test]
+fn seed_42_decisions_match_the_recorded_run() {
+    let golden: [(System, usize, u64); 6] = [
+        (System::Tusk, 748, 0xff6b_af05_a42c_cd03),
+        (System::DagRider, 720, 0xe628_bc81_f343_661e),
+        (System::Bullshark, 692, 0x6647_c7af_1027_5ec4),
+        (System::BullsharkRep, 724, 0x0faa_05b4_9fd4_be0b),
+        (System::BullsharkPipelined, 728, 0xa060_ada1_4d1c_d0ed),
+        (System::FinWhale, 692, 0x6647_c7af_1027_5ec4),
+    ];
+    for (system, commits, fold) in golden {
+        let run = run_once(system, 42);
+        assert_eq!(
+            (run.commits.len(), fold_commits(&run)),
+            (commits, fold),
+            "{}: (commits, fold) drifted from the recorded run",
+            system.name()
+        );
+    }
+}

@@ -24,6 +24,17 @@ type ProtocolFactory = fn(&Committee) -> BoxedConsensus;
 /// rotating 2f+1-subset of the previous round (all of it when `full`) and
 /// carries a coin share (Tusk and DAG-Rider need one; Bullshark ignores it).
 fn record_dag(n: usize, rounds: Round, seed: u64, full: bool) -> (Committee, Vec<Certificate>) {
+    record_dag_without(n, rounds, seed, full, &[])
+}
+
+/// [`record_dag`] in which the `dead` validators never produce a block.
+fn record_dag_without(
+    n: usize,
+    rounds: Round,
+    seed: u64,
+    full: bool,
+    dead: &[u32],
+) -> (Committee, Vec<Certificate>) {
     let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
     let quorum = committee.quorum_threshold();
     let mut all: Vec<Certificate> = Certificate::genesis_set(&committee);
@@ -32,6 +43,9 @@ fn record_dag(n: usize, rounds: Round, seed: u64, full: bool) -> (Committee, Vec
     for r in 1..=rounds {
         let mut next = Vec::new();
         for (i, kp) in kps.iter().enumerate() {
+            if dead.contains(&(i as u32)) {
+                continue;
+            }
             let mut parents = prev.clone();
             while !full && parents.len() > quorum {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -131,14 +145,9 @@ fn assert_causal(lin: &[(Round, ValidatorId)], certs: &[Certificate]) {
     }
 }
 
-#[test]
-fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
-    let (committee, certs) = record_dag(4, 12, 0xB5, false);
-    let in_order: Vec<usize> = (0..certs.len()).collect();
-    let views = [shuffled(certs.len(), 41), shuffled(certs.len(), 97)];
-
-    // (protocol name, fresh instance per view)
-    let protocols: Vec<(&str, ProtocolFactory)> = vec![
+/// The six commit rules: (name, fresh instance per simulated view).
+fn protocols() -> Vec<(&'static str, ProtocolFactory)> {
+    vec![
         ("Tusk", |c| Box::new(Tusk::new(c.clone(), 7))),
         ("DAG-Rider", |c| Box::new(DagRider::new(c.clone(), 7))),
         ("Bullshark", |c| {
@@ -153,9 +162,16 @@ fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
         ("FinWhale", |c| {
             Box::new(FinWhale::new(c.clone(), RoundRobin::new(c)))
         }),
-    ];
+    ]
+}
 
-    for (name, make) in &protocols {
+#[test]
+fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
+    let (committee, certs) = record_dag(4, 12, 0xB5, false);
+    let in_order: Vec<usize> = (0..certs.len()).collect();
+    let views = [shuffled(certs.len(), 41), shuffled(certs.len(), 97)];
+
+    for (name, make) in &protocols() {
         let reference = linearize(make(&committee).as_mut(), &certs, &in_order);
         assert!(
             !reference.is_empty(),
@@ -210,4 +226,72 @@ fn bullshark_commits_more_anchors_than_dag_rider_on_the_same_dag() {
     let f = count(&mut finwhale);
     assert_eq!((b, t, r), (6, 5, 3), "anchor cadence per wave size");
     assert_eq!((p, f), (11, 6), "pipelined anchors every round");
+}
+
+/// Feeds `certs` in recorded order and returns the anchors as
+/// `(round, author)` with the rule's `(direct, indirect)` counters.
+fn anchors_of(
+    mut consensus: BoxedConsensus,
+    certs: &[Certificate],
+) -> (Vec<(Round, u32)>, (u64, u64)) {
+    let mut dag = Dag::new();
+    let mut anchors = Vec::new();
+    for cert in certs {
+        dag.insert(cert.clone());
+        let mut out = ConsensusOut::default();
+        consensus.on_certificate(&dag, cert, &mut out);
+        anchors.extend(out.anchors.iter().map(|a| (a.round(), a.origin().0)));
+    }
+    (anchors, consensus.commit_counts())
+}
+
+/// Golden decisions: the literal anchor sequence of every rule on two
+/// recorded DAGs, as decided when these values were recorded (the PR 13
+/// tree). A refactor of the rules must leave them untouched; only a
+/// deliberate protocol change may re-pin them.
+#[test]
+fn every_rule_decides_the_recorded_anchor_sequences() {
+    // Sparse 2f + 1 edges: leaders miss their direct quorum now and then,
+    // so the walk settles some of them indirectly.
+    let (committee, sparse) = record_dag(4, 12, 0xB5, false);
+    // Validators 0 and 1 never produce a block: the first two leaders of
+    // every schedule are dead back to back (final skips, and a reputation
+    // schedule re-ranks between them).
+    let (committee7, dead) = record_dag_without(7, 24, 0xB5, false, &[0, 1]);
+    type Decided = (Vec<(Round, u32)>, (u64, u64));
+    #[rustfmt::skip]
+    let golden: Vec<(&str, Decided, Decided)> = vec![
+        ("Tusk",
+         (vec![(1, 0), (3, 1), (5, 0), (7, 2), (9, 1)], (4, 1)),
+         (vec![(1, 6), (3, 6), (5, 5), (7, 4), (11, 6), (13, 3), (15, 4), (17, 4), (21, 5)], (9, 0))),
+        ("DAG-Rider",
+         (vec![(1, 0), (5, 1), (9, 0)], (3, 0)),
+         (vec![(1, 2), (5, 3), (13, 6), (17, 6)], (4, 0))),
+        ("Bullshark",
+         (vec![(1, 0), (3, 1), (5, 2), (7, 3), (9, 0), (11, 1)], (5, 1)),
+         (vec![(5, 2), (7, 3), (9, 4), (11, 5), (13, 6), (19, 2), (21, 3), (23, 4)], (8, 0))),
+        ("Bullshark-Rep",
+         (vec![(1, 0), (3, 1), (5, 2), (7, 0), (9, 1)], (3, 2)),
+         (vec![(5, 2), (7, 5), (9, 6), (11, 2), (13, 5), (15, 6), (17, 3), (19, 4), (21, 2), (23, 5)], (10, 0))),
+        ("Bullshark-Pipelined",
+         (vec![(1, 0), (2, 1), (3, 2), (4, 0), (5, 1), (6, 2), (7, 0), (8, 1), (9, 2), (10, 0), (11, 1)], (5, 6)),
+         (vec![(5, 2), (6, 5), (7, 6), (8, 2), (9, 5), (10, 6), (11, 3), (12, 4), (13, 2), (14, 5), (15, 6),
+               (16, 3), (17, 4), (18, 2), (19, 5), (20, 6), (21, 3), (22, 4), (23, 2)], (19, 0))),
+        ("FinWhale",
+         (vec![(3, 1), (5, 2), (7, 3), (9, 0), (11, 1)], (5, 0)),
+         (vec![(5, 2), (7, 3), (9, 4), (11, 5), (13, 6), (19, 2), (21, 3), (23, 4)], (8, 0))),
+    ];
+    for ((name, make), (gold_name, on_sparse, on_dead)) in protocols().into_iter().zip(golden) {
+        assert_eq!(name, gold_name);
+        assert_eq!(
+            anchors_of(make(&committee), &sparse),
+            on_sparse,
+            "{name}: sparse DAG"
+        );
+        assert_eq!(
+            anchors_of(make(&committee7), &dead),
+            on_dead,
+            "{name}: dead leaders"
+        );
+    }
 }
