@@ -37,7 +37,7 @@ pub use metrics::{committed_sequences, sequences_prefix_consistent, RunStats};
 pub use params::BenchParams;
 pub use runner::{
     build_dag_actor_factories, build_dag_actor_factories_with_app,
-    build_dag_actor_factories_with_config, build_dag_actors, run_actors_result,
-    run_factories_result, run_system, validator_hosts, System,
+    build_dag_actor_factories_with_config, build_dag_actors, dag_rule, run_actors_result,
+    run_factories_result, run_system, validator_hosts, DagRule, System,
 };
 pub use table::print_series;

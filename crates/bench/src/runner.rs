@@ -2,7 +2,8 @@
 
 use crate::metrics::RunStats;
 use crate::params::BenchParams;
-use narwhal::AddressBook;
+use bullshark::{Bullshark, FinWhale, PipelinedBullshark, Reputation, RoundRobin};
+use narwhal::{AddressBook, DagConsensus, NoExt};
 use nt_crypto::Scheme;
 use nt_network::{Actor, NodeId, Time};
 use nt_simnet::{
@@ -10,6 +11,7 @@ use nt_simnet::{
 };
 use nt_storage::DynStore;
 use nt_types::{Committee, ValidatorId, WorkerId};
+use tusk::{DagRider, Tusk};
 
 /// The systems of the paper's evaluation (§6, §7), plus the follow-up
 /// protocols layered over the same mempool.
@@ -131,66 +133,50 @@ pub fn run_system(system: System, params: &BenchParams, partitions: Vec<Partitio
     }
 }
 
-/// Builds the actor set of a DAG-over-Narwhal system (Tusk, DAG-Rider, or
-/// Bullshark — all share the `NarwhalMsg<NoExt>` wire type).
+/// A boxed zero-message commit rule.
+pub type DagRule = Box<dyn DagConsensus<Ext = NoExt>>;
+
+/// The commit rule of a DAG-over-Narwhal system — the one place this crate
+/// names the rule constructors. `seed` is the coin domain (it must be the
+/// same for all validators of one deployment; vary it across experiment
+/// seeds); the leader schedules are what each system is deployed with.
 ///
-/// Panics for the HotStuff systems, whose actors speak different messages.
+/// Panics for the HotStuff systems, which are not interpretations of the DAG.
+pub fn dag_rule(system: System, committee: &Committee, seed: u64) -> DagRule {
+    let c = committee.clone();
+    match system {
+        System::Tusk => Box::new(Tusk::new(c, seed)),
+        System::DagRider => Box::new(DagRider::new(c, seed)),
+        System::Bullshark => Box::new(Bullshark::new(c, RoundRobin::new(committee))),
+        System::BullsharkRep => Box::new(Bullshark::new(c, Reputation::new(committee))),
+        System::BullsharkPipelined => {
+            Box::new(PipelinedBullshark::new(c, Reputation::new(committee)))
+        }
+        System::FinWhale => Box::new(FinWhale::new(c, RoundRobin::new(committee))),
+        _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
+    }
+}
+
+/// Builds the actor set of a DAG-over-Narwhal system (all of them share the
+/// `NarwhalMsg<NoExt>` wire type), without persistence.
 pub fn build_dag_actors(
     system: System,
     params: &BenchParams,
 ) -> Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> {
     let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
-    let config = params.narwhal_config();
-    match system {
-        System::Tusk => {
-            tusk::build_tusk_actors(&committee, &kps, &config, params.workers, params.seed)
-        }
-        System::DagRider => build_dag_rider_actors(&committee, &kps, &config, params),
-        System::Bullshark => {
-            bullshark::build_bullshark_rr_actors(&committee, &kps, &config, params.workers)
-        }
-        System::BullsharkRep => {
-            bullshark::build_bullshark_rep_actors(&committee, &kps, &config, params.workers)
-        }
-        System::BullsharkPipelined => {
-            bullshark::build_pipelined_rep_actors(&committee, &kps, &config, params.workers)
-        }
-        System::FinWhale => {
-            bullshark::build_finwhale_rr_actors(&committee, &kps, &config, params.workers)
-        }
-        _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
-    }
+    let seed = params.seed;
+    let rule = move |c: &Committee| dag_rule(system, c, seed);
+    narwhal::committee_actors(
+        &committee,
+        &kps,
+        &params.narwhal_config(),
+        params.workers,
+        rule,
+    )
 }
 
 fn run_dag_system(system: System, params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
     run_actors(build_dag_actors(system, params), params, partitions)
-}
-
-fn build_dag_rider_actors(
-    committee: &Committee,
-    kps: &[nt_crypto::KeyPair],
-    config: &narwhal::NarwhalConfig,
-    params: &BenchParams,
-) -> Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> {
-    let mut actors: Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> = Vec::new();
-    for v in 0..committee.size() as u32 {
-        let primary = narwhal::NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .workers_per_validator(params.workers)
-            .keypair(kps[v as usize].clone())
-            .build_primary(tusk::DagRider::new(committee.clone(), params.seed));
-        actors.push(Box::new(primary));
-    }
-    for v in 0..committee.size() as u32 {
-        for w in 0..params.workers {
-            let worker = narwhal::NodeBuilder::new(committee.clone(), v)
-                .config(config.clone())
-                .workers_per_validator(params.workers)
-                .build_worker::<narwhal::NoExt>(nt_types::WorkerId(w));
-            actors.push(Box::new(worker));
-        }
-    }
-    actors
 }
 
 /// Host ids of validator `v` in the [`AddressBook`] layout: its primary
@@ -252,75 +238,22 @@ pub fn build_dag_actor_factories_with_app(
 ) -> Vec<ActorFactory<tusk::TuskMsg>> {
     assert_eq!(stores.len(), params.nodes, "one store per validator");
     let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
-    let config = config.clone();
-    let workers = params.workers;
-    let seed = params.seed;
-    let builder = move |committee: &Committee, config: &narwhal::NarwhalConfig, v: u32| {
-        narwhal::NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .workers_per_validator(workers)
-    };
-    let mut factories: Vec<ActorFactory<tusk::TuskMsg>> = Vec::new();
-    for v in 0..params.nodes as u32 {
-        let (committee, config, kp, store) = (
-            committee.clone(),
-            config.clone(),
-            kps[v as usize].clone(),
-            stores[v as usize].clone(),
-        );
-        factories.push(Box::new(move || {
-            let mut builder = builder(&committee, &config, v)
-                .keypair(kp.clone())
-                .store(store.clone());
+    let (stores, seed) = (stores.to_vec(), params.seed);
+    narwhal::committee_factories(
+        &committee,
+        &kps,
+        config,
+        params.workers,
+        move |c: &Committee| dag_rule(system, c, seed),
+        move |v, builder| {
+            let builder = builder.store(stores[v as usize].clone());
             if ledger {
-                builder = builder.execution(Box::new(nt_execution::LedgerApp::new()));
+                builder.execution(Box::new(nt_execution::LedgerApp::new()))
+            } else {
+                builder
             }
-            match system {
-                System::Tusk => {
-                    Box::new(builder.build_primary(tusk::Tusk::new(committee.clone(), seed)))
-                }
-                System::DagRider => {
-                    Box::new(builder.build_primary(tusk::DagRider::new(committee.clone(), seed)))
-                }
-                System::Bullshark => Box::new(builder.build_primary(bullshark::Bullshark::new(
-                    committee.clone(),
-                    bullshark::RoundRobin::new(&committee),
-                ))),
-                System::BullsharkRep => Box::new(builder.build_primary(bullshark::Bullshark::new(
-                    committee.clone(),
-                    bullshark::Reputation::new(&committee),
-                ))),
-                System::BullsharkPipelined => {
-                    Box::new(builder.build_primary(bullshark::PipelinedBullshark::new(
-                        committee.clone(),
-                        bullshark::Reputation::new(&committee),
-                    )))
-                }
-                System::FinWhale => Box::new(builder.build_primary(bullshark::FinWhale::new(
-                    committee.clone(),
-                    bullshark::RoundRobin::new(&committee),
-                ))),
-                _ => panic!("{} is not a DAG-over-Narwhal system", system.name()),
-            }
-        }));
-    }
-    for v in 0..params.nodes as u32 {
-        for w in 0..params.workers {
-            let (committee, config, store) = (
-                committee.clone(),
-                config.clone(),
-                stores[v as usize].clone(),
-            );
-            factories.push(Box::new(move || {
-                Box::new(
-                    builder(&committee, &config, v)
-                        .store(store.clone())
-                        .build_worker::<narwhal::NoExt>(WorkerId(w)),
-                )
-            }));
-        }
-    }
-    factories
+        },
+    )
 }
 
 /// Like [`build_dag_actor_factories_with_config`], but wrapping the listed

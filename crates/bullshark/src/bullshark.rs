@@ -3,265 +3,41 @@
 //! Bullshark ("Bullshark: DAG BFT Protocols Made Practical", and the
 //! standalone "partially synchronous version") reuses the Narwhal DAG but
 //! replaces Tusk's retrospective coin with *predefined* leaders, cutting
-//! the common-case commit point from Tusk's ~4.5 rounds to 2:
-//!
-//! - waves are **two** rounds; wave `w >= 1` owns the leader round
-//!   `r1(w) = 2w - 1` and the voting round `r2(w) = 2w`;
-//! - the leader of wave `w` comes from a [`LeaderSchedule`] every validator
-//!   evaluates identically (round-robin, or Shoal-style reputation) — no
-//!   shared coin on the happy path;
-//! - the leader block commits **directly** once `2f + 1` round-`r2` blocks
-//!   reference it;
-//! - leaders that miss direct support are settled **indirectly** by the
-//!   recursive walk from the next direct commit: a skipped wave's leader is
-//!   ordered if the DAG has a path from the committing anchor down to it,
-//!   and abandoned otherwise. Quorum intersection makes that verdict common
-//!   to all validators: `2f + 1` votes plus the `2f + 1` parents every
-//!   later block carries always intersect, so a directly committed leader
-//!   is on *every* later anchor's path.
-//!
-//! To keep stateful schedules (reputation) consistent across validators,
-//! waves settle one *instance* at a time: each pass commits only the lowest
-//! reachable leader, feeds the settled outcomes to the schedule, and
-//! re-evaluates the waves above under the updated schedule — exactly
-//! Shoal's "re-interpret the DAG after every committed anchor" rule. For
-//! the stateless [`RoundRobin`](crate::RoundRobin) schedule this reduces to
-//! the familiar Bullshark recursion, one anchor per settled wave.
+//! the common-case commit point from Tusk's ~4.5 rounds to 2. Waves are
+//! **two** rounds: wave `w >= 1` has its leader block in round `2w - 1` and
+//! its votes in round `2w`. The leader comes from a leader schedule every
+//! validator evaluates identically, and commits **directly** once
+//! `2f + 1` voting-round blocks reference it; a leader that misses that
+//! quorum is settled by the walk from the next direct commit. `2f + 1`
+//! votes and the `2f + 1` parents every later block carries always
+//! intersect, so a directly committed leader is on *every* later anchor's
+//! path.
 
-use crate::schedule::LeaderSchedule;
-use narwhal::{CertId, ConsensusOut, Dag, DagConsensus, DagView, NoExt};
-use nt_codec::{decode_from_slice, encode_to_vec};
-use nt_types::{Certificate, Committee, Round, ValidatorId};
+use narwhal::{AnchorWalk, CertId, CommitRule, DagView, Frontier};
+use nt_types::{Committee, Round};
 
-/// Bullshark consensus state, generic over the leader schedule.
-pub struct Bullshark<S: LeaderSchedule> {
-    committee: Committee,
-    schedule: S,
-    /// Waves `1..=settled_wave` have an agreed fate (committed or skipped).
-    settled_wave: u64,
-    /// Count of anchors committed by their own `2f + 1` votes (metrics).
-    direct_commits: u64,
-    /// Count of anchors committed via the recursive path rule (metrics).
-    indirect_commits: u64,
-}
+/// Bullshark consensus: `Bullshark::new(committee, schedule)`. All
+/// validators of one deployment must start from identical schedule state.
+pub type Bullshark<S> = AnchorWalk<S, BullsharkRule>;
 
-impl<S: LeaderSchedule> Bullshark<S> {
-    /// Creates a Bullshark instance for this committee with `schedule`.
-    ///
-    /// All validators of one deployment must start from identical schedule
-    /// state (schedules are deterministic from the settled history).
-    pub fn new(committee: Committee, schedule: S) -> Self {
-        Bullshark {
-            committee,
-            schedule,
-            settled_wave: 0,
-            direct_commits: 0,
-            indirect_commits: 0,
-        }
+/// Two-round waves, `2f + 1` votes.
+#[derive(Default)]
+pub struct BullsharkRule;
+
+impl CommitRule for BullsharkRule {
+    const TAG: u8 = 3;
+    const REVEAL_AFTER: Round = 1;
+
+    fn anchor_round(&self, _: Frontier, wave: u64) -> Round {
+        2 * wave - 1
     }
 
-    /// Leader round of wave `w` (wave numbering starts at 1).
-    pub fn leader_round(w: u64) -> Round {
-        debug_assert!(w >= 1, "wave numbering starts at 1");
-        (2 * w).saturating_sub(1)
+    fn slot_at(&self, _: Frontier, round: Round) -> Option<u64> {
+        (round % 2 == 1).then(|| round.div_ceil(2))
     }
 
-    /// Voting round of wave `w`.
-    pub fn voting_round(w: u64) -> Round {
-        2 * w
-    }
-
-    /// `(direct, indirect)` commit counts (metrics).
-    pub fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Highest wave with an agreed fate (tests/metrics).
-    pub fn settled_wave(&self) -> u64 {
-        self.settled_wave
-    }
-
-    /// The schedule, for inspecting reputation standings (tests/metrics).
-    pub fn schedule(&self) -> &S {
-        &self.schedule
-    }
-
-    /// The leader certificate of `wave` under the current schedule, if its
-    /// block is in the local DAG.
-    pub fn leader_of(&self, dag: &Dag, wave: u64) -> Option<Certificate> {
-        dag.get(Self::leader_round(wave), self.schedule.leader(wave))
-            .cloned()
-    }
-
-    /// The interned id of `wave`'s leader block, if present.
-    fn leader_id_of(&self, view: DagView<'_>, wave: u64) -> Option<CertId> {
-        view.id_at(Self::leader_round(wave), self.schedule.leader(wave))
-    }
-
-    /// The wave's leader block if it has direct-commit support: `2f + 1`
-    /// voting-round blocks referencing it.
-    fn direct_anchor(&self, view: DagView<'_>, wave: u64) -> Option<CertId> {
-        let leader = self.leader_id_of(view, wave)?;
-        (view.support(leader) >= self.committee.quorum_threshold()).then_some(leader)
-    }
-
-    /// Re-evaluates all unsettled waves against the current DAG; returns
-    /// newly committed anchors in commit order.
-    ///
-    /// Waves are never frozen (see `Tusk::try_decide`): a leader lacking
-    /// support *now* may gain it as voting-round blocks arrive, so every
-    /// insertion re-checks until a later wave's direct commit settles it.
-    fn try_decide(&mut self, dag: &Dag) -> Vec<Certificate> {
-        let view = dag.view();
-        let mut anchors = Vec::new();
-        'instances: loop {
-            // One instance: the schedule is fixed; scan for the lowest wave
-            // with direct-commit evidence.
-            let mut wave = self.settled_wave + 1;
-            while Self::voting_round(wave) <= view.highest_round() {
-                if let Some(anchor) = self.direct_anchor(view, wave) {
-                    anchors.push(self.settle_instance(view, anchor, wave));
-                    // The schedule advanced: re-evaluate the waves above
-                    // the committed one under the updated leader map.
-                    continue 'instances;
-                }
-                wave += 1;
-            }
-            return anchors;
-        }
-    }
-
-    /// Settles one instance ending at the direct commit of `wave`: walks
-    /// the DAG down to the lowest reachable leader, commits *that* anchor,
-    /// records it and every skipped wave below it with the schedule, and
-    /// leaves the waves above for re-evaluation.
-    fn settle_instance(&mut self, view: DagView<'_>, anchor: CertId, wave: u64) -> Certificate {
-        // Snapshot the instance's leader map before any `record` mutates
-        // the schedule: the skips recorded below must name exactly the
-        // leaders the walk checked, or a reputation schedule would
-        // penalize validators whose blocks were never on trial.
-        let base = self.settled_wave + 1;
-        let leaders: Vec<ValidatorId> = (base..=wave).map(|w| self.schedule.leader(w)).collect();
-        let mut first = (wave, anchor);
-        let mut candidate = anchor;
-        for w in (base..wave).rev() {
-            let leader = leaders[(w - base) as usize];
-            if let Some(past) = view.id_at(Self::leader_round(w), leader) {
-                if view.path_exists(candidate, past) {
-                    candidate = past;
-                    first = (w, past);
-                }
-            }
-        }
-        let (first_wave, id) = first;
-        let cert = view.cert(id).clone();
-        for w in base..first_wave {
-            // Not on the anchor's path: no validator can ever commit this
-            // wave's leader (quorum intersection), so the skip is final.
-            self.schedule.record(w, leaders[(w - base) as usize], false);
-        }
-        if first_wave == wave {
-            self.direct_commits += 1;
-        } else {
-            self.indirect_commits += 1;
-        }
-        self.schedule.record(first_wave, cert.origin(), true);
-        self.settled_wave = first_wave;
-        cert
-    }
-}
-
-impl<S: LeaderSchedule> DagConsensus for Bullshark<S> {
-    type Ext = NoExt;
-
-    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
-        // Only voting-round insertions can mint new support, but as with
-        // Tusk, unconditional re-evaluation is cheap and `try_decide` is
-        // idempotent and strictly forward-moving.
-        let _ = cert;
-        out.anchors.extend(self.try_decide(dag));
-    }
-
-    fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Settled wave, commit counters, and the schedule's recorded history.
-    /// The schedule blob matters most: a restarted validator resumes at
-    /// `settled_wave + 1` without replaying the settled instances, so a
-    /// reputation schedule reset to defaults would rank leaders differently
-    /// from the rest of the committee.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(encode_to_vec(&(
-            (
-                self.settled_wave,
-                self.direct_commits,
-                self.indirect_commits,
-            ),
-            self.schedule.checkpoint(),
-        )))
-    }
-
-    fn restore(&mut self, checkpoint: &[u8]) {
-        type Blob = ((u64, u64, u64), Vec<u8>);
-        if let Ok(((wave, direct, indirect), schedule)) = decode_from_slice::<Blob>(checkpoint) {
-            self.settled_wave = wave;
-            self.direct_commits = direct;
-            self.indirect_commits = indirect;
-            self.schedule.restore(&schedule);
-        }
-    }
-
-    /// The partial-synchrony half of the protocol: before proposing a
-    /// voting-round block, wait (up to the primary's header deadline) for
-    /// the wave leader's certificate, so the block's parents carry a vote
-    /// for it. Without this, leaders miss their `2f + 1` direct quorum
-    /// whenever WAN skew outruns proposal timing, and commit latency
-    /// degrades to the indirect path. A timing hint only — after the
-    /// timeout the primary proposes leaderless, exactly Bullshark's
-    /// behaviour before global stabilisation.
-    fn parent_wishes(&self, dag: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round >= 2 && round.is_multiple_of(2) {
-            let wave = round / 2;
-            vec![(Self::leader_round(wave), self.schedule.leader(wave))]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn coverage_wishes(
-        &self,
-        dag: &Dag,
-        round: Round,
-        me: ValidatorId,
-    ) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round == 0 {
-            return Vec::new();
-        }
-        // A leader about to propose its own anchor wishes for *every*
-        // previous-round certificate: the anchor's causal history is the
-        // commit sweep, and a history built from the bare 2f + 1 fastest
-        // certificates never reaches the slowest regions' chains — their
-        // blocks then wait for the next anchor led from their own region
-        // (10 rounds at n = 10 under round-robin; unboundedly long under a
-        // reputation schedule that stops electing them). Non-anchor blocks
-        // keep proposing at quorum, so the round cadence is untouched.
-        if round >= 3 && !round.is_multiple_of(2) && self.schedule.leader(round.div_ceil(2)) == me {
-            return (0..self.committee.size())
-                .map(|v| (round - 1, ValidatorId(v as u32)))
-                .collect();
-        }
-        // Every other block wishes for its author's own previous
-        // certificate — chain continuity. A validator whose vote
-        // round-trips outlast the round cadence otherwise proposes round r
-        // without its round r − 1 certificate; if no peer referenced that
-        // certificate either, everything below it is unreachable from
-        // every future anchor and its batches stall until GC re-injection,
-        // a gc_depth-round latency cliff (observed as ~16 s p99 on 10- and
-        // 20-node committees before this wish existed).
-        vec![(round - 1, me)]
+    fn commits_directly(&self, committee: &Committee, view: DagView<'_>, anchor: CertId) -> bool {
+        view.support(anchor) >= committee.quorum_threshold()
     }
 }
 
@@ -269,216 +45,93 @@ impl<S: LeaderSchedule> DagConsensus for Bullshark<S> {
 mod tests {
     use super::*;
     use crate::schedule::{Reputation, RoundRobin};
-    use nt_crypto::{Digest, Hashable, KeyPair, Scheme};
-    use nt_types::{Header, ValidatorId, Vote};
+    use narwhal::testing::DagBench;
+    use narwhal::DagConsensus;
+    use nt_types::ValidatorId;
 
-    /// Builds certificates for one round where each listed validator's
-    /// block references the given parents.
-    fn make_round(
-        committee: &Committee,
-        kps: &[KeyPair],
-        round: Round,
-        authors: &[u32],
-        parents_of: impl Fn(u32) -> Vec<Digest>,
-    ) -> Vec<Certificate> {
-        authors
-            .iter()
-            .map(|&a| {
-                let header = Header::new(
-                    &kps[a as usize],
-                    ValidatorId(a),
-                    round,
-                    vec![],
-                    parents_of(a),
-                    None,
-                );
-                let votes: Vec<Vote> = kps
-                    .iter()
-                    .enumerate()
-                    .map(|(j, kp)| {
-                        Vote::new(
-                            kp,
-                            ValidatorId(j as u32),
-                            header.digest(),
-                            round,
-                            header.author,
-                        )
-                    })
-                    .collect();
-                Certificate::from_votes(committee, header, &votes).expect("quorum")
-            })
-            .collect()
+    fn bench(n: usize) -> DagBench<Bullshark<RoundRobin>> {
+        DagBench::new(n, |c| Bullshark::new(c.clone(), RoundRobin::new(c)))
     }
 
-    /// A DAG driver feeding Bullshark round by round.
-    struct Driver {
-        committee: Committee,
-        kps: Vec<KeyPair>,
-        dag: Dag,
-        bull: Bullshark<RoundRobin>,
-        anchors: Vec<Certificate>,
-    }
-
-    impl Driver {
-        fn new(n: usize) -> Self {
-            let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-            let mut dag = Dag::new();
-            dag.insert_genesis(Certificate::genesis_set(&committee));
-            let bull = Bullshark::new(committee.clone(), RoundRobin::new(&committee));
-            Driver {
-                committee,
-                kps,
-                dag,
-                bull,
-                anchors: Vec::new(),
-            }
+    /// A reputation-scheduled Bullshark over `rounds` rounds in which only
+    /// `alive` produce blocks.
+    fn run_reputation(n: usize, rounds: Round, alive: &[u32]) -> DagBench<Bullshark<Reputation>> {
+        let mut d = DagBench::new(n, |c| Bullshark::new(c.clone(), Reputation::new(c)));
+        for r in 1..=rounds {
+            d.round(r, alive);
         }
-
-        fn feed(&mut self, certs: Vec<Certificate>) {
-            for cert in certs {
-                self.dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                self.bull.on_certificate(&self.dag, &cert, &mut out);
-                self.anchors.extend(out.anchors);
-            }
-        }
-
-        /// Adds a full round where every block references all previous-round
-        /// blocks.
-        fn full_round(&mut self, round: Round) {
-            let authors: Vec<u32> = (0..self.committee.size() as u32).collect();
-            let parents: Vec<Digest> = self
-                .dag
-                .round_certs(round - 1)
-                .map(|c| c.header_digest())
-                .collect();
-            let certs = make_round(&self.committee, &self.kps, round, &authors, |_| {
-                parents.clone()
-            });
-            self.feed(certs);
-        }
+        d
     }
 
     #[test]
     fn wave_round_arithmetic() {
-        assert_eq!(Bullshark::<RoundRobin>::leader_round(1), 1);
-        assert_eq!(Bullshark::<RoundRobin>::voting_round(1), 2);
+        let at = Frontier::GENESIS;
+        let voting_round = |w| BullsharkRule.anchor_round(at, w) + BullsharkRule::REVEAL_AFTER;
+        assert_eq!((BullsharkRule.anchor_round(at, 1), voting_round(1)), (1, 2));
         // Two-round waves tile the rounds with no gap and no piggybacking.
-        assert_eq!(Bullshark::<RoundRobin>::leader_round(2), 3);
-        assert_eq!(Bullshark::<RoundRobin>::voting_round(2), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "wave numbering starts at 1")]
-    #[cfg(debug_assertions)]
-    fn leader_round_rejects_wave_zero_in_debug() {
-        Bullshark::<RoundRobin>::leader_round(0);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn leader_round_saturates_for_wave_zero_in_release() {
-        assert_eq!(Bullshark::<RoundRobin>::leader_round(0), 0);
+        assert_eq!((BullsharkRule.anchor_round(at, 2), voting_round(2)), (3, 4));
     }
 
     #[test]
     fn commits_one_leader_every_two_rounds_in_full_dag() {
-        let mut d = Driver::new(4);
+        let mut d = bench(4);
         for r in 1..=8 {
             d.full_round(r);
         }
         // Waves 1..=4 decide as soon as their voting round lands: anchors
         // at rounds 1, 3, 5, 7 — twice Tusk's cadence, no coin needed.
-        assert_eq!(d.anchors.len(), 4);
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 3, 5, 7]);
         // Round-robin: wave w is led by validator (w - 1) mod 4.
-        let leaders: Vec<u32> = d.anchors.iter().map(|c| c.origin().0).collect();
-        assert_eq!(leaders, vec![0, 1, 2, 3]);
-        let (direct, indirect) = d.bull.commit_counts();
-        assert_eq!((direct, indirect), (4, 0));
+        assert_eq!(d.decided(), vec![(1, 0), (3, 1), (5, 2), (7, 3)]);
+        assert_eq!(d.rule.commit_counts(), (4, 0));
     }
 
     #[test]
     fn decides_at_the_voting_round_not_a_round_later() {
-        let mut d = Driver::new(4);
+        let mut d = bench(4);
         d.full_round(1);
         assert!(d.anchors.is_empty(), "no votes yet");
         d.full_round(2);
         // The wave-1 leader commits the moment round 2 completes — Tusk
         // would still be waiting for round 3's coin shares here.
-        assert_eq!(d.anchors.len(), 1);
-        assert_eq!(d.anchors[0].round(), 1);
+        assert_eq!(d.decided(), vec![(1, 0)]);
     }
 
     #[test]
     fn unsupported_leader_is_skipped_and_unreferenced_leader_abandoned() {
-        let mut d = Driver::new(4);
+        let mut d = bench(4);
         d.full_round(1);
         // Round 2: nobody references the wave-1 leader (validator 0).
-        let parents: Vec<Digest> = d
-            .dag
-            .round_certs(1)
-            .filter(|c| c.origin() != ValidatorId(0))
-            .map(|c| c.header_digest())
-            .collect();
-        let authors: Vec<u32> = (0..4).collect();
-        let certs = make_round(&d.committee, &d.kps, 2, &authors, |_| parents.clone());
-        d.feed(certs);
-        // Waves 2..: fully connected.
+        d.round_shunning(2, ValidatorId(0), &[]);
         for r in 3..=6 {
             d.full_round(r);
         }
         // Wave 1's leader has no votes and no incoming path: abandoned.
         assert!(
-            d.anchors
-                .iter()
-                .all(|a| !(a.round() == 1 && a.origin() == ValidatorId(0))),
+            !d.decided().contains(&(1, 0)),
             "unreferenced leader cannot commit"
         );
         // Later waves commit directly; the skip is settled, not pending.
-        let (direct, indirect) = d.bull.commit_counts();
+        let (direct, indirect) = d.rule.commit_counts();
         assert!(direct >= 2);
         assert_eq!(indirect, 0, "no path to the skipped leader");
-        assert!(d.bull.settled_wave() >= 2);
+        assert!(d.rule.frontier().settled >= 2);
     }
 
     #[test]
     fn late_support_commits_leader_indirectly_through_the_walk() {
-        let mut d = Driver::new(4);
+        let mut d = bench(4);
         d.full_round(1);
         // Round 2: only 2 of 4 blocks reference the wave-1 leader — below
         // the 2f + 1 = 3 direct threshold, above zero (so paths exist).
-        let all: Vec<Digest> = d.dag.round_certs(1).map(|c| c.header_digest()).collect();
-        let minus_leader: Vec<Digest> = d
-            .dag
-            .round_certs(1)
-            .filter(|c| c.origin() != ValidatorId(0))
-            .map(|c| c.header_digest())
-            .collect();
-        let authors: Vec<u32> = (0..4).collect();
-        let certs = make_round(&d.committee, &d.kps, 2, &authors, |a| {
-            if a < 2 {
-                all.clone()
-            } else {
-                minus_leader.clone()
-            }
-        });
-        d.feed(certs);
+        d.round_shunning(2, ValidatorId(0), &[0, 1]);
         assert!(d.anchors.is_empty(), "2 votes < 2f + 1: no direct commit");
         // Waves 2..: fully connected; wave 2's direct commit reaches wave
         // 1's leader through the two referencing blocks.
         for r in 3..=4 {
             d.full_round(r);
         }
-        let seq: Vec<(Round, u32)> = d
-            .anchors
-            .iter()
-            .map(|c| (c.round(), c.origin().0))
-            .collect();
-        assert_eq!(seq, vec![(1, 0), (3, 1)], "wave 1 ordered before wave 2");
-        let (direct, indirect) = d.bull.commit_counts();
-        assert_eq!((direct, indirect), (1, 1), "wave 1 indirect, wave 2 direct");
+        assert_eq!(d.decided(), vec![(1, 0), (3, 1)], "wave 1 ordered first");
+        assert_eq!(d.rule.commit_counts(), (1, 1), "wave 1 indirect");
     }
 
     #[test]
@@ -488,36 +141,17 @@ mod tests {
         // drops it below idle validator 3, and the rotation heals to
         // {0, 2, 3}: exactly one skipped wave over the whole run, where
         // round-robin would skip every third wave forever.
-        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut bull = Bullshark::new(committee.clone(), Reputation::new(&committee));
-        let mut anchors = Vec::new();
-        let authors: Vec<u32> = vec![0, 2, 3];
-        for r in 1..=20u64 {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for cert in make_round(&committee, &kps, r, &authors, |_| parents.clone()) {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                bull.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors);
-            }
-        }
-        assert!(
-            anchors.iter().all(|a| a.origin() != ValidatorId(1)),
-            "dead validator never leads a committed wave"
-        );
-        assert!(bull.schedule().score(ValidatorId(1)) < 0, "demoted");
-        assert!(
-            anchors.iter().any(|a| a.origin() == ValidatorId(3)),
-            "idle validator promoted into the rotation"
-        );
+        let d = run_reputation(4, 20, &[0, 2, 3]);
+        let leaders: Vec<u32> = d.decided().iter().map(|a| a.1).collect();
+        assert!(!leaders.contains(&1), "dead validator never leads");
+        assert!(d.rule.election().score(ValidatorId(1)) < 0, "demoted");
+        assert!(leaders.contains(&3), "idle validator promoted");
         // 20 rounds = 10 waves: wave 2 (validator 1's only turn) is the
         // sole skip; everything else commits directly.
-        let (direct, indirect) = bull.commit_counts();
+        let (direct, indirect) = d.rule.commit_counts();
         assert_eq!(indirect, 0);
         assert!(direct >= 8, "commits keep flowing, got {direct}");
-        assert_eq!(bull.settled_wave(), direct + 1, "exactly one skip");
+        assert_eq!(d.rule.frontier().settled, direct + 1, "exactly one skip");
     }
 
     /// Regression: with two consecutive skipped waves, the skip records
@@ -531,27 +165,14 @@ mod tests {
         // wave-1 and wave-2 leaders — are dead; 2..=6 are fully connected,
         // so wave 3 (leader 2) is the first direct commit and settles both
         // dead waves in one instance.
-        let (committee, kps) = Committee::deterministic(7, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut bull = Bullshark::new(committee.clone(), Reputation::new(&committee));
-        let authors: Vec<u32> = vec![2, 3, 4, 5, 6];
-        let mut anchors = Vec::new();
-        for r in 1..=8u64 {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for cert in make_round(&committee, &kps, r, &authors, |_| parents.clone()) {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                bull.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors);
-            }
-        }
-        assert!(bull.settled_wave() >= 3, "wave 3 settles the dead waves");
+        let d = run_reputation(7, 8, &[2, 3, 4, 5, 6]);
+        assert!(d.rule.frontier().settled >= 3, "wave 3 settles both");
         // Both dead leaders carry the skip penalty; the leader that
         // actually committed gained score.
-        assert!(bull.schedule().score(ValidatorId(0)) < 0);
-        assert!(bull.schedule().score(ValidatorId(1)) < 0, "misattribution");
-        assert!(bull.schedule().score(ValidatorId(2)) > 0, "misattribution");
-        assert_eq!(anchors[0].origin(), ValidatorId(2));
+        let score = |v| d.rule.election().score(ValidatorId(v));
+        assert!(score(0) < 0);
+        assert!(score(1) < 0, "misattribution");
+        assert!(score(2) > 0, "misattribution");
+        assert_eq!(d.anchors[0].origin(), ValidatorId(2));
     }
 }

@@ -1,8 +1,8 @@
 //! FinWhale: an optimally-resilient two-round *terminating* commit.
 //!
 //! Structurally FinWhale keeps Bullshark's two-round waves — wave `w` owns
-//! leader round `2w - 1` and voting round `2w`, leaders come from a
-//! [`LeaderSchedule`] — but replaces every verdict with a *vote count over
+//! leader round `2w - 1` and voting round `2w`, leaders come from a leader
+//! schedule — but replaces every verdict with a *vote count over
 //! distinct authors* instead of block counts and path existence:
 //!
 //! - **Direct commit**: the anchor commits once `2f + 1` *distinct
@@ -34,124 +34,110 @@
 //!
 //! Away from optimal resilience (`n > 3f + 1`, e.g. a 20-validator
 //! committee with `f = 6`) the interlock inequalities lose slack: the walk
-//! threshold drops to `2q - n` and the terminating rule disarms itself
-//! (`terminating_enabled`), leaving exactly Bullshark-grade settlement
-//! through the vote-counted walk. Wave settlement, one-instance-at-a-time
-//! schedule feeding, and checkpointing mirror [`Bullshark`]
-//! (crate::Bullshark); `anchor_cadence` stays 2.
+//! threshold drops to `2q - n` and the terminating rule disarms itself,
+//! leaving exactly Bullshark-grade settlement through the vote-counted
+//! walk.
 
-use crate::schedule::LeaderSchedule;
-use narwhal::{CertId, ConsensusOut, Dag, DagConsensus, DagView, NoExt};
-use nt_codec::{decode_from_slice, encode_to_vec};
-use nt_types::{Certificate, Committee, Round, ValidatorId};
+use crate::bullshark::BullsharkRule;
+use narwhal::{AnchorWalk, CertId, CommitRule, DagView, Frontier};
+use nt_types::{Committee, Round, ValidatorId};
 
-/// FinWhale consensus state, generic over the leader schedule.
-pub struct FinWhale<S: LeaderSchedule> {
-    committee: Committee,
-    schedule: S,
-    /// Waves `1..=settled_wave` have an agreed fate.
-    settled_wave: u64,
-    /// Anchors committed by their own `2f + 1` author-votes (metrics).
-    direct_commits: u64,
-    /// Anchors committed via the vote-counted walk (metrics).
-    indirect_commits: u64,
-    /// Waves settled by the terminating-skip rule (metrics).
-    terminating_skips: u64,
-}
+/// FinWhale consensus: `FinWhale::new(committee, schedule)`.
+pub type FinWhale<S> = AnchorWalk<S, FinWhaleRule>;
 
-impl<S: LeaderSchedule> FinWhale<S> {
-    /// Creates a FinWhale instance for this committee with `schedule`.
-    pub fn new(committee: Committee, schedule: S) -> Self {
-        FinWhale {
-            committee,
-            schedule,
-            settled_wave: 0,
-            direct_commits: 0,
-            indirect_commits: 0,
-            terminating_skips: 0,
-        }
-    }
+/// Two-round waves, verdicts by distinct voting authors, terminating skip.
+#[derive(Default)]
+pub struct FinWhaleRule;
 
-    /// Leader round of wave `w` (wave numbering starts at 1).
-    pub fn leader_round(w: u64) -> Round {
-        (2 * w).saturating_sub(1)
-    }
-
-    /// Voting round of wave `w`.
-    pub fn voting_round(w: u64) -> Round {
-        2 * w
-    }
-
-    /// `(direct, indirect)` commit counts (metrics).
-    pub fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Waves settled by the terminating-skip rule (tests/metrics).
-    pub fn terminating_skips(&self) -> u64 {
-        self.terminating_skips
-    }
-
-    /// Highest wave with an agreed fate (tests/metrics).
-    pub fn settled_wave(&self) -> u64 {
-        self.settled_wave
-    }
-
-    /// The schedule, for inspecting standings (tests/metrics).
-    pub fn schedule(&self) -> &S {
-        &self.schedule
-    }
-
+impl FinWhaleRule {
     /// Votes needed for a walk verdict to commit: `f + 1` at optimal
     /// resilience, degrading to `2q - n` on over-provisioned committees so
     /// a direct commit still implies `>= threshold` voters in every cone.
-    fn walk_threshold(&self) -> usize {
-        let n = self.committee.size();
-        let q = self.committee.quorum_threshold();
-        self.committee
-            .validity_threshold()
-            .min((2 * q).saturating_sub(n))
-            .max(1)
+    fn walk_threshold(committee: &Committee) -> usize {
+        let (n, q) = (committee.size(), committee.quorum_threshold());
+        let slack = (2 * q).saturating_sub(n);
+        committee.validity_threshold().min(slack).max(1)
     }
 
-    /// Whether the terminating-skip rule is sound on this committee: `q`
+    /// Whether the terminating skip is sound on this committee: `q`
     /// definite non-voters must leave fewer possible voters than the walk
     /// threshold, or a skipped wave could still commit through a cone.
-    fn terminating_enabled(&self) -> bool {
-        self.committee.size() - self.committee.quorum_threshold() < self.walk_threshold()
+    fn terminating_enabled(committee: &Committee) -> bool {
+        committee.size() - committee.quorum_threshold() < Self::walk_threshold(committee)
     }
 
-    /// All blocks of `wave`'s leader slot (equivocation twins included).
-    fn leader_slot(&self, view: DagView<'_>, wave: u64) -> Vec<CertId> {
-        let leader = self.schedule.leader(wave);
-        view.round_ids(Self::leader_round(wave))
-            .filter(|&id| view.author_of(id) == leader)
-            .collect()
-    }
-
-    /// Distinct voting-round authors with a block referencing `anchor`.
-    fn voter_authors(&self, view: DagView<'_>, wave: u64, anchor: CertId) -> usize {
-        let mut seen = vec![false; self.committee.size()];
-        for id in view.round_ids(Self::voting_round(wave)) {
-            if view.parents(id).any(|p| p == anchor) {
+    /// Distinct authors of the voting-round blocks that reference `anchor`
+    /// and pass `counted`.
+    fn voters(
+        committee: &Committee,
+        view: DagView<'_>,
+        anchor: CertId,
+        counted: impl Fn(CertId) -> bool,
+    ) -> usize {
+        let mut seen = vec![false; committee.size()];
+        for id in view.round_ids(view.round_of(anchor) + 1) {
+            if view.parents(id).any(|p| p == anchor) && counted(id) {
                 seen[view.author_of(id).0 as usize] = true;
             }
         }
         seen.iter().filter(|&&v| v).count()
     }
+}
 
-    /// Distinct voting-round authors that are *definite non-voters* for the
-    /// wave's leader slot: every one of their blocks has all parent edges
-    /// resolved and none pointing at any leader-slot block. Blocks with
-    /// unresolved edges are excluded — an edge we cannot resolve might be a
-    /// vote, and the terminating skip must never over-count.
-    fn definite_nonvoters(&self, view: DagView<'_>, wave: u64) -> usize {
-        let slot = self.leader_slot(view, wave);
-        let n = self.committee.size();
+impl CommitRule for FinWhaleRule {
+    const TAG: u8 = 5;
+    const REVEAL_AFTER: Round = 1;
+
+    fn anchor_round(&self, at: Frontier, wave: u64) -> Round {
+        BullsharkRule.anchor_round(at, wave)
+    }
+
+    fn slot_at(&self, at: Frontier, round: Round) -> Option<u64> {
+        BullsharkRule.slot_at(at, round)
+    }
+
+    fn commits_directly(&self, committee: &Committee, view: DagView<'_>, anchor: CertId) -> bool {
+        Self::voters(committee, view, anchor, |_| true) >= committee.quorum_threshold()
+    }
+
+    /// Voters for `past` from inside `candidate`'s cone. Below the
+    /// threshold at most `f` authors ever voted, so no validator can commit
+    /// `past` directly or through any cone.
+    fn ratifies(
+        &self,
+        committee: &Committee,
+        view: DagView<'_>,
+        candidate: CertId,
+        past: CertId,
+    ) -> bool {
+        let in_cone = |id| id == candidate || view.path_exists(candidate, id);
+        Self::voters(committee, view, past, in_cone) >= Self::walk_threshold(committee)
+    }
+
+    /// Counts the voting-round authors that are *definite non-voters* for
+    /// the leader slot (equivocation twins included): every one of their
+    /// blocks has all parent edges resolved and none pointing at a
+    /// leader-slot block. Blocks with unresolved edges are excluded — an
+    /// edge we cannot resolve might be a vote, and the skip must never
+    /// over-count.
+    fn gives_up(
+        &self,
+        committee: &Committee,
+        view: DagView<'_>,
+        round: Round,
+        leader: ValidatorId,
+    ) -> bool {
+        if !Self::terminating_enabled(committee) {
+            return false;
+        }
+        let slot: Vec<CertId> = view
+            .round_ids(round)
+            .filter(|&id| view.author_of(id) == leader)
+            .collect();
         // Per author: (has any block, every block is a resolved non-vote).
-        let mut present = vec![false; n];
-        let mut clean = vec![true; n];
-        for id in view.round_ids(Self::voting_round(wave)) {
+        let n = committee.size();
+        let (mut present, mut clean) = (vec![false; n], vec![true; n]);
+        for id in view.round_ids(round + 1) {
             let a = view.author_of(id).0 as usize;
             present[a] = true;
             let resolved = view.parents(id).count() == view.cert(id).header.parents.len();
@@ -160,170 +146,7 @@ impl<S: LeaderSchedule> FinWhale<S> {
                 clean[a] = false;
             }
         }
-        (0..n).filter(|&a| present[a] && clean[a]).count()
-    }
-
-    /// The wave's leader block if `2f + 1` distinct authors vote for it.
-    fn direct_anchor(&self, view: DagView<'_>, wave: u64) -> Option<CertId> {
-        let leader = view.id_at(Self::leader_round(wave), self.schedule.leader(wave))?;
-        (self.voter_authors(view, wave, leader) >= self.committee.quorum_threshold())
-            .then_some(leader)
-    }
-
-    /// Distinct authors voting for `anchor` from inside `candidate`'s cone.
-    fn cone_voter_authors(
-        &self,
-        view: DagView<'_>,
-        wave: u64,
-        anchor: CertId,
-        candidate: CertId,
-    ) -> usize {
-        let mut seen = vec![false; self.committee.size()];
-        for id in view.round_ids(Self::voting_round(wave)) {
-            if view.parents(id).any(|p| p == anchor)
-                && (id == candidate || view.path_exists(candidate, id))
-            {
-                seen[view.author_of(id).0 as usize] = true;
-            }
-        }
-        seen.iter().filter(|&&v| v).count()
-    }
-
-    /// Re-evaluates all unsettled waves against the current DAG; returns
-    /// newly committed anchors in commit order.
-    fn try_decide(&mut self, dag: &Dag) -> Vec<Certificate> {
-        let view = dag.view();
-        let terminating = self.terminating_enabled();
-        let mut anchors = Vec::new();
-        'instances: loop {
-            let mut wave = self.settled_wave + 1;
-            while Self::voting_round(wave) <= view.highest_round() {
-                // The terminating rule applies only to the lowest unsettled
-                // wave: settlement stays strictly ordered, so the schedule
-                // sees outcomes in ascending wave order on every validator.
-                if terminating
-                    && wave == self.settled_wave + 1
-                    && self.definite_nonvoters(view, wave) >= self.committee.quorum_threshold()
-                {
-                    self.schedule
-                        .record(wave, self.schedule.leader(wave), false);
-                    self.settled_wave = wave;
-                    self.terminating_skips += 1;
-                    continue 'instances;
-                }
-                if let Some(anchor) = self.direct_anchor(view, wave) {
-                    anchors.push(self.settle_instance(view, anchor, wave));
-                    continue 'instances;
-                }
-                wave += 1;
-            }
-            return anchors;
-        }
-    }
-
-    /// Settles one instance ending at the direct commit of `wave`: walks
-    /// down with the vote-counted verdict, commits the lowest wave whose
-    /// leader clears the cone threshold, records it and the skips below it,
-    /// and leaves the waves above for re-evaluation.
-    fn settle_instance(&mut self, view: DagView<'_>, anchor: CertId, wave: u64) -> Certificate {
-        let base = self.settled_wave + 1;
-        let leaders: Vec<ValidatorId> = (base..=wave).map(|w| self.schedule.leader(w)).collect();
-        let threshold = self.walk_threshold();
-        let mut first = (wave, anchor);
-        let mut candidate = anchor;
-        for w in (base..wave).rev() {
-            let leader = leaders[(w - base) as usize];
-            if let Some(past) = view.id_at(Self::leader_round(w), leader) {
-                if self.cone_voter_authors(view, w, past, candidate) >= threshold {
-                    candidate = past;
-                    first = (w, past);
-                }
-            }
-        }
-        let (first_wave, id) = first;
-        let cert = view.cert(id).clone();
-        for w in base..first_wave {
-            // Below the cone threshold: at most `f` authors ever voted, so
-            // no validator can commit this wave directly or through any
-            // cone — the skip is final.
-            self.schedule.record(w, leaders[(w - base) as usize], false);
-        }
-        if first_wave == wave {
-            self.direct_commits += 1;
-        } else {
-            self.indirect_commits += 1;
-        }
-        self.schedule.record(first_wave, cert.origin(), true);
-        self.settled_wave = first_wave;
-        cert
-    }
-}
-
-impl<S: LeaderSchedule> DagConsensus for FinWhale<S> {
-    type Ext = NoExt;
-
-    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
-        let _ = cert;
-        out.anchors.extend(self.try_decide(dag));
-    }
-
-    fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Settled wave, commit counters, skip counter, and the schedule blob
-    /// (see Bullshark's checkpoint for why the blob matters).
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(encode_to_vec(&(
-            (
-                (self.settled_wave, self.terminating_skips),
-                (self.direct_commits, self.indirect_commits),
-            ),
-            self.schedule.checkpoint(),
-        )))
-    }
-
-    fn restore(&mut self, checkpoint: &[u8]) {
-        type Blob = (((u64, u64), (u64, u64)), Vec<u8>);
-        if let Ok((((wave, skips), (direct, indirect)), schedule)) =
-            decode_from_slice::<Blob>(checkpoint)
-        {
-            self.settled_wave = wave;
-            self.direct_commits = direct;
-            self.indirect_commits = indirect;
-            self.terminating_skips = skips;
-            self.schedule.restore(&schedule);
-        }
-    }
-
-    /// Same two-round cadence and timing hints as Bullshark: voting-round
-    /// proposers wait for the wave leader's certificate.
-    fn parent_wishes(&self, dag: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round >= 2 && round.is_multiple_of(2) {
-            let wave = round / 2;
-            vec![(Self::leader_round(wave), self.schedule.leader(wave))]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn coverage_wishes(
-        &self,
-        dag: &Dag,
-        round: Round,
-        me: ValidatorId,
-    ) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round == 0 {
-            return Vec::new();
-        }
-        if round >= 3 && !round.is_multiple_of(2) && self.schedule.leader(round.div_ceil(2)) == me {
-            return (0..self.committee.size())
-                .map(|v| (round - 1, ValidatorId(v as u32)))
-                .collect();
-        }
-        vec![(round - 1, me)]
+        (0..n).filter(|&a| present[a] && clean[a]).count() >= committee.quorum_threshold()
     }
 }
 
@@ -331,170 +154,62 @@ impl<S: LeaderSchedule> DagConsensus for FinWhale<S> {
 mod tests {
     use super::*;
     use crate::schedule::RoundRobin;
-    use nt_crypto::{Digest, Hashable, KeyPair, Scheme};
-    use nt_types::{Header, ValidatorId, Vote};
+    use narwhal::testing::DagBench;
+    use narwhal::DagConsensus;
+    use nt_crypto::Scheme;
 
-    fn make_round(
-        committee: &Committee,
-        kps: &[KeyPair],
-        round: Round,
-        authors: &[u32],
-        parents_of: impl Fn(u32) -> Vec<Digest>,
-    ) -> Vec<Certificate> {
-        authors
-            .iter()
-            .map(|&a| {
-                let header = Header::new(
-                    &kps[a as usize],
-                    ValidatorId(a),
-                    round,
-                    vec![],
-                    parents_of(a),
-                    None,
-                );
-                let votes: Vec<Vote> = kps
-                    .iter()
-                    .enumerate()
-                    .map(|(j, kp)| {
-                        Vote::new(
-                            kp,
-                            ValidatorId(j as u32),
-                            header.digest(),
-                            round,
-                            header.author,
-                        )
-                    })
-                    .collect();
-                Certificate::from_votes(committee, header, &votes).expect("quorum")
-            })
-            .collect()
-    }
-
-    struct Driver {
-        committee: Committee,
-        kps: Vec<KeyPair>,
-        dag: Dag,
-        fin: FinWhale<RoundRobin>,
-        anchors: Vec<Certificate>,
-    }
-
-    impl Driver {
-        fn new(n: usize) -> Self {
-            let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-            let mut dag = Dag::new();
-            dag.insert_genesis(Certificate::genesis_set(&committee));
-            let fin = FinWhale::new(committee.clone(), RoundRobin::new(&committee));
-            Driver {
-                committee,
-                kps,
-                dag,
-                fin,
-                anchors: Vec::new(),
-            }
-        }
-
-        fn feed(&mut self, certs: Vec<Certificate>) {
-            for cert in certs {
-                self.dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                self.fin.on_certificate(&self.dag, &cert, &mut out);
-                self.anchors.extend(out.anchors);
-            }
-        }
-
-        fn round(&mut self, round: Round, authors: &[u32], parents: Vec<Digest>) {
-            let certs = make_round(&self.committee, &self.kps, round, authors, |_| {
-                parents.clone()
-            });
-            self.feed(certs);
-        }
-
-        fn full_round(&mut self, round: Round) {
-            let authors: Vec<u32> = (0..self.committee.size() as u32).collect();
-            let parents: Vec<Digest> = self
-                .dag
-                .round_certs(round - 1)
-                .map(|c| c.header_digest())
-                .collect();
-            self.round(round, &authors, parents);
-        }
+    fn bench() -> DagBench<FinWhale<RoundRobin>> {
+        DagBench::new(4, |c| FinWhale::new(c.clone(), RoundRobin::new(c)))
     }
 
     #[test]
     fn commits_one_leader_every_two_rounds_in_full_dag() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         for r in 1..=8 {
             d.full_round(r);
         }
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 3, 5, 7]);
-        let (direct, indirect) = d.fin.commit_counts();
-        assert_eq!((direct, indirect), (4, 0));
-        assert_eq!(d.fin.terminating_skips(), 0);
+        assert_eq!(d.decided(), vec![(1, 0), (3, 1), (5, 2), (7, 3)]);
+        assert_eq!(d.rule.commit_counts(), (4, 0));
+        assert_eq!(d.rule.early_skips(), 0);
     }
 
     #[test]
     fn dead_leader_wave_terminates_at_its_own_voting_round() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         // Round 1 without the wave-1 leader (validator 0).
-        let genesis: Vec<Digest> = d.dag.round_certs(0).map(|c| c.header_digest()).collect();
-        d.round(1, &[1, 2, 3], genesis);
-        assert_eq!(d.fin.settled_wave(), 0);
+        d.round(1, &[1, 2, 3]);
+        assert_eq!(d.rule.frontier().settled, 0);
         // Round 2: all four blocks reference the three round-1 blocks —
         // fully resolved, no leader edge: 4 >= 2f + 1 definite non-voters.
-        let parents: Vec<Digest> = d.dag.round_certs(1).map(|c| c.header_digest()).collect();
-        d.round(2, &[0, 1, 2, 3], parents);
+        d.full_round(2);
         // The wave settles NOW — Bullshark would still be waiting for wave
         // 2's direct commit (two more rounds) to bury this one.
-        assert_eq!(d.fin.settled_wave(), 1, "terminated at the voting round");
-        assert_eq!(d.fin.terminating_skips(), 1);
+        assert_eq!(d.rule.frontier().settled, 1, "terminated at its votes");
+        assert_eq!(d.rule.early_skips(), 1);
         assert!(d.anchors.is_empty());
         // The next wave commits normally on top of the skip.
         for r in 3..=4 {
             d.full_round(r);
         }
-        assert_eq!(d.anchors.len(), 1);
-        assert_eq!(d.anchors[0].round(), 3);
-        assert_eq!(d.anchors[0].origin(), ValidatorId(1));
-        let (direct, indirect) = d.fin.commit_counts();
-        assert_eq!((direct, indirect), (1, 0));
+        assert_eq!(d.decided(), vec![(3, 1)]);
+        assert_eq!(d.rule.commit_counts(), (1, 0));
     }
 
     #[test]
     fn split_votes_neither_terminate_nor_commit_until_the_walk() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         d.full_round(1);
         // Round 2: two blocks vote for the wave-1 leader, two do not —
         // below the 2f + 1 direct quorum AND below 2f + 1 non-voters.
-        let all: Vec<Digest> = d.dag.round_certs(1).map(|c| c.header_digest()).collect();
-        let minus_leader: Vec<Digest> = d
-            .dag
-            .round_certs(1)
-            .filter(|c| c.origin() != ValidatorId(0))
-            .map(|c| c.header_digest())
-            .collect();
-        let certs = make_round(&d.committee, &d.kps, 2, &[0, 1, 2, 3], |a| {
-            if a < 2 {
-                all.clone()
-            } else {
-                minus_leader.clone()
-            }
-        });
-        d.feed(certs);
-        assert_eq!(d.fin.settled_wave(), 0, "2 votes, 2 non-votes: undecided");
+        d.round_shunning(2, ValidatorId(0), &[0, 1]);
+        assert_eq!(d.rule.frontier().settled, 0, "2 votes, 2 non-votes");
         for r in 3..=4 {
             d.full_round(r);
         }
         // Wave 2's direct commit walks down; the cone holds both voters
         // (f + 1 = 2 distinct authors), so wave 1 commits indirectly.
-        let seq: Vec<(Round, u32)> = d
-            .anchors
-            .iter()
-            .map(|c| (c.round(), c.origin().0))
-            .collect();
-        assert_eq!(seq, vec![(1, 0), (3, 1)]);
-        let (direct, indirect) = d.fin.commit_counts();
-        assert_eq!((direct, indirect), (1, 1));
+        assert_eq!(d.decided(), vec![(1, 0), (3, 1)]);
+        assert_eq!(d.rule.commit_counts(), (1, 1));
     }
 
     #[test]
@@ -503,31 +218,9 @@ mod tests {
         // 3 >= walk-threshold possible voters, so the rule must disarm
         // rather than skip a wave another validator could commit.
         let (committee, _) = Committee::deterministic(6, 1, Scheme::Insecure);
-        let fin = FinWhale::new(committee.clone(), RoundRobin::new(&committee));
-        assert!(!fin.terminating_enabled());
+        assert!(!FinWhaleRule::terminating_enabled(&committee));
         // Optimal resilience arms it.
         let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let fin = FinWhale::new(committee.clone(), RoundRobin::new(&committee));
-        assert!(fin.terminating_enabled());
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_identically() {
-        let mut d = Driver::new(4);
-        for r in 1..=6 {
-            d.full_round(r);
-        }
-        let blob = d.fin.checkpoint().expect("checkpointed");
-        let mut fresh = FinWhale::new(d.committee.clone(), RoundRobin::new(&d.committee));
-        fresh.restore(&blob);
-        assert_eq!(fresh.settled_wave(), d.fin.settled_wave());
-        assert_eq!(fresh.commit_counts(), d.fin.commit_counts());
-        assert_eq!(fresh.terminating_skips(), d.fin.terminating_skips());
-        d.fin = fresh;
-        for r in 7..=8 {
-            d.full_round(r);
-        }
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 3, 5, 7]);
+        assert!(FinWhaleRule::terminating_enabled(&committee));
     }
 }

@@ -4,7 +4,7 @@
 //! (§3.2, Figure 3); this crate exercises that boundary with the protocol
 //! the Narwhal lineage converged on in production: partially-synchronous
 //! Bullshark. Waves are two rounds instead of Tusk's three, leaders are
-//! predefined by a [`LeaderSchedule`] instead of a retrospective coin, and
+//! predefined by a leader schedule instead of a retrospective coin, and
 //! a leader commits the moment `2f + 1` next-round blocks reference it —
 //! cutting the common-case commit point from ~4.5 rounds to 2 while
 //! reusing the DAG, the garbage collector, and the primary unchanged.
@@ -12,31 +12,24 @@
 //! Two schedules ship with the crate: [`RoundRobin`] (the paper baseline)
 //! and [`Reputation`], a Shoal-style standing that rotates leadership over
 //! the best-behaved `n - f` validators so crashed leaders stop costing a
-//! skipped wave per rotation turn.
+//! skipped wave per rotation turn. Two latency-frontier variants ship
+//! alongside plain Bullshark: [`PipelinedBullshark`] (Shoal-style anchor
+//! pipelining — an anchor candidate every round, reputation re-anchoring
+//! past dead candidates) and [`FinWhale`] (an optimally-resilient
+//! two-round terminating commit whose skips settle at the wave's own
+//! voting round).
 //!
-//! Like Tusk, Bullshark here sends no messages of its own
-//! (`Ext = NoExt`): it is a pure interpretation of the locally observed
-//! DAG, and the `ablation_bullshark` bench compares the two protocols on
+//! Like Tusk, the rules here send no messages of their own: each is a
+//! policy over `narwhal::AnchorWalk`, a pure interpretation of the locally
+//! observed DAG, and the `ablation_bullshark` bench compares them on
 //! identical deployments.
-
-//! Two latency-frontier variants ship alongside plain Bullshark:
-//! [`PipelinedBullshark`] (Shoal-style anchor pipelining — an anchor
-//! candidate every round, reputation re-anchoring past dead candidates)
-//! and [`FinWhale`] (an optimally-resilient two-round terminating commit
-//! whose skips settle at the wave's own voting round).
 
 pub mod bullshark;
 pub mod finwhale;
 pub mod pipelined;
 pub mod schedule;
-pub mod system;
 
-pub use bullshark::Bullshark;
-pub use finwhale::FinWhale;
-pub use pipelined::PipelinedBullshark;
-pub use schedule::{LeaderSchedule, Reputation, RoundRobin};
-pub use system::{
-    build_bullshark_actors, build_bullshark_rep_actors, build_bullshark_rr_actors,
-    build_finwhale_actors, build_finwhale_rr_actors, build_pipelined_actors,
-    build_pipelined_rep_actors, BullsharkMsg,
-};
+pub use bullshark::{Bullshark, BullsharkRule};
+pub use finwhale::{FinWhale, FinWhaleRule};
+pub use pipelined::{PipelinedBullshark, PipelinedRule};
+pub use schedule::{Reputation, RoundRobin};

@@ -6,284 +6,64 @@
 //! extra half round for the next anchor to sweep it — the measured ~2.5
 //! decision rounds. Shoal's observation ("Shoal: Improving DAG-BFT Latency
 //! And Robustness") is that the *voting round is not a protocol slot, it is
-//! an offset*: once wave `w` commits its anchor at round `r`, the next
-//! instance of the protocol can be re-based at `r + 1`, making round
-//! `r + 1` the next leader round. Under synchrony every round then carries
-//! an anchor candidate, and a block is swept by the very next round's
-//! anchor: measured decision depth drops to `2 - 1/n`.
+//! an offset*: once an anchor commits at round `r`, the next instance of
+//! the protocol can be re-based at `r + 1`, making round `r + 1` the next
+//! leader round. Under synchrony every round then carries an anchor
+//! candidate, and a block is swept by the very next round's anchor:
+//! measured decision depth drops to `2 - 1/n`.
 //!
-//! Concretely, the open *instance* owns candidate rounds `base`,
-//! `base + 2`, `base + 4`, … — exactly a Bullshark embedded at offset
-//! `base`. A candidate at round `r` commits **directly** once `2f + 1`
-//! round-`r + 1` blocks reference it; the settlement walk, skip records,
-//! and one-wave-per-instance schedule discipline are Bullshark's
-//! unchanged. What is new is the re-base: after committing an anchor at
-//! round `r`, the instance restarts at `base = r + 1`. Candidates of the
-//! old instance above the commit point are abandoned (their rounds have the
-//! wrong parity in the new instance) — their blocks are ordered by later
-//! anchors' causal sweeps like any other block, so no data waits on them.
-//!
-//! Waves are numbered globally in settlement order (`settled + 1 + k` for
-//! the instance's `k`-th candidate), which keeps [`LeaderSchedule::record`]
-//! ascending and gap-free: a [`Reputation`](crate::Reputation) schedule
-//! stays committee-consistent because every validator settles the same
-//! outcomes in the same order — a candidate that gathers no support is
-//! recorded as a skip, demoting its author and *re-anchoring* the following
-//! rounds onto better-behaved leaders. The consistency argument is
-//! inherited from Bullshark wholesale: a direct commit's `2f + 1` votes
-//! intersect the `2f + 1` parents every later block carries, so a directly
-//! committed candidate is on every later anchor's path, and the re-base
-//! point (hence the next instance's parity) is a deterministic function of
-//! the settled history every validator agrees on.
+//! Concretely, the open instance owns candidate rounds `base`, `base + 2`,
+//! `base + 4`, … — exactly a Bullshark embedded at offset `base`; the
+//! direct quorum and the walk are Bullshark's unchanged. Candidates of the
+//! old instance above a commit are abandoned (their rounds have the wrong
+//! parity in the new instance) — their blocks are ordered by later anchors'
+//! causal sweeps like any other block, so no data waits on them. Slots are
+//! numbered in settlement order, which keeps the schedule's `record` calls
+//! ascending and gap-free: a candidate that gathers no support is recorded
+//! as a skip, demoting its author and *re-anchoring* the following rounds
+//! onto better-behaved leaders. The re-base point (hence the next
+//! instance's parity) is a deterministic function of the settled history
+//! every validator agrees on.
 
-use crate::schedule::LeaderSchedule;
-use narwhal::{CertId, ConsensusOut, Dag, DagConsensus, DagView, NoExt};
-use nt_codec::{decode_from_slice, encode_to_vec};
-use nt_types::{Certificate, Committee, Round, ValidatorId};
+use crate::bullshark::BullsharkRule;
+use narwhal::{AnchorWalk, CertId, CommitRule, DagView, Frontier};
+use nt_types::{Committee, Round};
 
-/// Pipelined Bullshark consensus state, generic over the leader schedule.
-pub struct PipelinedBullshark<S: LeaderSchedule> {
-    committee: Committee,
-    schedule: S,
-    /// First candidate round of the open instance: one past the last
-    /// committed anchor's round (1 at genesis).
-    base: Round,
-    /// Waves settled so far (committed or skipped); the instance's `k`-th
-    /// candidate is wave `settled + 1 + k` under the schedule.
-    settled: u64,
-    /// Anchors committed by their own `2f + 1` votes (metrics).
-    direct_commits: u64,
-    /// Anchors committed via the recursive path rule (metrics).
-    indirect_commits: u64,
-}
+/// Pipelined Bullshark consensus: `PipelinedBullshark::new(committee,
+/// schedule)`. The checkpointed `base` matters as much as the schedule: a
+/// restarted validator that reset it would evaluate different rounds as
+/// anchors than the rest of the committee.
+pub type PipelinedBullshark<S> = AnchorWalk<S, PipelinedRule>;
 
-impl<S: LeaderSchedule> PipelinedBullshark<S> {
-    /// Creates a pipelined instance for this committee with `schedule`.
-    ///
-    /// All validators of one deployment must start from identical schedule
-    /// state (schedules are deterministic from the settled history).
-    pub fn new(committee: Committee, schedule: S) -> Self {
-        PipelinedBullshark {
-            committee,
-            schedule,
-            base: 1,
-            settled: 0,
-            direct_commits: 0,
-            indirect_commits: 0,
-        }
+/// A candidate every other round from the re-base point, `2f + 1` votes.
+#[derive(Default)]
+pub struct PipelinedRule;
+
+impl CommitRule for PipelinedRule {
+    const TAG: u8 = 4;
+    const REVEAL_AFTER: Round = 1;
+
+    fn anchor_round(&self, at: Frontier, slot: u64) -> Round {
+        at.base + 2 * (slot - at.settled - 1)
     }
 
-    /// `(direct, indirect)` commit counts (metrics).
-    pub fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
+    /// Unlike Bullshark's static wave parity, the candidate rounds are a
+    /// function of the *dynamic* `base`, and a proposer can reach round
+    /// `base + d` with `d` odd when it has a round quorum but has not yet
+    /// processed the support that commits the base candidate locally.
+    /// Returning no slot there is what made wish misses contagious: the
+    /// proposer would not wait for round `base + d`'s candidate either,
+    /// starving *its* direct quorum in turn. Instead, predict the
+    /// post-commit state — the base candidate commits in the common case,
+    /// re-basing to `base + 1` and settling one more slot — so every round
+    /// gets a candidate wish.
+    fn slot_at(&self, at: Frontier, round: Round) -> Option<u64> {
+        let d = round.checked_sub(at.base)?;
+        Some(at.settled + 1 + d / 2 + d % 2)
     }
 
-    /// Waves with an agreed fate (tests/metrics).
-    pub fn settled_waves(&self) -> u64 {
-        self.settled
-    }
-
-    /// First candidate round of the open instance (tests/metrics).
-    pub fn base_round(&self) -> Round {
-        self.base
-    }
-
-    /// The schedule, for inspecting reputation standings (tests/metrics).
-    pub fn schedule(&self) -> &S {
-        &self.schedule
-    }
-
-    /// Round of the open instance's `k`-th anchor candidate.
-    fn candidate_round(&self, k: u64) -> Round {
-        self.base + 2 * k
-    }
-
-    /// Leader of the open instance's `k`-th candidate under the schedule.
-    fn candidate_leader(&self, k: u64) -> ValidatorId {
-        self.schedule.leader(self.settled + 1 + k)
-    }
-
-    /// The leader expected to hold the candidate slot at `round`, used only
-    /// by the wish hooks. Unlike Bullshark's static wave parity, the
-    /// pipeline's candidate rounds are a function of the *dynamic* `base`,
-    /// and a proposer can reach round `base + d` with `d` odd when it has a
-    /// round quorum but has not yet processed the support that commits the
-    /// base candidate locally. Returning no wish there is what made wish
-    /// misses contagious: the proposer would not wait for round `base + d`'s
-    /// candidate either, starving *its* direct quorum in turn. Instead,
-    /// predict the post-commit state — the base candidate commits in the
-    /// common case, re-basing to `base + 1` and settling one more wave — so
-    /// every round gets a candidate wish. Wishes are bounded-wait
-    /// performance hints, so a mis-prediction (the base candidate ends up
-    /// skipped, or an intervening `record` re-ranks a reputation schedule)
-    /// costs at most one wish deadline, never safety.
-    fn expected_candidate_leader(&self, round: Round) -> Option<ValidatorId> {
-        if round < self.base {
-            return None;
-        }
-        let d = round - self.base;
-        let wave = if d.is_multiple_of(2) {
-            self.settled + 1 + d / 2
-        } else {
-            self.settled + 2 + d / 2
-        };
-        Some(self.schedule.leader(wave))
-    }
-
-    /// The `k`-th candidate's block if it has direct-commit support:
-    /// `2f + 1` next-round blocks referencing it.
-    fn direct_anchor(&self, view: DagView<'_>, k: u64) -> Option<CertId> {
-        let leader = view.id_at(self.candidate_round(k), self.candidate_leader(k))?;
-        (view.support(leader) >= self.committee.quorum_threshold()).then_some(leader)
-    }
-
-    /// Re-evaluates the open instance against the current DAG; returns
-    /// newly committed anchors in commit order. Candidates are never
-    /// frozen: one lacking support *now* may gain it as next-round blocks
-    /// arrive, so every insertion re-checks until a commit re-bases past
-    /// it.
-    fn try_decide(&mut self, dag: &Dag) -> Vec<Certificate> {
-        let view = dag.view();
-        let mut anchors = Vec::new();
-        'instances: loop {
-            let mut k = 0u64;
-            while self.candidate_round(k) < view.highest_round() {
-                if let Some(anchor) = self.direct_anchor(view, k) {
-                    anchors.push(self.settle_instance(view, anchor, k));
-                    // The instance re-based and the schedule advanced:
-                    // re-evaluate from the new base round.
-                    continue 'instances;
-                }
-                k += 1;
-            }
-            return anchors;
-        }
-    }
-
-    /// Settles the open instance, ending at the direct commit of candidate
-    /// `k`: walks down to the lowest reachable candidate, commits *that*
-    /// anchor, records it and every skipped candidate below it with the
-    /// schedule, and re-bases the next instance one round past the commit.
-    fn settle_instance(&mut self, view: DagView<'_>, anchor: CertId, k: u64) -> Certificate {
-        // Snapshot the instance's leader map before any `record` mutates
-        // the schedule: the skips recorded below must name exactly the
-        // leaders the walk checked (see the Bullshark misattribution
-        // regression).
-        let leaders: Vec<ValidatorId> = (0..=k).map(|i| self.candidate_leader(i)).collect();
-        let mut first = (k, anchor);
-        let mut candidate = anchor;
-        for i in (0..k).rev() {
-            if let Some(past) = view.id_at(self.candidate_round(i), leaders[i as usize]) {
-                if view.path_exists(candidate, past) {
-                    candidate = past;
-                    first = (i, past);
-                }
-            }
-        }
-        let (ci, id) = first;
-        let cert = view.cert(id).clone();
-        for i in 0..ci {
-            // Not on the anchor's path: no validator can ever commit this
-            // candidate (quorum intersection), so the skip is final — and
-            // the reputation penalty re-anchors the rounds ahead.
-            self.schedule
-                .record(self.settled + 1 + i, leaders[i as usize], false);
-        }
-        if ci == k {
-            self.direct_commits += 1;
-        } else {
-            self.indirect_commits += 1;
-        }
-        self.schedule
-            .record(self.settled + 1 + ci, cert.origin(), true);
-        self.settled += ci + 1;
-        self.base = cert.round() + 1;
-        cert
-    }
-}
-
-impl<S: LeaderSchedule> DagConsensus for PipelinedBullshark<S> {
-    type Ext = NoExt;
-
-    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
-        let _ = cert;
-        out.anchors.extend(self.try_decide(dag));
-    }
-
-    fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// One anchor candidate per round: the whole point of the pipeline.
-    fn anchor_cadence(&self) -> Round {
-        1
-    }
-
-    /// Base round, settled waves, commit counters, and the schedule's
-    /// recorded history. The base matters as much as the schedule blob: the
-    /// candidate-round parity of the open instance is derived from it, so a
-    /// restarted validator that reset `base` would evaluate different
-    /// rounds as anchors than the rest of the committee.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(encode_to_vec(&(
-            (
-                (self.base, self.settled),
-                (self.direct_commits, self.indirect_commits),
-            ),
-            self.schedule.checkpoint(),
-        )))
-    }
-
-    fn restore(&mut self, checkpoint: &[u8]) {
-        type Blob = (((u64, u64), (u64, u64)), Vec<u8>);
-        if let Ok((((base, settled), (direct, indirect)), schedule)) =
-            decode_from_slice::<Blob>(checkpoint)
-        {
-            self.base = base.max(1);
-            self.settled = settled;
-            self.direct_commits = direct;
-            self.indirect_commits = indirect;
-            self.schedule.restore(&schedule);
-        }
-    }
-
-    /// Every proposer waits (up to the primary's header deadline) for the
-    /// previous round's anchor candidate, when the previous round carries
-    /// one — under the pipeline that is *every* round on the happy path,
-    /// which is exactly what keeps each candidate's `2f + 1` direct quorum
-    /// forming one round after its block.
-    fn parent_wishes(&self, dag: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round == 0 {
-            return Vec::new();
-        }
-        let prev = round - 1;
-        match self.expected_candidate_leader(prev) {
-            Some(leader) => vec![(prev, leader)],
-            None => Vec::new(),
-        }
-    }
-
-    /// Anchor candidates wish for full previous-round coverage (their
-    /// causal history is the commit sweep — see Bullshark's version for
-    /// the latency cliff this prevents); every other block wishes for its
-    /// author's own previous certificate (chain continuity).
-    fn coverage_wishes(
-        &self,
-        dag: &Dag,
-        round: Round,
-        me: ValidatorId,
-    ) -> Vec<(Round, ValidatorId)> {
-        let _ = dag;
-        if round == 0 {
-            return Vec::new();
-        }
-        if round >= 2 && self.expected_candidate_leader(round) == Some(me) {
-            return (0..self.committee.size())
-                .map(|v| (round - 1, ValidatorId(v as u32)))
-                .collect();
-        }
-        vec![(round - 1, me)]
+    fn commits_directly(&self, committee: &Committee, view: DagView<'_>, anchor: CertId) -> bool {
+        BullsharkRule.commits_directly(committee, view, anchor)
     }
 }
 
@@ -291,179 +71,70 @@ impl<S: LeaderSchedule> DagConsensus for PipelinedBullshark<S> {
 mod tests {
     use super::*;
     use crate::schedule::{Reputation, RoundRobin};
-    use nt_crypto::{Digest, Hashable, KeyPair, Scheme};
-    use nt_types::{Header, ValidatorId, Vote};
+    use narwhal::testing::DagBench;
+    use narwhal::DagConsensus;
+    use nt_types::ValidatorId;
 
-    fn make_round(
-        committee: &Committee,
-        kps: &[KeyPair],
-        round: Round,
-        authors: &[u32],
-        parents_of: impl Fn(u32) -> Vec<Digest>,
-    ) -> Vec<Certificate> {
-        authors
-            .iter()
-            .map(|&a| {
-                let header = Header::new(
-                    &kps[a as usize],
-                    ValidatorId(a),
-                    round,
-                    vec![],
-                    parents_of(a),
-                    None,
-                );
-                let votes: Vec<Vote> = kps
-                    .iter()
-                    .enumerate()
-                    .map(|(j, kp)| {
-                        Vote::new(
-                            kp,
-                            ValidatorId(j as u32),
-                            header.digest(),
-                            round,
-                            header.author,
-                        )
-                    })
-                    .collect();
-                Certificate::from_votes(committee, header, &votes).expect("quorum")
-            })
-            .collect()
-    }
-
-    struct Driver {
-        committee: Committee,
-        kps: Vec<KeyPair>,
-        dag: Dag,
-        pipe: PipelinedBullshark<RoundRobin>,
-        anchors: Vec<Certificate>,
-    }
-
-    impl Driver {
-        fn new(n: usize) -> Self {
-            let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-            let mut dag = Dag::new();
-            dag.insert_genesis(Certificate::genesis_set(&committee));
-            let pipe = PipelinedBullshark::new(committee.clone(), RoundRobin::new(&committee));
-            Driver {
-                committee,
-                kps,
-                dag,
-                pipe,
-                anchors: Vec::new(),
-            }
-        }
-
-        fn feed(&mut self, certs: Vec<Certificate>) {
-            for cert in certs {
-                self.dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                self.pipe.on_certificate(&self.dag, &cert, &mut out);
-                self.anchors.extend(out.anchors);
-            }
-        }
-
-        fn full_round(&mut self, round: Round) {
-            let authors: Vec<u32> = (0..self.committee.size() as u32).collect();
-            let parents: Vec<Digest> = self
-                .dag
-                .round_certs(round - 1)
-                .map(|c| c.header_digest())
-                .collect();
-            let certs = make_round(&self.committee, &self.kps, round, &authors, |_| {
-                parents.clone()
-            });
-            self.feed(certs);
-        }
+    fn bench() -> DagBench<PipelinedBullshark<RoundRobin>> {
+        DagBench::new(4, |c| {
+            PipelinedBullshark::new(c.clone(), RoundRobin::new(c))
+        })
     }
 
     #[test]
     fn commits_one_anchor_every_round_in_full_dag() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         for r in 1..=8 {
             d.full_round(r);
         }
         // Every round 1..=7 carries a committed anchor — twice Bullshark's
-        // cadence (rounds 1, 3, 5, 7) from the identical DAG.
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 2, 3, 4, 5, 6, 7]);
-        // Waves settle in order, so round-robin leadership rotates per
-        // round instead of per two rounds.
-        let leaders: Vec<u32> = d.anchors.iter().map(|c| c.origin().0).collect();
-        assert_eq!(leaders, vec![0, 1, 2, 3, 0, 1, 2]);
-        let (direct, indirect) = d.pipe.commit_counts();
-        assert_eq!((direct, indirect), (7, 0));
-        assert_eq!(d.pipe.base_round(), 8);
+        // cadence (rounds 1, 3, 5, 7) from the identical DAG. Slots settle
+        // in order, so round-robin leadership rotates per round instead of
+        // per two rounds.
+        let expected: Vec<(Round, u32)> = (1..=7).map(|r| (r, (r as u32 - 1) % 4)).collect();
+        assert_eq!(d.decided(), expected);
+        assert_eq!(d.rule.commit_counts(), (7, 0));
+        assert_eq!(d.rule.frontier().base, 8);
     }
 
     #[test]
     fn decides_one_round_after_the_candidate_not_two() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         d.full_round(1);
         assert!(d.anchors.is_empty(), "no votes yet");
         d.full_round(2);
-        assert_eq!(d.anchors.len(), 1);
-        assert_eq!(d.anchors[0].round(), 1);
+        assert_eq!(d.decided(), vec![(1, 0)]);
         // The pipeline's payoff: round 2's candidate needs only round 3.
         d.full_round(3);
-        assert_eq!(d.anchors.len(), 2);
-        assert_eq!(d.anchors[1].round(), 2);
+        assert_eq!(d.decided(), vec![(1, 0), (2, 1)]);
     }
 
     #[test]
     fn unsupported_candidate_is_skipped_and_the_instance_rebases() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         d.full_round(1);
         // Round 2: nobody references the round-1 candidate (validator 0).
-        let parents: Vec<Digest> = d
-            .dag
-            .round_certs(1)
-            .filter(|c| c.origin() != ValidatorId(0))
-            .map(|c| c.header_digest())
-            .collect();
-        let authors: Vec<u32> = (0..4).collect();
-        let certs = make_round(&d.committee, &d.kps, 2, &authors, |_| parents.clone());
-        d.feed(certs);
+        d.round_shunning(2, ValidatorId(0), &[]);
         for r in 3..=4 {
             d.full_round(r);
         }
-        // Candidate k=1 (round 3, leader 1) commits directly; the walk
-        // finds no path to validator 0's unreferenced block, so wave 1 is
-        // a final skip and the instance re-bases at round 4.
-        assert!(
-            d.anchors
-                .iter()
-                .all(|a| !(a.round() == 1 && a.origin() == ValidatorId(0))),
-            "unreferenced candidate cannot commit"
-        );
-        assert_eq!(d.anchors[0].round(), 3);
-        assert_eq!(d.pipe.settled_waves(), 2, "skip + commit both settled");
-        assert_eq!(d.pipe.base_round(), 4, "re-based past the commit");
-        let (direct, indirect) = d.pipe.commit_counts();
-        assert_eq!((direct, indirect), (1, 0));
+        // The second candidate (round 3, leader 1) commits directly; the
+        // walk finds no path to validator 0's unreferenced block, so slot
+        // 1 is a final skip and the instance re-bases at round 4.
+        assert_eq!(d.decided(), vec![(3, 1)], "unreferenced candidate lost");
+        let at = d.rule.frontier();
+        assert_eq!(at.settled, 2, "skip + commit both settled");
+        assert_eq!(at.base, 4, "re-based past the commit");
+        assert_eq!(d.rule.commit_counts(), (1, 0));
     }
 
     #[test]
     fn late_support_commits_candidate_indirectly_through_the_walk() {
-        let mut d = Driver::new(4);
+        let mut d = bench();
         d.full_round(1);
         // Round 2: only 2 of 4 blocks reference the round-1 candidate —
         // below the 2f + 1 = 3 direct threshold, above zero (paths exist).
-        let all: Vec<Digest> = d.dag.round_certs(1).map(|c| c.header_digest()).collect();
-        let minus_leader: Vec<Digest> = d
-            .dag
-            .round_certs(1)
-            .filter(|c| c.origin() != ValidatorId(0))
-            .map(|c| c.header_digest())
-            .collect();
-        let authors: Vec<u32> = (0..4).collect();
-        let certs = make_round(&d.committee, &d.kps, 2, &authors, |a| {
-            if a < 2 {
-                all.clone()
-            } else {
-                minus_leader.clone()
-            }
-        });
-        d.feed(certs);
+        d.round_shunning(2, ValidatorId(0), &[0, 1]);
         assert!(d.anchors.is_empty(), "2 votes < 2f + 1: no direct commit");
         for r in 3..=4 {
             d.full_round(r);
@@ -471,14 +142,8 @@ mod tests {
         // The round-3 candidate's direct commit walks down, finds a path
         // through the two referencing blocks, and orders round 1's anchor
         // first; the re-based instances then sweep rounds 2 and 3 too.
-        let seq: Vec<(Round, u32)> = d
-            .anchors
-            .iter()
-            .map(|c| (c.round(), c.origin().0))
-            .collect();
-        assert_eq!(seq, vec![(1, 0), (2, 1), (3, 2)], "lowest ordered first");
-        let (direct, indirect) = d.pipe.commit_counts();
-        assert_eq!((direct, indirect), (2, 1), "round 1 was indirect");
+        assert_eq!(d.decided(), vec![(1, 0), (2, 1), (3, 2)], "lowest first");
+        assert_eq!(d.rule.commit_counts(), (2, 1), "round 1 was indirect");
     }
 
     #[test]
@@ -486,118 +151,21 @@ mod tests {
         // Validator 1 starts inside the rotation but never produces blocks:
         // its first candidate turn is skipped, the penalty drops it below
         // idle validator 3, and every later round anchors on live leaders.
-        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut pipe = PipelinedBullshark::new(committee.clone(), Reputation::new(&committee));
-        let mut anchors = Vec::new();
-        let authors: Vec<u32> = vec![0, 2, 3];
-        for r in 1..=20u64 {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for cert in make_round(&committee, &kps, r, &authors, |_| parents.clone()) {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                pipe.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors);
-            }
+        let mut d = DagBench::new(4, |c| {
+            PipelinedBullshark::new(c.clone(), Reputation::new(c))
+        });
+        for r in 1..=20 {
+            d.round(r, &[0, 2, 3]);
         }
-        assert!(
-            anchors.iter().all(|a| a.origin() != ValidatorId(1)),
-            "dead validator never leads a committed round"
-        );
-        assert!(pipe.schedule().score(ValidatorId(1)) < 0, "demoted");
-        assert!(
-            anchors.iter().any(|a| a.origin() == ValidatorId(3)),
-            "idle validator promoted into the rotation"
-        );
+        let leaders: Vec<u32> = d.decided().iter().map(|a| a.1).collect();
+        assert!(!leaders.contains(&1), "dead validator never leads");
+        assert!(d.rule.election().score(ValidatorId(1)) < 0, "demoted");
+        assert!(leaders.contains(&3), "idle validator promoted");
         // 20 full rounds at per-round cadence: one anchor per round except
         // around the single skipped turn.
-        let (direct, indirect) = pipe.commit_counts();
+        let (direct, indirect) = d.rule.commit_counts();
         assert_eq!(indirect, 0);
         assert!(direct >= 16, "per-round commits keep flowing, got {direct}");
-        assert_eq!(pipe.settled_waves(), direct + 1, "exactly one skip");
-    }
-
-    #[test]
-    fn reputation_standings_survive_restart_byte_identically() {
-        // Four validators interpret one DAG with a dead member (validator
-        // 1), so re-anchoring is actively rewriting the reputation
-        // standings while validator 0 checkpoint-restarts mid-run. The
-        // restored instance must end with standings byte-identical to the
-        // peers that never restarted — a diverged schedule would anchor
-        // different rounds on different leaders committee-wide.
-        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut pipes: Vec<PipelinedBullshark<Reputation>> = (0..4)
-            .map(|_| PipelinedBullshark::new(committee.clone(), Reputation::new(&committee)))
-            .collect();
-        let authors: Vec<u32> = vec![0, 2, 3];
-        let feed_round = |dag: &mut Dag, pipes: &mut [PipelinedBullshark<Reputation>], r| {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for cert in make_round(&committee, &kps, r, &authors, |_| parents.clone()) {
-                dag.insert(cert.clone());
-                for pipe in pipes.iter_mut() {
-                    let mut out = ConsensusOut::default();
-                    pipe.on_certificate(dag, &cert, &mut out);
-                }
-            }
-        };
-        for r in 1..=10u64 {
-            feed_round(&mut dag, &mut pipes, r);
-        }
-        // Validator 0 crashes and recovers from its durable checkpoint.
-        let blob = pipes[0].checkpoint().expect("checkpointed");
-        pipes[0] = PipelinedBullshark::new(committee.clone(), Reputation::new(&committee));
-        pipes[0].restore(&blob);
-        for r in 11..=20u64 {
-            feed_round(&mut dag, &mut pipes, r);
-        }
-        assert!(
-            pipes[0].schedule().score(ValidatorId(1)) < 0,
-            "the skip that demoted the dead validator survived the restart"
-        );
-        let standings: Vec<Vec<u8>> = pipes
-            .iter()
-            .map(|p| p.checkpoint().expect("checkpointed"))
-            .collect();
-        for (v, blob) in standings.iter().enumerate().skip(1) {
-            assert_eq!(
-                standings[0], *blob,
-                "validator {v} and the restarted validator 0 diverged"
-            );
-        }
-        let (direct, _) = pipes[0].commit_counts();
-        assert!(direct >= 16, "commits kept flowing through the restart");
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_identically() {
-        let mut d = Driver::new(4);
-        for r in 1..=6 {
-            d.full_round(r);
-        }
-        let blob = d.pipe.checkpoint().expect("checkpointed");
-        let mut fresh = PipelinedBullshark::new(d.committee.clone(), RoundRobin::new(&d.committee));
-        fresh.restore(&blob);
-        assert_eq!(fresh.base_round(), d.pipe.base_round());
-        assert_eq!(fresh.settled_waves(), d.pipe.settled_waves());
-        assert_eq!(fresh.commit_counts(), d.pipe.commit_counts());
-        // The restored instance keeps deciding where the original would.
-        d.pipe = fresh;
-        for r in 7..=8 {
-            d.full_round(r);
-        }
-        let rounds: Vec<Round> = d.anchors.iter().map(Certificate::round).collect();
-        assert_eq!(rounds, vec![1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn garbage_restore_blob_is_ignored() {
-        let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let mut pipe = PipelinedBullshark::new(committee.clone(), RoundRobin::new(&committee));
-        pipe.restore(b"not a checkpoint");
-        assert_eq!(pipe.base_round(), 1);
-        assert_eq!(pipe.settled_waves(), 0);
+        assert_eq!(d.rule.frontier().settled, direct + 1, "exactly one skip");
     }
 }

@@ -1,11 +1,11 @@
-//! Pluggable leader schedules for Bullshark waves.
+//! Leader schedules: the [`Election`]s of the Bullshark family.
 //!
 //! Partially-synchronous Bullshark replaces Tusk's retrospective shared
 //! coin with *predefined* leaders: every validator must compute the same
 //! leader for a wave without exchanging messages. The schedule is therefore
 //! a deterministic function of the wave number and of state that advances
-//! only with the *settled* wave outcomes — which Bullshark delivers to all
-//! validators in the same order (see `Bullshark::settle_instance`).
+//! only with the *settled* wave outcomes — which the anchor walk delivers to
+//! all validators in the same order (see `narwhal::anchor_walk`).
 //!
 //! Two schedules are provided:
 //!
@@ -17,47 +17,11 @@
 //!   crashed or sluggish validators stop costing a skipped wave per
 //!   rotation turn.
 
+use narwhal::Election;
 use nt_types::{Committee, ValidatorId};
 
-/// A deterministic wave-leader assignment.
-///
-/// Implementations must be pure functions of (wave, recorded history):
-/// [`LeaderSchedule::record`] is invoked exactly once per wave, in strictly
-/// ascending wave order, with the *agreed* outcome of that wave. Because
-/// every validator settles the same outcomes in the same order, identical
-/// schedule instances stay identical across the committee — the property
-/// Bullshark's safety rests on.
-pub trait LeaderSchedule: Send {
-    /// The leader of `wave` (waves are numbered from 1) under the current
-    /// recorded history.
-    fn leader(&self, wave: u64) -> ValidatorId;
-
-    /// Records the settled outcome of `wave`: its `leader` either committed
-    /// (`committed = true`) or was skipped. Called in ascending wave order.
-    fn record(&mut self, wave: u64, leader: ValidatorId, committed: bool) {
-        let _ = (wave, leader, committed);
-    }
-
-    /// Serializes the schedule's recorded history for the crash checkpoint.
-    ///
-    /// Stateful schedules must implement this pair: Bullshark restores the
-    /// settled wave *without* replaying the settled instances, so a
-    /// schedule restored to its default state would assign different
-    /// leaders than the rest of the committee — a safety violation.
-    /// Stateless schedules keep the empty default.
-    fn checkpoint(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restores state produced by [`LeaderSchedule::checkpoint`]. Invalid
-    /// blobs are ignored (the schedule keeps its current state).
-    fn restore(&mut self, checkpoint: &[u8]) {
-        let _ = checkpoint;
-    }
-}
-
 /// Rotates leaders over the whole committee: wave `w` is led by validator
-/// `(w - 1) mod n`. History-free, so it never needs [`LeaderSchedule::record`].
+/// `(w - 1) mod n`. History-free, so it never needs [`Election::record`].
 #[derive(Clone, Debug)]
 pub struct RoundRobin {
     n: u32,
@@ -72,10 +36,10 @@ impl RoundRobin {
     }
 }
 
-impl LeaderSchedule for RoundRobin {
-    fn leader(&self, wave: u64) -> ValidatorId {
+impl Election for RoundRobin {
+    fn foreseen(&self, wave: u64) -> Option<ValidatorId> {
         debug_assert!(wave >= 1, "wave numbering starts at 1");
-        ValidatorId((wave.saturating_sub(1) % self.n as u64) as u32)
+        Some(ValidatorId((wave.saturating_sub(1) % self.n as u64) as u32))
     }
 }
 
@@ -101,7 +65,7 @@ pub struct Reputation {
     /// the actual rotation width.
     eligible: usize,
     /// Validator ids ranked best-first, maintained on [`Reputation::record`]
-    /// — `leader()` sits in per-certificate hot loops and must not sort.
+    /// — `foreseen()` sits in per-certificate hot loops and must not sort.
     ranked: Vec<u32>,
 }
 
@@ -147,11 +111,11 @@ impl Reputation {
     }
 }
 
-impl LeaderSchedule for Reputation {
-    fn leader(&self, wave: u64) -> ValidatorId {
+impl Election for Reputation {
+    fn foreseen(&self, wave: u64) -> Option<ValidatorId> {
         debug_assert!(wave >= 1, "wave numbering starts at 1");
         let slot = (wave.saturating_sub(1) % self.eligible as u64) as usize;
-        ValidatorId(self.ranked[slot])
+        Some(ValidatorId(self.ranked[slot]))
     }
 
     fn record(&mut self, _wave: u64, leader: ValidatorId, committed: bool) {
@@ -171,15 +135,16 @@ impl LeaderSchedule for Reputation {
         nt_codec::encode_to_vec(&self.scores.iter().map(|s| *s as u64).collect::<Vec<u64>>())
     }
 
-    fn restore(&mut self, checkpoint: &[u8]) {
+    fn restore(&mut self, checkpoint: &[u8]) -> bool {
         let Ok(scores) = nt_codec::decode_from_slice::<Vec<u64>>(checkpoint) else {
-            return;
+            return false;
         };
         if scores.len() != self.scores.len() {
-            return;
+            return false;
         }
         self.scores = scores.into_iter().map(|s| s as i64).collect();
         self.rerank();
+        true
     }
 }
 
@@ -195,7 +160,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_over_committee() {
         let rr = RoundRobin::new(&committee(4));
-        let leaders: Vec<u32> = (1..=6).map(|w| rr.leader(w).0).collect();
+        let leaders: Vec<u32> = (1..=6).map(|w| rr.foreseen(w).unwrap().0).collect();
         assert_eq!(leaders, vec![0, 1, 2, 3, 0, 1]);
     }
 
@@ -204,7 +169,7 @@ mod tests {
         // Equal scores exclude nobody: demotion needs evidence, not an id
         // tie-break, so a fresh schedule rotates over the full committee.
         let rep = Reputation::new(&committee(4));
-        let leaders: Vec<u32> = (1..=5).map(|w| rep.leader(w).0).collect();
+        let leaders: Vec<u32> = (1..=5).map(|w| rep.foreseen(w).unwrap().0).collect();
         assert_eq!(leaders, vec![0, 1, 2, 3, 0]);
     }
 
@@ -215,7 +180,7 @@ mod tests {
         let mut rep = Reputation::new(&committee(4));
         rep.record(1, ValidatorId(0), true);
         // Scores [1, 0, 0, 0]: the 3rd best is 0, tied by validator 3.
-        let leaders: Vec<u32> = (2..=9).map(|w| rep.leader(w).0).collect();
+        let leaders: Vec<u32> = (2..=9).map(|w| rep.foreseen(w).unwrap().0).collect();
         assert!(leaders.contains(&3), "tied validator rotates: {leaders:?}");
     }
 
@@ -228,7 +193,7 @@ mod tests {
         rep.record(3, ValidatorId(2), true);
         assert_eq!(rep.score(ValidatorId(1)), -SKIP_PENALTY);
         // Rotation is now over {0, 2, 3}: validator 1 no longer leads.
-        let leaders: Vec<u32> = (4..=9).map(|w| rep.leader(w).0).collect();
+        let leaders: Vec<u32> = (4..=9).map(|w| rep.foreseen(w).unwrap().0).collect();
         assert!(!leaders.contains(&1), "skipped leader demoted: {leaders:?}");
         assert!(leaders.contains(&3), "equal-scored validator promoted");
     }
@@ -256,7 +221,7 @@ mod tests {
             b.record(w, ValidatorId(v), ok);
         }
         for w in 5..40 {
-            assert_eq!(a.leader(w), b.leader(w));
+            assert_eq!(a.foreseen(w), b.foreseen(w));
         }
     }
 }

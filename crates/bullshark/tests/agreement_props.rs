@@ -3,59 +3,13 @@
 //! certificate prefixes), and no-commit-loss across garbage collection.
 
 use bullshark::{Bullshark, Reputation, RoundRobin};
-use narwhal::{ConsensusOut, Dag, DagConsensus};
-use nt_crypto::{Digest, Hashable, Scheme};
-use nt_types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
+use narwhal::testing::{random_dag, replay, CommitSeq, Lcg};
+use narwhal::{DagConsensus, NoExt};
+use nt_types::{Certificate, Committee, Round, ValidatorId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// Block identities in commit order: `(round, author)`.
-type CommitSeq = Vec<(Round, ValidatorId)>;
-
-/// Builds a randomized DAG like a real execution would: every block
-/// references a pseudo-random 2f+1-subset of the previous round.
-fn random_dag_certs(n: usize, rounds: Round, edges: &[u8]) -> (Committee, Vec<Certificate>) {
-    let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-    let quorum = committee.quorum_threshold();
-    let mut all: Vec<Certificate> = Certificate::genesis_set(&committee);
-    let mut prev: Vec<Digest> = all.iter().map(Certificate::header_digest).collect();
-    let mut idx = 0usize;
-    for r in 1..=rounds {
-        let mut next = Vec::new();
-        for (i, kp) in kps.iter().enumerate() {
-            let mut parents = prev.clone();
-            while parents.len() > quorum {
-                let pick = edges.get(idx).copied().unwrap_or(7) as usize % parents.len();
-                idx += 1;
-                parents.remove(pick);
-            }
-            let header = Header::new(kp, ValidatorId(i as u32), r, vec![], parents, None);
-            let votes: Vec<Vote> = kps
-                .iter()
-                .enumerate()
-                .map(|(j, vkp)| {
-                    Vote::new(
-                        vkp,
-                        ValidatorId(j as u32),
-                        header.digest(),
-                        r,
-                        header.author,
-                    )
-                })
-                .collect();
-            let cert = Certificate::from_votes(&committee, header, &votes).expect("quorum");
-            next.push(cert.header_digest());
-            all.push(cert);
-        }
-        prev = next;
-    }
-    (committee, all)
-}
-
-/// One validator's view: feeds `certs` in `order` (deferring certs whose
-/// parents are missing, as the primary's suspension discipline does) and
-/// returns the committed anchors plus the linearized certificate sequence
-/// obtained by flushing each anchor's not-yet-ordered causal history.
+/// One validator's view under either schedule: `(anchors, linearized)`.
 fn run_view(
     committee: &Committee,
     certs: &[Certificate],
@@ -63,71 +17,13 @@ fn run_view(
     reputation: bool,
     gc_depth: Option<Round>,
 ) -> (CommitSeq, CommitSeq) {
-    let mut rr;
-    let mut rep;
-    let consensus: &mut dyn DagConsensus<Ext = narwhal::NoExt> = if reputation {
-        rep = Bullshark::new(committee.clone(), Reputation::new(committee));
-        &mut rep
+    let c = committee.clone();
+    let mut rule: Box<dyn DagConsensus<Ext = NoExt>> = if reputation {
+        Box::new(Bullshark::new(c, Reputation::new(committee)))
     } else {
-        rr = Bullshark::new(committee.clone(), RoundRobin::new(committee));
-        &mut rr
+        Box::new(Bullshark::new(c, RoundRobin::new(committee)))
     };
-    let mut dag = Dag::new();
-    let mut anchors = Vec::new();
-    let mut linearized = Vec::new();
-    let mut ordered: HashSet<Digest> = HashSet::new();
-    let mut pending: Vec<Certificate> = order.iter().map(|i| certs[*i].clone()).collect();
-    while !pending.is_empty() {
-        let mut progressed = false;
-        let mut rest = Vec::new();
-        for cert in pending {
-            if cert.round() < dag.first_retained_round() {
-                // Pruned behind the commit point: the primary drops these.
-                progressed = true;
-                continue;
-            }
-            if dag.missing_parents(&cert).is_empty() {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                consensus.on_certificate(&dag, &cert, &mut out);
-                for anchor in out.anchors {
-                    anchors.push((anchor.round(), anchor.origin()));
-                    let history = dag
-                        .collect_history(&anchor, &ordered)
-                        .expect("complete causal cone");
-                    for c in &history {
-                        ordered.insert(c.header_digest());
-                        linearized.push((c.round(), c.origin()));
-                    }
-                    if let Some(depth) = gc_depth {
-                        let gc_round = anchor.round().saturating_sub(depth);
-                        if gc_round > 0 {
-                            for pruned in dag.gc(gc_round) {
-                                ordered.remove(&pruned.header_digest());
-                            }
-                        }
-                    }
-                }
-                progressed = true;
-            } else {
-                rest.push(cert);
-            }
-        }
-        assert!(progressed, "delivery must make progress");
-        pending = rest;
-    }
-    (anchors, linearized)
-}
-
-fn shuffle(len: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..len).collect();
-    let mut state = seed | 1;
-    for i in (1..order.len()).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let j = (state >> 33) as usize % (i + 1);
-        order.swap(i, j);
-    }
-    order
+    replay(rule.as_mut(), certs, order, gc_depth)
 }
 
 proptest! {
@@ -141,9 +37,9 @@ proptest! {
         shuffle_seed in any::<u64>(),
         reputation in any::<bool>(),
     ) {
-        let (committee, certs) = random_dag_certs(4, 10, &edges);
+        let (committee, certs) = random_dag(4, 10, &edges);
         let in_order: Vec<usize> = (0..certs.len()).collect();
-        let shuffled = shuffle(certs.len(), shuffle_seed);
+        let shuffled = Lcg::new(shuffle_seed).shuffled(certs.len());
         let (a, _) = run_view(&committee, &certs, &in_order, reputation, None);
         let (b, _) = run_view(&committee, &certs, &shuffled, reputation, None);
         let common = a.len().min(b.len());
@@ -160,9 +56,9 @@ proptest! {
         shuffle_seed in any::<u64>(),
         reputation in any::<bool>(),
     ) {
-        let (committee, certs) = random_dag_certs(4, 10, &edges);
+        let (committee, certs) = random_dag(4, 10, &edges);
         let in_order: Vec<usize> = (0..certs.len()).collect();
-        let shuffled = shuffle(certs.len(), shuffle_seed);
+        let shuffled = Lcg::new(shuffle_seed).shuffled(certs.len());
         let (_, lin_a) = run_view(&committee, &certs, &in_order, reputation, None);
         let (_, lin_b) = run_view(&committee, &certs, &shuffled, reputation, None);
         let common = lin_a.len().min(lin_b.len());
@@ -183,7 +79,7 @@ proptest! {
         gc_depth in 4u64..8,
         reputation in any::<bool>(),
     ) {
-        let (committee, certs) = random_dag_certs(4, 12, &edges);
+        let (committee, certs) = random_dag(4, 12, &edges);
         let in_order: Vec<usize> = (0..certs.len()).collect();
         let (plain_anchors, plain_lin) =
             run_view(&committee, &certs, &in_order, reputation, None);

@@ -5,8 +5,13 @@
 //! trait is that boundary. The primary feeds every DAG insertion to the
 //! consensus module; the module returns *anchors* — certificates whose
 //! causal histories the primary then linearizes and commits. Protocols that
-//! exchange their own messages (HotStuff) declare an extension message type;
-//! Tusk's is the empty [`NoExt`].
+//! exchange their own messages (HotStuff) declare an extension message type
+//! and implement the trait directly. Protocols that only interpret the DAG —
+//! Tusk, DAG-Rider, Bullshark and its variants — are policies over the one
+//! implementation in [`anchor_walk`](crate::anchor_walk), with the empty
+//! [`NoExt`]. The trait is what the primary calls, nothing more: decisions
+//! in, anchors out; counters, a crash checkpoint, and two bounded-wait
+//! timing hints.
 
 use crate::dag::Dag;
 use nt_network::Time;
@@ -109,19 +114,6 @@ pub trait DagConsensus: Send {
         let _ = checkpoint;
     }
 
-    /// Rounds between consecutive anchor candidates on the happy path.
-    ///
-    /// Two-round-wave protocols (Bullshark, FinWhale) elect an anchor every
-    /// other round; pipelined-anchor protocols (Shoal-style) elect one every
-    /// round and return 1; Tusk's three-round waves still *commit* one
-    /// anchor per two rounds on average, so the default of 2 fits it too.
-    /// Deployment tooling and the fairness checker use the cadence to
-    /// reason about how dense a healthy commit stream should be; it is
-    /// informational and never affects safety.
-    fn anchor_cadence(&self) -> Round {
-        2
-    }
-
     /// Parents the protocol would like present before the primary proposes
     /// its `round` block, as `(round - 1, author)` slots.
     ///
@@ -132,8 +124,8 @@ pub trait DagConsensus: Send {
     /// bound it applies to payload), then proposes without the wish, so
     /// liveness and safety never depend on it. The default waits for
     /// nothing.
-    fn parent_wishes(&self, dag: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
-        let _ = (dag, round);
+    fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
+        let _ = round;
         Vec::new()
     }
 
@@ -153,14 +145,57 @@ pub trait DagConsensus: Send {
     /// actually waits for), which is why the primary bounds the wait by
     /// `max_header_delay`, not the leader timeout. The default wishes for
     /// nothing.
-    fn coverage_wishes(
-        &self,
-        dag: &Dag,
-        round: Round,
-        me: ValidatorId,
-    ) -> Vec<(Round, ValidatorId)> {
-        let _ = (dag, round, me);
+    fn coverage_wishes(&self, round: Round, me: ValidatorId) -> Vec<(Round, ValidatorId)> {
+        let _ = (round, me);
         Vec::new()
+    }
+}
+
+/// A boxed protocol is a protocol: hosts that pick the rule at run time
+/// hold a `Box<dyn DagConsensus<Ext = _>>`.
+impl<C: DagConsensus + ?Sized> DagConsensus for Box<C> {
+    type Ext = C::Ext;
+
+    fn on_start(&mut self, out: &mut ConsensusOut<Self::Ext>) {
+        (**self).on_start(out)
+    }
+
+    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<Self::Ext>) {
+        (**self).on_certificate(dag, cert, out)
+    }
+
+    fn on_message(
+        &mut self,
+        from: ValidatorId,
+        msg: Self::Ext,
+        dag: &Dag,
+        out: &mut ConsensusOut<Self::Ext>,
+    ) {
+        (**self).on_message(from, msg, dag, out)
+    }
+
+    fn on_timer(&mut self, tag: u64, dag: &Dag, out: &mut ConsensusOut<Self::Ext>) {
+        (**self).on_timer(tag, dag, out)
+    }
+
+    fn commit_counts(&self) -> (u64, u64) {
+        (**self).commit_counts()
+    }
+
+    fn checkpoint(&self) -> Option<Vec<u8>> {
+        (**self).checkpoint()
+    }
+
+    fn restore(&mut self, checkpoint: &[u8]) {
+        (**self).restore(checkpoint)
+    }
+
+    fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
+        (**self).parent_wishes(round)
+    }
+
+    fn coverage_wishes(&self, round: Round, me: ValidatorId) -> Vec<(Round, ValidatorId)> {
+        (**self).coverage_wishes(round, me)
     }
 }
 

@@ -17,18 +17,23 @@
 //! - [`worker`]: the scale-out worker state machine — batching, streaming,
 //!   quorum acknowledgments, and batch fetching (§4.2).
 //! - [`consensus`]: the plug-in interface consensus protocols implement to
-//!   order the DAG (Tusk and DAG-Rider in the `tusk` crate, HotStuff in
-//!   `nt-hotstuff`).
+//!   order the DAG (HotStuff in `nt-hotstuff` implements it directly).
 //! - [`messages`]: the wire protocol, generic over a consensus extension.
 //! - [`store`]: the typed persistent block store (the paper's RocksDB
 //!   role), with crash recovery of the DAG.
 //! - [`node`]: the [`NodeBuilder`] construction surface and the
 //!   role-agnostic [`Node`] driver API (with [`CommitStream`] taps) that
 //!   the simulator and the real-socket runtime both program against.
+//! - [`anchor_walk`]: the one engine behind every DAG commit rule; Tusk,
+//!   DAG-Rider, Bullshark and its variants are policies over it.
 //! - [`deployment`]: host layout shared by the simulator and local runtime.
+//! - [`committee`]: builds every host of a deployment in that layout.
+//! - [`testing`]: hand-built and recorded DAGs for commit-rule tests.
 //! - [`config`]: tunable parameters with the paper's defaults.
 
 pub mod adversary;
+pub mod anchor_walk;
+pub mod committee;
 pub mod config;
 pub mod consensus;
 pub mod dag;
@@ -37,9 +42,12 @@ pub mod messages;
 pub mod node;
 pub mod primary;
 pub mod store;
+pub mod testing;
 pub mod worker;
 
 pub use adversary::{AdversaryKind, Byzantine, ADVERSARY_TAG_BASE};
+pub use anchor_walk::{AnchorWalk, Coin, CommitRule, Election, Frontier, Seed};
+pub use committee::{committee_actors, committee_factories};
 pub use config::{NarwhalConfig, SelfTestBugs, SyntheticLoad};
 pub use consensus::{ConsensusOut, DagConsensus, NoConsensus, NoExt};
 pub use dag::{CertId, Dag, DagView, InsertOutcome};

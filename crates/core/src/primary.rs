@@ -872,12 +872,10 @@ impl<C: DagConsensus> Primary<C> {
         let awaiting_parent = now < wish_deadline
             && self
                 .consensus
-                .parent_wishes(&self.dag, self.round)
+                .parent_wishes(self.round)
                 .into_iter()
                 .any(|(round, author)| self.dag.get(round, author).is_none());
-        let wishes = self
-            .consensus
-            .coverage_wishes(&self.dag, self.round, self.me);
+        let wishes = self.consensus.coverage_wishes(self.round, self.me);
         let awaiting_own = now < deadline
             && wishes
                 .iter()
@@ -2785,7 +2783,7 @@ mod tests {
 
         fn on_certificate(&mut self, _: &Dag, _: &Certificate, _: &mut ConsensusOut<NoExt>) {}
 
-        fn parent_wishes(&self, _: &Dag, round: Round) -> Vec<(Round, ValidatorId)> {
+        fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
             vec![(round - 1, ValidatorId(3))]
         }
     }

@@ -2,206 +2,69 @@
 //!
 //! The paper notes "it would take less than 200 LOC to implement DAG-Rider
 //! over Narwhal"; this module validates that claim and serves as the
-//! ablation baseline for Tusk's 3-round piggybacked waves. Differences from
-//! Tusk, per §8.2:
-//!
-//! - waves are 4 rounds with no piggybacking (wave `w` owns rounds
-//!   `4w-3 .. 4w`), so each block commits in ~5.5 rounds in expectation
-//!   instead of Tusk's ~4.5;
-//! - the commit rule requires `2f + 1` blocks in the wave's *last* round
-//!   with a strong path to the leader;
-//! - weak links (DAG-Rider's block-level fairness device) are omitted, as
-//!   Tusk forbids them to enable garbage collection.
+//! ablation baseline for Tusk's piggybacked waves. Wave `w` owns rounds
+//! `4w - 3 ..= 4w` with no piggybacking, so each block commits in ~5.5
+//! rounds in expectation instead of Tusk's ~4.5; the leader sits in the
+//! first round, the coin is revealed in the last, and the leader commits
+//! once `2f + 1` last-round blocks have a strong path to it. Weak links
+//! (DAG-Rider's block-level fairness device) are omitted, as Tusk forbids
+//! them to enable garbage collection.
 
-use narwhal::{CertId, ConsensusOut, Dag, DagConsensus, DagView, NoExt};
-use nt_codec::{decode_from_slice, encode_to_vec};
-use nt_crypto::{combine_shares, CoinShare};
-use nt_types::{Certificate, Committee, Round, ValidatorId};
+use narwhal::{AnchorWalk, CertId, Coin, CommitRule, DagView, Frontier};
+use nt_types::{Committee, Round};
 
-/// DAG-Rider consensus state.
-pub struct DagRider {
-    committee: Committee,
-    domain: u64,
-    last_committed_wave: u64,
-    /// Count of directly committed leaders (metrics).
-    direct_commits: u64,
-    /// Count of leaders committed via the recursive path rule (metrics).
-    indirect_commits: u64,
-}
+/// DAG-Rider consensus: `DagRider::new(committee, domain)`, as [`Tusk`].
+///
+/// [`Tusk`]: crate::Tusk
+pub type DagRider = AnchorWalk<Coin, DagRiderRule>;
 
-impl DagRider {
-    /// Creates a DAG-Rider instance (`domain` seeds the coin, as in Tusk).
-    pub fn new(committee: Committee, domain: u64) -> Self {
-        DagRider {
-            committee,
-            domain,
-            last_committed_wave: 0,
-            direct_commits: 0,
-            indirect_commits: 0,
-        }
+/// Four-round waves, `2f + 1` last-round blocks with a path.
+#[derive(Default)]
+pub struct DagRiderRule;
+
+impl CommitRule for DagRiderRule {
+    const TAG: u8 = 2;
+    const REVEAL_AFTER: Round = 3;
+
+    fn anchor_round(&self, _: Frontier, wave: u64) -> Round {
+        4 * wave - 3
     }
 
-    /// First round of wave `w`.
-    pub fn first_round(w: u64) -> Round {
-        4 * w - 3
-    }
-
-    /// Last round of wave `w` (where the coin is revealed).
-    pub fn last_round(w: u64) -> Round {
-        4 * w
-    }
-
-    fn elect(&self, view: DagView<'_>, wave: u64) -> Option<ValidatorId> {
-        let reveal = Self::last_round(wave);
-        let shares: Vec<CoinShare> = view
-            .round_ids(reveal)
-            .filter_map(|id| view.cert(id).header.coin_share)
-            .collect();
-        let coin = combine_shares(
-            self.domain,
-            reveal,
-            &shares,
-            self.committee.validity_threshold(),
-        )?;
-        Some(ValidatorId((coin % self.committee.size() as u64) as u32))
-    }
-
-    fn leader_id_of(&self, view: DagView<'_>, wave: u64) -> Option<CertId> {
-        let leader = self.elect(view, wave)?;
-        view.id_at(Self::first_round(wave), leader)
-    }
-
-    /// Re-evaluates all undecided waves (never frozen; see `Tusk`).
-    fn try_decide(&mut self, dag: &Dag) -> Vec<Certificate> {
-        let view = dag.view();
-        let mut anchors = Vec::new();
-        let mut wave = self.last_committed_wave + 1;
-        while let Some(leader_id) = self.elect(view, wave) {
-            let r1 = Self::first_round(wave);
-            if let Some(leader) = view.id_at(r1, leader_id) {
-                // Commit rule: 2f + 1 blocks in the wave's last round with
-                // a strong path to the leader.
-                let votes = view
-                    .round_ids(Self::last_round(wave))
-                    .filter(|c| view.path_exists(*c, leader))
-                    .count();
-                if votes >= self.committee.quorum_threshold() {
-                    let mut chain = vec![leader];
-                    let mut candidate = leader;
-                    for w in (self.last_committed_wave + 1..wave).rev() {
-                        if let Some(past) = self.leader_id_of(view, w) {
-                            if view.path_exists(candidate, past) {
-                                chain.push(past);
-                                candidate = past;
-                            }
-                        }
-                    }
-                    self.direct_commits += 1;
-                    self.indirect_commits += (chain.len() - 1) as u64;
-                    chain.reverse();
-                    anchors.extend(chain.into_iter().map(|id| view.cert(id).clone()));
-                    self.last_committed_wave = wave;
-                }
-            }
-            wave += 1;
-        }
-        anchors
-    }
-}
-
-impl DagConsensus for DagRider {
-    type Ext = NoExt;
-
-    fn on_certificate(&mut self, dag: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
-        let _ = cert;
-        out.anchors.extend(self.try_decide(dag));
-    }
-
-    fn commit_counts(&self) -> (u64, u64) {
-        (self.direct_commits, self.indirect_commits)
-    }
-
-    /// Same wave-walk checkpoint as Tusk (and for the same reason: coin
-    /// shares of settled waves do not survive garbage collection).
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(encode_to_vec(&(
-            self.last_committed_wave,
-            self.direct_commits,
-            self.indirect_commits,
-        )))
-    }
-
-    fn restore(&mut self, checkpoint: &[u8]) {
-        if let Ok((wave, direct, indirect)) = decode_from_slice::<(u64, u64, u64)>(checkpoint) {
-            self.last_committed_wave = wave;
-            self.direct_commits = direct;
-            self.indirect_commits = indirect;
-        }
+    fn commits_directly(&self, committee: &Committee, view: DagView<'_>, anchor: CertId) -> bool {
+        let last = view.round_of(anchor) + Self::REVEAL_AFTER;
+        let votes = view
+            .round_ids(last)
+            .filter(|&id| view.path_exists(id, anchor));
+        votes.count() >= committee.quorum_threshold()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_crypto::{Digest, Hashable, Scheme};
-    use nt_types::{Header, Vote};
+    use narwhal::testing::DagBench;
 
-    fn drive_full_dag(n: usize, rounds: Round) -> (Vec<Certificate>, DagRider) {
-        let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-        let mut dag = Dag::new();
-        dag.insert_genesis(Certificate::genesis_set(&committee));
-        let mut rider = DagRider::new(committee.clone(), 11);
-        let mut anchors = Vec::new();
+    fn drive_full_dag(rounds: Round) -> Vec<(Round, u32)> {
+        let mut d = DagBench::new(4, |c| DagRider::new(c.clone(), 11));
         for r in 1..=rounds {
-            let parents: Vec<Digest> = dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
-            for (i, kp) in kps.iter().enumerate() {
-                let share = CoinShare::new(kp, r);
-                let header = Header::new(
-                    kp,
-                    ValidatorId(i as u32),
-                    r,
-                    vec![],
-                    parents.clone(),
-                    Some(share),
-                );
-                let votes: Vec<Vote> = kps
-                    .iter()
-                    .enumerate()
-                    .map(|(j, vkp)| {
-                        Vote::new(
-                            vkp,
-                            ValidatorId(j as u32),
-                            header.digest(),
-                            r,
-                            header.author,
-                        )
-                    })
-                    .collect();
-                let cert = Certificate::from_votes(&committee, header, &votes).unwrap();
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                rider.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors);
-            }
+            d.full_round(r);
         }
-        (anchors, rider)
+        d.decided()
     }
 
     #[test]
     fn wave_round_arithmetic() {
-        assert_eq!(DagRider::first_round(1), 1);
-        assert_eq!(DagRider::last_round(1), 4);
+        let at = Frontier::GENESIS;
+        let last_round = |w| DagRiderRule.anchor_round(at, w) + DagRiderRule::REVEAL_AFTER;
+        assert_eq!((DagRiderRule.anchor_round(at, 1), last_round(1)), (1, 4));
         // No piggybacking: wave 2 starts after wave 1 ends.
-        assert_eq!(DagRider::first_round(2), 5);
-        assert_eq!(DagRider::last_round(2), 8);
+        assert_eq!((DagRiderRule.anchor_round(at, 2), last_round(2)), (5, 8));
     }
 
     #[test]
     fn commits_one_leader_per_four_rounds() {
-        let (anchors, _) = drive_full_dag(4, 12);
         // Waves 1..=3 commit, anchored at rounds 1, 5, 9.
-        assert_eq!(anchors.len(), 3);
-        let rounds: Vec<Round> = anchors.iter().map(Certificate::round).collect();
+        let rounds: Vec<Round> = drive_full_dag(12).iter().map(|a| a.0).collect();
         assert_eq!(rounds, vec![1, 5, 9]);
     }
 
@@ -210,9 +73,11 @@ mod tests {
         // Over the same 13-round DAG, Tusk decides 6 waves (coin rounds at
         // 3,5,7,9,11,13) while DAG-Rider decides 3 (reveal rounds 4,8,12):
         // the piggybacking is exactly a 2x anchor-frequency improvement.
-        let (rider_anchors, _) = drive_full_dag(4, 13);
-        assert_eq!(rider_anchors.len(), 3);
-        assert_eq!(crate::tusk::Tusk::coin_round(6), 13);
-        assert_eq!(DagRider::last_round(3), 12);
+        assert_eq!(drive_full_dag(13).len(), 3);
+        let mut tusk = DagBench::new(4, |c| crate::Tusk::new(c.clone(), 11));
+        for r in 1..=13 {
+            tusk.full_round(r);
+        }
+        assert_eq!(tusk.anchors.len(), 6);
     }
 }

@@ -11,11 +11,15 @@
 //! improves on (§8.2): the paper predicts Tusk commits each block in ~4.5
 //! rounds in the common case versus ~5.5 for DAG-Rider, which the
 //! `ablation_dag_rider` bench reproduces.
+//!
+//! Both are policies over `narwhal::AnchorWalk`, which owns the scan, the
+//! walk, the counters and the checkpoint.
 
 pub mod dag_rider;
-pub mod system;
 pub mod tusk;
 
-pub use dag_rider::DagRider;
-pub use system::{build_tusk_actors, TuskMsg};
-pub use tusk::Tusk;
+pub use dag_rider::{DagRider, DagRiderRule};
+pub use tusk::{Tusk, TuskRule};
+
+/// The wire message type of a Tusk deployment (no consensus extension).
+pub type TuskMsg = narwhal::NarwhalMsg<narwhal::NoExt>;

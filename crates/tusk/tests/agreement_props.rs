@@ -2,86 +2,25 @@
 //! local views — different insertion orders and different subsets above the
 //! quorum floor — commit prefix-consistent anchor sequences.
 
-use narwhal::{ConsensusOut, Dag, DagConsensus};
-use nt_crypto::{CoinShare, Digest, Hashable, Scheme};
-use nt_types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
+use narwhal::testing::{random_dag, replay, CommitSeq, Lcg};
+use nt_types::{Certificate, Committee, ValidatorId};
 use proptest::prelude::*;
 use tusk::Tusk;
 
-/// Builds a randomized DAG like a real execution would: every block
-/// references a pseudo-random 2f+1-subset of the previous round.
-fn random_dag_certs(n: usize, rounds: Round, edges: &[u8]) -> (Committee, Vec<Certificate>) {
-    let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-    let quorum = committee.quorum_threshold();
-    let mut all: Vec<Certificate> = Certificate::genesis_set(&committee);
-    let mut prev: Vec<Digest> = all.iter().map(Certificate::header_digest).collect();
-    let mut idx = 0usize;
-    for r in 1..=rounds {
-        let mut next = Vec::new();
-        for (i, kp) in kps.iter().enumerate() {
-            let mut parents = prev.clone();
-            while parents.len() > quorum {
-                let pick = edges.get(idx).copied().unwrap_or(7) as usize % parents.len();
-                idx += 1;
-                parents.remove(pick);
-            }
-            let share = CoinShare::new(kp, r);
-            let header = Header::new(kp, ValidatorId(i as u32), r, vec![], parents, Some(share));
-            let votes: Vec<Vote> = kps
-                .iter()
-                .enumerate()
-                .map(|(j, vkp)| {
-                    Vote::new(
-                        vkp,
-                        ValidatorId(j as u32),
-                        header.digest(),
-                        r,
-                        header.author,
-                    )
-                })
-                .collect();
-            let cert = Certificate::from_votes(&committee, header, &votes).expect("quorum");
-            next.push(cert.header_digest());
-            all.push(cert);
-        }
-        prev = next;
-    }
-    (committee, all)
-}
-
-/// Feeds `certs` to a fresh Tusk in the given order (respecting the
-/// ancestry-completeness the primary enforces: a cert is delivered only
-/// after all its parents) and returns the committed anchor ids.
+/// The anchors a fresh Tusk commits when `certs` arrive in `order`.
 fn run_tusk(
     committee: &Committee,
     certs: &[Certificate],
     order: &[usize],
     domain: u64,
-) -> Vec<(Round, ValidatorId)> {
-    let mut dag = Dag::new();
-    let mut tusk = Tusk::new(committee.clone(), domain);
-    let mut anchors = Vec::new();
-    // Deliver in `order`, deferring certs whose parents are missing (the
-    // primary's suspension discipline).
-    let mut pending: Vec<Certificate> = order.iter().map(|i| certs[*i].clone()).collect();
-    while !pending.is_empty() {
-        let mut progressed = false;
-        let mut rest = Vec::new();
-        for cert in pending {
-            if dag.missing_parents(&cert).is_empty() {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                tusk.on_certificate(&dag, &cert, &mut out);
-                anchors.extend(out.anchors.iter().map(|a| (a.round(), a.origin())));
-                progressed = true;
-            } else {
-                rest.push(cert);
-            }
-        }
-        assert!(progressed, "delivery must make progress");
-        pending = rest;
-    }
-    anchors
+) -> CommitSeq {
+    replay(
+        &mut Tusk::new(committee.clone(), domain),
+        certs,
+        order,
+        None,
+    )
+    .0
 }
 
 proptest! {
@@ -93,15 +32,9 @@ proptest! {
         shuffle_seed in any::<u64>(),
         domain in any::<u64>(),
     ) {
-        let (committee, certs) = random_dag_certs(4, 9, &edges);
+        let (committee, certs) = random_dag(4, 9, &edges);
         let in_order: Vec<usize> = (0..certs.len()).collect();
-        let mut shuffled = in_order.clone();
-        let mut state = shuffle_seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (state >> 33) as usize % (i + 1);
-            shuffled.swap(i, j);
-        }
+        let shuffled = Lcg::new(shuffle_seed).shuffled(certs.len());
         let a = run_tusk(&committee, &certs, &in_order, domain);
         let b = run_tusk(&committee, &certs, &shuffled, domain);
         let common = a.len().min(b.len());
@@ -115,25 +48,14 @@ proptest! {
         drop_author in 0u32..4,
         domain in any::<u64>(),
     ) {
-        // Validator B never sees `drop_author`'s blocks above the quorum
-        // floor... only drop blocks that are NOT referenced by the blocks B
-        // does see, which for simplicity means: feed B everything (the DAG
-        // needs ancestry) but evaluate commits only on a prefix. Instead,
-        // model the sparser view as delayed delivery: B receives
+        // Model the sparser view as delayed delivery (the DAG needs
+        // ancestry, so B cannot simply never see the blocks): B receives
         // `drop_author`'s certificates after everyone else's.
-        let (committee, certs) = random_dag_certs(4, 9, &edges);
+        let (committee, certs) = random_dag(4, 9, &edges);
         let in_order: Vec<usize> = (0..certs.len()).collect();
-        let mut delayed: Vec<usize> = in_order
-            .iter()
-            .copied()
-            .filter(|i| certs[*i].origin() != ValidatorId(drop_author))
-            .collect();
-        delayed.extend(
-            in_order
-                .iter()
-                .copied()
-                .filter(|i| certs[*i].origin() == ValidatorId(drop_author)),
-        );
+        let late = |i: &usize| certs[*i].origin() == ValidatorId(drop_author);
+        let mut delayed: Vec<usize> = in_order.iter().copied().filter(|i| !late(i)).collect();
+        delayed.extend(in_order.iter().copied().filter(late));
         let a = run_tusk(&committee, &certs, &in_order, domain);
         let b = run_tusk(&committee, &certs, &delayed, domain);
         let common = a.len().min(b.len());

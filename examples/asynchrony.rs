@@ -58,13 +58,7 @@ fn run(system: System, duration: u64) -> Vec<u64> {
     config.partitions = partitions(params.nodes, workers, duration);
     let commits = match system {
         System::Tusk => {
-            let (committee, kps) = nt_types::Committee::deterministic(
-                params.nodes,
-                workers,
-                nt_crypto::Scheme::Insecure,
-            );
-            let actors =
-                tusk::build_tusk_actors(&committee, &kps, &params.narwhal_config(), workers, 7);
+            let actors = nt_bench::build_dag_actors(System::Tusk, &actors_params);
             Simulation::new(topology, config, actors).run().commits
         }
         System::BatchedHs => {

@@ -15,8 +15,9 @@
 //! 1. asserts both validators stamped the same root at every shared
 //!    sequence, and
 //! 2. replays validator 0's commit stream offline through a fresh engine
-//!    (fetching batch data from its store) to reproduce the same roots and
-//!    read back the final balances.
+//!    (over the batch data fetched from its store as each commit was
+//!    observed) to reproduce the same roots and read back the final
+//!    balances.
 //!
 //! Run with:
 //!
@@ -24,7 +25,7 @@
 //! cargo run --release --example payment_ledger
 //! ```
 
-use narwhal::{BlockStore, NarwhalConfig, NarwhalMsg, NoExt, NodeBuilder};
+use narwhal::{committee_factories, BlockStore, NarwhalConfig, NarwhalMsg, NoExt, NodeBuilder};
 use narwhal_tusk::crypto::Digest;
 use narwhal_tusk::execution::{transfer_tx, BatchData, Execution, LedgerApp};
 use narwhal_tusk::network::{Actor, LocalRuntime, MS};
@@ -54,23 +55,19 @@ fn main() {
     let stores: Vec<DynStore> = (0..n)
         .map(|_| Arc::new(JournalStore::new()) as DynStore)
         .collect();
-    let mut actors: Vec<Box<dyn Actor<Message = NarwhalMsg<NoExt>>>> = Vec::new();
-    for v in 0..n as u32 {
-        let primary = NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .keypair(keypairs[v as usize].clone())
-            .store(stores[v as usize].clone())
-            .execution(Box::new(LedgerApp::new()))
-            .build_primary(Tusk::new(committee.clone(), 42));
-        actors.push(Box::new(primary));
-    }
-    for v in 0..n as u32 {
-        let worker = NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .store(stores[v as usize].clone())
-            .build_worker::<NoExt>(WorkerId(0));
-        actors.push(Box::new(worker));
-    }
+    let with_ledger = {
+        let stores = stores.clone();
+        move |v: u32, builder: NodeBuilder| {
+            let builder = builder.store(stores[v as usize].clone());
+            builder.execution(Box::new(LedgerApp::new()))
+        }
+    };
+    let tusk = |c: &Committee| Tusk::new(c.clone(), 42);
+    let actors: Vec<Box<dyn Actor<Message = NarwhalMsg<NoExt>>>> =
+        committee_factories(&committee, &keypairs, &config, 1, tusk, with_ledger)
+            .into_iter()
+            .map(|mut build| build())
+            .collect();
     let handle = LocalRuntime::spawn(actors);
 
     println!("Submitting {TRANSFERS} transfers between {ACCOUNTS} accounts...");
@@ -87,7 +84,31 @@ fn main() {
     // Collect the commit streams of validators 0 and 1 until every transfer
     // is in the total order (summing `node == author` events counts each
     // batch exactly once across the system), then drain the slower tail.
+    // Validator 0's batches are fetched from its store as each commit is
+    // observed, the way an execution engine would (§8.4): execution-aware
+    // GC deletes a batch once the live engine has applied it, so a fetch
+    // deferred to the end of the run finds the early ones gone.
+    let store = BlockStore::new(stores[0].clone());
+    let fetch = |event: &CommitEvent| -> Vec<BatchData> {
+        let resolve = |(digest, _): &(Digest, WorkerId)| match store.get_batch(digest) {
+            Ok(Some(batch)) => BatchData::Full(batch),
+            Ok(None) => BatchData::Missing(*digest),
+            Err(e) => panic!("store: {e}"),
+        };
+        event.payload.iter().map(resolve).collect()
+    };
     let mut streams: BTreeMap<usize, Vec<CommitEvent>> = BTreeMap::new();
+    let mut fetched: BTreeMap<u64, Vec<BatchData>> = BTreeMap::new();
+    let mut record = |node: usize, event: CommitEvent| {
+        if node == 0 {
+            fetched
+                .entry(event.sequence)
+                .or_insert_with(|| fetch(&event));
+        }
+        if node <= 1 {
+            streams.entry(node).or_default().push(event);
+        }
+    };
     let mut committed_txs = 0u64;
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while committed_txs < TRANSFERS && std::time::Instant::now() < deadline {
@@ -97,14 +118,10 @@ fn main() {
         if node == event.author.0 as usize {
             committed_txs += event.tx_count;
         }
-        if node <= 1 {
-            streams.entry(node).or_default().push(event);
-        }
+        record(node, event);
     }
     while let Some((node, event)) = handle.next_commit(Duration::from_millis(300)) {
-        if node <= 1 {
-            streams.entry(node).or_default().push(event);
-        }
+        record(node, event);
     }
 
     // Every shared sequence: same block, same non-zero app root.
@@ -128,26 +145,15 @@ fn main() {
     println!("Validators 0 and 1 agree on app roots at {shared} shared sequences.");
 
     // Offline replay (§8.4): a fresh engine fed validator 0's recorded
-    // commit order, with batch data fetched from its store, must reproduce
+    // commit order and the batch data fetched along the way must reproduce
     // every stamped root — and ends up holding the final balances.
-    let store = BlockStore::new(stores[0].clone());
     handle.shutdown();
     let mut engine = LedgerApp::new();
     let mut ordered: Vec<&CommitEvent> = streams.get(&0).into_iter().flatten().collect();
     ordered.sort_by_key(|e| e.sequence);
     ordered.dedup_by_key(|e| e.sequence);
     for event in ordered {
-        let batches: Vec<BatchData> = event
-            .payload
-            .iter()
-            .map(
-                |(digest, _)| match store.get_batch(digest).expect("store") {
-                    Some(batch) => BatchData::Full(batch),
-                    None => BatchData::Missing(*digest),
-                },
-            )
-            .collect();
-        let root = engine.apply(event, &batches);
+        let root = engine.apply(event, &fetched[&event.sequence]);
         assert_eq!(
             root, event.app_root,
             "offline replay diverged at sequence {}",

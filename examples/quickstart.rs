@@ -10,9 +10,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use narwhal::{NarwhalConfig, NarwhalMsg};
+use narwhal::{committee_actors, NarwhalConfig, NarwhalMsg};
 use narwhal_tusk::network::{LocalRuntime, MS};
-use narwhal_tusk::tusk::build_tusk_actors;
+use narwhal_tusk::tusk::Tusk;
 use nt_crypto::Scheme;
 use nt_types::{Committee, Transaction};
 use std::time::Duration;
@@ -29,7 +29,8 @@ fn main() {
         max_header_delay: 100 * MS,
         ..NarwhalConfig::default()
     };
-    let actors = build_tusk_actors(&committee, &keypairs, &config, workers, 42);
+    let tusk = |c: &Committee| Tusk::new(c.clone(), 42);
+    let actors = committee_actors(&committee, &keypairs, &config, workers, tusk);
     let handle = LocalRuntime::spawn(actors);
 
     // Submit 200 transactions, spread over the four validators' workers

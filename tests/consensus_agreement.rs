@@ -7,121 +7,56 @@
 //! with different delivery orders of the same recorded DAG must linearize
 //! identical committed-certificate prefixes, and every linearization must
 //! respect the DAG's causal (parent) order.
+//!
+//! The six rules are one engine under six policies, so what the engine owns
+//! — the checkpoint format, restart, the timing hints — is tested here once,
+//! table-driven over all of them.
 
-use narwhal_tusk::bullshark::{Bullshark, FinWhale, PipelinedBullshark, Reputation, RoundRobin};
-use narwhal_tusk::crypto::{CoinShare, Digest, Hashable, Scheme};
-use narwhal_tusk::narwhal::{ConsensusOut, Dag, DagConsensus};
-use narwhal_tusk::tusk::{DagRider, Tusk};
-use narwhal_tusk::types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
-use std::collections::{HashMap, HashSet};
+use narwhal_tusk::bench::{dag_rule, DagRule, System};
+use narwhal_tusk::bullshark::{PipelinedBullshark, RoundRobin};
+use narwhal_tusk::crypto::Digest;
+use narwhal_tusk::narwhal::testing::{record_dag, replay, DagBench, Lcg};
+use narwhal_tusk::narwhal::DagConsensus;
+use narwhal_tusk::types::{Certificate, Committee, Round, ValidatorId};
+use std::collections::HashMap;
 
-/// A boxed zero-message consensus instance (all three protocols qualify).
-type BoxedConsensus = Box<dyn DagConsensus<Ext = narwhal_tusk::narwhal::NoExt>>;
-/// A factory producing one fresh instance per simulated validator view.
-type ProtocolFactory = fn(&Committee) -> BoxedConsensus;
+/// The six commit rules, as deployed.
+const RULES: [System; 6] = [
+    System::Tusk,
+    System::DagRider,
+    System::Bullshark,
+    System::BullsharkRep,
+    System::BullsharkPipelined,
+    System::FinWhale,
+];
 
-/// Records a pseudo-random but deterministic DAG: every block references a
-/// rotating 2f+1-subset of the previous round (all of it when `full`) and
-/// carries a coin share (Tusk and DAG-Rider need one; Bullshark ignores it).
-fn record_dag(n: usize, rounds: Round, seed: u64, full: bool) -> (Committee, Vec<Certificate>) {
-    record_dag_without(n, rounds, seed, full, &[])
+/// A fresh instance of `system`'s rule (coin domain 7).
+fn fresh(system: System, committee: &Committee) -> DagRule {
+    dag_rule(system, committee, 7)
 }
 
-/// [`record_dag`] in which the `dead` validators never produce a block.
-fn record_dag_without(
-    n: usize,
-    rounds: Round,
-    seed: u64,
-    full: bool,
-    dead: &[u32],
-) -> (Committee, Vec<Certificate>) {
-    let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
-    let quorum = committee.quorum_threshold();
-    let mut all: Vec<Certificate> = Certificate::genesis_set(&committee);
-    let mut prev: Vec<Digest> = all.iter().map(Certificate::header_digest).collect();
-    let mut state = seed | 1;
-    for r in 1..=rounds {
-        let mut next = Vec::new();
-        for (i, kp) in kps.iter().enumerate() {
-            if dead.contains(&(i as u32)) {
-                continue;
-            }
-            let mut parents = prev.clone();
-            while !full && parents.len() > quorum {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let pick = (state >> 33) as usize % parents.len();
-                parents.remove(pick);
-            }
-            let share = CoinShare::new(kp, r);
-            let header = Header::new(kp, ValidatorId(i as u32), r, vec![], parents, Some(share));
-            let votes: Vec<Vote> = kps
-                .iter()
-                .enumerate()
-                .map(|(j, vkp)| {
-                    Vote::new(
-                        vkp,
-                        ValidatorId(j as u32),
-                        header.digest(),
-                        r,
-                        header.author,
-                    )
-                })
-                .collect();
-            let cert = Certificate::from_votes(&committee, header, &votes).expect("quorum");
-            next.push(cert.header_digest());
-            all.push(cert);
-        }
-        prev = next;
-    }
-    (committee, all)
+/// Sparse 2f + 1 edges: leaders miss their direct quorum now and then, so
+/// the walk settles some of them indirectly. With `full`, every block
+/// references the whole previous round instead.
+fn four_validators(full: bool) -> (Committee, Vec<Certificate>) {
+    let mut lcg = Lcg::new(0xB5);
+    record_dag(4, 12, &[], |len| (!full).then(|| lcg.below(len)))
 }
 
-/// Replays the recorded DAG into `consensus` in `order` (deferring certs
-/// whose parents are missing, as the primary does) and returns the
-/// linearized committed-certificate sequence.
-fn linearize(
-    consensus: &mut dyn DagConsensus<Ext = narwhal_tusk::narwhal::NoExt>,
-    certs: &[Certificate],
-    order: &[usize],
-) -> Vec<(Round, ValidatorId)> {
-    let mut dag = Dag::new();
-    let mut ordered: HashSet<Digest> = HashSet::new();
-    let mut linearized = Vec::new();
-    let mut pending: Vec<Certificate> = order.iter().map(|i| certs[*i].clone()).collect();
-    while !pending.is_empty() {
-        let mut progressed = false;
-        let mut rest = Vec::new();
-        for cert in pending {
-            if dag.missing_parents(&cert).is_empty() {
-                dag.insert(cert.clone());
-                let mut out = ConsensusOut::default();
-                consensus.on_certificate(&dag, &cert, &mut out);
-                for anchor in out.anchors {
-                    for c in dag.collect_history(&anchor, &ordered).expect("complete") {
-                        ordered.insert(c.header_digest());
-                        linearized.push((c.round(), c.origin()));
-                    }
-                }
-                progressed = true;
-            } else {
-                rest.push(cert);
-            }
-        }
-        assert!(progressed, "delivery must make progress");
-        pending = rest;
-    }
-    linearized
+/// Validators 0 and 1 never produce a block: the first two leaders of
+/// every schedule are dead back to back (final skips, and a reputation
+/// schedule re-ranks between them).
+fn two_dead_of_seven() -> (Committee, Vec<Certificate>) {
+    let mut lcg = Lcg::new(0xB5);
+    record_dag(7, 24, &[0, 1], |len| Some(lcg.below(len)))
 }
 
-fn shuffled(len: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..len).collect();
-    let mut state = seed | 1;
-    for i in (1..order.len()).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let j = (state >> 33) as usize % (i + 1);
-        order.swap(i, j);
-    }
-    order
+/// `system`'s rule over `certs[..upto]` of a recorded DAG, in recorded order.
+fn run(system: System, recorded: &(Committee, Vec<Certificate>), upto: usize) -> DagBench<DagRule> {
+    let (committee, certs) = recorded;
+    let mut bench = DagBench::new(committee.size(), |c| fresh(system, c));
+    bench.feed(certs[committee.size()..upto].to_vec());
+    bench
 }
 
 /// Asserts ancestors precede descendants in `lin` (causal order).
@@ -145,41 +80,23 @@ fn assert_causal(lin: &[(Round, ValidatorId)], certs: &[Certificate]) {
     }
 }
 
-/// The six commit rules: (name, fresh instance per simulated view).
-fn protocols() -> Vec<(&'static str, ProtocolFactory)> {
-    vec![
-        ("Tusk", |c| Box::new(Tusk::new(c.clone(), 7))),
-        ("DAG-Rider", |c| Box::new(DagRider::new(c.clone(), 7))),
-        ("Bullshark", |c| {
-            Box::new(Bullshark::new(c.clone(), RoundRobin::new(c)))
-        }),
-        ("Bullshark-Rep", |c| {
-            Box::new(Bullshark::new(c.clone(), Reputation::new(c)))
-        }),
-        ("Bullshark-Pipelined", |c| {
-            Box::new(PipelinedBullshark::new(c.clone(), Reputation::new(c)))
-        }),
-        ("FinWhale", |c| {
-            Box::new(FinWhale::new(c.clone(), RoundRobin::new(c)))
-        }),
-    ]
-}
-
 #[test]
 fn every_protocol_linearizes_consistent_prefixes_from_one_recorded_dag() {
-    let (committee, certs) = record_dag(4, 12, 0xB5, false);
+    let (committee, certs) = four_validators(false);
     let in_order: Vec<usize> = (0..certs.len()).collect();
-    let views = [shuffled(certs.len(), 41), shuffled(certs.len(), 97)];
-
-    for (name, make) in &protocols() {
-        let reference = linearize(make(&committee).as_mut(), &certs, &in_order);
+    let views = [41, 97].map(|seed| Lcg::new(seed).shuffled(certs.len()));
+    let linearize =
+        |system, order: &[usize]| replay(fresh(system, &committee).as_mut(), &certs, order, None).1;
+    for system in RULES {
+        let name = system.name();
+        let reference = linearize(system, &in_order);
         assert!(
             !reference.is_empty(),
             "{name}: something must commit over 12 rounds"
         );
         assert_causal(&reference, &certs);
         for (v, view) in views.iter().enumerate() {
-            let other = linearize(make(&committee).as_mut(), &certs, view);
+            let other = linearize(system, view);
             let common = reference.len().min(other.len());
             assert!(common > 0, "{name}: view {v} commits nothing");
             assert_eq!(
@@ -200,49 +117,20 @@ fn bullshark_commits_more_anchors_than_dag_rider_on_the_same_dag() {
     // 3..11), DAG-Rider's 4-round waves 3 (reveal rounds 4, 8, 12).
     // Pipelined Bullshark re-bases after every commit, so every round
     // 1..=11 yields an anchor; FinWhale keeps Bullshark's two-round waves.
-    let (committee, certs) = record_dag(4, 12, 0xB5, true);
-    let in_order: Vec<usize> = (0..certs.len()).collect();
-    let count = |consensus: &mut dyn DagConsensus<Ext = narwhal_tusk::narwhal::NoExt>| {
-        let mut dag = Dag::new();
-        let mut anchors = 0usize;
-        for i in &in_order {
-            let cert = certs[*i].clone();
-            dag.insert(cert.clone());
-            let mut out = ConsensusOut::default();
-            consensus.on_certificate(&dag, &cert, &mut out);
-            anchors += out.anchors.len();
-        }
-        anchors
-    };
-    let mut bull = Bullshark::new(committee.clone(), RoundRobin::new(&committee));
-    let mut tusk = Tusk::new(committee.clone(), 7);
-    let mut rider = DagRider::new(committee.clone(), 7);
-    let mut pipelined = PipelinedBullshark::new(committee.clone(), RoundRobin::new(&committee));
-    let mut finwhale = FinWhale::new(committee.clone(), RoundRobin::new(&committee));
-    let b = count(&mut bull);
-    let t = count(&mut tusk);
-    let r = count(&mut rider);
-    let p = count(&mut pipelined);
-    let f = count(&mut finwhale);
+    let recorded = four_validators(true);
+    let count = |system| run(system, &recorded, recorded.1.len()).anchors.len();
+    let (b, t, r) = (
+        count(System::Bullshark),
+        count(System::Tusk),
+        count(System::DagRider),
+    );
     assert_eq!((b, t, r), (6, 5, 3), "anchor cadence per wave size");
+    let mut pipelined = DagBench::new(4, |c| {
+        PipelinedBullshark::new(c.clone(), RoundRobin::new(c))
+    });
+    pipelined.feed(recorded.1[4..].to_vec());
+    let (p, f) = (pipelined.anchors.len(), count(System::FinWhale));
     assert_eq!((p, f), (11, 6), "pipelined anchors every round");
-}
-
-/// Feeds `certs` in recorded order and returns the anchors as
-/// `(round, author)` with the rule's `(direct, indirect)` counters.
-fn anchors_of(
-    mut consensus: BoxedConsensus,
-    certs: &[Certificate],
-) -> (Vec<(Round, u32)>, (u64, u64)) {
-    let mut dag = Dag::new();
-    let mut anchors = Vec::new();
-    for cert in certs {
-        dag.insert(cert.clone());
-        let mut out = ConsensusOut::default();
-        consensus.on_certificate(&dag, cert, &mut out);
-        anchors.extend(out.anchors.iter().map(|a| (a.round(), a.origin().0)));
-    }
-    (anchors, consensus.commit_counts())
 }
 
 /// Golden decisions: the literal anchor sequence of every rule on two
@@ -251,13 +139,7 @@ fn anchors_of(
 /// deliberate protocol change may re-pin them.
 #[test]
 fn every_rule_decides_the_recorded_anchor_sequences() {
-    // Sparse 2f + 1 edges: leaders miss their direct quorum now and then,
-    // so the walk settles some of them indirectly.
-    let (committee, sparse) = record_dag(4, 12, 0xB5, false);
-    // Validators 0 and 1 never produce a block: the first two leaders of
-    // every schedule are dead back to back (final skips, and a reputation
-    // schedule re-ranks between them).
-    let (committee7, dead) = record_dag_without(7, 24, 0xB5, false, &[0, 1]);
+    let (sparse, dead) = (four_validators(false), two_dead_of_seven());
     type Decided = (Vec<(Round, u32)>, (u64, u64));
     #[rustfmt::skip]
     let golden: Vec<(&str, Decided, Decided)> = vec![
@@ -281,17 +163,123 @@ fn every_rule_decides_the_recorded_anchor_sequences() {
          (vec![(3, 1), (5, 2), (7, 3), (9, 0), (11, 1)], (5, 0)),
          (vec![(5, 2), (7, 3), (9, 4), (11, 5), (13, 6), (19, 2), (21, 3), (23, 4)], (8, 0))),
     ];
-    for ((name, make), (gold_name, on_sparse, on_dead)) in protocols().into_iter().zip(golden) {
+    let decided = |system, recorded: &(Committee, Vec<Certificate>)| {
+        let bench = run(system, recorded, recorded.1.len());
+        (bench.decided(), bench.rule.commit_counts())
+    };
+    for (system, (gold_name, on_sparse, on_dead)) in RULES.into_iter().zip(golden) {
+        let name = system.name();
         assert_eq!(name, gold_name);
+        assert_eq!(decided(system, &sparse), on_sparse, "{name}: sparse DAG");
+        assert_eq!(decided(system, &dead), on_dead, "{name}: dead leaders");
+    }
+}
+
+/// A checkpoint carries its rule: a blob written under one rule leaves each
+/// of the other five untouched (a `system` change over an existing
+/// `--store` must not adopt another rule's counters as a frontier), and so
+/// do a truncated blob, trailing garbage and plain noise.
+#[test]
+fn a_checkpoint_is_adopted_only_by_the_rule_that_wrote_it() {
+    let recorded = two_dead_of_seven();
+    let blobs = RULES.map(|system| {
+        let written = run(system, &recorded, recorded.1.len()).rule.checkpoint();
+        written.expect("every DAG rule checkpoints")
+    });
+    for (reader, own) in RULES.into_iter().zip(&blobs) {
+        let name = reader.name();
+        let mut rule = fresh(reader, &recorded.0);
+        let untouched = rule.checkpoint();
+        let mut rejected: Vec<Vec<u8>> = blobs.iter().filter(|b| *b != own).cloned().collect();
+        rejected.push(b"not a checkpoint".to_vec());
+        rejected.push(own[..own.len() - 1].to_vec());
+        rejected.push([own.as_slice(), &[0]].concat());
+        for blob in &rejected {
+            rule.restore(blob);
+            assert_eq!(rule.checkpoint(), untouched, "{name} adopted {blob:?}");
+        }
+        rule.restore(own);
         assert_eq!(
-            anchors_of(make(&committee), &sparse),
-            on_sparse,
-            "{name}: sparse DAG"
+            rule.checkpoint().as_ref(),
+            Some(own),
+            "{name}: its own blob"
+        );
+    }
+}
+
+/// Checkpoint → restore into a fresh instance → continue: the anchors, the
+/// counters and the final checkpoint (frontier and reputation standings
+/// included) equal the uninterrupted run's.
+#[test]
+fn every_rule_resumes_from_its_checkpoint_as_if_never_stopped() {
+    let recorded = two_dead_of_seven();
+    let (committee, certs) = &recorded;
+    // Stop after round 10: five live blocks per round above genesis.
+    let stop = committee.size() + 10 * 5;
+    for system in RULES {
+        let name = system.name();
+        let straight = run(system, &recorded, certs.len());
+        let mut resumed = run(system, &recorded, stop);
+        let blob = resumed.rule.checkpoint().expect("checkpointed");
+        resumed.rule = fresh(system, committee);
+        resumed.rule.restore(&blob);
+        resumed.feed(certs[stop..].to_vec());
+        assert!(resumed.anchors.len() > 2, "{name}: commits on both sides");
+        assert_eq!(resumed.decided(), straight.decided(), "{name}");
+        assert_eq!(
+            resumed.rule.commit_counts(),
+            straight.rule.commit_counts(),
+            "{name}"
         );
         assert_eq!(
-            anchors_of(make(&committee7), &dead),
-            on_dead,
-            "{name}: dead leaders"
+            resumed.rule.checkpoint(),
+            straight.rule.checkpoint(),
+            "{name}"
         );
+    }
+}
+
+/// The timing hints of a fresh 4-validator instance. A coin elects in
+/// retrospect, so Tusk and DAG-Rider wish for nothing; the scheduled rules
+/// wish for the previous round's anchor candidate as a parent, for full
+/// coverage under their own anchor, and for their own chain otherwise.
+#[test]
+fn only_rules_with_predefined_leaders_take_timing_hints() {
+    let (committee, _) = four_validators(true);
+    let v = ValidatorId;
+    let everyone = |round| (0..4).map(|a| (round, v(a))).collect::<Vec<_>>();
+    for system in RULES {
+        let (name, rule) = (system.name(), fresh(system, &committee));
+        let parent: Vec<_> = (0..5).map(|r| rule.parent_wishes(r)).collect();
+        match system {
+            System::Tusk | System::DagRider => {
+                assert!(parent.iter().all(Vec::is_empty), "{name}");
+                assert!((0..5).all(|r| rule.coverage_wishes(r, v(1)).is_empty()));
+            }
+            System::BullsharkPipelined => {
+                // A candidate in every round: 1 and 2 from the open
+                // instance, 3 from the predicted re-base.
+                let expected = [
+                    vec![],
+                    vec![],
+                    vec![(1, v(0))],
+                    vec![(2, v(1))],
+                    vec![(3, v(1))],
+                ];
+                assert_eq!(parent, expected, "{name}");
+                assert_eq!(rule.coverage_wishes(2, v(1)), everyone(1), "{name}");
+                assert_eq!(rule.coverage_wishes(2, v(0)), vec![(1, v(0))], "{name}");
+            }
+            _ => {
+                // Two-round waves: only even rounds vote, only odd rounds
+                // above the first anchor.
+                let expected = [vec![], vec![], vec![(1, v(0))], vec![], vec![(3, v(1))]];
+                assert_eq!(parent, expected, "{name}");
+                assert_eq!(rule.coverage_wishes(3, v(1)), everyone(2), "{name}");
+                assert_eq!(rule.coverage_wishes(3, v(0)), vec![(2, v(0))], "{name}");
+                assert_eq!(rule.coverage_wishes(2, v(1)), vec![(1, v(1))], "{name}");
+            }
+        }
+        assert_eq!(rule.coverage_wishes(0, v(0)), vec![], "{name}");
     }
 }

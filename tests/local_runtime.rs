@@ -25,7 +25,8 @@ fn tusk_commits_real_transactions_with_ed25519() {
     // test keeps the transaction count small and the deadline generous.
     let n = 4;
     let (committee, kps) = Committee::deterministic(n, 1, Scheme::Ed25519);
-    let actors = tusk::build_tusk_actors(&committee, &kps, &demo_config(), 1, 1);
+    let tusk = |c: &Committee| tusk::Tusk::new(c.clone(), 1);
+    let actors = narwhal::committee_actors(&committee, &kps, &demo_config(), 1, tusk);
     let handle = LocalRuntime::spawn(actors);
 
     for i in 0..16u64 {
@@ -56,7 +57,8 @@ fn committed_payload_data_is_retrievable_from_workers() {
     let n = 4;
     let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
     let addr = narwhal::AddressBook::new(n, 1);
-    let actors = tusk::build_tusk_actors(&committee, &kps, &demo_config(), 1, 2);
+    let tusk = |c: &Committee| tusk::Tusk::new(c.clone(), 2);
+    let actors = narwhal::committee_actors(&committee, &kps, &demo_config(), 1, tusk);
     let handle = LocalRuntime::spawn(actors);
 
     for i in 0..8u64 {

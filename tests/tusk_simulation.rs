@@ -1,25 +1,17 @@
 //! End-to-end Tusk integration tests on the WAN simulator.
 
 use nt_bench::runner::{crash_schedule, narwhal_topology};
-use nt_bench::{run_system, BenchParams, System};
+use nt_bench::{build_dag_actors, run_system, BenchParams, System};
 use nt_network::{NodeId, Time, SEC};
 use nt_simnet::{Partition, SimConfig, Simulation};
-use nt_types::{Committee, Round, ValidatorId};
+use nt_types::{Round, ValidatorId};
 
 /// Runs Tusk and returns per-node committed `(round, author)` sequences.
 fn committed_sequences(
     params: &BenchParams,
     partitions: Vec<Partition>,
 ) -> Vec<Vec<(Round, ValidatorId)>> {
-    let (committee, kps) =
-        Committee::deterministic(params.nodes, params.workers, nt_crypto::Scheme::Insecure);
-    let actors = tusk::build_tusk_actors(
-        &committee,
-        &kps,
-        &params.narwhal_config(),
-        params.workers,
-        params.seed,
-    );
+    let actors = build_dag_actors(System::Tusk, params);
     let topology = narwhal_topology(params);
     let mut config = SimConfig::new(params.seed, params.duration);
     config.crashes = crash_schedule(params);
@@ -137,9 +129,7 @@ fn partition_heals_and_commits_catch_up() {
         seed: 8,
         ..Default::default()
     };
-    let (committee, kps) = Committee::deterministic(nodes, 1, nt_crypto::Scheme::Insecure);
-    let actors =
-        tusk::build_tusk_actors(&committee, &kps, &params.narwhal_config(), 1, params.seed);
+    let actors = build_dag_actors(System::Tusk, &params);
     let topology = narwhal_topology(&params);
     let mut config = SimConfig::new(params.seed, duration);
     config.partitions = vec![partition];
