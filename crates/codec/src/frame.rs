@@ -24,8 +24,6 @@ use crate::{
     decode_borrowed_from_slice, decode_from_slice, encode_to_vec, Decode, DecodeBorrowed,
     DecodeError, Encode, Reader,
 };
-use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Version stamped into every [`Envelope`]; bump on incompatible wire changes.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -139,70 +137,9 @@ impl<'a> DecodeBorrowed<'a> for EnvelopeRef<'a> {
     }
 }
 
-/// Errors while reading a frame from a byte stream.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The underlying stream failed (includes clean EOF mid-frame).
-    Io(io::Error),
-    /// The length prefix exceeded [`MAX_FRAME_LEN`].
-    TooLarge(u32),
-    /// The frame body was not a valid envelope.
-    Decode(DecodeError),
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
-            FrameError::TooLarge(n) => write!(f, "frame length {n} exceeds bound"),
-            FrameError::Decode(e) => write!(f, "frame decode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-impl From<DecodeError> for FrameError {
-    fn from(e: DecodeError) -> Self {
-        FrameError::Decode(e)
-    }
-}
-
-/// Writes one length-prefixed frame to `w` (no flush).
-pub fn write_frame(w: &mut impl Write, envelope: &Envelope) -> io::Result<()> {
-    let body = encode_to_vec(envelope);
-    debug_assert!(body.len() <= MAX_FRAME_LEN as usize, "oversized frame");
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)
-}
-
-/// Reads one length-prefixed frame from `r`.
-///
-/// Blocks until a full frame arrives or the stream errors. Any malformed
-/// input yields an error — callers must treat that as fatal for the
-/// connection, not for the process.
-pub fn read_frame(r: &mut impl Read) -> Result<Envelope, FrameError> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(decode_from_slice::<Envelope>(&body)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn sample() -> Envelope {
         Envelope::new(3, vec![9, 8, 7, 6, 5])
@@ -260,71 +197,5 @@ mod tests {
         let (n, bytes): (u64, Vec<u8>) = env.open().unwrap();
         assert_eq!(n, 42);
         assert_eq!(bytes, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &sample()).unwrap();
-        write_frame(&mut wire, &Envelope::new(u64::MAX, vec![])).unwrap();
-        let mut cursor = Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap(), sample());
-        let second = read_frame(&mut cursor).unwrap();
-        assert_eq!(second.sender, u64::MAX);
-        assert!(second.payload.is_empty());
-        // Clean EOF after the last frame.
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
-    }
-
-    #[test]
-    fn truncation_at_every_point_errors_without_panic() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &sample()).unwrap();
-        for cut in 0..wire.len() {
-            let mut cursor = Cursor::new(&wire[..cut]);
-            assert!(
-                read_frame(&mut cursor).is_err(),
-                "truncation at {cut} must be an error"
-            );
-        }
-    }
-
-    #[test]
-    fn corruption_never_panics_and_never_aliases() {
-        // Flip each byte in turn: the reader must either error out or
-        // produce an envelope — never panic, never allocate unboundedly.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &sample()).unwrap();
-        for i in 0..wire.len() {
-            let mut corrupt = wire.clone();
-            corrupt[i] ^= 0xff;
-            let mut cursor = Cursor::new(corrupt);
-            let _ = read_frame(&mut cursor);
-        }
-    }
-
-    #[test]
-    fn oversized_length_prefix_rejected_before_allocation() {
-        let mut wire = (u32::MAX).to_le_bytes().to_vec();
-        wire.extend_from_slice(&[0u8; 16]);
-        let mut cursor = Cursor::new(wire);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::TooLarge(_))
-        ));
-    }
-
-    #[test]
-    fn trailing_garbage_in_frame_body_rejected() {
-        let env = sample();
-        let mut body = encode_to_vec(&env);
-        body.push(0xaa);
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
-        let mut cursor = Cursor::new(wire);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Decode(DecodeError::TrailingBytes(1)))
-        ));
     }
 }

@@ -29,9 +29,7 @@ use std::fmt;
 pub mod frame;
 mod impls;
 
-pub use frame::{
-    read_frame, write_frame, Envelope, EnvelopeRef, FrameError, MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+pub use frame::{Envelope, EnvelopeRef, MAX_FRAME_LEN, PROTOCOL_VERSION};
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Host layout shared by the simulator and the local runtime.
+//! Host layout shared by the simulator and the socket runtime.
 //!
 //! A deployment of `n` validators with `W` workers each uses `n * (1 + W)`
 //! hosts: primaries occupy node ids `0..n`, and worker `w` of validator `v`

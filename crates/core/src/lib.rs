@@ -26,7 +26,7 @@
 //!   the simulator and the real-socket runtime both program against.
 //! - [`anchor_walk`]: the one engine behind every DAG commit rule; Tusk,
 //!   DAG-Rider, Bullshark and its variants are policies over it.
-//! - [`deployment`]: host layout shared by the simulator and local runtime.
+//! - [`deployment`]: host layout shared by the simulator and socket runtime.
 //! - [`committee`]: builds every host of a deployment in that layout.
 //! - [`testing`]: hand-built and recorded DAGs for commit-rule tests.
 //! - [`config`]: tunable parameters with the paper's defaults.

@@ -1,9 +1,7 @@
 //! Node construction and the role-agnostic driver surface.
 //!
-//! Historically each host was built through a per-role constructor ladder
-//! (`Primary::new` / `Primary::with_store`) whose argument lists grew
-//! with every feature. [`NodeBuilder`] replaces
-//! that ladder with one configuration surface, and [`Node`] wraps either
+//! [`NodeBuilder`] is the one configuration surface every host is built
+//! through, and [`Node`] wraps either
 //! role behind the uniform `on_start` / `handle` / `on_timer` driver API —
 //! the contract both hosts of the state machines (the deterministic
 //! simulator and the real-socket `nt_runtime`) program against.
@@ -199,7 +197,7 @@ struct CommitSub {
 /// [`Node::handle`] per delivered message and [`Node::on_timer`] per fired
 /// timer, each against a fresh [`Context`] whose effects the host applies
 /// afterwards. `Node` also implements [`Actor`], so it drops into the
-/// simulator and [`LocalRuntime`](nt_network::LocalRuntime) unchanged.
+/// simulator unchanged.
 ///
 /// Commit events are teed into any [`CommitStream`]s subscribed via
 /// [`Node::subscribe_commits`] as a side effect of handling; the effects
@@ -410,26 +408,37 @@ mod tests {
         let _ = NodeBuilder::new(committee, 0).primary_node(NoConsensus);
     }
 
-    #[test]
-    fn commit_stream_receives_teed_commits() {
-        struct Committer;
-        impl Actor for Committer {
-            type Message = Msg;
-            fn on_message(&mut self, _: NodeId, _: Msg, ctx: &mut Context<Msg>) {
+    /// Commits sequences `1..=self.0` on every message.
+    struct Committer(u64);
+
+    impl Actor for Committer {
+        type Message = Msg;
+        fn on_message(&mut self, _: NodeId, _: Msg, ctx: &mut Context<Msg>) {
+            for sequence in 1..=self.0 {
                 ctx.commit(CommitEvent {
-                    sequence: 1,
+                    sequence,
                     ..CommitEvent::default()
                 });
             }
         }
-        let mut node = Node::wrap(Box::new(Committer), ValidatorId(0), NodeRole::Primary);
-        let stream = node.subscribe_commits(8);
-        let mut ctx = Context::new(0, 0);
-        node.handle(
-            CLIENT,
-            NarwhalMsg::ClientTx(Transaction::filler(0, 0, 16)),
-            &mut ctx,
-        );
+    }
+
+    /// A node around [`Committer`] and the context after one message.
+    fn committer_node(commits: u64, subscribe: usize) -> (Node<NoExt>, CommitStream, Context<Msg>) {
+        let actor = Box::new(Committer(commits));
+        let mut node = Node::wrap(actor, ValidatorId(0), NodeRole::Primary);
+        let stream = node.subscribe_commits(subscribe);
+        (node, stream, Context::new(0, 0))
+    }
+
+    fn any_message() -> Msg {
+        NarwhalMsg::ClientTx(Transaction::filler(0, 0, 16))
+    }
+
+    #[test]
+    fn commit_stream_receives_teed_commits() {
+        let (mut node, stream, mut ctx) = committer_node(1, 8);
+        node.handle(CLIENT, any_message(), &mut ctx);
         assert_eq!(stream.try_next().map(|e| e.sequence), Some(1));
         assert!(stream.try_next().is_none());
         // The commit effect still reaches the host verbatim.
@@ -438,40 +447,19 @@ mod tests {
 
     #[test]
     fn lagging_commit_stream_drops_and_counts() {
-        struct Committer;
-        impl Actor for Committer {
-            type Message = Msg;
-            fn on_message(&mut self, _: NodeId, _: Msg, ctx: &mut Context<Msg>) {
-                for sequence in 0..4 {
-                    ctx.commit(CommitEvent {
-                        sequence,
-                        ..CommitEvent::default()
-                    });
-                }
-            }
-        }
-        let mut node = Node::wrap(Box::new(Committer), ValidatorId(0), NodeRole::Primary);
-        let stream = node.subscribe_commits(2);
-        let mut ctx = Context::new(0, 0);
-        node.handle(
-            CLIENT,
-            NarwhalMsg::ClientTx(Transaction::filler(0, 0, 16)),
-            &mut ctx,
-        );
+        let (mut node, stream, mut ctx) = committer_node(4, 2);
+        node.handle(CLIENT, any_message(), &mut ctx);
         assert_eq!(stream.drain().len(), 2);
         assert_eq!(stream.dropped(), 2);
     }
 
     #[test]
     fn dropped_stream_unsubscribes() {
-        let (committee, kps) = committee4();
-        let mut node = NodeBuilder::new(committee, 0)
-            .keypair(kps[0].clone())
-            .primary_node(NoConsensus);
-        let stream = node.subscribe_commits(1);
+        let (mut node, stream, mut ctx) = committer_node(1, 1);
         drop(stream);
-        let mut ctx = Context::new(0, 0);
-        node.on_start(&mut ctx);
-        assert!(node.subs.is_empty() || node.subs.len() == 1, "lazy cleanup");
+        assert_eq!(node.subs.len(), 1, "cleanup is lazy");
+        // The next commit finds the receiver gone and forgets the sender.
+        node.handle(CLIENT, any_message(), &mut ctx);
+        assert!(node.subs.is_empty());
     }
 }

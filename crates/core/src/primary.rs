@@ -13,7 +13,7 @@
 //! messages through the same primary.
 //!
 //! Durability (§6, "data-structures are persisted using RocksDB"): a
-//! primary built with [`Primary::with_store`] writes through a
+//! primary built with a store ([`NodeBuilder::store`](crate::NodeBuilder::store)) writes through a
 //! [`BlockStore`] — certificates on DAG insert, vote locks on
 //! acknowledgment, ordered markers and the sequence counter on commit, the
 //! consensus checkpoint after every settled anchor — and deletes with
@@ -33,7 +33,6 @@ use nt_execution::{
     SnapshotSig,
 };
 use nt_network::{Actor, Context, NodeId, Time};
-use nt_storage::DynStore;
 use nt_types::{
     Certificate, CommitEvent, Committee, Header, ProposalCounts, Round, ValidatorId, Vote,
 };
@@ -197,44 +196,6 @@ pub struct Primary<C: DagConsensus> {
 }
 
 impl<C: DagConsensus> Primary<C> {
-    /// Creates a volatile primary for validator `me` (no persistence).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn new(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        keypair: KeyPair,
-        consensus: C,
-    ) -> Self {
-        Self::build(committee, config, addr, me, keypair, consensus, None, None)
-    }
-
-    /// Creates a primary that persists through `store` and recovers from it
-    /// on start. Share the same backend with the validator's workers (the
-    /// paper's per-validator RocksDB instance).
-    #[deprecated(since = "0.1.0", note = "use narwhal::NodeBuilder instead")]
-    pub fn with_store(
-        committee: Committee,
-        config: NarwhalConfig,
-        addr: AddressBook,
-        me: ValidatorId,
-        keypair: KeyPair,
-        consensus: C,
-        store: DynStore,
-    ) -> Self {
-        Self::build(
-            committee,
-            config,
-            addr,
-            me,
-            keypair,
-            consensus,
-            Some(BlockStore::new(store)),
-            None,
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         committee: Committee,

@@ -5,7 +5,7 @@
 //! schemes are provided:
 //!
 //! - [`Scheme::Ed25519`]: real RFC 8032 signatures, used by the examples,
-//!   tests and the local threaded runtime.
+//!   tests and the socket runtime.
 //! - [`Scheme::Insecure`]: a keyed-hash stand-in whose cost is negligible,
 //!   used by the discrete-event simulator, which *separately accounts* the
 //!   CPU time of the real scheme in its cost model. This is how the
@@ -104,12 +104,18 @@ impl KeyPair {
         }
     }
 
-    /// Derives the i-th key pair of a test committee.
-    pub fn for_index(scheme: Scheme, index: usize) -> Self {
+    /// The seed of the i-th key pair of a test committee: what a key file
+    /// for [`KeyPair::for_index`]'s identity holds.
+    pub fn index_seed(index: usize) -> [u8; 32] {
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&(index as u64).to_le_bytes());
         seed[8] = 0xc0;
-        Self::from_seed(scheme, seed)
+        seed
+    }
+
+    /// Derives the i-th key pair of a test committee.
+    pub fn for_index(scheme: Scheme, index: usize) -> Self {
+        Self::from_seed(scheme, Self::index_seed(index))
     }
 
     /// The public key.

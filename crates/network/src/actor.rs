@@ -5,7 +5,7 @@ use nt_types::CommitEvent;
 /// Identifies a host in a deployment (primary, worker, or client).
 ///
 /// The mapping from `(validator, role)` to `NodeId` is owned by whoever
-/// builds the deployment (the simulator topology or the local runtime).
+/// builds the deployment (the simulator topology or the socket runtime).
 pub type NodeId = usize;
 
 /// Simulation / wall-clock time in nanoseconds since start.
@@ -36,7 +36,7 @@ pub enum Effect<M> {
     Commit(CommitEvent),
     /// Charge extra CPU time (nanoseconds) to this node beyond the
     /// simulator's per-message cost model — e.g. hashing a 500 KB batch.
-    /// Ignored by the local runtime (real CPU time is really spent there).
+    /// Ignored by the socket runtime (real CPU time is really spent there).
     Cpu {
         /// Nanoseconds of CPU work.
         nanos: u64,

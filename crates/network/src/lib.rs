@@ -7,19 +7,18 @@
 //!
 //! - the deterministic discrete-event simulator (`nt-simnet`), which models
 //!   the paper's AWS WAN testbed and drives all benchmark figures; and
-//! - the [`LocalRuntime`] in this crate: real threads, real channels and
-//!   real wall-clock timers, used by the examples and integration tests.
+//! - the socket runtime (`nt_runtime`): one driver thread per host over
+//!   real TCP and wall-clock timers — the deployed path, which the examples,
+//!   integration tests and the wall-clock benchmark all run.
 //!
 //! This split is what makes a laptop-scale reproduction of WAN experiments
 //! possible while keeping the protocol code production-shaped.
 
 pub mod actor;
 pub mod addr;
-pub mod local;
 
 pub use actor::{Actor, Context, Effect, NodeId, Time, CLIENT};
 pub use addr::PeerAddr;
-pub use local::{LocalHandle, LocalRuntime};
 
 /// Nanoseconds per second.
 pub const SEC: Time = 1_000_000_000;

@@ -111,15 +111,13 @@ fn keygen(args: &[String]) -> Result<(), String> {
         Some("ed25519") | None => nt_crypto::Scheme::Ed25519,
         Some(other) => return Err(format!("unknown scheme '{other}'")),
     };
-    let index: u64 = flag(args, "--index")
+    let index: usize = flag(args, "--index")
         .and_then(|s| s.parse().ok())
         .ok_or("keygen needs --index <n>")?;
     let out = flag(args, "--out").ok_or("keygen needs --out <file>")?;
     // The same derivation as the test committees, so a keygen-generated
     // deployment and `Committee::deterministic` agree on identities.
-    let mut seed = [0u8; 32];
-    seed[..8].copy_from_slice(&index.to_le_bytes());
-    seed[8] = 0xc0;
+    let seed = nt_crypto::KeyPair::index_seed(index);
     let key = KeyFile { scheme, seed };
     std::fs::write(&out, key.to_file_string()).map_err(|e| format!("writing {out}: {e}"))?;
     let public = key.keypair().public();

@@ -2,9 +2,9 @@
 //! deadlines into [`Node`] callbacks, and the node's effects back into
 //! socket writes.
 //!
-//! This is the real-I/O counterpart of the simulator's event loop and the
-//! local runtime's `node_loop`: the same `on_start` → (`handle` |
-//! `on_timer`)* contract, driven by a wall clock. Effects map as follows:
+//! This is the real-I/O counterpart of the simulator's event loop, and the
+//! only wall-clock one: the same `on_start` → (`handle` | `on_timer`)*
+//! contract, driven by a monotonic clock. Effects map as follows:
 //!
 //! - `Send { to, msg }` — encoded once and queued on the transport; sends
 //!   addressed to [`CLIENT`] are dropped (a real deployment has no return

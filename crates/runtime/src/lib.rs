@@ -18,6 +18,8 @@
 //! - [`timer`]: monotonic deadline wheel for `Effect::Timer`.
 //! - [`driver`]: the event loop tying the three together around a
 //!   [`Node`].
+//! - [`loopback`]: a whole committee of such hosts inside one process, for
+//!   the examples and integration tests.
 //! - `narwhal-node` (binary): one OS process per host, configured from the
 //!   files in [`config`]; see `examples/localhost_committee.rs` for a full
 //!   4-validator deployment with kill/restart.
@@ -27,12 +29,14 @@
 pub mod backoff;
 pub mod config;
 pub mod driver;
+pub mod loopback;
 pub mod timer;
 pub mod transport;
 
 pub use backoff::Backoff;
 pub use config::{CommitteeConfig, ConfigError, KeyFile, SystemKind, ValidatorEntry};
 pub use driver::{drive, spawn_node, DriverHandle};
+pub use loopback::LoopbackCommittee;
 pub use timer::TimerWheel;
 pub use transport::{ClientConn, Transport};
 

@@ -149,6 +149,9 @@ impl Transport {
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.outboxes);
+        // A reader blocked in `inbox.send` on a full inbox never re-checks
+        // the stop flag; only the receiver going away wakes it.
+        drop(self.inbox_rx);
         for t in self.threads {
             let _ = t.join();
         }
@@ -514,6 +517,27 @@ mod tests {
         );
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_while_a_reader_is_blocked_on_a_full_inbox() {
+        let t = Transport::start(0, loopback(), &[]).unwrap();
+        let mut flood = TcpStream::connect(t.local_addr()).unwrap();
+        flood.set_write_timeout(Some(4 * POLL)).unwrap();
+        let burst = seal_frame(CLIENT, vec![0; 8]).repeat(4096);
+        // Nobody drains the inbox. Writes only start timing out once the
+        // socket buffers are full, i.e. once the reader has stopped reading,
+        // and the one place it stops is `inbox.send` on a full inbox.
+        while flood.write_all(&burst).is_ok() {}
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            t.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown hung joining a reader blocked on the full inbox"
+        );
     }
 
     fn t_recv(t: &Transport) -> Option<(NodeId, Vec<u8>)> {

@@ -1,142 +1,43 @@
-//! End-to-end: a 4-validator committee over real TCP sockets, in-process.
-//!
-//! Eight transports (4 primaries + 4 workers) bound to localhost ports,
-//! eight driver threads, an external client injecting transactions through
-//! a real socket — the full `nt_runtime` stack short of process isolation
-//! (the `localhost_committee` example adds that).
+//! Lifecycle of the in-process socket committee: eight hosts on localhost
+//! TCP come up, commit, and leave nothing behind — however their owner
+//! lets go of them. (What they commit is checked by the root package's
+//! `tests/loopback_committee.rs`.)
 
-use narwhal::{NarwhalMsg, NoExt, NodeRole};
-use nt_codec::encode_to_vec;
+use narwhal::NarwhalConfig;
 use nt_crypto::Scheme;
-use nt_network::NodeId;
-use nt_runtime::config::ValidatorEntry;
-use nt_runtime::{build_node, spawn_node, ClientConn, CommitteeConfig, SystemKind, Transport};
-use nt_types::{Committee, Transaction, ValidatorId, WorkerId};
-use std::net::{SocketAddr, TcpListener};
-use std::time::{Duration, Instant};
+use nt_runtime::{AppKind, CommitteeConfig, LoopbackCommittee, SystemKind};
+use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
-/// Reserves `n` distinct localhost ports by binding and dropping listeners.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
+/// Runs a committee until every validator has committed, hands it to
+/// `finish`, and checks that every host's listener is closed afterwards:
+/// the accept thread owns it, `Transport::shutdown` joins that thread, and
+/// a driver thread only returns once its transport has shut down.
+fn committee_lifetime(finish: fn(LoopbackCommittee)) -> std::thread::Result<()> {
+    let narwhal = NarwhalConfig::default();
+    let (config, keys) =
+        CommitteeConfig::loopback(4, Scheme::Insecure, SystemKind::Bullshark, narwhal)
+            .expect("loopback ports");
+    let hosts = config.all_hosts();
+    let committee = LoopbackCommittee::spawn(config, &keys, |_, _| (None, AppKind::None))
+        .expect("every host binds its reserved port");
+    for (v, stream) in committee.commits().iter().enumerate() {
+        let first = stream.next_timeout(Duration::from_secs(60));
+        assert_eq!(first.map(|e| e.sequence), Some(1), "validator {v}");
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(move || finish(committee)));
+    for (id, addr) in hosts {
+        TcpListener::bind(addr.socket_addr())
+            .unwrap_or_else(|e| panic!("host {id} still holds {addr}: {e}"));
+    }
+    outcome
 }
 
 #[test]
-fn four_validator_committee_commits_over_tcp() {
-    let n = 4;
-    let (_, keypairs) = Committee::deterministic(n, 1, Scheme::Insecure);
-    let addrs = free_addrs(2 * n);
-    let config = CommitteeConfig {
-        scheme: Scheme::Insecure,
-        system: SystemKind::Bullshark,
-        workers: 1,
-        narwhal: narwhal::NarwhalConfig::default(),
-        validators: (0..n)
-            .map(|v| ValidatorEntry {
-                public: keypairs[v].public(),
-                primary: addrs[v].into(),
-                workers: vec![addrs[n + v].into()],
-            })
-            .collect(),
-    };
-
-    let book = config.address_book();
-    let peers: Vec<(NodeId, SocketAddr)> = config
-        .all_hosts()
-        .into_iter()
-        .map(|(id, addr)| (id, addr.socket_addr()))
-        .collect();
-
-    // Spawn all eight hosts; primaries expose commit streams.
-    let mut drivers = Vec::new();
-    let mut streams = Vec::new();
-    for v in 0..n {
-        let me = ValidatorId(v as u32);
-        let mut primary = build_node(
-            &config,
-            me,
-            NodeRole::Primary,
-            Some(keypairs[v].clone()),
-            None,
-        );
-        streams.push(primary.subscribe_commits(4096));
-        let node_id = book.primary(me);
-        let transport = Transport::start(
-            node_id,
-            addrs[v],
-            &peers
-                .iter()
-                .copied()
-                .filter(|&(id, _)| id != node_id)
-                .collect::<Vec<_>>(),
-        )
-        .expect("primary transport");
-        drivers.push(spawn_node(primary, transport));
-
-        let worker = build_node(&config, me, NodeRole::Worker(WorkerId(0)), None, None);
-        let node_id = book.worker(me, WorkerId(0));
-        let transport = Transport::start(
-            node_id,
-            addrs[n + v],
-            &peers
-                .iter()
-                .copied()
-                .filter(|&(id, _)| id != node_id)
-                .collect::<Vec<_>>(),
-        )
-        .expect("worker transport");
-        drivers.push(spawn_node(worker, transport));
-    }
-
-    // Open-loop client load into every worker over real sockets.
-    let mut clients: Vec<ClientConn> = (0..n)
-        .map(|v| ClientConn::connect(addrs[n + v]).expect("client connect"))
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut sent = 0u64;
-    let mut commits: Vec<Vec<(u64, u64, u32)>> = vec![Vec::new(); n];
-    'outer: while Instant::now() < deadline {
-        for client in &mut clients {
-            sent += 1;
-            let msg: NarwhalMsg<NoExt> = NarwhalMsg::ClientTx(Transaction::filler(sent, 0, 64));
-            client
-                .send_payload(encode_to_vec(&msg))
-                .expect("client send");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        for (v, stream) in streams.iter().enumerate() {
-            for event in stream.drain() {
-                commits[v].push((event.sequence, event.round, event.author.0));
-            }
-        }
-        if commits.iter().all(|c| c.len() >= 5) {
-            break 'outer;
-        }
-    }
-
-    for driver in drivers {
-        driver.stop();
-    }
-
-    // Every validator committed, sequences are gapless from 1, and all
-    // validators agree on the common prefix.
-    for (v, log) in commits.iter().enumerate() {
-        assert!(log.len() >= 5, "validator {v} committed only {}", log.len());
-        for (i, &(seq, _, _)) in log.iter().enumerate() {
-            assert_eq!(seq, i as u64 + 1, "validator {v} has a sequence gap");
-        }
-    }
-    let shortest = commits.iter().map(Vec::len).min().unwrap();
-    for v in 1..n {
-        assert_eq!(
-            commits[0][..shortest],
-            commits[v][..shortest],
-            "validators 0 and {v} disagree on the committed prefix"
-        );
-    }
+fn committees_start_and_stop_back_to_back_in_one_process() {
+    let unwound = committee_lifetime(|_committee| panic!("between spawn and stop"));
+    assert!(unwound.is_err(), "the first owner panicked");
+    let stopped = committee_lifetime(|committee| committee.stop());
+    assert!(stopped.is_ok());
 }

@@ -11,7 +11,7 @@
 //!   is resident — `key → (value offset, length)` — and values are read
 //!   back from the file on demand, so a validator's memory does not grow
 //!   with the bytes it has ever stored (§3.3: "validators can operate with
-//!   a fixed size memory"). Used by the local runtime and the recovery
+//!   a fixed size memory"). Used by the socket runtime and the recovery
 //!   tests.
 //!
 //! Keys and values are opaque bytes; the `narwhal` crate layers a typed

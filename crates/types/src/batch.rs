@@ -14,7 +14,7 @@ use nt_crypto::{Digest, Hashable};
 /// The transactions carried by a batch.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum BatchPayload {
-    /// Real transaction bytes (local runtime, examples, integration tests).
+    /// Real transaction bytes (socket runtime, examples, integration tests).
     Data(Vec<Transaction>),
     /// A simulation descriptor: `count` transactions totalling `bytes` bytes.
     ///

@@ -19,18 +19,16 @@
 //! cargo run --release --example localhost_committee -- --smoke
 //! ```
 
-use narwhal_tusk::codec::encode_to_vec;
-use narwhal_tusk::crypto::Scheme;
-use narwhal_tusk::narwhal::{NarwhalConfig, NarwhalMsg, NoExt};
-use narwhal_tusk::runtime::{ClientConn, CommitteeConfig, KeyFile, SystemKind, ValidatorEntry};
-use narwhal_tusk::types::Transaction;
+use cluster::{commit_entries, incarnations, wait_until, Cluster, N};
+use narwhal_tusk::narwhal::NarwhalConfig;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const N: usize = 4;
+// Shared with `snapshot_join`, which uses more of it.
+#[allow(dead_code)]
+#[path = "support/cluster.rs"]
+mod cluster;
+
 const VICTIM: usize = 3;
 
 fn main() {
@@ -39,92 +37,54 @@ fn main() {
     let (warm_target, survivor_target, recovered_target) =
         if smoke { (10, 10, 5) } else { (30, 30, 15) };
 
-    let node_bin = find_node_binary();
-    let dir = std::env::temp_dir().join(format!("narwhal-committee-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    println!("scratch directory: {}", dir.display());
-
-    // --- configuration: free ports, key files, one committee file -------
-    let addrs = free_addrs(2 * N);
-    let keys: Vec<KeyFile> = (0..N)
-        .map(|i| {
-            let mut seed = [0u8; 32];
-            seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            seed[8] = 0xc0;
-            KeyFile {
-                scheme: Scheme::Insecure,
-                seed,
-            }
-        })
-        .collect();
-    let config = CommitteeConfig {
-        scheme: Scheme::Insecure,
-        system: SystemKind::Bullshark,
-        workers: 1,
-        // A deep GC window so a validator a few seconds behind can still
-        // pull the certificates it missed instead of finding them pruned.
-        narwhal: NarwhalConfig {
-            gc_depth: 200,
-            ..NarwhalConfig::default()
-        },
-        validators: (0..N)
-            .map(|v| ValidatorEntry {
-                public: keys[v].keypair().public(),
-                primary: addrs[v].into(),
-                workers: vec![addrs[N + v].into()],
-            })
-            .collect(),
+    // --- configuration + launch: two processes per validator ------------
+    // A deep GC window so a validator a few seconds behind can still pull
+    // the certificates it missed instead of finding them pruned.
+    let narwhal = NarwhalConfig {
+        gc_depth: 200,
+        ..NarwhalConfig::default()
     };
-    let committee_path = dir.join("committee.txt");
-    std::fs::write(&committee_path, config.to_file_string()).expect("write committee");
-    for (i, key) in keys.iter().enumerate() {
-        std::fs::write(dir.join(format!("v{i}.key")), key.to_file_string()).expect("write key");
-    }
-
-    // --- launch: two processes per validator ----------------------------
-    let mut cluster = Cluster::default();
-    for v in 0..N {
-        cluster.spawn_validator(&node_bin, &dir, &committee_path, v);
-    }
+    let mut cluster = Cluster::launch("narwhal-committee", narwhal, "none");
+    let dir = cluster.dir().to_path_buf();
 
     // --- phase 1: all four up, open-loop load ---------------------------
-    let mut client = LoadClient::new((0..N).map(|v| addrs[N + v]).collect());
+    let mut client = cluster.load_client();
     println!("phase 1: warming up until every validator commits {warm_target} blocks");
     wait_until(Duration::from_secs(120), &mut client, || {
-        (0..N).all(|v| commit_lines(&dir, v).len() >= warm_target)
+        (0..N).all(|v| commit_entries(&dir, v).len() >= warm_target)
     })
     .expect("committee never reached the warm-up target");
 
     // --- phase 2: kill one validator, the rest keep committing ----------
     println!("phase 2: killing validator {VICTIM} (primary + worker)");
     cluster.kill_validator(VICTIM);
-    let survivor_floor = commit_lines(&dir, 0).len() + survivor_target;
+    let survivor_floor = commit_entries(&dir, 0).len() + survivor_target;
     wait_until(Duration::from_secs(120), &mut client, || {
-        commit_lines(&dir, 0).len() >= survivor_floor
+        commit_entries(&dir, 0).len() >= survivor_floor
     })
     .expect("survivors stopped committing after the kill");
 
     // --- phase 3: restart the victim over its surviving stores ----------
     println!("phase 3: restarting validator {VICTIM} over its store directory");
-    cluster.spawn_validator(&node_bin, &dir, &committee_path, VICTIM);
-    let recovered = move |dir: &Path| {
-        let lines = commit_lines(dir, VICTIM);
-        // Commits after the second `# start` marker prove post-restart
-        // progress, not just replayed log lines.
-        let restarts = std::fs::read_to_string(commit_log_path(dir, VICTIM))
-            .unwrap_or_default()
-            .lines()
-            .filter(|l| l.starts_with("# start"))
-            .count();
-        restarts >= 2 && lines.len() >= warm_target + recovered_target
-    };
-    wait_until(Duration::from_secs(180), &mut client, || recovered(&dir))
-        .expect("restarted validator never resumed committing");
+    cluster.spawn_validator(VICTIM);
+    wait_until(Duration::from_secs(180), &mut client, || {
+        // A second `# start` marker with commits past the warm-up proves
+        // post-restart progress, not just replayed log lines.
+        let runs = incarnations(&dir, VICTIM);
+        let lines: usize = runs.iter().map(Vec::len).sum();
+        runs.len() >= 2 && lines >= warm_target + recovered_target
+    })
+    .expect("restarted validator never resumed committing");
 
     // --- teardown + verdict ---------------------------------------------
     cluster.kill_all();
 
-    let logs: Vec<Vec<(u64, u64, u32)>> = (0..N).map(|v| commit_lines(&dir, v)).collect();
+    let logs: Vec<Vec<(u64, u64, u32)>> = (0..N)
+        .map(|v| {
+            let entries = commit_entries(&dir, v);
+            entries.iter().map(|e| (e.seq, e.round, e.author)).collect()
+        })
+        .collect();
     verify(&logs);
 
     let max_seq = logs
@@ -184,175 +144,4 @@ fn verify(logs: &[Vec<(u64, u64, u32)>]) {
             "no validator logged sequence {seq}"
         );
     }
-}
-
-// ----------------------------------------------------------------------
-// harness plumbing
-// ----------------------------------------------------------------------
-
-/// The spawned processes, killed on drop so a failing assert cleans up.
-#[derive(Default)]
-struct Cluster {
-    children: Vec<(usize, Child)>,
-}
-
-impl Cluster {
-    fn spawn_validator(&mut self, bin: &Path, dir: &Path, committee: &Path, v: usize) {
-        let store = dir.join(format!("store-v{v}"));
-        for role in ["primary", "worker:0"] {
-            let mut cmd = Command::new(bin);
-            cmd.arg("run")
-                .arg("--committee")
-                .arg(committee)
-                .arg("--key")
-                .arg(dir.join(format!("v{v}.key")))
-                .arg("--role")
-                .arg(role)
-                .arg("--store")
-                .arg(&store)
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if role == "primary" {
-                cmd.arg("--commit-log").arg(commit_log_path(dir, v));
-            }
-            let child = cmd
-                .spawn()
-                .unwrap_or_else(|e| panic!("spawning {} for validator {v}: {e}", bin.display()));
-            self.children.push((v, child));
-        }
-    }
-
-    fn kill_validator(&mut self, v: usize) {
-        for (owner, child) in &mut self.children {
-            if *owner == v {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-        self.children.retain(|(owner, _)| *owner != v);
-    }
-
-    fn kill_all(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.children.clear();
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        self.kill_all();
-    }
-}
-
-/// Open-loop transaction source feeding every worker, reconnecting to
-/// workers that die and come back.
-struct LoadClient {
-    targets: Vec<SocketAddr>,
-    conns: Vec<Option<ClientConn>>,
-    next_id: u64,
-}
-
-impl LoadClient {
-    fn new(targets: Vec<SocketAddr>) -> Self {
-        let conns = (0..targets.len()).map(|_| None).collect();
-        LoadClient {
-            targets,
-            conns,
-            next_id: 0,
-        }
-    }
-
-    fn pump(&mut self) {
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = ClientConn::connect(self.targets[i]).ok();
-            }
-            if let Some(conn) = slot {
-                self.next_id += 1;
-                let msg: NarwhalMsg<NoExt> =
-                    NarwhalMsg::ClientTx(Transaction::filler(self.next_id, 0, 128));
-                if conn.send_payload(encode_to_vec(&msg)).is_err() {
-                    *slot = None; // reconnect on the next pump
-                }
-            }
-        }
-    }
-}
-
-/// Pumps load until `done()` or the deadline; Err on timeout.
-fn wait_until(
-    limit: Duration,
-    client: &mut LoadClient,
-    mut done: impl FnMut() -> bool,
-) -> Result<(), String> {
-    let deadline = Instant::now() + limit;
-    while Instant::now() < deadline {
-        client.pump();
-        std::thread::sleep(Duration::from_millis(10));
-        if done() {
-            return Ok(());
-        }
-    }
-    Err(format!("condition not reached within {limit:?}"))
-}
-
-fn commit_log_path(dir: &Path, v: usize) -> PathBuf {
-    dir.join(format!("v{v}.commits"))
-}
-
-/// Parses one commit log into `(sequence, round, author)` lines in file
-/// order, skipping `# start` markers.
-fn commit_lines(dir: &Path, v: usize) -> Vec<(u64, u64, u32)> {
-    let Ok(text) = std::fs::read_to_string(commit_log_path(dir, v)) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
-        .filter_map(|line| {
-            let mut parts = line.split_whitespace();
-            Some((
-                parts.next()?.parse().ok()?,
-                parts.next()?.parse().ok()?,
-                parts.next()?.parse().ok()?,
-            ))
-        })
-        .collect()
-}
-
-/// Reserves `n` distinct localhost ports by binding and dropping listeners.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-/// Locates the `narwhal-node` binary next to this example's build output.
-fn find_node_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("current exe");
-    // target/<profile>/examples/localhost_committee -> target/<profile>/
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("examples directory layout");
-    let candidate = profile_dir.join("narwhal-node");
-    if candidate.exists() {
-        return candidate;
-    }
-    panic!(
-        "narwhal-node binary not found at {}; build it first with \
-         `cargo build {} -p nt_runtime`",
-        candidate.display(),
-        if profile_dir.ends_with("release") {
-            "--release"
-        } else {
-            ""
-        }
-    );
 }

@@ -2,7 +2,7 @@
 //! execution layer.
 //!
 //! This is the paper's target workload: a blockchain committing transfer
-//! transactions. Each validator runs the [`LedgerApp`] account ledger
+//! transactions, here on four validators over loopback TCP. Each validator runs the [`LedgerApp`] account ledger
 //! behind the ABCI-style [`Execution`] trait (§8.4): the primary resolves
 //! every committed block's batches from its store, applies them in commit
 //! order, and stamps the resulting state root on the emitted
@@ -25,25 +25,25 @@
 //! cargo run --release --example payment_ledger
 //! ```
 
-use narwhal::{committee_factories, BlockStore, NarwhalConfig, NarwhalMsg, NoExt, NodeBuilder};
+use narwhal::{BlockStore, NarwhalConfig, NarwhalMsg, NoExt};
+use narwhal_tusk::codec::encode_to_vec;
 use narwhal_tusk::crypto::Digest;
 use narwhal_tusk::execution::{transfer_tx, BatchData, Execution, LedgerApp};
-use narwhal_tusk::network::{Actor, LocalRuntime, MS};
+use narwhal_tusk::network::MS;
+use narwhal_tusk::runtime::{AppKind, CommitteeConfig, LoopbackCommittee, SystemKind};
 use narwhal_tusk::storage::{DynStore, JournalStore};
-use narwhal_tusk::tusk::Tusk;
 use nt_crypto::Scheme;
-use nt_types::{CommitEvent, Committee, WorkerId};
+use nt_types::{CommitEvent, ValidatorId, WorkerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ACCOUNTS: u16 = 8;
 const TRANSFERS: u64 = 240;
 
 fn main() {
     let n = 4;
-    let (committee, keypairs) = Committee::deterministic(n, 1, Scheme::Ed25519);
-    let config = NarwhalConfig {
+    let narwhal = NarwhalConfig {
         batch_bytes: 4_096,
         max_batch_delay: 50 * MS,
         max_header_delay: 100 * MS,
@@ -55,30 +55,26 @@ fn main() {
     let stores: Vec<DynStore> = (0..n)
         .map(|_| Arc::new(JournalStore::new()) as DynStore)
         .collect();
-    let with_ledger = {
-        let stores = stores.clone();
-        move |v: u32, builder: NodeBuilder| {
-            let builder = builder.store(stores[v as usize].clone());
-            builder.execution(Box::new(LedgerApp::new()))
-        }
-    };
-    let tusk = |c: &Committee| Tusk::new(c.clone(), 42);
-    let actors: Vec<Box<dyn Actor<Message = NarwhalMsg<NoExt>>>> =
-        committee_factories(&committee, &keypairs, &config, 1, tusk, with_ledger)
-            .into_iter()
-            .map(|mut build| build())
-            .collect();
-    let handle = LocalRuntime::spawn(actors);
+    // Eight hosts on loopback TCP, every primary running the ledger.
+    let (config, keys) = CommitteeConfig::loopback(n, Scheme::Ed25519, SystemKind::Tusk, narwhal)
+        .expect("reserve loopback ports");
+    let committee = LoopbackCommittee::spawn(config, &keys, |v, _| {
+        (Some(stores[v.0 as usize].clone()), AppKind::Ledger)
+    })
+    .expect("start the committee");
 
     println!("Submitting {TRANSFERS} transfers between {ACCOUNTS} accounts...");
+    let mut clients: Vec<_> = (0..n as u32)
+        .map(|v| committee.client(ValidatorId(v)).expect("connect to worker"))
+        .collect();
     for i in 0..TRANSFERS {
         let from = (i % ACCOUNTS as u64) as u16;
         let to = ((i + 3) % ACCOUNTS as u64) as u16;
-        let worker_node = n + (i as usize % n);
-        handle.client_send(
-            worker_node,
-            NarwhalMsg::ClientTx(transfer_tx(i, from, to, 1 + (i % 7) as u32)),
-        );
+        let msg: NarwhalMsg<NoExt> =
+            NarwhalMsg::ClientTx(transfer_tx(i, from, to, 1 + (i % 7) as u32));
+        clients[i as usize % n]
+            .send_payload(encode_to_vec(&msg))
+            .expect("submit");
     }
 
     // Collect the commit streams of validators 0 and 1 until every transfer
@@ -109,19 +105,29 @@ fn main() {
             streams.entry(node).or_default().push(event);
         }
     };
-    let mut committed_txs = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while committed_txs < TRANSFERS && std::time::Instant::now() < deadline {
-        let Some((node, event)) = handle.next_commit(Duration::from_secs(2)) else {
-            break;
-        };
-        if node == event.author.0 as usize {
-            committed_txs += event.tx_count;
+    // One pass over every primary's stream; returns the transactions newly
+    // counted as committed.
+    let mut poll = || {
+        let mut own_txs = 0;
+        for (node, stream) in committee.commits().iter().enumerate() {
+            for event in stream.drain() {
+                if node == event.author.0 as usize {
+                    own_txs += event.tx_count;
+                }
+                record(node, event);
+            }
         }
-        record(node, event);
+        std::thread::sleep(Duration::from_millis(5));
+        own_txs
+    };
+    let mut committed_txs = 0u64;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while committed_txs < TRANSFERS && Instant::now() < deadline {
+        committed_txs += poll();
     }
-    while let Some((node, event)) = handle.next_commit(Duration::from_millis(300)) {
-        record(node, event);
+    let tail = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < tail {
+        poll();
     }
 
     // Every shared sequence: same block, same non-zero app root.
@@ -147,7 +153,7 @@ fn main() {
     // Offline replay (§8.4): a fresh engine fed validator 0's recorded
     // commit order and the batch data fetched along the way must reproduce
     // every stamped root — and ends up holding the final balances.
-    handle.shutdown();
+    committee.stop();
     let mut engine = LedgerApp::new();
     let mut ordered: Vec<&CommitEvent> = streams.get(&0).into_iter().flatten().collect();
     ordered.sort_by_key(|e| e.sequence);

@@ -1,8 +1,10 @@
 //! Quickstart: a live 4-validator Narwhal+Tusk committee on your machine.
 //!
-//! Spawns four validators (primary + one worker each) on real threads with
-//! real Ed25519 signatures, submits client transactions, and watches the
-//! total order come out the other side.
+//! Spawns four validators (primary + one worker each) as eight hosts on
+//! loopback TCP — the same transport, codec and drive loop a deployed
+//! `narwhal-node` runs — with real Ed25519 signatures, submits client
+//! transactions over real sockets, and watches the total order come out
+//! the other side.
 //!
 //! Run with:
 //!
@@ -10,64 +12,65 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use narwhal::{committee_actors, NarwhalConfig, NarwhalMsg};
-use narwhal_tusk::network::{LocalRuntime, MS};
-use narwhal_tusk::tusk::Tusk;
+use narwhal::{NarwhalConfig, NarwhalMsg, NoExt};
+use narwhal_tusk::codec::encode_to_vec;
+use narwhal_tusk::network::MS;
+use narwhal_tusk::runtime::{AppKind, CommitteeConfig, LoopbackCommittee, SystemKind};
 use nt_crypto::Scheme;
-use nt_types::{Committee, Transaction};
-use std::time::Duration;
+use nt_types::{Transaction, ValidatorId};
+use std::time::{Duration, Instant};
 
 fn main() {
     let n = 4;
-    let workers = 1;
-    println!("Spawning {n} validators (Ed25519 signatures, 1 worker each)...");
-    let (committee, keypairs) = Committee::deterministic(n, workers, Scheme::Ed25519);
+    println!("Spawning {n} validators (Ed25519 signatures, 1 worker each) on 127.0.0.1...");
     // Small batches so the demo commits quickly at low rates.
-    let config = NarwhalConfig {
+    let narwhal = NarwhalConfig {
         batch_bytes: 2_048,
         max_batch_delay: 50 * MS,
         max_header_delay: 100 * MS,
         ..NarwhalConfig::default()
     };
-    let tusk = |c: &Committee| Tusk::new(c.clone(), 42);
-    let actors = committee_actors(&committee, &keypairs, &config, workers, tusk);
-    let handle = LocalRuntime::spawn(actors);
+    let (config, keys) = CommitteeConfig::loopback(n, Scheme::Ed25519, SystemKind::Tusk, narwhal)
+        .expect("reserve loopback ports");
+    let committee = LoopbackCommittee::spawn(config, &keys, |_, _| (None, AppKind::None))
+        .expect("start the committee");
 
-    // Submit 200 transactions, spread over the four validators' workers
-    // (worker node ids follow the primaries: 4, 5, 6, 7).
+    // Submit 200 transactions, spread over the four validators' workers.
     println!("Submitting 200 transactions of 256 B...");
+    let mut clients: Vec<_> = (0..n as u32)
+        .map(|v| committee.client(ValidatorId(v)).expect("connect to worker"))
+        .collect();
     for i in 0..200u64 {
-        let worker_node = n + (i as usize % n);
-        handle.client_send(
-            worker_node,
-            NarwhalMsg::ClientTx(Transaction::filler(i, 7, 256)),
-        );
+        let msg: NarwhalMsg<NoExt> = NarwhalMsg::ClientTx(Transaction::filler(i, 7, 256));
+        clients[i as usize % n]
+            .send_payload(encode_to_vec(&msg))
+            .expect("submit");
     }
 
     // Watch commits until all 200 transactions are in the total order.
     // Each commit event reports the transactions of its author's batches,
-    // so summing events where `node == author` counts each exactly once.
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    // so summing each validator's own blocks counts each exactly once.
+    let deadline = Instant::now() + Duration::from_secs(20);
     let mut committed_txs = 0u64;
     let mut committed_blocks = 0u64;
     let mut highest_round = 0u64;
-    while committed_txs < 200 && std::time::Instant::now() < deadline {
-        let Some((node, event)) = handle.next_commit(Duration::from_secs(2)) else {
-            break;
-        };
-        if node == event.author.0 as usize {
-            committed_txs += event.tx_count;
-            if event.tx_count > 0 {
-                println!(
-                    "  commit #{:<3} round {:<3} by {}: {} txs  (total {committed_txs}/200)",
-                    event.sequence, event.round, event.author, event.tx_count
-                );
+    while committed_txs < 200 && Instant::now() < deadline {
+        for (node, stream) in committee.commits().iter().enumerate() {
+            for event in stream.drain() {
+                if node == event.author.0 as usize && event.tx_count > 0 {
+                    committed_txs += event.tx_count;
+                    println!(
+                        "  commit #{:<3} round {:<3} by {}: {} txs  (total {committed_txs}/200)",
+                        event.sequence, event.round, event.author, event.tx_count
+                    );
+                }
+                if node == 0 {
+                    committed_blocks += 1;
+                    highest_round = highest_round.max(event.round);
+                }
             }
         }
-        if node == 0 {
-            committed_blocks += 1;
-            highest_round = highest_round.max(event.round);
-        }
+        std::thread::sleep(Duration::from_millis(5));
     }
     println!();
     println!(
@@ -78,6 +81,6 @@ fn main() {
         committed_txs >= 200,
         "the committee should commit everything"
     );
-    handle.shutdown();
+    committee.stop();
     println!("Done.");
 }

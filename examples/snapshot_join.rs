@@ -30,18 +30,15 @@
 //! cargo run --release --example snapshot_join -- --smoke
 //! ```
 
-use narwhal_tusk::codec::encode_to_vec;
-use narwhal_tusk::crypto::Scheme;
-use narwhal_tusk::narwhal::{NarwhalConfig, NarwhalMsg, NoExt};
-use narwhal_tusk::runtime::{ClientConn, CommitteeConfig, KeyFile, SystemKind, ValidatorEntry};
-use narwhal_tusk::types::Transaction;
+use cluster::{commit_entries, incarnations, store_dir, wait_until, Cluster, Entry, LoadClient, N};
+use narwhal_tusk::narwhal::NarwhalConfig;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
-const N: usize = 4;
+#[path = "support/cluster.rs"]
+mod cluster;
+
 const VICTIM: usize = 3;
 /// Small GC window so a few seconds of downtime pushes the victim past the
 /// sync horizon; the snapshot cadence must fit inside it (see
@@ -56,53 +53,15 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (warm_target, rejoin_target) = if smoke { (8, 5) } else { (25, 12) };
 
-    let node_bin = find_node_binary();
-    let dir = std::env::temp_dir().join(format!("narwhal-snapjoin-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    println!("scratch directory: {}", dir.display());
-
-    // --- configuration: free ports, key files, one committee file -------
-    let addrs = free_addrs(2 * N);
-    let keys: Vec<KeyFile> = (0..N)
-        .map(|i| {
-            let mut seed = [0u8; 32];
-            seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            seed[8] = 0xc0;
-            KeyFile {
-                scheme: Scheme::Insecure,
-                seed,
-            }
-        })
-        .collect();
-    let config = CommitteeConfig {
-        scheme: Scheme::Insecure,
-        system: SystemKind::Bullshark,
-        workers: 1,
-        narwhal: NarwhalConfig {
-            gc_depth: GC_DEPTH,
-            snapshot_interval: SNAPSHOT_INTERVAL,
-            ..NarwhalConfig::default()
-        },
-        validators: (0..N)
-            .map(|v| ValidatorEntry {
-                public: keys[v].keypair().public(),
-                primary: addrs[v].into(),
-                workers: vec![addrs[N + v].into()],
-            })
-            .collect(),
+    // --- configuration + launch ------------------------------------------
+    let narwhal = NarwhalConfig {
+        gc_depth: GC_DEPTH,
+        snapshot_interval: SNAPSHOT_INTERVAL,
+        ..NarwhalConfig::default()
     };
-    let committee_path = dir.join("committee.txt");
-    std::fs::write(&committee_path, config.to_file_string()).expect("write committee");
-    for (i, key) in keys.iter().enumerate() {
-        std::fs::write(dir.join(format!("v{i}.key")), key.to_file_string()).expect("write key");
-    }
-
-    // --- launch ----------------------------------------------------------
-    let mut cluster = Cluster::default();
-    for v in 0..N {
-        cluster.spawn_validator(&node_bin, &dir, &committee_path, v);
-    }
-    let mut client = LoadClient::new((0..N).map(|v| addrs[N + v]).collect());
+    let mut cluster = Cluster::launch("narwhal-snapjoin", narwhal, "ledger");
+    let dir = cluster.dir().to_path_buf();
+    let mut client = cluster.load_client();
 
     // --- phase 1: all four up -------------------------------------------
     println!("phase 1: warming up until every validator commits {warm_target} blocks");
@@ -113,14 +72,7 @@ fn main() {
 
     // --- phase 2: lapsed validator rejoins via snapshot ------------------
     println!("phase 2: killing validator {VICTIM}, outliving its GC horizon");
-    let gap_a = kill_outlive_restart(
-        &mut cluster,
-        &mut client,
-        &node_bin,
-        &dir,
-        &committee_path,
-        false,
-    );
+    let gap_a = kill_outlive_restart(&mut cluster, &mut client, false);
     println!(
         "phase 2: validator {VICTIM} rejoined over sequence gap {}..{}",
         gap_a.0, gap_a.1
@@ -129,14 +81,7 @@ fn main() {
 
     // --- phase 3: brand-new joiner (store deleted) -----------------------
     println!("phase 3: killing validator {VICTIM} again and deleting its store");
-    let gap_b = kill_outlive_restart(
-        &mut cluster,
-        &mut client,
-        &node_bin,
-        &dir,
-        &committee_path,
-        true,
-    );
+    let gap_b = kill_outlive_restart(&mut cluster, &mut client, true);
     println!(
         "phase 3: fresh validator {VICTIM} joined over sequence gap {}..{}",
         gap_b.0, gap_b.1
@@ -174,48 +119,31 @@ fn main() {
 fn kill_outlive_restart(
     cluster: &mut Cluster,
     client: &mut LoadClient,
-    node_bin: &Path,
-    dir: &Path,
-    committee_path: &Path,
     delete_store: bool,
 ) -> (u64, u64) {
-    let pre = commit_entries(dir, VICTIM);
+    let dir = cluster.dir().to_path_buf();
+    let pre = commit_entries(&dir, VICTIM);
     let last_seq = pre.iter().map(|e| e.seq).max().unwrap_or(0);
     let last_round = pre.iter().map(|e| e.round).max().unwrap_or(0);
     cluster.kill_validator(VICTIM);
     let horizon = last_round + GC_DEPTH + HORIZON_MARGIN;
     wait_until(Duration::from_secs(240), client, || {
-        commit_entries(dir, 0)
-            .iter()
-            .map(|e| e.round)
-            .max()
-            .unwrap_or(0)
-            > horizon
+        let survivor = commit_entries(&dir, 0);
+        survivor.iter().map(|e| e.round).max().unwrap_or(0) > horizon
     })
     .expect("survivors never outran the victim's GC horizon");
     if delete_store {
-        std::fs::remove_dir_all(dir.join(format!("store-v{VICTIM}"))).expect("delete victim store");
+        std::fs::remove_dir_all(store_dir(&dir, VICTIM)).expect("delete victim store");
     }
-    let starts_before = start_markers(dir, VICTIM);
-    cluster.spawn_validator(node_bin, dir, committee_path, VICTIM);
+    let starts_before = incarnations(&dir, VICTIM).len();
+    cluster.spawn_validator(VICTIM);
     // First sequence the new incarnation logs.
     let mut first_new = 0;
     wait_until(Duration::from_secs(240), client, || {
-        let text = log_text(dir, VICTIM);
-        let mut starts = 0;
-        for line in text.lines() {
-            if line.starts_with("# start") {
-                starts += 1;
-                continue;
-            }
-            if starts > starts_before {
-                if let Some(entry) = parse_entry(line) {
-                    first_new = entry.seq;
-                    return true;
-                }
-            }
-        }
-        false
+        let runs = incarnations(&dir, VICTIM);
+        let first = runs.iter().skip(starts_before).flatten().next();
+        first_new = first.map_or(0, |entry| entry.seq);
+        first.is_some()
     })
     .expect("restarted validator never committed");
     (last_seq, first_new)
@@ -225,28 +153,10 @@ fn kill_outlive_restart(
 /// `incarnation`-th `# start` marker.
 fn wait_for_rejoin(client: &mut LoadClient, dir: &Path, incarnation: usize, target: usize) {
     wait_until(Duration::from_secs(240), client, || {
-        let text = log_text(dir, VICTIM);
-        let mut starts = 0;
-        let mut commits = 0;
-        for line in text.lines() {
-            if line.starts_with("# start") {
-                starts += 1;
-            } else if starts >= incarnation && parse_entry(line).is_some() {
-                commits += 1;
-            }
-        }
-        starts >= incarnation && commits >= target
+        let runs = incarnations(dir, VICTIM);
+        runs.iter().skip(incarnation - 1).flatten().count() >= target
     })
     .expect("rejoined validator stopped committing");
-}
-
-/// One commit-log line: `<sequence> <round> <author> <app_root>`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Entry {
-    seq: u64,
-    round: u64,
-    author: u32,
-    root: String,
 }
 
 /// The logs must agree within and across validators — block identity *and*
@@ -301,188 +211,5 @@ fn verify(logs: &[Vec<Entry>]) {
     assert!(
         shared >= 5,
         "victim shares only {shared} sequences with validator 0"
-    );
-}
-
-// ----------------------------------------------------------------------
-// harness plumbing
-// ----------------------------------------------------------------------
-
-/// The spawned processes, killed on drop so a failing assert cleans up.
-#[derive(Default)]
-struct Cluster {
-    children: Vec<(usize, Child)>,
-}
-
-impl Cluster {
-    fn spawn_validator(&mut self, bin: &Path, dir: &Path, committee: &Path, v: usize) {
-        let store = dir.join(format!("store-v{v}"));
-        for role in ["primary", "worker:0"] {
-            let mut cmd = Command::new(bin);
-            cmd.arg("run")
-                .arg("--committee")
-                .arg(committee)
-                .arg("--key")
-                .arg(dir.join(format!("v{v}.key")))
-                .arg("--role")
-                .arg(role)
-                .arg("--store")
-                .arg(&store)
-                .arg("--app")
-                .arg("ledger")
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if role == "primary" {
-                cmd.arg("--commit-log").arg(commit_log_path(dir, v));
-            }
-            let child = cmd
-                .spawn()
-                .unwrap_or_else(|e| panic!("spawning {} for validator {v}: {e}", bin.display()));
-            self.children.push((v, child));
-        }
-    }
-
-    fn kill_validator(&mut self, v: usize) {
-        for (owner, child) in &mut self.children {
-            if *owner == v {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-        self.children.retain(|(owner, _)| *owner != v);
-    }
-
-    fn kill_all(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.children.clear();
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        self.kill_all();
-    }
-}
-
-/// Open-loop transaction source feeding every worker, reconnecting to
-/// workers that die and come back.
-struct LoadClient {
-    targets: Vec<SocketAddr>,
-    conns: Vec<Option<ClientConn>>,
-    next_id: u64,
-}
-
-impl LoadClient {
-    fn new(targets: Vec<SocketAddr>) -> Self {
-        let conns = (0..targets.len()).map(|_| None).collect();
-        LoadClient {
-            targets,
-            conns,
-            next_id: 0,
-        }
-    }
-
-    fn pump(&mut self) {
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = ClientConn::connect(self.targets[i]).ok();
-            }
-            if let Some(conn) = slot {
-                self.next_id += 1;
-                let msg: NarwhalMsg<NoExt> =
-                    NarwhalMsg::ClientTx(Transaction::filler(self.next_id, 0, 128));
-                if conn.send_payload(encode_to_vec(&msg)).is_err() {
-                    *slot = None; // reconnect on the next pump
-                }
-            }
-        }
-    }
-}
-
-/// Pumps load until `done()` or the deadline; Err on timeout.
-fn wait_until(
-    limit: Duration,
-    client: &mut LoadClient,
-    mut done: impl FnMut() -> bool,
-) -> Result<(), String> {
-    let deadline = Instant::now() + limit;
-    while Instant::now() < deadline {
-        client.pump();
-        std::thread::sleep(Duration::from_millis(10));
-        if done() {
-            return Ok(());
-        }
-    }
-    Err(format!("condition not reached within {limit:?}"))
-}
-
-fn commit_log_path(dir: &Path, v: usize) -> PathBuf {
-    dir.join(format!("v{v}.commits"))
-}
-
-fn log_text(dir: &Path, v: usize) -> String {
-    std::fs::read_to_string(commit_log_path(dir, v)).unwrap_or_default()
-}
-
-fn start_markers(dir: &Path, v: usize) -> usize {
-    log_text(dir, v)
-        .lines()
-        .filter(|l| l.starts_with("# start"))
-        .count()
-}
-
-fn parse_entry(line: &str) -> Option<Entry> {
-    if line.starts_with('#') || line.trim().is_empty() {
-        return None;
-    }
-    let mut parts = line.split_whitespace();
-    Some(Entry {
-        seq: parts.next()?.parse().ok()?,
-        round: parts.next()?.parse().ok()?,
-        author: parts.next()?.parse().ok()?,
-        root: parts.next()?.to_string(),
-    })
-}
-
-/// Parses one commit log into entries in file order, skipping markers.
-fn commit_entries(dir: &Path, v: usize) -> Vec<Entry> {
-    log_text(dir, v).lines().filter_map(parse_entry).collect()
-}
-
-/// Reserves `n` distinct localhost ports by binding and dropping listeners.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-/// Locates the `narwhal-node` binary next to this example's build output.
-fn find_node_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("current exe");
-    // target/<profile>/examples/snapshot_join -> target/<profile>/
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("examples directory layout");
-    let candidate = profile_dir.join("narwhal-node");
-    if candidate.exists() {
-        return candidate;
-    }
-    panic!(
-        "narwhal-node binary not found at {}; build it first with \
-         `cargo build {} -p nt_runtime`",
-        candidate.display(),
-        if profile_dir.ends_with("release") {
-            "--release"
-        } else {
-            ""
-        }
     );
 }

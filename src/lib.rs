@@ -11,9 +11,10 @@
 //! - [`codec`]: canonical binary encoding used for wire messages and digests.
 //! - [`types`]: committee, blocks, certificates, votes, and wire messages.
 //! - [`storage`]: the persistent block store (WAL-backed key-value store).
-//! - [`network`]: sans-io actor abstractions and the threaded local runtime.
+//! - [`network`]: sans-io actor abstractions and deployment addressing.
 //! - [`runtime`]: the real-socket runtime (TCP transport, node driver, the
-//!   `narwhal-node` binary for process-per-validator deployments).
+//!   `narwhal-node` binary for process-per-validator deployments, and the
+//!   in-process loopback committee the examples and tests run).
 //! - [`simnet`]: the deterministic discrete-event WAN simulator.
 //! - [`narwhal`]: the Narwhal mempool (primary, workers, synchronizer, GC).
 //! - [`execution`]: the ABCI-style execution layer (account ledger, state
