@@ -205,15 +205,12 @@ impl<Ext: Clone + Send + 'static> Byzantine<Ext> {
                     if h.round > self.twin_round {
                         self.mint_twin(h);
                     }
-                    let twin_matches = self
-                        .current_twin
-                        .as_ref()
-                        .is_some_and(|t| t.round == h.round);
-                    if twin_matches && self.twin_audience(to) {
-                        let twin = self.current_twin.clone().expect("checked");
-                        ctx.send(to, NarwhalMsg::Header(twin));
-                    } else {
-                        ctx.send(to, msg);
+                    let twin = self.current_twin.as_ref().filter(|t| t.round == h.round);
+                    match twin {
+                        Some(twin) if self.twin_audience(to) => {
+                            ctx.send(to, NarwhalMsg::Header(twin.clone()))
+                        }
+                        _ => ctx.send(to, msg),
                     }
                 }
                 _ => ctx.send(to, msg),

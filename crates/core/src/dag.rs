@@ -431,8 +431,13 @@ impl Dag {
     /// surviving children of pruned parents fall back to unresolved digest
     /// references — which can never resolve again, since re-insertion below
     /// the boundary is rejected.
+    ///
+    /// A snapshot install passes a boundary read off the wire; one with no
+    /// round above it prunes nothing.
     pub fn gc(&mut self, gc_round: Round) -> Vec<Certificate> {
-        let new_first = gc_round + 1;
+        let Some(new_first) = gc_round.checked_add(1) else {
+            return Vec::new();
+        };
         if new_first <= self.first_retained {
             return Vec::new();
         }
@@ -528,6 +533,8 @@ impl Dag {
                 *child = CertId(remap[child.index()]);
             }
         }
+        // Invariant: `dead_ids` lists each slot of `dead_rounds` exactly once,
+        // and those are the slots the compaction above moved to `dead_certs`.
         dead_ids
             .into_iter()
             .map(|id| dead_certs[id.index()].take().expect("pruned slot"))
@@ -948,6 +955,10 @@ mod tests {
         assert_eq!(dag.insert(old), InsertOutcome::BelowGc);
         // GC never regresses.
         assert!(dag.gc(1).is_empty());
+        // A boundary with no round above it (a forged snapshot base carries
+        // one) prunes nothing instead of overflowing.
+        assert!(dag.gc(Round::MAX).is_empty());
+        assert_eq!(dag.first_retained_round(), 3);
     }
 
     #[test]

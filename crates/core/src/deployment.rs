@@ -67,6 +67,23 @@ impl AddressBook {
         Some((ValidatorId((rel / w) as u32), WorkerId((rel % w) as u32)))
     }
 
+    /// The validator to ask on try number `attempts` of a pull first aimed
+    /// at `hint`: "the probability of receiving a correct response grows
+    /// exponentially after asking a handful of validators" (§4.1), so every
+    /// retry moves one validator on — and steps over `me`, since a request
+    /// to ourselves can never be answered. Alone in the committee there is
+    /// nobody else to land on.
+    pub(crate) fn rotate(&self, me: ValidatorId, hint: ValidatorId, attempts: u32) -> ValidatorId {
+        let n = self.validators as u64;
+        let target = (hint.0 as u64 + attempts as u64) % n;
+        let target = if target == me.0 as u64 && n > 1 {
+            (target + 1) % n
+        } else {
+            target
+        };
+        ValidatorId(target as u32)
+    }
+
     /// Node ids of all primaries except `me`.
     pub fn other_primaries(&self, me: ValidatorId) -> Vec<NodeId> {
         (0..self.validators)
@@ -114,6 +131,31 @@ mod tests {
         assert_eq!(book.worker_of(5), None);
         assert_eq!(book.primary_of(9), Some(ValidatorId(9)));
         assert_eq!(book.primary_of(10), None);
+    }
+
+    #[test]
+    fn rotation_never_lands_on_self_and_visits_every_peer() {
+        for n in 2..=7u32 {
+            let book = AddressBook::new(n as usize, 1);
+            for me in 0..n {
+                for hint in 0..n {
+                    let mut seen = std::collections::HashSet::new();
+                    for attempts in 0..2 * n {
+                        let target = book.rotate(ValidatorId(me), ValidatorId(hint), attempts);
+                        assert_ne!(target.0, me, "n={n} hint={hint} attempts={attempts}");
+                        assert!(target.0 < n);
+                        seen.insert(target.0);
+                    }
+                    assert_eq!(seen.len() as u32, n - 1, "two laps reach every peer");
+                }
+            }
+        }
+        // Alone, the rotation has only ourselves to return — and returns.
+        let alone = AddressBook::new(1, 1);
+        assert_eq!(
+            alone.rotate(ValidatorId(0), ValidatorId(0), u32::MAX),
+            ValidatorId(0)
+        );
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //! Module map (paper section in parentheses):
 //!
 //! - [`dag`]: the round-based block DAG and its invariants (§2.1, §3.1).
-//! - [`primary`]: the primary state machine — proposing blocks, voting,
-//!   assembling certificates, advancing rounds (§3.1), the quorum-based
-//!   reliable broadcast with pull-based synchronization (§4.1), and
-//!   garbage collection with transaction re-injection (§3.3).
+//! - [`primary`]: the primary, a router that owns the DAG, the local round
+//!   and the order in which its five state machines are called. Each is a
+//!   plain struct in a private module: `proposer` (block creation and round
+//!   pacing, §3.1; re-injection, §3.3), `certifier` (votes, vote locks,
+//!   certificates, §3.1; retransmission, §4.1), `synchronizer` (dependency
+//!   waits and pull synchronization, §4.1), `executor` (linearization, §5;
+//!   execution, §8.4) and `state_transfer` (signed snapshots past the GC
+//!   horizon, §3.3).
 //! - [`worker`]: the scale-out worker state machine — batching, streaming,
 //!   quorum acknowledgments, and batch fetching (§4.2).
 //! - [`consensus`]: the plug-in interface consensus protocols implement to
@@ -33,15 +37,20 @@
 
 pub mod adversary;
 pub mod anchor_walk;
+mod certifier;
 pub mod committee;
 pub mod config;
 pub mod consensus;
 pub mod dag;
 pub mod deployment;
+mod executor;
 pub mod messages;
 pub mod node;
 pub mod primary;
+mod proposer;
+mod state_transfer;
 pub mod store;
+mod synchronizer;
 pub mod testing;
 pub mod worker;
 

@@ -15,7 +15,7 @@ use crate::config::NarwhalConfig;
 use crate::consensus::DagConsensus;
 use crate::deployment::AddressBook;
 use crate::messages::NarwhalMsg;
-use crate::primary::Primary;
+use crate::primary::{Identity, Primary};
 use crate::store::BlockStore;
 use crate::worker::Worker;
 use nt_crypto::KeyPair;
@@ -124,20 +124,18 @@ impl NodeBuilder {
     ///
     /// Panics if no keypair was set.
     pub fn build_primary<C: DagConsensus>(self, consensus: C) -> Primary<C> {
-        let addr = self.address_book();
-        let keypair = self
-            .keypair
-            .expect("NodeBuilder: a primary needs a keypair");
-        Primary::build(
-            self.committee,
-            self.config,
-            addr,
-            self.me,
-            keypair,
-            consensus,
-            self.store.map(BlockStore::new),
-            self.execution,
-        )
+        let id = Identity {
+            addr: self.address_book(),
+            // Invariant of the caller, documented above.
+            keypair: self
+                .keypair
+                .expect("NodeBuilder: a primary needs a keypair"),
+            committee: self.committee,
+            config: self.config,
+            me: self.me,
+            store: self.store.map(BlockStore::new),
+        };
+        Primary::build(id, consensus, self.execution)
     }
 
     /// Builds the bare worker state machine for slot `worker`.

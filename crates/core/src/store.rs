@@ -122,6 +122,27 @@ const APP_STATE_KEY: &[u8] = b"k/app";
 /// superseded and garbage-collected on the next `put_snapshot`.
 const SNAPSHOTS_RETAINED: usize = 2;
 
+/// The one disk-failure policy of both roles: fail-stop. A validator whose
+/// vote lock, ordered marker or acknowledged batch did not reach disk must
+/// not go on to vote, commit or acknowledge as if it had — its next
+/// incarnation would equivocate or renumber the sequence. Crashing instead
+/// is a fault the protocol tolerates (§2: up to `f` validators), and
+/// recovery restarts from whatever the store did keep.
+pub(crate) fn fail_stop<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    // Invariant of the deployment, not of the program: the disk works.
+    result.unwrap_or_else(|e| panic!("fail-stop, durable state is unavailable: {e}"))
+}
+
+/// Runs `op` against the durable store, if this primary has one: `None`
+/// is the volatile primary (the simulation default), `Some` the result of
+/// an operation that reached disk. Failures end in [`fail_stop`].
+pub(crate) fn disk<T>(
+    store: &Option<BlockStore>,
+    op: impl FnOnce(&BlockStore) -> Result<T, BlockStoreError>,
+) -> Option<T> {
+    store.as_ref().map(|s| fail_stop(op(s)))
+}
+
 #[cfg(test)]
 thread_local! {
     /// Calls to [`BlockStore::encode_batch`] on this thread, for the worker

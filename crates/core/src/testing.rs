@@ -1,5 +1,6 @@
 //! A bench for commit-rule tests: hand-built rounds, recorded DAGs, and
-//! replay in any delivery order.
+//! replay in any delivery order. The primary's component tests build their
+//! DAGs on it too.
 //!
 //! Every certificate carries all `n` votes and a coin share (the rules
 //! without a coin ignore it), under the `Insecure` scheme: the rules read
@@ -25,10 +26,17 @@ pub fn certify(
     let kp = &keypairs[author as usize];
     let share = Some(CoinShare::new(kp, round));
     let header = Header::new(kp, ValidatorId(author), round, vec![], parents, share);
+    certify_header(committee, keypairs, header)
+}
+
+/// `header`, certified by everyone.
+pub fn certify_header(committee: &Committee, keypairs: &[KeyPair], header: Header) -> Certificate {
+    let (digest, round) = (header.digest(), header.round);
     let votes: Vec<Vote> = (0u32..)
         .zip(keypairs)
-        .map(|(v, kp)| Vote::new(kp, ValidatorId(v), header.digest(), round, header.author))
+        .map(|(v, kp)| Vote::new(kp, ValidatorId(v), digest, round, header.author))
         .collect();
+    // Invariant of the bench: all `n` votes are for this header.
     Certificate::from_votes(committee, header, &votes).expect("quorum")
 }
 
@@ -217,6 +225,7 @@ pub fn replay(
             for anchor in out.anchors {
                 anchors.push((anchor.round(), anchor.origin()));
                 let history = dag.collect_history(&anchor, &ordered);
+                // Invariant of the bench: deliveries wait for their parents.
                 for c in history.expect("complete causal cone") {
                     ordered.insert(c.header_digest());
                     linearized.push((c.round(), c.origin()));
@@ -233,4 +242,66 @@ pub fn replay(
         assert!(pending.len() < before, "delivery must make progress");
     }
     (anchors, linearized)
+}
+
+/// What the primary's component tests share: one validator's identity, a
+/// store, a worker report, and a look into the effect buffer.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::DagBench;
+    use crate::config::NarwhalConfig;
+    use crate::consensus::NoExt;
+    use crate::deployment::AddressBook;
+    use crate::messages::{BatchInfo, NarwhalMsg};
+    use crate::primary::{Ctx, Identity};
+    use crate::store::BlockStore;
+    use nt_crypto::Digest;
+    use nt_network::{Effect, NodeId, Time};
+    use nt_types::{ValidatorId, WorkerId};
+    use std::sync::Arc;
+
+    pub(crate) type Msg = NarwhalMsg<NoExt>;
+
+    /// Validator `me` of `bench`'s committee, volatile, under the default
+    /// config.
+    pub(crate) fn identity<C>(bench: &DagBench<C>, me: u32) -> Identity {
+        Identity {
+            committee: bench.committee.clone(),
+            config: NarwhalConfig::default(),
+            addr: AddressBook::new(bench.committee.size(), 1),
+            me: ValidatorId(me),
+            keypair: bench.keypairs[me as usize].clone(),
+            store: None,
+        }
+    }
+
+    /// A durable primary's store handle, over memory.
+    pub(crate) fn durable() -> Option<BlockStore> {
+        Some(BlockStore::new(Arc::new(nt_storage::MemStore::new())))
+    }
+
+    /// The report of `creator`'s worker-0 batch number `seq`.
+    pub(crate) fn batch(creator: u32, seq: u64) -> BatchInfo {
+        BatchInfo {
+            digest: Digest::of(&[creator as u64, seq].map(u64::to_le_bytes).concat()),
+            worker: WorkerId(0),
+            creator: ValidatorId(creator),
+            tx_count: 100,
+            tx_bytes: 51_200,
+            samples: vec![],
+        }
+    }
+
+    /// Drains `ctx` into its sends and the delays of its `tag` timers.
+    pub(crate) fn effects(ctx: &mut Ctx<NoExt>, tag: u64) -> (Vec<(NodeId, Msg)>, Vec<Time>) {
+        let (mut sends, mut timers) = (Vec::new(), Vec::new());
+        for effect in ctx.drain() {
+            match effect {
+                Effect::Send { to, msg } => sends.push((to, msg)),
+                Effect::Timer { delay, tag: t } if t == tag => timers.push(delay),
+                _ => {}
+            }
+        }
+        (sends, timers)
+    }
 }

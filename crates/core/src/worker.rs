@@ -21,10 +21,10 @@
 //! ([`BlockStore::encode_batch`]): that `(digest, bytes)` pair is what the
 //! store writes and what every report names.
 
-use crate::config::NarwhalConfig;
+use crate::config::{NarwhalConfig, SyntheticLoad};
 use crate::deployment::AddressBook;
 use crate::messages::{BatchInfo, NarwhalMsg};
-use crate::store::BlockStore;
+use crate::store::{fail_stop, BlockStore};
 use nt_crypto::Digest;
 use nt_network::{Actor, Context, NodeId, Time};
 use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId};
@@ -108,7 +108,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
 
     /// Number of batches in the store (tests/metrics).
     pub fn stored_batches(&self) -> usize {
-        self.store.batch_digests().expect("block store").len()
+        fail_stop(self.store.batch_digests()).len()
     }
 
     /// Number of batches held in memory (tests/metrics): own batches
@@ -119,7 +119,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
 
     /// True if this worker can serve the batch: it is pending or stored.
     fn holds(&self, digest: &Digest) -> bool {
-        self.pending.contains_key(digest) || self.store.has_batch(digest).expect("block store")
+        self.pending.contains_key(digest) || fail_stop(self.store.has_batch(digest))
     }
 
     /// Re-reports every persisted batch to the primary after a crash, one
@@ -130,7 +130,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
     /// sequence counters so new batches never collide with pre-crash
     /// digests.
     fn recover(&mut self, ctx: &mut Context<NarwhalMsg<Ext>>) {
-        for digest in self.store.batch_digests().expect("block store") {
+        for digest in fail_stop(self.store.batch_digests()) {
             // Unreadable records are skipped, as on-disk data always is.
             let Ok(Some(batch)) = self.store.get_batch(&digest) else {
                 continue;
@@ -176,7 +176,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         batch: &Batch,
         ctx: &mut Context<NarwhalMsg<Ext>>,
     ) {
-        self.store.put_batch(&digest, bytes).expect("block store");
+        fail_stop(self.store.put_batch(&digest, bytes));
         self.report(digest, batch, ctx);
     }
 
@@ -205,9 +205,13 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
     }
 
     /// Seals the synthetic batch for one load-generation interval.
-    fn seal_synthetic(&mut self, interval: Time, ctx: &mut Context<NarwhalMsg<Ext>>) {
-        let rate = self.config.load.expect("synthetic mode").rate_tps;
-        let count = self.config.txs_in_interval(rate, interval);
+    fn seal_synthetic(
+        &mut self,
+        load: SyntheticLoad,
+        interval: Time,
+        ctx: &mut Context<NarwhalMsg<Ext>>,
+    ) {
+        let count = self.config.txs_in_interval(load.rate_tps, interval);
         if count == 0 {
             return;
         }
@@ -270,8 +274,8 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
         match tag {
             TAG_SEAL => {
                 let interval = self.seal_interval();
-                if self.config.load.is_some() {
-                    self.seal_synthetic(interval, ctx);
+                if let Some(load) = self.config.load {
+                    self.seal_synthetic(load, interval, ctx);
                 } else if ctx.now().saturating_sub(self.buffer_opened)
                     >= self.config.max_batch_delay
                 {
@@ -303,16 +307,12 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 // were fetching a batch we ourselves created and the
                 // rotation landed on us — a request that can never be
                 // answered.
-                let n = self.committee.size() as u32;
                 let mut retries: Vec<(NodeId, Digest)> = Vec::new();
                 for (digest, fetch) in self.fetching.iter_mut() {
                     if now.saturating_sub(fetch.last) >= self.config.sync_retry_delay {
                         fetch.attempts += 1;
                         fetch.last = now;
-                        let mut target = ValidatorId((fetch.creator.0 + fetch.attempts) % n);
-                        if target == self.me && n > 1 {
-                            target = ValidatorId((target.0 + 1) % n);
-                        }
+                        let target = self.addr.rotate(self.me, fetch.creator, fetch.attempts);
                         retries.push((self.addr.worker(target, self.worker_id), *digest));
                     }
                 }
@@ -358,7 +358,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 // promise another validator's certificate will depend on
                 // (§4.2), so it must survive our crash.
                 if first_seen {
-                    self.store.put_batch(&digest, &bytes).expect("block store");
+                    fail_stop(self.store.put_batch(&digest, &bytes));
                 }
                 ctx.send(
                     from,
@@ -374,15 +374,15 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
             }
             NarwhalMsg::BatchAck { digest, voter } => {
                 let quorum = self.committee.quorum_threshold();
-                if let Some(p) = self.pending.get_mut(&digest) {
+                let reached = self.pending.get_mut(&digest).is_some_and(|p| {
                     p.acked.insert(voter);
-                    if p.acked.len() >= quorum {
-                        let done = self.pending.remove(&digest).expect("present");
-                        // Quorum reached: the batch is now replicated
-                        // enough to be referenced by a block — persist it
-                        // before the digest reaches the primary.
-                        self.store_and_report(digest, &done.bytes, &done.batch, ctx);
-                    }
+                    p.acked.len() >= quorum
+                });
+                if let Some(done) = reached.then(|| self.pending.remove(&digest)).flatten() {
+                    // Quorum reached: the batch is now replicated enough
+                    // to be referenced by a block — persist it before the
+                    // digest reaches the primary.
+                    self.store_and_report(digest, &done.bytes, &done.batch, ctx);
                 }
             }
             NarwhalMsg::BatchRequest { digests } => {
@@ -390,7 +390,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     .iter()
                     .filter_map(|d| match self.pending.get(d) {
                         Some(p) => Some(p.batch.clone()),
-                        None => self.store.get_batch(d).expect("block store"),
+                        None => fail_stop(self.store.get_batch(d)),
                     })
                     .collect();
                 if !batches.is_empty() {
@@ -413,7 +413,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 if self.pending.contains_key(&digest) {
                     // Own batch still collecting acknowledgments: its
                     // report follows the quorum.
-                } else if let Some(batch) = self.store.get_batch(&digest).expect("block store") {
+                } else if let Some(batch) = fail_stop(self.store.get_batch(&digest)) {
                     // Held: (re-)report, straight from the store — a hit
                     // is proof the bytes are durable, nothing to rewrite.
                     self.report(digest, &batch, ctx);

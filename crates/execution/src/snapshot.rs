@@ -102,14 +102,30 @@ impl SnapshotManifest {
         Digest::of_parts(&parts)
     }
 
+    /// Whether the chunk list has the one length `app_len` allows:
+    /// `max(1, ceil(app_len / SNAPSHOT_CHUNK))`, as [`for_app`](Self::for_app)
+    /// builds it. A manifest arrives unsigned from whichever peer serves
+    /// the transfer, so check this before sizing anything by its fields.
+    pub fn is_well_formed(&self) -> bool {
+        self.app_len.div_ceil(SNAPSHOT_CHUNK as u64).max(1) == self.chunks.len() as u64
+    }
+
     /// Whether `chunk` is the genuine chunk at `index`.
     pub fn verify_chunk(&self, index: usize, chunk: &[u8]) -> bool {
         let Some(expected) = self.chunks.get(index) else {
             return false;
         };
-        // Every chunk except the last is exactly SNAPSHOT_CHUNK bytes.
+        // Every chunk except the last is exactly SNAPSHOT_CHUNK bytes. The
+        // lengths are the peer's claim: a chunk list longer than `app_len`
+        // covers has no last-chunk length at all.
         let expected_len = if index + 1 == self.chunks.len() {
-            self.app_len as usize - index * SNAPSHOT_CHUNK
+            let rest = index
+                .checked_mul(SNAPSHOT_CHUNK)
+                .and_then(|start| usize::try_from(self.app_len).ok()?.checked_sub(start));
+            match rest {
+                Some(len) => len,
+                None => return false,
+            }
         } else {
             SNAPSHOT_CHUNK
         };
@@ -404,6 +420,31 @@ mod tests {
         assert!(!manifest.verify_chunk(0, chunk_of(&app, 1).unwrap()));
         assert!(!manifest.verify_chunk(2, &[]));
         assert!(!manifest.verify_chunk(1, &app[SNAPSHOT_CHUNK..SNAPSHOT_CHUNK + 50]));
+    }
+
+    /// A transfer adopts the manifest before any signature covers it, so
+    /// its lengths are whatever the serving peer wrote.
+    #[test]
+    fn forged_manifest_lengths_are_rejected_not_subtracted() {
+        let forged = SnapshotManifest {
+            sequence: 9,
+            app_root: Digest::of(b"root"),
+            app_len: 0,
+            chunks: vec![Digest::of(b"d0"), Digest::of(b"d1")],
+        };
+        assert!(!forged.is_well_formed());
+        assert!(!forged.verify_chunk(1, &[]), "0 - 1 * SNAPSHOT_CHUNK");
+        let oversized = SnapshotManifest {
+            app_len: u64::MAX,
+            chunks: vec![Digest::of(b"d0")],
+            ..forged.clone()
+        };
+        assert!(!oversized.is_well_formed());
+        assert!(!oversized.verify_chunk(0, &[]));
+        // Genuine manifests, including the boundary sizes, are well formed.
+        for len in [0, 1, SNAPSHOT_CHUNK - 1, SNAPSHOT_CHUNK, SNAPSHOT_CHUNK + 1] {
+            assert!(SnapshotManifest::for_app(1, &vec![0u8; len]).is_well_formed());
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! is the point (any suffix must be revocable) and is fine for simulation
 //! runs, which are minutes of simulated time at most.
 
-use crate::{Store, StoreError};
-use parking_lot::Mutex;
+use crate::{unpoisoned, Store, StoreError};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 #[derive(Default)]
 struct Inner {
@@ -40,36 +40,36 @@ impl JournalStore {
 
     /// Number of journalled write operations since creation.
     pub fn journal_len(&self) -> usize {
-        self.inner.lock().journal.len()
+        unpoisoned(self.inner.lock()).journal.len()
     }
 
     /// Journal index of the latest durability barrier.
     pub fn synced_len(&self) -> usize {
-        self.inner.lock().synced
+        unpoisoned(self.inner.lock()).synced
     }
 }
 
 impl Store for JournalStore {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.journal.push((key.to_vec(), Some(value.to_vec())));
         inner.map.insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.inner.lock().map.get(key).cloned())
+        Ok(unpoisoned(self.inner.lock()).map.get(key).cloned())
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.journal.push((key.to_vec(), None));
         inner.map.remove(key);
         Ok(())
     }
 
     fn keys_with_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let inner = self.inner.lock();
+        let inner = unpoisoned(self.inner.lock());
         Ok(inner
             .map
             .range(prefix.to_vec()..)
@@ -79,17 +79,17 @@ impl Store for JournalStore {
     }
 
     fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.inner.lock().map.len())
+        Ok(unpoisoned(self.inner.lock()).map.len())
     }
 
     fn sync_barrier(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.synced = inner.journal.len();
         Ok(())
     }
 
     fn tear_tail(&self, ops: usize) -> Result<usize, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         let torn = ops.min(inner.journal.len() - inner.synced);
         if torn == 0 {
             return Ok(0);

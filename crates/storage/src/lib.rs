@@ -26,7 +26,16 @@ pub use mem::MemStore;
 pub use wal::WalStore;
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
+
+/// Takes a lock's guard whether or not a holder panicked. Every critical
+/// section in this crate applies a write to the map or log it guards in
+/// full or not at all, so what a poisoned lock protects is still valid —
+/// and a store that answered with a second panic would turn one failed
+/// actor into a failed validator.
+fn unpoisoned<G>(guard: Result<G, PoisonError<G>>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Errors from store operations.
 #[derive(Debug)]

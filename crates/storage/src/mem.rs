@@ -1,8 +1,8 @@
 //! In-memory store used by the simulator and unit tests.
 
-use crate::{Store, StoreError};
-use parking_lot::RwLock;
+use crate::{unpoisoned, Store, StoreError};
 use std::collections::BTreeMap;
+use std::sync::RwLock;
 
 /// A thread-safe in-memory key-value store.
 ///
@@ -22,21 +22,21 @@ impl MemStore {
 
 impl Store for MemStore {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.map.write().insert(key.to_vec(), value.to_vec());
+        unpoisoned(self.map.write()).insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.map.read().get(key).cloned())
+        Ok(unpoisoned(self.map.read()).get(key).cloned())
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.map.write().remove(key);
+        unpoisoned(self.map.write()).remove(key);
         Ok(())
     }
 
     fn keys_with_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let map = self.map.read();
+        let map = unpoisoned(self.map.read());
         Ok(map
             .range(prefix.to_vec()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -45,7 +45,7 @@ impl Store for MemStore {
     }
 
     fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.map.read().len())
+        Ok(unpoisoned(self.map.read()).len())
     }
 }
 

@@ -25,14 +25,13 @@
 //! truncated to the last good record, and recovery proceeds — mirroring
 //! how RocksDB handles a crash mid-write.
 
-use crate::{Crc32, Store, StoreError};
-use parking_lot::Mutex;
+use crate::{unpoisoned, Crc32, Store, StoreError};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const TOMBSTONE: u32 = u32::MAX;
 /// Bytes before the key in every record: crc, klen, vlen.
@@ -242,7 +241,7 @@ impl WalStore {
     /// Rewrites the log keeping only live entries, reclaiming space from
     /// overwrites and tombstones. Returns the new log size in bytes.
     pub fn compact(&self) -> Result<u64, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         let tmp_path = self.path.with_extension("compact");
         {
             let mut w = BufWriter::new(File::create(&tmp_path)?);
@@ -270,18 +269,18 @@ impl WalStore {
 
     /// Current log file size in bytes (including dead records).
     pub fn log_bytes(&self) -> u64 {
-        self.inner.lock().log.end
+        unpoisoned(self.inner.lock()).log.end
     }
 
     /// Bytes of live key + value data (excluding overwritten and deleted
     /// records); the numerator of the compaction-pays-off heuristic.
     pub fn live_bytes(&self) -> u64 {
-        self.inner.lock().log.live_bytes
+        unpoisoned(self.inner.lock()).log.live_bytes
     }
 
     /// Flushes buffered writes to the OS (and disk if opened durable).
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.writer.flush()?;
         if inner.sync_writes {
             inner.writer.get_ref().sync_all()?;
@@ -290,7 +289,7 @@ impl WalStore {
     }
 
     fn append(&self, key: &[u8], value: Option<&[u8]>) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         write_record(&mut inner.writer, key, value)?;
         // The record reaches the OS before the index can hand out its
         // offset to a reader.
@@ -312,7 +311,7 @@ impl Store for WalStore {
         // Pair the slot with the handle it is valid for under the lock;
         // read outside it, so a large value never stalls writers.
         let (reader, slot) = {
-            let inner = self.inner.lock();
+            let inner = unpoisoned(self.inner.lock());
             match inner.log.index.get(key) {
                 Some(slot) => (inner.reader.clone(), *slot),
                 None => return Ok(None),
@@ -326,11 +325,11 @@ impl Store for WalStore {
     }
 
     fn contains(&self, key: &[u8]) -> Result<bool, StoreError> {
-        Ok(self.inner.lock().log.index.contains_key(key))
+        Ok(unpoisoned(self.inner.lock()).log.index.contains_key(key))
     }
 
     fn keys_with_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let inner = self.inner.lock();
+        let inner = unpoisoned(self.inner.lock());
         Ok(inner
             .log
             .index
@@ -341,11 +340,11 @@ impl Store for WalStore {
     }
 
     fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.inner.lock().log.index.len())
+        Ok(unpoisoned(self.inner.lock()).log.index.len())
     }
 
     fn sync_barrier(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.writer.flush()?;
         inner.writer.get_ref().sync_all()?;
         inner.synced_records = inner.log.records;
@@ -358,7 +357,7 @@ impl Store for WalStore {
     /// boundary (what [`WalStore::open`]'s torn-tail scan would itself do
     /// to a ragged file), so the store stays appendable in place.
     fn tear_tail(&self, ops: usize) -> Result<usize, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         let torn = ops.min(inner.log.records - inner.synced_records);
         if torn == 0 {
             return Ok(0);
@@ -701,19 +700,19 @@ mod tests {
         s.put(b"z", b"last").unwrap();
         // What a `get` holds between leaving the lock and reading.
         let (reader, slot) = {
-            let inner = s.inner.lock();
+            let inner = unpoisoned(s.inner.lock());
             (inner.reader.clone(), inner.log.index[b"a".as_slice()])
         };
         s.compact().unwrap();
         // Every offset moved; the new index is right for the new file.
-        assert!(s.inner.lock().log.index[b"a".as_slice()].offset < slot.offset);
+        assert!(unpoisoned(s.inner.lock()).log.index[b"a".as_slice()].offset < slot.offset);
         assert_eq!(s.get(b"a").unwrap(), Some(b"alive".to_vec()));
         assert_eq!(s.get(b"pad").unwrap(), Some(vec![7u8; 4096]));
         assert_eq!(s.get(b"z").unwrap(), Some(b"last".to_vec()));
         // The old pair still names the old file, and reads the old value.
         assert_eq!(read_slot(&reader, slot).unwrap(), b"alive");
         // A slot that runs past the end of its file is an error.
-        let inner = s.inner.lock();
+        let inner = unpoisoned(s.inner.lock());
         let past_end = Slot {
             offset: inner.log.end - 1,
             len: 2,
