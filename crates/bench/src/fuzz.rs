@@ -402,12 +402,10 @@ pub fn self_test() -> Vec<SelfTestArm> {
         ],
     };
     let torn_outages = vec![
-        (208, torn_outage(10_100, 20)),
-        (366, torn_outage(10_100, 16)),
-        (219, torn_outage(10_100, 12)),
-        (219, torn_outage(9_700, 20)),
-        (11, torn_outage(10_100, 12)),
-        (7, torn_outage(9_700, 16)),
+        (385, torn_outage(10_100, 20)),
+        (250, torn_outage(10_100, 20)),
+        (305, torn_outage(10_100, 16)),
+        (91, torn_outage(10_100, 20)),
     ];
     let bug = |f: fn(&mut SelfTestBugs)| {
         let mut bugs = SelfTestBugs::default();

@@ -19,9 +19,10 @@
 //!    validators led a wave — every 10 rounds under round-robin at n = 10,
 //!    and potentially never under a reputation schedule.
 //!
-//! The fix: Bullshark's `coverage_wishes` makes every proposal wait
-//! (bounded by a fraction of the header deadline) for its author's own
-//! previous certificate, and makes an anchor author wait for full
+//! The fix: every proposal waits (bounded by the header deadline) for its
+//! author's own previous certificate — the own-block case of the primary's
+//! wait for every block it voted for, under every commit rule — and
+//! Bullshark's `coverage_wishes` makes an anchor author wait for full
 //! previous-round coverage. This test pins both mechanisms.
 
 use nt_bench::metrics::RunStats;

@@ -404,14 +404,11 @@ impl<E: Election, R: CommitRule> DagConsensus for AnchorWalk<E, R> {
                 .map(|v| (round - 1, ValidatorId(v as u32)))
                 .collect();
         }
-        // Every other block wishes for its author's own previous
-        // certificate — chain continuity. A validator whose vote
-        // round-trips outlast the round cadence otherwise proposes round r
-        // without its round r − 1 certificate; if no peer referenced that
-        // certificate either, everything below it is unreachable from
-        // every future anchor and its batches stall until GC re-injection,
-        // a gc_depth-round latency cliff (observed as ~16 s p99 on 10- and
-        // 20-node committees before this wish existed).
-        vec![(round - 1, me)]
+        // Every other block wishes for nothing. Chain continuity — a block
+        // proposed without its author's own previous certificate strands
+        // everything below it until GC re-injection — is the primary's
+        // rule under every commit rule: a block waits for each
+        // previous-round block its author voted for, its own first of all.
+        Vec::new()
     }
 }

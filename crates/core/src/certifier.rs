@@ -5,7 +5,18 @@
 //! block in flight with the votes collected for it (`current_header`,
 //! `current_votes`). A lock is on disk before the vote it licenses is in the
 //! [`Context`]; the own proposal is on disk, behind a barrier, before its
-//! broadcast is.
+//! broadcast is. The locks of one round double as the list of blocks this
+//! validator helped certify, own included: the proposer is lent them
+//! ([`Certifier::locks`]) to wait for those certificates before it builds
+//! on the round.
+//!
+//! Deviation from §3.1 condition (2), "the block is at the local round":
+//! a block of any *retained* round at or below the local one gets a vote.
+//! The reference implementation does the same, and it costs nothing in
+//! safety — the lock is per (creator, round), whatever the local round. It
+//! is what lets a block whose broadcast lost the race against the round
+//! advance still certify, instead of being abandoned by a committee that
+//! every member of then waits out the header delay for.
 //!
 //! Outcomes: [`Certifier::vote`] says whether the vote went out;
 //! [`Certifier::certify`] returns the assembled certificate, already
@@ -109,9 +120,28 @@ impl Certifier {
         self.hold(header, id);
     }
 
-    /// Votes for a block of our round whose dependencies are all satisfied,
-    /// unless its creator already got our vote for another one.
-    pub(crate) fn vote<E>(&mut self, header: &Header, id: &Identity, ctx: &mut Ctx<E>) -> bool {
+    /// The blocks of `round` we signed a vote for, our own included.
+    pub(crate) fn locks(&self, round: Round) -> Option<&HashMap<ValidatorId, Digest>> {
+        self.voted.get(&round)
+    }
+
+    /// Votes for a block whose dependencies are all satisfied, of any
+    /// retained round up to our local `round`, unless its creator already
+    /// got our vote for another one of its round.
+    pub(crate) fn vote<E>(
+        &mut self,
+        header: &Header,
+        round: Round,
+        dag: &Dag,
+        id: &Identity,
+        ctx: &mut Ctx<E>,
+    ) -> bool {
+        // Condition (2), relaxed (module doc): not above our round — newer
+        // blocks became current via their parents — and not below the GC
+        // boundary, where the lock could not be kept.
+        if header.round > round || header.round < dag.first_retained_round() {
+            return false;
+        }
         // Condition (4): first block from this creator in this round. A
         // re-delivery of the block we already acknowledged gets the same
         // (deterministic) vote again — acknowledgments are idempotent, so
@@ -280,10 +310,10 @@ mod tests {
         let mut certifier = Certifier::default();
         let (original, twin) = (block(&bench, &[]), block(&bench, b"x"));
         let mut ctx = Ctx::new(0, 0);
-        assert!(certifier.vote(&original, &id, &mut ctx));
-        assert!(certifier.vote(&original, &id, &mut ctx));
+        assert!(certifier.vote(&original, 1, &bench.dag, &id, &mut ctx));
+        assert!(certifier.vote(&original, 1, &bench.dag, &id, &mut ctx));
         assert!(
-            !certifier.vote(&twin, &id, &mut ctx),
+            !certifier.vote(&twin, 1, &bench.dag, &id, &mut ctx),
             "second block from the same creator in the same round is not signed"
         );
         let (sends, _) = effects(&mut ctx, 0);
@@ -298,7 +328,47 @@ mod tests {
         let s = id.store.as_ref().expect("durable");
         assert_eq!(revived.recover(s, &bench.dag, &id).expect("store"), 0);
         assert_eq!(revived.voted, certifier.voted);
-        assert!(!revived.vote(&twin, &id, &mut ctx));
+        assert!(!revived.vote(&twin, 1, &bench.dag, &id, &mut ctx));
+    }
+
+    /// Rule 3: the local round has moved on, the block still gets its vote —
+    /// under the lock of its own round, and not below the GC boundary.
+    #[test]
+    fn a_late_block_of_a_retained_round_gets_its_vote_and_one_below_the_boundary_none() {
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let id = identity(&bench, 0);
+        let (late, twin) = (block(&bench, &[]), block(&bench, b"x"));
+        for round in 1..=3 {
+            bench.full_round(round);
+        }
+        let mut certifier = Certifier::default();
+        let mut ctx = Ctx::new(0, 0);
+        let ahead = Header::new(
+            &bench.keypairs[1],
+            ValidatorId(1),
+            5,
+            vec![],
+            bench.parents(3),
+            None,
+        );
+        assert!(
+            !certifier.vote(&ahead, 4, &bench.dag, &id, &mut ctx),
+            "a block above our round is not ours to judge yet"
+        );
+        assert!(certifier.vote(&late, 4, &bench.dag, &id, &mut ctx));
+        assert_eq!(votes(&effects(&mut ctx, 0).0).len(), 1);
+        assert!(
+            !certifier.vote(&twin, 4, &bench.dag, &id, &mut ctx),
+            "one vote per (creator, round), whenever it is cast"
+        );
+        let locks = certifier.locks(1).expect("locked");
+        assert_eq!(locks.get(&ValidatorId(1)), Some(&late.digest()));
+        assert!(certifier.locks(4).is_none(), "not under the local round");
+        // GC passes round 1: the lock goes, and so does the right to a vote.
+        bench.dag.gc(1);
+        certifier.prune(bench.dag.first_retained_round());
+        assert!(!certifier.vote(&late, 4, &bench.dag, &id, &mut ctx));
+        assert!(ctx.is_empty() && certifier.locks(1).is_none());
     }
 
     #[test]
@@ -311,7 +381,8 @@ mod tests {
         let mut certifier = Certifier::default();
         let mut ctx = Ctx::new(0, 0);
         let header = block(&bench, &[]);
-        let vote = std::panic::AssertUnwindSafe(|| certifier.vote(&header, &id, &mut ctx));
+        let vote =
+            std::panic::AssertUnwindSafe(|| certifier.vote(&header, 1, &bench.dag, &id, &mut ctx));
         assert!(std::panic::catch_unwind(vote).is_err(), "fail-stop");
         assert!(
             ctx.is_empty(),

@@ -80,12 +80,22 @@ pub struct NarwhalConfig {
     pub tx_bytes: usize,
     /// Seal a non-empty batch after this delay even if under-sized.
     pub max_batch_delay: Time,
-    /// An idle primary proposes an empty block after this delay *unless the
-    /// round is already live*: once it has voted for a peer's
-    /// payload-bearing block of its round it proposes at once, so rounds
-    /// follow payload arriving anywhere in the committee and only an
-    /// all-idle committee runs on this clock (empty blocks keep the DAG —
-    /// and thus consensus — alive).
+    /// The one clock of round pacing: every wait of the proposer ends this
+    /// long after the round was entered (`proposer.rs` has the full text).
+    /// 1. An idle primary proposes an empty block at this deadline, unless
+    ///    the round is *live* — it voted for a peer's payload-bearing block
+    ///    of the round, or certified payload still awaits its anchor — in
+    ///    which case it proposes at once: rounds follow the commit, and only
+    ///    an all-idle committee runs on this clock (empty blocks keep the
+    ///    DAG, and thus consensus, alive).
+    /// 2. A primary holds its next block, up to this deadline, for the
+    ///    certificate of every previous-round block it voted for, its own
+    ///    included: an author that collects votes and withholds the
+    ///    certificate slows the committee to one round per delay, no more.
+    /// 3. A block of an earlier retained round still gets its vote.
+    /// 4. An own block not certified by the time its replacement is built —
+    ///    this deadline at the latest — is given up, and the replacement
+    ///    carries its payload first.
     pub max_header_delay: Time,
     /// Upper bound on waiting for a parent the consensus protocol *wished*
     /// for (Bullshark's wave leader) before proposing leaderless — the

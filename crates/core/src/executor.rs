@@ -3,8 +3,10 @@
 //!
 //! Owns the anchors awaiting a complete causal history (`pending_anchors`),
 //! the set of blocks already in the sequence (`ordered`) and its counter
-//! (`sequence`), the execution engine, and the engine's backlog with its
-//! three bookkeeping sets (`exec_*`).
+//! (`sequence`), its complement among the payload-bearing blocks of the DAG
+//! (`unordered_payload`: what the committee still owes an anchor, and so
+//! what keeps a round live), the execution engine, and the engine's backlog
+//! with its three bookkeeping sets (`exec_*`).
 //!
 //! Outcomes: [`Executor::next_anchor`] returns the next anchor with the
 //! history to commit under it, or the certificates that history still
@@ -36,6 +38,9 @@ type Settled = (Certificate, Vec<Certificate>);
 pub(crate) struct Executor {
     /// Headers already ordered into the committed sequence.
     pub(crate) ordered: HashSet<Digest>,
+    /// Payload-bearing blocks of the DAG no anchor has ordered yet: filled
+    /// as they are certified, emptied as they are ordered or pruned.
+    unordered_payload: HashSet<Digest>,
     /// Anchors waiting for their causal history to be locally complete.
     pending_anchors: VecDeque<AnchorKey>,
     /// The number of blocks committed so far.
@@ -79,6 +84,7 @@ impl Executor {
     pub(crate) fn recover(&mut self, store: &BlockStore, dag: &Dag) -> Result<(), BlockStoreError> {
         let (ordered, marker_seq) = store.load_ordered()?;
         self.ordered = ordered;
+        self.rebuild_unordered(dag);
         // The counter resumes at the highest sequence any surviving marker
         // carries; the separately-persisted floor covers markers GC
         // deleted. Taking the max keeps both torn-tail cuts consistent.
@@ -127,6 +133,30 @@ impl Executor {
                 ..Default::default()
             };
             self.backlog.push_back((event, false));
+        }
+    }
+
+    /// `cert`, whose block digest is `digest`, entered the DAG: if it
+    /// carries payload, the committee owes it an anchor from now on.
+    pub(crate) fn on_certified(&mut self, digest: Digest, cert: &Certificate) {
+        if !cert.header.payload.is_empty() && !self.ordered.contains(&digest) {
+            self.unordered_payload.insert(digest);
+        }
+    }
+
+    /// Whether the DAG holds certified payload that awaits its anchor.
+    pub(crate) fn awaits_anchor(&self) -> bool {
+        !self.unordered_payload.is_empty()
+    }
+
+    /// Re-derives `unordered_payload` from a wholesale-replaced `dag` and
+    /// `ordered` set (recovery, snapshot install).
+    fn rebuild_unordered(&mut self, dag: &Dag) {
+        self.unordered_payload.clear();
+        for round in dag.first_retained_round()..=dag.highest_round() {
+            for cert in dag.round_certs(round) {
+                self.on_certified(cert.header_digest(), cert);
+            }
         }
     }
 
@@ -189,6 +219,7 @@ impl Executor {
     /// Enters `digest` into the committed sequence; returns its position.
     pub(crate) fn order(&mut self, digest: Digest, id: &Identity) -> u64 {
         self.ordered.insert(digest);
+        self.unordered_payload.remove(&digest);
         self.sequence += 1;
         // One record carries the marker AND its sequence number, so a
         // torn tail can only lose whole commits — never leave the
@@ -227,6 +258,7 @@ impl Executor {
         for cert in pruned {
             let digest = cert.header_digest();
             self.ordered.remove(&digest);
+            self.unordered_payload.remove(&digest);
             disk(store, |s| s.delete_ordered(&digest));
         }
         let backlog = self.backlog.iter();
@@ -354,6 +386,7 @@ impl Executor {
         let base = &package.base;
         self.ordered = base.ordered.iter().map(|r| r.digest).collect();
         self.sequence = base.checkpoint_seq;
+        self.rebuild_unordered(dag);
         // Everything queued against the pre-install view is void.
         self.pending_anchors.clear();
         self.backlog.clear();
@@ -377,10 +410,10 @@ mod tests {
     use super::*;
     use crate::consensus::{NoConsensus, NoExt};
     use crate::testing::fixture::{durable, effects, identity};
-    use crate::testing::DagBench;
-    use nt_execution::{LedgerApp, SnapshotBase, SnapshotManifest};
+    use crate::testing::{certify_header, DagBench};
+    use nt_execution::{LedgerApp, OrderedRef, SnapshotBase, SnapshotManifest};
     use nt_network::Effect;
-    use nt_types::{Batch, WorkerId};
+    use nt_types::{Batch, Header, WorkerId};
 
     type Ctx = crate::primary::Ctx<NoExt>;
 
@@ -446,6 +479,84 @@ mod tests {
         let settled = executor.next_anchor(&bench.dag).expect("complete");
         assert_eq!(settled.expect("queued").0, absent);
         assert_eq!(executor.next_anchor(&bench.dag), Ok(None));
+    }
+
+    /// Validator `author`'s round-1 block over genesis, certified, carrying
+    /// one batch if `loaded`.
+    fn round_one(bench: &DagBench<NoConsensus>, author: u32, loaded: bool) -> Certificate {
+        let payload = loaded.then(|| (peer_batch(author as u64, None), WorkerId(0)));
+        let header = Header::new(
+            &bench.keypairs[author as usize],
+            ValidatorId(author),
+            1,
+            payload.into_iter().collect(),
+            bench.parents(0),
+            None,
+        );
+        certify_header(&bench.committee, &bench.keypairs, header)
+    }
+
+    /// Rule 1, the set: a payload-bearing block awaits its anchor from the
+    /// moment it is certified until it is ordered or pruned; an empty block
+    /// never does.
+    #[test]
+    fn certified_payload_awaits_its_anchor_until_it_is_ordered_or_pruned() {
+        let bench = DagBench::new(4, |_| NoConsensus);
+        let id = identity(&bench, 0);
+        let [empty, ordered, pruned] = [(0, false), (1, true), (2, true)]
+            .map(|(author, loaded)| round_one(&bench, author, loaded));
+        let mut executor = Executor::default();
+        executor.on_certified(empty.header_digest(), &empty);
+        assert!(!executor.awaits_anchor(), "an empty block owes nothing");
+        executor.on_certified(ordered.header_digest(), &ordered);
+        executor.on_certified(pruned.header_digest(), &pruned);
+        assert!(executor.awaits_anchor());
+        executor.order(ordered.header_digest(), &id);
+        assert!(executor.awaits_anchor(), "the other one still does");
+        executor.prune(std::slice::from_ref(&pruned), &[], &id);
+        assert!(!executor.awaits_anchor(), "idle again");
+        // A block the sequence already holds (re-delivered after an install).
+        executor.on_certified(ordered.header_digest(), &ordered);
+        assert!(!executor.awaits_anchor());
+    }
+
+    /// Rule 1 across a restart and a snapshot install: the set is derived
+    /// state, rebuilt from the DAG and the ordered markers that replace it.
+    #[test]
+    fn recovery_and_install_rebuild_what_awaits_an_anchor() {
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let id = durable_identity();
+        let (first, second) = (round_one(&bench, 1, true), round_one(&bench, 2, true));
+        bench.feed(vec![first.clone(), second.clone()]);
+        let mut executor = Executor::default();
+        executor.order(first.header_digest(), &id);
+        let s = id.store.as_ref().expect("durable");
+        let mut revived = Executor::default();
+        revived.recover(s, &bench.dag).expect("store");
+        let awaited = HashSet::from([second.header_digest()]);
+        assert_eq!(revived.unordered_payload, awaited);
+        // The served order covers both blocks: nothing is owed any more.
+        let refs = [&first, &second].map(|c| OrderedRef {
+            digest: c.header_digest(),
+            sequence: c.origin().0 as u64,
+        });
+        let package = SnapshotPackage {
+            manifest: SnapshotManifest::for_app(2, &[]),
+            signatures: vec![],
+            base: SnapshotBase {
+                ordered: refs.to_vec(),
+                checkpoint_seq: 2,
+                ..Default::default()
+            },
+            app: vec![],
+        };
+        assert!(revived.install(&package, &bench.dag, &id));
+        assert!(!revived.awaits_anchor());
+        // And a window served with one of them still unordered owes it.
+        let mut package = package;
+        package.base.ordered.pop();
+        assert!(revived.install(&package, &bench.dag, &id));
+        assert_eq!(revived.unordered_payload, awaited);
     }
 
     #[test]

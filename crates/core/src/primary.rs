@@ -20,11 +20,13 @@
 //! ancestry is complete runs one re-entrant sequence:
 //!
 //! ```text
-//! insert_certificate    dag.insert, persist (barrier before an own broadcast)
+//! insert_certificate    dag.insert, persist (barrier before an own broadcast),
+//!                         executor.on_certified (payload now awaits its anchor)
 //!  1 wake voters        synchronizer.next_ready -> maybe_vote ----+
 //!  2 advance_round      2f + 1 certificates of the round ---------+-> try_propose
 //!  3 consensus          on_certificate -> pulls, anchors
-//!  4 try_propose        proposer.try_propose -> certifier.adopt -> certify
+//!  4 try_propose        proposer.try_propose (told: executor.awaits_anchor,
+//!                         certifier.locks) -> certifier.adopt -> certify
 //!                         -> process_certificate -> insert_certificate (re-entrant)
 //!  5 drain_anchors      executor.next_anchor -> commit_block.., prune, checkpoint,
 //!                         snapshot base, drain_execution
@@ -55,7 +57,7 @@ use crate::dag::{Dag, InsertOutcome};
 use crate::deployment::AddressBook;
 use crate::executor::Executor;
 use crate::messages::{BatchInfo, NarwhalMsg};
-use crate::proposer::Proposer;
+use crate::proposer::{Proposer, RoundState};
 use crate::state_transfer::StateTransfer;
 use crate::store::{disk, BlockStore};
 use crate::synchronizer::{serve_digests, serve_range, verified, Synchronizer, Wait};
@@ -342,14 +344,15 @@ impl<C: DagConsensus> Primary<C> {
     }
 
     fn try_propose(&mut self, ctx: &mut Ctx<C::Ext>) {
-        let proposed = self.proposer.try_propose(
-            self.round,
-            self.round_entered,
-            &self.dag,
-            &self.consensus,
-            &self.id,
-            ctx,
-        );
+        let at = RoundState {
+            round: self.round,
+            entered: self.round_entered,
+            live: self.executor.awaits_anchor(),
+            voted: self.certifier.locks(self.round.saturating_sub(1)),
+        };
+        let proposed = self
+            .proposer
+            .try_propose(at, &self.dag, &self.consensus, &self.id, ctx);
         if let Some(header) = proposed {
             self.certifier.adopt(header, &self.id, ctx);
             self.maybe_certify(ctx);
@@ -373,13 +376,12 @@ impl<C: DagConsensus> Primary<C> {
             return;
         }
         self.advance_round(ctx);
-        // Condition (2): the block must be at our local round — older blocks
-        // are dismissed; newer ones became current via their parents.
-        if header.round != self.round || !self.certifier.vote(&header, &self.id, ctx) {
+        let (round, dag) = (self.round, &self.dag);
+        if !self.certifier.vote(&header, round, dag, &self.id, ctx) {
             return;
         }
-        if !header.payload.is_empty() {
-            self.proposer.live_round = header.round;
+        if !header.payload.is_empty() && header.round == round {
+            self.proposer.live_round = round;
             self.try_propose(ctx);
         }
     }
@@ -439,6 +441,7 @@ impl<C: DagConsensus> Primary<C> {
             Ok(())
         });
         self.synchronizer.arrived(&digest);
+        self.executor.on_certified(digest, &cert);
         // Wake any block proposal that waited on this certificate.
         self.wake(Wait::Parent, &digest, ctx);
         self.advance_round(ctx);
@@ -664,9 +667,9 @@ mod tests {
     use super::*;
     use crate::consensus::{NoConsensus, NoExt};
     use crate::node::NodeBuilder;
-    use crate::testing::certify;
     use crate::testing::fixture::{batch, effects, Msg};
-    use nt_crypto::Scheme;
+    use crate::testing::{certify, certify_header};
+    use nt_crypto::{Hashable, Scheme};
     use nt_network::MS;
     use nt_storage::{DynStore, MemStore};
     use nt_types::WorkerId;
@@ -677,8 +680,11 @@ mod tests {
 
     /// Four primaries (over `stores`, if given), started, with batch `v` of
     /// every validator `v` reported everywhere (workers replicate every
-    /// batch before its digest is proposed, §4.2), routed to quiescence.
-    fn certified_round(stores: Option<&[DynStore]>) -> Committed {
+    /// batch before its digest is proposed, §4.2), and every message of a
+    /// round up to `rounds` routed, at one instant and with no timer fired,
+    /// until none is left. (Nothing orders the payload here, so the
+    /// committee would go on for ever: blocks above `rounds` are lost.)
+    fn certified_rounds(rounds: Round, stores: Option<&[DynStore]>) -> Committed {
         let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
         let build = |v: usize| {
             let builder = NodeBuilder::new(committee.clone(), v as u32).keypair(kps[v].clone());
@@ -699,10 +705,19 @@ mod tests {
             }
             queue.extend(effects(&mut ctx, 0).0.into_iter().map(|(to, m)| (v, to, m)));
         }
+        let round_of = |msg: &Msg| match msg {
+            NarwhalMsg::Header(header) => header.round,
+            NarwhalMsg::Vote(vote) => vote.round,
+            NarwhalMsg::Certificate(cert) => cert.round(),
+            _ => 0,
+        };
         let mut hops = 0;
         while let Some((from, to, msg)) = queue.pop_front() {
             hops += 1;
             assert!(hops < 10_000, "message routing must terminate");
+            if round_of(&msg) > rounds {
+                continue;
+            }
             if let Some(primary) = primaries.get_mut(to) {
                 let mut ctx = Context::new(2 * MS, to);
                 primary.on_message(from, msg, &mut ctx);
@@ -715,21 +730,47 @@ mod tests {
     /// Headers -> votes -> certificates -> round 2, across four primaries.
     #[test]
     fn full_round_certifies_and_advances() {
-        let (_, _, primaries) = certified_round(None);
+        let (_, _, primaries) = certified_rounds(1, None);
         for (v, p) in primaries.iter().enumerate() {
-            assert!(p.round() >= 2, "validator {v} at round {}", p.round());
+            assert_eq!(p.round(), 2, "validator {v}");
             assert_eq!(p.dag().round_size(1), 4, "all round-1 blocks certified");
+        }
+    }
+
+    /// Rules 1 and 2 across four primaries: round 1 certified everyone's
+    /// batch and nothing orders it, so every later round is proposed in the
+    /// handler that completes the one before — no timer fires, the clock
+    /// never moves — and over all four blocks of it, not the first three.
+    #[test]
+    fn certified_payload_keeps_rounds_coming_at_message_speed_and_orphans_nothing() {
+        let (_, _, primaries) = certified_rounds(5, None);
+        for (v, p) in primaries.iter().enumerate() {
+            assert_eq!(p.round(), 6, "validator {v}");
+            let counts = p.proposal_counts();
+            assert_eq!(
+                (counts.payload, counts.followed, counts.deadline),
+                (1, 5, 0),
+                "validator {v}"
+            );
+            assert!(p.executor.awaits_anchor());
+            for round in 2..=5 {
+                let mut blocks = p.dag().round_certs(round);
+                assert!(blocks.all(|c| c.header.parents.len() == 4), "round {round}");
+                assert_eq!(p.dag().round_size(round), 4);
+            }
         }
     }
 
     #[test]
     fn restarted_primary_recovers_dag_round_and_vote_locks() {
         let stores: Vec<DynStore> = (0..4).map(|_| Arc::new(MemStore::new()) as _).collect();
-        let (committee, kps, primaries) = certified_round(Some(&stores));
+        let (committee, kps, primaries) = certified_rounds(1, Some(&stores));
         let old = &primaries[0];
-        assert!(old.round() >= 2, "round 1 certified everywhere");
+        assert_eq!(old.round(), 2, "round 1 certified everywhere");
+        let in_flight = old.certifier.current_header.clone();
+        assert_eq!(in_flight.as_ref().map(|h| h.round), Some(2), "and left");
         // Crash validator 0 and boot a fresh incarnation over its store.
-        let mut revived = NodeBuilder::new(committee, 0)
+        let mut revived = NodeBuilder::new(committee.clone(), 0)
             .keypair(kps[0].clone())
             .store(stores[0].clone())
             .build_primary(NoConsensus);
@@ -742,23 +783,37 @@ mod tests {
             "DAG recovered, not genesis"
         );
         assert_eq!(revived.dag().round_size(1), 4);
-        let reproposed =
-            |(_, m): &(NodeId, Msg)| matches!(m, NarwhalMsg::Header(h) if h.round <= 1);
+        assert!(revived.executor.awaits_anchor(), "round 1 carries payload");
+        // Round 2 is signed already: its block is re-armed, never replaced.
         let (sent, _) = effects(&mut ctx, 0);
+        let proposal = |(_, m): &(NodeId, Msg)| matches!(m, NarwhalMsg::Header(_));
         assert!(
-            !sent.iter().any(reproposed),
+            !sent.iter().any(proposal),
             "never re-proposes a signed round"
         );
+        assert_eq!(revived.certifier.current_header, in_flight);
         // Our round-1 block carried our own batch and is certified but not
         // committed (NoConsensus): the recovered worker's re-report must NOT
         // queue the batch for a second proposal (its transactions would
-        // commit twice). The round-2 block at the header delay is empty.
+        // commit twice). Round 2 closes without our block; at the header
+        // delay the round-3 block replaces it, and is empty.
         revived.on_message(4, NarwhalMsg::ReportBatch(batch(0, 0)), &mut ctx);
+        let parents: Vec<Digest> = revived
+            .dag()
+            .round_certs(1)
+            .map(|c| c.header_digest())
+            .collect();
+        for author in 1..4 {
+            let cert = certify(&committee, &kps, author, 2, parents.clone());
+            revived.on_message(author as NodeId, NarwhalMsg::Certificate(cert), &mut ctx);
+        }
+        assert_eq!(revived.round(), 3);
+        assert!(!effects(&mut ctx, 0).0.iter().any(proposal), "rule 2");
         let mut ctx = Context::new(5 * MS + revived.id.config.max_header_delay, 0);
         revived.on_timer(TAG_PROPOSE, &mut ctx);
         match &effects(&mut ctx, 0).0[0].1 {
-            NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (2, 0)),
-            other => panic!("expected the round-2 block, got {other:?}"),
+            NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (3, 0)),
+            other => panic!("expected the round-3 block, got {other:?}"),
         }
     }
 
@@ -775,9 +830,11 @@ mod tests {
         assert_eq!((volatile.round(), volatile.dag().len()), (1, 4));
     }
 
-    /// The vote is what makes a round live: an idle primary proposes in the
-    /// very handler in which it votes for a payload-bearing block of its
-    /// round — not for an empty block, and not while it cannot vote.
+    /// The vote is what first makes a round live: an idle primary proposes
+    /// in the very handler in which it votes for a payload-bearing block of
+    /// its round — not for an empty block, and not while it cannot vote. A
+    /// block of the round behind gets its vote too (rule 3), and releases
+    /// nothing.
     #[test]
     fn voting_for_a_payload_bearing_block_releases_our_own_in_the_same_handler() {
         let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
@@ -791,7 +848,7 @@ mod tests {
             let author_id = ValidatorId(author as u32);
             Header::new(&kps[author], author_id, 1, payload, parents.clone(), None)
         };
-        let mut deliver = |from: NodeId, msg: Msg, now: Time| {
+        let deliver = |p: &mut Primary<NoConsensus>, from: NodeId, msg: Msg, now: Time| {
             let mut ctx: Ctx<NoExt> = Context::new(now, 0);
             p.on_message(from, msg, &mut ctx);
             let (sends, timers) = effects(&mut ctx, TAG_PROPOSE);
@@ -803,47 +860,55 @@ mod tests {
         };
         let empty = NarwhalMsg::Header(block(1, vec![]));
         assert_eq!(
-            deliver(1, empty, MS),
+            deliver(&mut p, 1, empty, MS),
             (true, false, 0),
             "the timer is armed already"
         );
         let held = batch(2, 7);
-        let loaded = NarwhalMsg::Header(block(2, vec![(held.digest, held.worker)]));
+        let loaded = block(2, vec![(held.digest, held.worker)]);
         assert_eq!(
-            deliver(2, loaded, 2 * MS),
+            deliver(&mut p, 2, NarwhalMsg::Header(loaded.clone()), 2 * MS),
             (false, false, 0),
             "batch not stored: no vote"
         );
         let report = NarwhalMsg::ReportBatch(held.clone());
         assert_eq!(
-            deliver(4, report, 3 * MS),
+            deliver(&mut p, 4, report, 3 * MS),
             (true, true, 0),
             "the report releases both"
         );
-        // Round 2, idle again. Condition (2): a payload-bearing block of the
-        // round behind gets no vote and releases nothing; one of ours does.
-        let round_one: Vec<Certificate> = (1..4)
-            .map(|a| certify(&committee, &kps, a, 1, parents.clone()))
-            .collect();
-        for cert in &round_one {
-            deliver(1, NarwhalMsg::Certificate(cert.clone()), 4 * MS);
+        // Round 2 opens on the certificates of validators 1 and 2 and our
+        // own. Validator 2's certified payload awaits an anchor, so the
+        // round is live, and every block we voted for is certified: our
+        // next block leaves in the handler that completes our certificate.
+        let vote = |v: usize, header: &Header| {
+            let voter = ValidatorId(v as u32);
+            Vote::new(&kps[v], voter, header.digest(), header.round, header.author)
+        };
+        let own = p.certifier.current_header.clone().expect("in flight");
+        for cert in [
+            certify_header(&committee, &kps, block(1, vec![])),
+            certify_header(&committee, &kps, loaded),
+        ] {
+            deliver(&mut p, 1, NarwhalMsg::Certificate(cert), 4 * MS);
         }
-        let late = NarwhalMsg::Header(block(3, vec![(held.digest, held.worker)]));
-        assert_eq!(deliver(3, late, 5 * MS), (false, false, 0));
-        let current = Header::new(
-            &kps[1],
-            ValidatorId(1),
-            2,
-            vec![(held.digest, held.worker)],
-            round_one.iter().map(Certificate::header_digest).collect(),
-            None,
+        let first_vote = deliver(&mut p, 1, NarwhalMsg::Vote(vote(1, &own)), 4 * MS);
+        assert_eq!(first_vote, (false, false, 0), "two of three");
+        assert_eq!(
+            deliver(&mut p, 2, NarwhalMsg::Vote(vote(2, &own)), 5 * MS),
+            (false, true, 0),
+            "certified, round 2 entered and proposed in, all at once"
         );
-        let current = NarwhalMsg::Header(current);
-        assert_eq!(deliver(1, current, 6 * MS), (true, true, 0));
+        // Validator 3's round-1 block arrives only now: a block of the round
+        // behind still gets its vote (rule 3), and releases nothing.
+        let late = NarwhalMsg::Header(block(3, vec![(held.digest, held.worker)]));
+        assert_eq!(deliver(&mut p, 3, late, 6 * MS), (true, false, 0));
         let counts = p.proposal_counts();
         assert_eq!(
             (p.round(), counts.followed, counts.payload, counts.deadline),
             (2, 2, 0, 0)
         );
+        let proposed = p.certifier.current_header.as_ref().expect("in flight");
+        assert_eq!((proposed.round, proposed.parents.len()), (2, 3));
     }
 }

@@ -1,6 +1,53 @@
 //! The proposer: when this validator's next block leaves, and with what
 //! (§3.1 block creation, §3.3 re-injection).
 //!
+//! # Pacing: rounds follow the commit, the clock is the fallback
+//!
+//! The block of round r + 1 needs 2f + 1 certificates of round r, and then
+//! leaves as soon as none of the waits below holds it. The only clock is
+//! `round_entered + max_header_delay` (the *deadline*); consensus wishes
+//! keep their own bounds.
+//!
+//! 1. **A round is live while certified payload awaits its anchor.** An
+//!    idle primary (no own digest pending) waits for the deadline only if
+//!    the round is not live. It is live once we voted for a peer's
+//!    payload-bearing block of it, and for as long as the DAG holds a
+//!    payload-bearing certificate no anchor has ordered: the 3-4 rounds a
+//!    block still needs to reach its anchor run at network speed instead of
+//!    each waiting for somebody's next batch (§3.1: a validator moves on as
+//!    soon as it holds 2f + 1 certificates). With no payload anywhere, an
+//!    empty block at the deadline keeps the DAG and consensus advancing: an
+//!    all-idle committee makes one round per `max_header_delay`.
+//! 2. **Every block we voted for is waited for.** Until the deadline, the
+//!    block of round r + 1 waits for the certificate of every round-r block
+//!    this validator signed a vote for, its own included: a block that
+//!    gathered votes becomes a parent of the next round instead of an
+//!    orphan no anchor reaches. An author that collects votes and withholds
+//!    the certificate costs the committee one deadline per round, never
+//!    more.
+//! 3. **Late blocks still get their vote** — the certifier's rule; see its
+//!    module doc. Without it, one block that lost the race against the
+//!    round advance never certifies, and rule 2 stalls every validator that
+//!    voted for it.
+//! 4. **An own block is given up only when its replacement is built, and
+//!    the replacement carries its payload first.** The certifier holds one
+//!    block in flight; adopting the next voids the previous, so if that one
+//!    is not certified by then it never will be, and its digests lead the
+//!    new block rather than waiting `gc_depth` rounds for GC re-injection
+//!    (which remains for blocks that certified and were pruned unordered).
+//!
+//! Consensus wishes sit beside these. A *parent* wish (Bullshark's wave
+//! leader) is the one certificate whose absence costs a whole wave, so it
+//! is worth the leader timeout — a WAN round-trip. *Coverage* wishes (an
+//! anchor sweeping the slowest regions' chains) are opportunistic and must
+//! stay inside the quorum slack before the 2f + 1st certificate the round
+//! advance waits for, or the wait stretches the cadence; fig-7 WAN
+//! stragglers trail round entry by tens of milliseconds, so 3/8 of the
+//! header delay catches them. Chain continuity — the wait for one's own
+//! previous certificate — is rule 2's own-block case, not a wish.
+//!
+//! # State
+//!
 //! Owns the round pacing state (`last_proposed`, `live_round`, the
 //! [`ProposalWait`] in force, the [`ProposalCounts`] it feeds), the queue of
 //! own digests awaiting a block (`pending_digests`), what each own block
@@ -32,6 +79,17 @@ struct ProposalWait {
     round: Round,
     until: Time,
     by_wish: bool,
+}
+
+/// What the proposer is told about the round it is to propose in.
+pub(crate) struct RoundState<'a> {
+    pub(crate) round: Round,
+    pub(crate) entered: Time,
+    /// Certified payload awaits its anchor (rule 1).
+    pub(crate) live: bool,
+    /// The blocks of `round - 1` this validator signed a vote for, by
+    /// creator (rule 2).
+    pub(crate) voted: Option<&'a HashMap<ValidatorId, Digest>>,
 }
 
 #[derive(Default)]
@@ -106,45 +164,28 @@ impl Proposer {
         Ok(())
     }
 
-    /// Proposes the block of `round` once it has something to say and
-    /// everything it was asked to reference; until then, arms the one timer
-    /// of the wait it is in.
+    /// Proposes the block of `at.round` once the pacing rules (module doc)
+    /// let it go; until then, arms the one timer of the wait it is in.
     pub(crate) fn try_propose<C: DagConsensus>(
         &mut self,
-        round: Round,
-        round_entered: Time,
+        at: RoundState,
         dag: &Dag,
         consensus: &C,
         id: &Identity,
         ctx: &mut Ctx<C::Ext>,
     ) -> Option<Header> {
+        let RoundState {
+            round,
+            entered: round_entered,
+            live,
+            voted,
+        } = at;
         if round == 0 || self.last_proposed >= round {
             return None;
         }
         if dag.round_size(round - 1) < id.committee.quorum_threshold() {
             return None;
         }
-        // Round pacing: a block goes out once it has something to say and
-        // everything it was asked to reference.
-        // - Payload: own digests are pending, or the round is *live* — we
-        //   voted for a peer's payload-bearing block of it, so rounds move
-        //   with payload arriving anywhere, not with idle validators' clocks
-        //   (§3.1). A vote means the parents are known and our worker holds
-        //   every batch: only real dissemination speeds rounds up. With no
-        //   payload anywhere, an empty block at `max_header_delay` keeps the
-        //   DAG and consensus advancing.
-        // - Parent wishes (Bullshark's wave leader): the one certificate
-        //   whose absence costs a whole wave, so worth the leader timeout —
-        //   a WAN round-trip — where payload is only worth the header delay.
-        // - Coverage wishes. Our *own* previous certificate is chain
-        //   continuity: a block without it strands the chain below until GC
-        //   re-injection (a gc_depth-round cliff, ~16 s p99 on 10/20-node
-        //   committees), so it is worth the full header delay. *Other*
-        //   validators' (an anchor sweeping the slowest regions' chains) are
-        //   opportunistic and must stay inside the quorum slack before the
-        //   2f + 1st certificate the round advance waits for, or the wait
-        //   stretches the cadence; fig-7 WAN stragglers trail round entry by
-        //   tens of milliseconds, so 3/8 of the header delay catches them.
         let now = ctx.now();
         let config = &id.config;
         let deadline = round_entered + config.max_header_delay;
@@ -154,18 +195,22 @@ impl Proposer {
         let awaiting_parent =
             now < wish_deadline && consensus.parent_wishes(round).iter().any(absent);
         let wishes = consensus.coverage_wishes(round, id.me);
-        let awaiting_own = now < deadline && wishes.iter().any(|w| w.1 == id.me && absent(w));
-        let awaiting_coverage =
-            now < coverage_deadline && wishes.iter().any(|w| w.1 != id.me && absent(w));
-        let awaiting_payload =
-            now < deadline && self.pending_digests.is_empty() && self.live_round != round;
-        if awaiting_parent || awaiting_own || awaiting_coverage || awaiting_payload {
+        let awaiting_coverage = now < coverage_deadline && wishes.iter().any(absent);
+        // Rule 2. The slot, not the digest: if a twin of the block we voted
+        // for certified instead, ours no longer can.
+        let uncertified = |author: &ValidatorId| absent(&(round - 1, *author));
+        let awaiting_voted =
+            now < deadline && voted.is_some_and(|locks| locks.keys().any(uncertified));
+        // Rule 1.
+        let idle = self.pending_digests.is_empty();
+        let awaiting_payload = now < deadline && idle && !live && self.live_round != round;
+        if awaiting_parent || awaiting_coverage || awaiting_voted || awaiting_payload {
             let until = if awaiting_parent {
                 wish_deadline
-            } else if awaiting_coverage && !awaiting_own && !awaiting_payload {
-                coverage_deadline
-            } else {
+            } else if awaiting_voted || awaiting_payload {
                 deadline
+            } else {
+                coverage_deadline
             };
             // One timer per wait, however many certificates and reports
             // land here; `until > now`, so a fired timer's successor differs.
@@ -173,8 +218,16 @@ impl Proposer {
                 (self.wait.round, self.wait.until) = (round, until);
                 ctx.timer(until - now, TAG_PROPOSE);
             }
-            self.wait.by_wish = !awaiting_payload;
+            self.wait.by_wish = !awaiting_voted && !awaiting_payload;
             return None;
+        }
+        // Rule 4: the certifier is about to replace the block in flight, so
+        // if that one has not certified it never will, and what it carried
+        // leads this one.
+        if absent(&(self.last_proposed, id.me)) {
+            if let Some(digests) = self.own_payloads.remove(&self.last_proposed) {
+                self.requeue(digests);
+            }
         }
         let counts = &mut self.proposals;
         let trigger = if self.wait.round == round && self.wait.by_wish {
@@ -205,6 +258,18 @@ impl Proposer {
         self.last_proposed = round;
         self.own_payloads.insert(round, payload_digests(&header));
         Some(header)
+    }
+
+    /// Puts the uncommitted among `digests` back at the head of the queue,
+    /// in their order.
+    fn requeue(&mut self, digests: Vec<Digest>) {
+        for digest in digests.iter().rev() {
+            if !self.committed_batches.contains(digest) {
+                if let Some(info) = self.batch_meta.get(digest) {
+                    self.pending_digests.push_front(info.clone());
+                }
+            }
+        }
     }
 
     /// Our worker reports a stored batch. Returns whether it queued an own
@@ -280,13 +345,7 @@ impl Proposer {
         // transactions eventually commit (transaction-level fairness, §8.2).
         let retained = self.own_payloads.split_off(&(gc_round + 1));
         for digests in std::mem::replace(&mut self.own_payloads, retained).into_values() {
-            for digest in digests {
-                if !self.committed_batches.contains(&digest) {
-                    if let Some(info) = self.batch_meta.get(&digest) {
-                        self.pending_digests.push_front(info.clone());
-                    }
-                }
-            }
+            self.requeue(digests);
         }
         // Bound the committed-batch set: pruned own blocks are final.
         for cert in pruned.iter().filter(|c| c.origin() == id.me) {
@@ -344,6 +403,7 @@ mod tests {
     use crate::testing::fixture::{batch, effects, identity};
     use crate::testing::{certify_header, DagBench};
     use nt_network::MS;
+    use nt_types::WorkerId;
 
     /// Wishes for fixed authors' previous-round blocks, Bullshark-style.
     #[derive(Default)]
@@ -371,20 +431,51 @@ mod tests {
     /// When the round under test was entered.
     const ENTERED: Time = 10 * MS;
 
+    /// What validator 0 is told besides the round: whether certified payload
+    /// awaits its anchor, and whose previous-round blocks it voted for.
+    #[derive(Clone, Copy, Default)]
+    struct Told<'a> {
+        live: bool,
+        voted: &'a [u32],
+    }
+
     /// One `try_propose` of validator 0 for `round` at `now`: the header,
     /// and the delays of the `TAG_PROPOSE` timers it armed.
+    fn propose_told<C: DagConsensus<Ext = NoExt>>(
+        proposer: &mut Proposer,
+        bench: &DagBench<C>,
+        round: Round,
+        now: Time,
+        told: Told,
+    ) -> (Option<Header>, Vec<Time>) {
+        let mut ctx = Ctx::new(now, 0);
+        let id = identity(bench, 0);
+        let lock = |a: &u32| (ValidatorId(*a), Digest::default());
+        let voted: HashMap<ValidatorId, Digest> = told.voted.iter().map(lock).collect();
+        let at = RoundState {
+            round,
+            entered: ENTERED,
+            live: told.live,
+            voted: Some(&voted),
+        };
+        let header = proposer.try_propose(at, &bench.dag, &bench.rule, &id, &mut ctx);
+        let (sends, timers) = effects(&mut ctx, TAG_PROPOSE);
+        assert!(sends.is_empty(), "the proposer sends nothing itself");
+        (header, timers)
+    }
+
+    /// [`propose_told`] in an idle round, having voted for nothing.
     fn propose<C: DagConsensus<Ext = NoExt>>(
         proposer: &mut Proposer,
         bench: &DagBench<C>,
         round: Round,
         now: Time,
     ) -> (Option<Header>, Vec<Time>) {
-        let mut ctx = Ctx::new(now, 0);
-        let id = identity(bench, 0);
-        let header = proposer.try_propose(round, ENTERED, &bench.dag, &bench.rule, &id, &mut ctx);
-        let (sends, timers) = effects(&mut ctx, TAG_PROPOSE);
-        assert!(sends.is_empty(), "the proposer sends nothing itself");
-        (header, timers)
+        propose_told(proposer, bench, round, now, Told::default())
+    }
+
+    fn slot(info: &BatchInfo) -> (Digest, WorkerId) {
+        (info.digest, info.worker)
     }
 
     #[test]
@@ -396,10 +487,7 @@ mod tests {
         let header = header.expect("payload needs no wait");
         assert!(timers.is_empty());
         assert_eq!((header.round, header.parents.len()), (1, 4), "genesis");
-        assert_eq!(
-            header.payload,
-            vec![(batch(0, 1).digest, batch(0, 1).worker)]
-        );
+        assert_eq!(header.payload, vec![slot(&batch(0, 1))]);
         assert!(header.coin_share.is_some());
         assert_eq!(p.proposals.payload, 1);
         // One block per round, and a re-reported batch stays out of the next.
@@ -418,46 +506,102 @@ mod tests {
         assert_eq!(p.proposals.deadline, 1);
     }
 
+    /// Rule 1, the proposer's half: told that certified payload awaits its
+    /// anchor, an idle proposer does not wait; told it no longer does, the
+    /// next round is back on the clock.
     #[test]
     fn an_idle_proposer_follows_a_live_round_but_not_without_parents() {
-        let bench = DagBench::new(4, |_| NoConsensus);
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let live = Told {
+            live: true,
+            ..Told::default()
+        };
         // A recovered or snapshot-installed primary can sit at a round whose
         // parents it does not hold yet.
-        let mut p = Proposer {
-            live_round: 3,
-            ..Proposer::default()
-        };
-        assert_eq!(propose(&mut p, &bench, 3, ENTERED + MS), (None, vec![]));
+        let mut p = Proposer::default();
+        let lone = propose_told(&mut p, &bench, 3, ENTERED + MS, live);
+        assert_eq!(lone, (None, vec![]));
         assert_eq!(p.last_proposed, 0);
-        p.live_round = 1;
-        let (header, timers) = propose(&mut p, &bench, 1, ENTERED + MS);
+        let (header, timers) = propose_told(&mut p, &bench, 1, ENTERED + MS, live);
         assert!(header.expect("the round is live").payload.is_empty());
         assert!(timers.is_empty());
         assert_eq!((p.proposals.followed, p.proposals.deadline), (1, 0));
+        // The payload was ordered (or pruned): idle again.
+        bench.round(1, &[1, 2, 3]);
+        let delay = identity(&bench, 0).config.max_header_delay;
+        let idle = propose(&mut p, &bench, 2, ENTERED + MS);
+        assert_eq!(idle, (None, vec![delay - MS]));
+        // The vote for a peer's payload-bearing block of the round makes it
+        // live before any certificate does.
+        p.live_round = 2;
+        assert!(propose(&mut p, &bench, 2, ENTERED + 2 * MS).0.is_some());
+        assert_eq!((p.proposals.followed, p.proposals.deadline), (2, 0));
+    }
+
+    /// Rule 2: with its own batch queued, validator 0 of 4 still holds its
+    /// round-2 block for the round-1 blocks it voted for — and for those only.
+    #[test]
+    fn the_next_block_waits_for_every_block_we_voted_for_but_not_past_the_deadline() {
+        let delay = NarwhalConfig::default().max_header_delay;
+        let loaded = || {
+            let mut bench = DagBench::new(4, |_| NoConsensus);
+            bench.round(1, &[0, 1, 2]);
+            let mut p = Proposer::default();
+            p.on_report(batch(0, 1), &identity(&bench, 0));
+            (bench, p)
+        };
+        let voted_for = |voted| Told { live: true, voted };
+        // Validator 3's block never got our vote: nothing to wait for.
+        let (bench, mut p) = loaded();
+        let told = voted_for(&[0, 1, 2]);
+        assert!(propose_told(&mut p, &bench, 2, ENTERED, told).0.is_some());
+        // It did: the block waits, a live round and a queued batch
+        // notwithstanding, until the certificate arrives.
+        let (mut bench, mut p) = loaded();
+        let told = voted_for(&[0, 1, 2, 3]);
+        let held = propose_told(&mut p, &bench, 2, ENTERED + MS, told);
+        assert_eq!(held, (None, vec![delay - MS]));
+        bench.round(1, &[3]);
+        let (header, timers) = propose_told(&mut p, &bench, 2, ENTERED + 2 * MS, told);
+        assert_eq!(header.expect("certified").parents.len(), 4);
+        assert!(timers.is_empty());
+        assert_eq!((p.proposals.payload, p.proposals.wish), (1, 0));
+        // Its author withholds the certificate: one header delay, no more.
+        let (bench, mut p) = loaded();
+        assert!(propose_told(&mut p, &bench, 2, ENTERED + MS, told)
+            .0
+            .is_none());
+        let late = ENTERED + delay - 1;
+        assert_eq!(propose_told(&mut p, &bench, 2, late, told), (None, vec![]));
+        let (header, _) = propose_told(&mut p, &bench, 2, ENTERED + delay, told);
+        assert_eq!(header.expect("the deadline").parents.len(), 3);
     }
 
     /// The wait table: validator 0 of 10 at round 2 wishes for validator
-    /// 5's block as a parent and for its own and validator 6's as coverage.
+    /// 5's block as a parent and for validator 6's as coverage, and voted
+    /// for validator 7's.
     #[test]
     fn each_wait_alone_and_combined_arms_one_timer_for_its_own_deadline() {
         let config = NarwhalConfig::default();
         let (header, leader) = (config.max_header_delay, config.max_leader_delay);
         // (absent round-1 blocks, own batch queued, wait from round entry)
-        let cases: [(&[u32], bool, Option<Time>); 9] = [
+        let cases: [(&[u32], bool, Option<Time>); 11] = [
             (&[], true, None),
             (&[], false, Some(header)),
             (&[5], true, Some(leader)),
-            (&[0], true, Some(header)),
+            (&[7], true, Some(header)),
             (&[6], true, Some(header * 3 / 8)),
             (&[6], false, Some(header)),
-            (&[0, 6], true, Some(header)),
+            (&[6, 7], true, Some(header)),
+            (&[7], false, Some(header)),
             (&[5, 6], false, Some(leader)),
-            (&[0, 5, 6], true, Some(leader)),
+            (&[5, 7], true, Some(leader)),
+            (&[5, 6, 7], true, Some(leader)),
         ];
         for (absent, queued, wait) in cases {
             let mut bench = DagBench::new(10, |_| Wishes {
                 parent: vec![5],
-                coverage: vec![0, 6],
+                coverage: vec![6],
             });
             let present: Vec<u32> = (0..10).filter(|a| !absent.contains(a)).collect();
             bench.round(1, &present);
@@ -465,8 +609,12 @@ mod tests {
             if queued {
                 p.on_report(batch(0, 1), &identity(&bench, 0));
             }
+            let told = Told {
+                live: false,
+                voted: &[0, 7],
+            };
             let now = ENTERED + MS;
-            let (proposed, timers) = propose(&mut p, &bench, 2, now);
+            let (proposed, timers) = propose_told(&mut p, &bench, 2, now, told);
             let case = format!("absent {absent:?}, queued {queued}");
             match wait {
                 None => assert!(proposed.is_some() && timers.is_empty(), "{case}"),
@@ -475,15 +623,16 @@ mod tests {
                     assert_eq!(timers, vec![ENTERED + wait - now], "{case}");
                     // However many events land in the wait, one timer.
                     assert_eq!(
-                        propose(&mut p, &bench, 2, now + MS),
+                        propose_told(&mut p, &bench, 2, now + MS, told),
                         (None, vec![]),
                         "{case}"
                     );
                     // Nothing outlasts its deadline.
-                    let (proposed, _) = propose(&mut p, &bench, 2, ENTERED + wait);
+                    let (proposed, _) = propose_told(&mut p, &bench, 2, ENTERED + wait, told);
                     assert_eq!(proposed.map(|h| h.round), Some(2), "{case}");
-                    // A wish ended the wait only if payload was not also awaited.
-                    let by_wish = queued && !absent.is_empty();
+                    // A wish ended the wait only if neither payload nor a
+                    // block we voted for was also awaited.
+                    let by_wish = queued && !absent.is_empty() && !absent.contains(&7);
                     assert_eq!(p.proposals.wish, by_wish as u32, "{case}");
                 }
             }
@@ -498,19 +647,66 @@ mod tests {
         });
         bench.round(1, &[0, 1, 2]);
         let config = NarwhalConfig::default();
-        let mut p = Proposer {
-            live_round: 2,
-            ..Proposer::default()
+        let mut p = Proposer::default();
+        let live = Told {
+            live: true,
+            ..Told::default()
         };
-        let (header, timers) = propose(&mut p, &bench, 2, ENTERED + MS);
+        let (header, timers) = propose_told(&mut p, &bench, 2, ENTERED + MS, live);
         assert!(header.is_none(), "validator 3's block is wished for");
         assert_eq!(timers, vec![config.max_leader_delay - MS]);
         // The header delay passes: the leader timeout is the longer bound.
         let at_header_delay = ENTERED + config.max_header_delay;
-        assert!(propose(&mut p, &bench, 2, at_header_delay).0.is_none());
+        assert!(propose_told(&mut p, &bench, 2, at_header_delay, live)
+            .0
+            .is_none());
         let at_leader_delay = ENTERED + config.max_leader_delay;
-        assert!(propose(&mut p, &bench, 2, at_leader_delay).0.is_some());
+        assert!(propose_told(&mut p, &bench, 2, at_leader_delay, live)
+            .0
+            .is_some());
         assert_eq!(p.proposals.wish, 1);
+    }
+
+    /// Rule 4: a block that never certified hands its payload to the block
+    /// that replaces it, at the front; one that did certify keeps it.
+    #[test]
+    fn an_abandoned_blocks_payload_leads_its_replacement_and_is_in_no_other_block() {
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let id = identity(&bench, 0);
+        let delay = id.config.max_header_delay;
+        let mut p = Proposer::default();
+        let [a, b, c, d] = [1, 2, 3, 4].map(|seq| batch(0, seq));
+        p.on_report(a.clone(), &id);
+        p.on_report(b.clone(), &id);
+        let first = propose(&mut p, &bench, 1, ENTERED).0.expect("payload");
+        assert_eq!(first.payload, vec![slot(&a), slot(&b)]);
+        // Round 1 closes on the peers' certificates; ours never forms.
+        bench.round(1, &[1, 2, 3]);
+        p.on_report(c.clone(), &id);
+        let told = Told {
+            live: true,
+            voted: &[0, 1, 2, 3],
+        };
+        // Until the deadline the block in flight may still certify: it is
+        // not given up, and nothing is proposed over it.
+        let held = propose_told(&mut p, &bench, 2, ENTERED + MS, told);
+        assert_eq!(held, (None, vec![delay - MS]));
+        assert!(p.own_payloads.contains_key(&1));
+        let (second, _) = propose_told(&mut p, &bench, 2, ENTERED + delay, told);
+        let second = second.expect("the deadline");
+        assert_eq!(second.payload, vec![slot(&a), slot(&b), slot(&c)]);
+        assert_eq!(p.proposals.payload, 2, "what it owes is payload");
+        assert!(!p.own_payloads.contains_key(&1), "given up for good");
+        // The replacement certifies: the next block carries only what is new,
+        // and GC finds nothing of the abandoned block to re-inject.
+        let second = certify_header(&bench.committee, &bench.keypairs, second);
+        bench.feed(vec![second]);
+        bench.round(2, &[1, 2, 3]);
+        p.on_report(d.clone(), &id);
+        let (third, _) = propose_told(&mut p, &bench, 3, ENTERED, told);
+        assert_eq!(third.expect("payload").payload, vec![slot(&d)]);
+        assert!(p.prune(1, &[], &id).is_empty());
+        assert!(p.pending_digests.is_empty());
     }
 
     #[test]
@@ -519,14 +715,19 @@ mod tests {
         let id = identity(&bench, 0);
         let mut p = Proposer::default();
         let [a, b, c] = [batch(0, 1), batch(0, 2), batch(1, 1)];
-        // Own block 1 carries `a`, own block 2 carries `b`.
+        // Own block 1 carries `a`, own block 2 carries `b`; both certify.
+        let certify = |bench: &DagBench<NoConsensus>, header| {
+            certify_header(&bench.committee, &bench.keypairs, header)
+        };
         p.on_report(a.clone(), &id);
         let first = propose(&mut p, &bench, 1, ENTERED).0.expect("payload");
+        let first = certify(&bench, first);
+        bench.feed(vec![first.clone()]);
         bench.round(1, &[1, 2, 3]);
         p.on_report(b.clone(), &id);
         let second = propose(&mut p, &bench, 2, ENTERED).0.expect("payload");
-        let certify = |header| certify_header(&bench.committee, &bench.keypairs, header);
-        let (first, second) = (certify(first), certify(second));
+        let second = certify(&bench, second);
+        bench.feed(vec![second.clone()]);
         // A peer's block carries `c`, which our worker holds.
         assert!(
             !p.on_report(c.clone(), &id),
@@ -540,7 +741,7 @@ mod tests {
             bench.parents(0),
             None,
         );
-        let peer = certify(peer);
+        let peer = certify(&bench, peer);
         // Only block 1 commits before GC passes both.
         let mut event = CommitEvent::default();
         p.on_own_commit(&first, &mut event, &id);

@@ -14,7 +14,8 @@ pub struct ProposalCounts {
     /// Own batch digests were pending.
     pub payload: u32,
     /// Idle, but the round was live: the primary had voted for a peer's
-    /// payload-bearing block of the round.
+    /// payload-bearing block of the round, or certified payload still
+    /// awaited its anchor.
     pub followed: u32,
     /// Idle in an idle round: `max_header_delay` ran out.
     pub deadline: u32,

@@ -54,11 +54,13 @@ fn main() {
     let mut committed_txs = 0u64;
     let mut committed_blocks = 0u64;
     let mut highest_round = 0u64;
+    let mut last_payload_round = 0u64;
     while committed_txs < 200 && Instant::now() < deadline {
         for (node, stream) in committee.commits().iter().enumerate() {
             for event in stream.drain() {
                 if node == event.author.0 as usize && event.tx_count > 0 {
                     committed_txs += event.tx_count;
+                    last_payload_round = last_payload_round.max(event.round);
                     println!(
                         "  commit #{:<3} round {:<3} by {}: {} txs  (total {committed_txs}/200)",
                         event.sequence, event.round, event.author, event.tx_count
@@ -80,6 +82,13 @@ fn main() {
     assert!(
         committed_txs >= 200,
         "the committee should commit everything"
+    );
+    // Every batch is sealed within the first rounds, and none may be left
+    // behind in a block no anchor reaches: that one would come back only
+    // after garbage collection re-injects it, `gc_depth` = 50 rounds later.
+    assert!(
+        last_payload_round <= 12,
+        "the last transactions sat in a block of round {last_payload_round}"
     );
     committee.stop();
     println!("Done.");

@@ -241,8 +241,9 @@ fn every_rule_resumes_from_its_checkpoint_as_if_never_stopped() {
 
 /// The timing hints of a fresh 4-validator instance. A coin elects in
 /// retrospect, so Tusk and DAG-Rider wish for nothing; the scheduled rules
-/// wish for the previous round's anchor candidate as a parent, for full
-/// coverage under their own anchor, and for their own chain otherwise.
+/// wish for the previous round's anchor candidate as a parent and for full
+/// coverage under their own anchor — nothing otherwise: a block's own chain
+/// is the primary's to wait for, under every rule.
 #[test]
 fn only_rules_with_predefined_leaders_take_timing_hints() {
     let (committee, _) = four_validators(true);
@@ -268,7 +269,7 @@ fn only_rules_with_predefined_leaders_take_timing_hints() {
                 ];
                 assert_eq!(parent, expected, "{name}");
                 assert_eq!(rule.coverage_wishes(2, v(1)), everyone(1), "{name}");
-                assert_eq!(rule.coverage_wishes(2, v(0)), vec![(1, v(0))], "{name}");
+                assert_eq!(rule.coverage_wishes(2, v(0)), vec![], "{name}");
             }
             _ => {
                 // Two-round waves: only even rounds vote, only odd rounds
@@ -276,8 +277,8 @@ fn only_rules_with_predefined_leaders_take_timing_hints() {
                 let expected = [vec![], vec![], vec![(1, v(0))], vec![], vec![(3, v(1))]];
                 assert_eq!(parent, expected, "{name}");
                 assert_eq!(rule.coverage_wishes(3, v(1)), everyone(2), "{name}");
-                assert_eq!(rule.coverage_wishes(3, v(0)), vec![(2, v(0))], "{name}");
-                assert_eq!(rule.coverage_wishes(2, v(1)), vec![(1, v(1))], "{name}");
+                assert_eq!(rule.coverage_wishes(3, v(0)), vec![], "{name}");
+                assert_eq!(rule.coverage_wishes(2, v(1)), vec![], "{name}");
             }
         }
         assert_eq!(rule.coverage_wishes(0, v(0)), vec![], "{name}");
