@@ -13,7 +13,6 @@
 //! | `ablation_bullshark` | Bullshark vs Tusk commit-latency ablation |
 //! | `ablation_gc_memory` | §3.3 memory-bound ablation |
 //! | `ablation_commit_lemmas` | Lemmas 3-5 statistics |
-//! | `micro` | criterion micro-benchmarks (crypto, codec, DAG ops) |
 //! | `sim_fuzz` | §5 safety/liveness under randomized fault schedules |
 //! | `perf_baseline` | machine-readable `BENCH_<n>.json` perf baseline |
 //!

@@ -197,6 +197,24 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Writes `value` as a LEB128 varint into `out` and returns the bytes
+/// written: the varint for writers that are not a `Vec` (a hasher).
+/// ([`put_varint`] keeps its own push loop: it is the inner loop of batch
+/// encoding, where one-byte varints dominate.)
+pub fn varint_bytes(mut value: u64, out: &mut [u8; 10]) -> &[u8] {
+    let mut len = 0;
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        len += 1;
+        if value == 0 {
+            out[len - 1] = byte;
+            return &out[..len];
+        }
+        out[len - 1] = byte | 0x80;
+    }
+}
+
 /// Appends a LEB128 varint to `buf`.
 pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
     loop {
@@ -267,6 +285,7 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v), "len for {v}");
+            assert_eq!(varint_bytes(v, &mut [0; 10]), &buf[..], "bytes for {v}");
             let mut r = Reader::new(&buf);
             assert_eq!(r.take_varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);

@@ -60,7 +60,7 @@ use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::proposer::{Proposer, RoundState};
 use crate::state_transfer::StateTransfer;
 use crate::store::{disk, BlockStore};
-use crate::synchronizer::{serve_digests, serve_range, verified, Synchronizer, Wait};
+use crate::synchronizer::{serve_digests, serve_range, Synchronizer, Wait};
 use nt_crypto::{Digest, KeyPair};
 use nt_execution::{Execution, SnapshotPackage};
 use nt_network::{Actor, Context, NodeId, Time};
@@ -394,33 +394,55 @@ impl<C: DagConsensus> Primary<C> {
 
     fn maybe_certify(&mut self, ctx: &mut Ctx<C::Ext>) {
         if let Some(cert) = self.certifier.certify(&self.id, ctx) {
-            self.process_certificate(cert, ctx);
+            let digest = cert.header_digest();
+            self.process_certificate(cert, digest, ctx);
         }
     }
 
-    /// Accepts a verified certificate: inserts it if its ancestry is
-    /// locally complete (the synchronizer suspends it otherwise), then
-    /// resumes suspended descendants, cascading.
-    fn process_certificate(&mut self, cert: Certificate, ctx: &mut Ctx<C::Ext>) {
-        let Some(cert) = self.synchronizer.admit(cert, &self.dag, &self.id, ctx) else {
+    /// A peer's certificate: dropped if it is behind GC, already held or
+    /// does not verify. The block digest computed here is the one every
+    /// later step uses.
+    fn handle_certificate(&mut self, cert: Certificate, ctx: &mut Ctx<C::Ext>) {
+        let digest = cert.header_digest();
+        let committee = &self.id.committee;
+        if cert.round() < self.dag.first_retained_round()
+            || self.dag.contains_digest(&digest)
+            || self.synchronizer.verify(&cert, &digest, committee).is_err()
+        {
+            return;
+        }
+        self.transfer.maybe_trigger(&cert, &self.dag, &self.id, ctx);
+        self.synchronizer
+            .maybe_range_pull(&cert, self.round, &self.dag, &self.id, ctx);
+        self.process_certificate(cert, digest, ctx);
+    }
+
+    /// Accepts a verified certificate, whose block has digest `digest`:
+    /// inserts it if its ancestry is locally complete (the synchronizer
+    /// suspends it otherwise), then resumes suspended descendants,
+    /// cascading.
+    fn process_certificate(&mut self, cert: Certificate, digest: Digest, ctx: &mut Ctx<C::Ext>) {
+        let (dag, id) = (&self.dag, &self.id);
+        let Some(cert) = self.synchronizer.admit(cert, digest, dag, id, ctx) else {
             return;
         };
-        let mut ready = vec![cert.header_digest()];
-        self.insert_certificate(cert, ctx);
+        let mut ready = vec![digest];
+        self.insert_certificate(cert, digest, ctx);
         while let Some(parent) = ready.pop() {
             for child in self.synchronizer.suspended_on(&parent) {
-                if self.synchronizer.release(&child, &self.dag) {
-                    ready.push(child.header_digest());
-                    self.insert_certificate(child, ctx);
+                let digest = child.header_digest();
+                if self.synchronizer.release(&child, &digest, &self.dag) {
+                    ready.push(digest);
+                    self.insert_certificate(child, digest, ctx);
                 }
             }
         }
     }
 
-    /// Inserts an ancestry-complete certificate into the DAG and runs all
-    /// downstream reactions, in the module doc's order.
-    fn insert_certificate(&mut self, cert: Certificate, ctx: &mut Ctx<C::Ext>) {
-        let digest = cert.header_digest();
+    /// Inserts an ancestry-complete certificate (its block's digest
+    /// `digest`) into the DAG and runs all downstream reactions, in the
+    /// module doc's order.
+    fn insert_certificate(&mut self, cert: Certificate, digest: Digest, ctx: &mut Ctx<C::Ext>) {
         match self.dag.insert(cert.clone()) {
             InsertOutcome::BelowGc | InsertOutcome::Duplicate => return,
             InsertOutcome::Inserted => {}
@@ -613,23 +635,14 @@ impl<C: DagConsensus> Actor for Primary<C> {
         match msg {
             NarwhalMsg::Header(header) => self.handle_header(header, ctx),
             NarwhalMsg::Vote(vote) => self.handle_vote(vote, ctx),
-            NarwhalMsg::Certificate(cert)
-                if cert.round() >= self.dag.first_retained_round()
-                    && !self.dag.contains_digest(&cert.header_digest())
-                    && cert.verify(&self.id.committee).is_ok() =>
-            {
-                self.transfer.maybe_trigger(&cert, &self.dag, &self.id, ctx);
-                self.synchronizer
-                    .maybe_range_pull(&cert, self.round, &self.dag, &self.id, ctx);
-                self.process_certificate(cert, ctx);
-            }
+            NarwhalMsg::Certificate(cert) => self.handle_certificate(cert, ctx),
             NarwhalMsg::CertRequest { digests } => serve_digests(&digests, from, &self.dag, ctx),
             NarwhalMsg::CertRangeRequest { from: lo, to: hi } => {
                 serve_range(lo, hi, from, &self.dag, ctx)
             }
             NarwhalMsg::CertResponse { certs } => {
-                for cert in verified(certs, &self.dag, &self.id) {
-                    self.process_certificate(cert, ctx);
+                for (digest, cert) in self.synchronizer.verified(certs, &self.dag, &self.id) {
+                    self.process_certificate(cert, digest, ctx);
                 }
                 self.drain_anchors(ctx);
             }

@@ -364,10 +364,15 @@ impl StateTransfer {
             }
             fetch.restart(Some(manifest.clone()));
         }
-        for sig in signatures {
-            if sig.verify_digest(&id.committee, &digest)
-                && !fetch.signatures.iter().any(|s| s.signer == sig.signer)
-            {
+        // Every chunk repeats the signature list: check only signers not
+        // held yet, and those together.
+        let held =
+            |sigs: &[SnapshotSig], sig: &SnapshotSig| sigs.iter().any(|s| s.signer == sig.signer);
+        let mut fresh = signatures;
+        fresh.retain(|sig| !held(&fetch.signatures, sig));
+        SnapshotSig::retain_valid(&id.committee, &digest, &mut fresh);
+        for sig in fresh {
+            if !held(&fetch.signatures, &sig) {
                 fetch.signatures.push(sig);
             }
         }

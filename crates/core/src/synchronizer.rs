@@ -8,6 +8,16 @@
 //! (`missing_certs`) and the batched round-range pull's rate limiter. One
 //! dependency wait serves both kinds: [`Synchronizer::next_ready`].
 //!
+//! It also verifies every peer block, and so is the one place that
+//! remembers having done it: `verified` holds the `(digest, block
+//! signature)` of the latest verified block per `(round, author)` slot. A
+//! certificate embeds its whole block; when that block is the remembered
+//! one, [`Synchronizer::verify`] checks the votes alone, and a re-delivered
+//! block costs no curve work at all. The digest covers everything but the
+//! block signature (the coin share and its signature included), so the pair
+//! identifies one byte string: an equivocating twin has another digest, a
+//! re-signed or corrupted block another signature, and neither is found.
+//!
 //! Outcomes: [`Synchronizer::on_header`] and [`Synchronizer::next_ready`]
 //! return a header now ready to vote on; [`Synchronizer::admit`] returns a
 //! certificate whose ancestry is complete; [`Synchronizer::release`] says
@@ -16,9 +26,10 @@
 use crate::dag::Dag;
 use crate::messages::NarwhalMsg;
 use crate::primary::{Ctx, Identity};
-use nt_crypto::{Digest, Hashable};
+use nt_crypto::{Digest, Hashable, Signature};
 use nt_network::{NodeId, Time};
-use nt_types::{Certificate, Header, Round, ValidatorId};
+use nt_types::certificate::CertificateError;
+use nt_types::{Certificate, Committee, Header, Round, ValidatorId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A verified certificate this many rounds above the local round proves the
@@ -71,6 +82,11 @@ pub(crate) struct Synchronizer {
     suspended: HashMap<Digest, Vec<Certificate>>,
     /// Digests currently suspended (deduplication).
     suspended_digests: HashSet<Digest>,
+    /// The latest peer block per slot that passed `Header::verify`, as its
+    /// `(digest, block signature)`. Slots run from the GC boundary to
+    /// [`RANGE_PULL_LAG`] rounds above the DAG, so it holds at most that
+    /// many rounds × `n` entries; starts empty after recovery and install.
+    verified: BTreeMap<(Round, ValidatorId), (Digest, Signature)>,
     /// Batched catch-up: when the last round-range pull left, and the
     /// rotation counter choosing its target (a dead or Byzantine peer costs
     /// one retry interval, not the whole recovery).
@@ -118,23 +134,57 @@ pub(crate) fn serve_range<E>(lo: Round, hi: Round, from: NodeId, dag: &Dag, ctx:
     }
 }
 
-/// The certificates of a pull response worth processing. Verifies the
-/// whole wanted set in one multiscalar pass; a response with a bad
-/// certificate degrades to per-certificate checks so the valid ones still
-/// land. Re-checking GC and duplicates at insertion makes the one-shot
-/// filter safe even as earlier certificates insert.
-pub(crate) fn verified(certs: Vec<Certificate>, dag: &Dag, id: &Identity) -> Vec<Certificate> {
-    let mut wanted = certs;
-    wanted.retain(|c| {
-        c.round() >= dag.first_retained_round() && !dag.contains_digest(&c.header_digest())
-    });
-    if Certificate::verify_all(&id.committee, &wanted).is_err() {
-        wanted.retain(|c| c.verify(&id.committee).is_ok());
-    }
-    wanted
-}
-
 impl Synchronizer {
+    /// Whether exactly this block — `digest` and block signature — is the
+    /// one remembered as verified for its slot.
+    fn is_verified(&self, header: &Header, digest: &Digest) -> bool {
+        self.verified
+            .get(&(header.round, header.author))
+            .is_some_and(|(d, signature)| d == digest && *signature == header.signature)
+    }
+
+    /// Verifies a peer's certificate, whose block has digest `digest`: the
+    /// votes alone if the block is one this validator already verified.
+    pub(crate) fn verify(
+        &self,
+        cert: &Certificate,
+        digest: &Digest,
+        committee: &Committee,
+    ) -> Result<(), CertificateError> {
+        cert.verify_given(committee, self.is_verified(&cert.header, digest))
+    }
+
+    /// The certificates of a pull response worth processing, each with its
+    /// block's digest. Verifies the whole wanted set in one multiscalar
+    /// pass; a response with a bad certificate degrades to per-certificate
+    /// checks so the valid ones still land. Re-checking GC and duplicates
+    /// at insertion makes the one-shot filter safe even as earlier
+    /// certificates insert.
+    pub(crate) fn verified(
+        &self,
+        certs: Vec<Certificate>,
+        dag: &Dag,
+        id: &Identity,
+    ) -> Vec<(Digest, Certificate)> {
+        let mut digests = Vec::with_capacity(certs.len());
+        let mut wanted = certs;
+        wanted.retain(|c| {
+            let digest = c.header_digest();
+            let keep = c.round() >= dag.first_retained_round() && !dag.contains_digest(&digest);
+            if keep {
+                digests.push(digest);
+            }
+            keep
+        });
+        let known = |c: usize| self.is_verified(&wanted[c].header, &digests[c]);
+        let all_valid = Certificate::verify_all_given(&id.committee, &wanted, known).is_ok();
+        digests
+            .into_iter()
+            .zip(wanted)
+            .filter(|(d, c)| all_valid || self.verify(c, d, &id.committee).is_ok())
+            .collect()
+    }
+
     /// Pulls the certified block `digest`, first from `hint`.
     pub(crate) fn request<E>(
         &mut self,
@@ -189,12 +239,26 @@ impl Synchronizer {
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) -> Option<Header> {
-        if header.round < dag.first_retained_round() || header.verify(&id.committee).is_err() {
+        if header.round < dag.first_retained_round() {
             return None;
         }
         let digest = header.digest();
+        // Parked means verified when it was parked: nothing to do twice.
         if self.pending_headers.contains_key(&digest) {
             return None;
+        }
+        if !self.is_verified(&header, &digest) {
+            if header.verify(&id.committee).is_err() {
+                return None;
+            }
+            // Genesis blocks are unsigned and certified by equality: there
+            // is no verdict to remember. Blocks far above the DAG are parked
+            // and re-checked with their certificate, so the set stays
+            // bounded by the rounds this validator can act on.
+            if (1..=dag.highest_round() + RANGE_PULL_LAG).contains(&header.round) {
+                let verdict = (digest, header.signature);
+                self.verified.insert((header.round, header.author), verdict);
+            }
         }
         // Track missing dependencies: parent certificates and batch data.
         let missing_parents: HashSet<Digest> = header
@@ -282,16 +346,17 @@ impl Synchronizer {
         }
     }
 
-    /// Admits a verified certificate: returns it if its ancestry is locally
-    /// complete, or suspends it and pulls the missing parents (§4.1).
+    /// Admits a verified certificate, whose block has digest `digest`:
+    /// returns it if its ancestry is locally complete, or suspends it and
+    /// pulls the missing parents (§4.1).
     pub(crate) fn admit<E>(
         &mut self,
         cert: Certificate,
+        digest: Digest,
         dag: &Dag,
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) -> Option<Certificate> {
-        let digest = cert.header_digest();
         if dag.contains_digest(&digest) || self.suspended_digests.contains(&digest) {
             return None;
         }
@@ -314,13 +379,13 @@ impl Synchronizer {
         self.suspended.remove(parent).unwrap_or_default()
     }
 
-    /// Whether `child`, suspended until now, can resume: `false` if it
-    /// already resumed via another parent or still misses one.
-    pub(crate) fn release(&mut self, child: &Certificate, dag: &Dag) -> bool {
-        let digest = child.header_digest();
-        self.suspended_digests.contains(&digest)
+    /// Whether `child` (its block's digest `digest`), suspended until now,
+    /// can resume: `false` if it already resumed via another parent or
+    /// still misses one.
+    pub(crate) fn release(&mut self, child: &Certificate, digest: &Digest, dag: &Dag) -> bool {
+        self.suspended_digests.contains(digest)
             && dag.missing_parents(child).is_empty()
-            && self.suspended_digests.remove(&digest)
+            && self.suspended_digests.remove(digest)
     }
 
     /// Batched §4.1 catch-up: a verified certificate more than
@@ -392,6 +457,7 @@ impl Synchronizer {
             .flatten()
             .map(Certificate::header_digest)
             .collect();
+        self.verified = self.verified.split_off(&(boundary, ValidatorId(0)));
     }
 
     /// Everything queued against a pre-install view is void.
@@ -511,28 +577,29 @@ mod tests {
         let child = certify(&bench.committee, &bench.keypairs, 1, 2, parents.clone());
         let mut sync = Synchronizer::default();
         let mut ctx = Ctx::new(0, 0);
+        let child_digest = child.header_digest();
         assert!(sync
-            .admit(child.clone(), &bench.dag, &id, &mut ctx)
+            .admit(child.clone(), child_digest, &bench.dag, &id, &mut ctx)
             .is_none());
         assert_eq!(sends(&mut ctx).len(), 3, "every missing parent is pulled");
         assert!(sync
-            .admit(child.clone(), &bench.dag, &id, &mut ctx)
+            .admit(child.clone(), child_digest, &bench.dag, &id, &mut ctx)
             .is_none());
         assert!(
             ctx.is_empty(),
             "a suspended certificate is not suspended twice"
         );
         for (landed, parent) in round_one.into_iter().enumerate() {
-            let parent = sync
-                .admit(parent, &bench.dag, &id, &mut ctx)
-                .expect("over genesis");
             let digest = parent.header_digest();
+            let parent = sync
+                .admit(parent, digest, &bench.dag, &id, &mut ctx)
+                .expect("over genesis");
             bench.feed(vec![parent]);
             sync.arrived(&digest);
             let resumable: Vec<bool> = sync
                 .suspended_on(&digest)
                 .iter()
-                .map(|c| sync.release(c, &bench.dag))
+                .map(|c| sync.release(c, &child_digest, &bench.dag))
                 .collect();
             assert_eq!(
                 resumable,
@@ -595,8 +662,90 @@ mod tests {
         let mut forged = round_one[1].clone();
         forged.header.round = 7;
         let response = vec![round_one[0].clone(), forged, round_one[2].clone()];
-        let kept = verified(response, &bench.dag, &id);
-        assert_eq!(kept, vec![round_one[2].clone()]);
+        let kept = Synchronizer::default().verified(response, &bench.dag, &id);
+        let expect = round_one[2].clone();
+        assert_eq!(kept, vec![(expect.header_digest(), expect)]);
+    }
+
+    /// The verified-block memo: only the exact block found, one entry per
+    /// slot, nothing above the window or below the boundary, empty after a
+    /// reset.
+    #[test]
+    fn only_the_exact_verified_block_is_remembered_within_the_retained_rounds() {
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let id = identity(&bench, 0);
+        bench.full_round(1);
+        let (committee, kps) = (bench.committee.clone(), bench.keypairs.clone());
+        let stored = HashSet::new();
+        let mut sync = Synchronizer::default();
+        let mut ctx = Ctx::new(0, 0);
+        let header = block(&bench, bench.parents(1), &[]);
+        let digest = header.digest();
+        let cert = crate::testing::certify_header(&committee, &kps, header.clone());
+        // Before the block was seen, and after: the same verdict.
+        assert!(!sync.is_verified(&header, &digest));
+        assert_eq!(sync.verify(&cert, &digest, &committee), Ok(()));
+        let ready = sync.on_header(header.clone(), &bench.dag, &stored, &id, &mut ctx);
+        assert_eq!(ready, Some(header.clone()));
+        assert!(sync.is_verified(&header, &digest));
+        assert_eq!(sync.verify(&cert, &digest, &committee), Ok(()));
+        // A re-delivery is still a block to vote on (the vote lock dedups).
+        let again = sync.on_header(header.clone(), &bench.dag, &stored, &id, &mut ctx);
+        assert_eq!(again, Some(header.clone()));
+        assert_eq!(sync.verified.len(), 1);
+
+        // A twin has another digest; a block signed by another key, or with
+        // a corrupted signature, has the known digest and another signature.
+        // None is found, so each gets the cold verdict.
+        let twin = header.twin(&kps[1]);
+        assert!(!sync.is_verified(&twin, &twin.digest()));
+        let mut resigned = header.clone();
+        resigned.signature = kps[2].sign_digest(&digest);
+        let mut garbage = header.clone();
+        garbage.signature.0[9] ^= 1;
+        for forged in [resigned, garbage] {
+            assert_eq!(forged.digest(), digest);
+            assert!(!sync.is_verified(&forged, &digest));
+            let mut forged_cert = cert.clone();
+            forged_cert.header = forged;
+            let verdict = sync.verify(&forged_cert, &digest, &committee);
+            assert_eq!(verdict, forged_cert.verify(&committee));
+            assert!(
+                verdict.is_err(),
+                "a forged block signature never rides the memo"
+            );
+        }
+        // The twin, once verified, takes the slot: one entry per slot.
+        sync.on_header(twin.clone(), &bench.dag, &stored, &id, &mut ctx);
+        assert!(sync.is_verified(&twin, &twin.digest()));
+        assert!(!sync.is_verified(&header, &digest));
+        assert_eq!(sync.verified.len(), 1);
+
+        // Bounded: every author floods every round up to 40; only rounds
+        // within RANGE_PULL_LAG of the DAG (highest round 1) are remembered.
+        for round in 1..=40 {
+            for author in 0..4u32 {
+                let parents = (0..3u8).map(|i| Digest::of(&[i, round as u8])).collect();
+                let flood = Header::new(
+                    &kps[author as usize],
+                    ValidatorId(author),
+                    round,
+                    vec![],
+                    parents,
+                    None,
+                );
+                sync.on_header(flood, &bench.dag, &stored, &id, &mut ctx);
+            }
+        }
+        let window = bench.dag.highest_round() + RANGE_PULL_LAG;
+        assert_eq!(sync.verified.len() as u64, window * 4);
+        assert!(sync.verified.keys().all(|(round, _)| *round <= window));
+        // Pruned with the GC boundary, and empty after a reset.
+        sync.prune(4, &[]);
+        assert_eq!(sync.verified.len() as u64, (window - 3) * 4);
+        assert!(sync.verified.keys().all(|(round, _)| *round >= 4));
+        sync.reset();
+        assert!(sync.verified.is_empty());
     }
 
     #[test]

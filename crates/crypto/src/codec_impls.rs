@@ -59,6 +59,9 @@ impl Encode for CoinShare {
         self.wave.encode(buf);
         self.signature.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.author.encoded_len() + self.wave.encoded_len() + self.signature.encoded_len()
+    }
 }
 
 impl Decode for CoinShare {
@@ -88,7 +91,9 @@ mod tests {
     fn coin_share_roundtrip() {
         let kp = KeyPair::for_index(Scheme::Insecure, 0);
         let share = CoinShare::new(&kp, 5);
-        let back: CoinShare = decode_from_slice(&encode_to_vec(&share)).unwrap();
+        let bytes = encode_to_vec(&share);
+        assert_eq!(bytes.len(), share.encoded_len());
+        let back: CoinShare = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, share);
     }
 }

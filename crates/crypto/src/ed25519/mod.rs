@@ -3,13 +3,19 @@
 //! The paper's implementation signs every mempool block, vote and certificate
 //! with ed25519-dalek; this module is a from-scratch replacement validated
 //! against the RFC 8032 test vectors (see `tests/`).
+//!
+//! Signing and key derivation multiply the base point through its
+//! fixed-base table ([`Point::mul_base`]); verification checks
+//! `[s]B − [k]A == R` as one two-term multiscalar multiplication over the
+//! base point's window table and the key's own, which a [`VerifyingKey`]
+//! builds once. None of it is constant-time (see [`field`] and [`point`]).
 
 pub mod field;
 pub mod point;
 pub mod scalar;
 
 use crate::sha2::Sha512;
-use point::Point;
+use point::{NafTable, Point};
 use scalar::Scalar;
 
 /// An expanded Ed25519 secret key: the clamped scalar and the hash prefix.
@@ -36,7 +42,7 @@ pub fn expand_seed(seed: &[u8; 32]) -> ExpandedSecret {
     let a = Scalar::from_bytes(&a_bytes);
     let mut prefix = [0u8; 32];
     prefix.copy_from_slice(&h[32..]);
-    let public = Point::base().mul(&a_bytes).compress();
+    let public = Point::mul_base(&a_bytes).compress();
     ExpandedSecret { a, prefix, public }
 }
 
@@ -56,7 +62,7 @@ pub fn sign(secret: &ExpandedSecret, message: &[u8]) -> [u8; 64] {
         h.update(message);
         Scalar::from_bytes_wide(&h.finalize())
     };
-    let r_point = Point::base().mul(&r.to_bytes()).compress();
+    let r_point = Point::mul_base(&r.to_bytes()).compress();
     // k = H(R || A || M) mod l.
     let k = {
         let mut h = Sha512::new();
@@ -73,24 +79,88 @@ pub fn sign(secret: &ExpandedSecret, message: &[u8]) -> [u8; 64] {
     sig
 }
 
-/// Verifies an Ed25519 signature. Returns `true` iff valid.
+/// A public key decompressed once: its bytes, and the window table of
+/// `−A` every verification under it multiplies through.
+#[derive(Clone, Debug)]
+pub struct VerifyingKey {
+    bytes: [u8; 32],
+    minus_a: NafTable,
+}
+
+/// The two halves of a signature, `R` still compressed and `s` checked
+/// canonical (`s < l`, RFC 8032's malleability rule).
+pub(crate) fn split_signature(signature: &[u8; 64]) -> Option<([u8; 32], Scalar)> {
+    let (r_bytes, s_bytes) = signature.split_at(32);
+    let s = Scalar::from_canonical_bytes(s_bytes.try_into().expect("32 bytes"))?;
+    Some((r_bytes.try_into().expect("32 bytes"), s))
+}
+
+impl VerifyingKey {
+    /// Decompresses `public`; `None` if it does not encode a curve point.
+    pub fn from_bytes(public: &[u8; 32]) -> Option<VerifyingKey> {
+        let a = Point::decompress(public)?;
+        Some(VerifyingKey {
+            bytes: *public,
+            minus_a: NafTable::new(&a.neg()),
+        })
+    }
+
+    /// The compressed key.
+    pub fn as_bytes(&self) -> &[u8; 32] {
+        &self.bytes
+    }
+
+    /// The window table of `−A`.
+    pub(crate) fn minus_a(&self) -> &NafTable {
+        &self.minus_a
+    }
+
+    /// The per-signature challenge `k = H(R ‖ A ‖ M) mod l` of RFC 8032.
+    pub(crate) fn challenge(&self, r_bytes: &[u8; 32], message: &[u8]) -> Scalar {
+        let mut h = Sha512::new();
+        h.update(r_bytes);
+        h.update(&self.bytes);
+        h.update(message);
+        Scalar::from_bytes_wide(&h.finalize())
+    }
+
+    /// Verifies an Ed25519 signature. Returns `true` iff valid.
+    pub fn verify(&self, message: &[u8], signature: &[u8; 64]) -> bool {
+        let Some((r_bytes, s)) = split_signature(signature) else {
+            return false;
+        };
+        let Some(r) = Point::decompress(&r_bytes) else {
+            return false;
+        };
+        let k = self.challenge(&r_bytes, message);
+        // Check [s]B − [k]A == R.
+        Point::multiscalar_mul(&[
+            (&s.to_bytes(), NafTable::base()),
+            (&k.to_bytes(), &self.minus_a),
+        ])
+        .eq_point(&r)
+    }
+}
+
+/// Verifies an Ed25519 signature under a key given as bytes: prepares the
+/// key, then [`VerifyingKey::verify`]. Returns `true` iff valid.
 pub fn verify(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
-    let mut r_bytes = [0u8; 32];
-    r_bytes.copy_from_slice(&signature[..32]);
-    let mut s_bytes = [0u8; 32];
-    s_bytes.copy_from_slice(&signature[32..]);
-    // Reject non-canonical s (malleability) per RFC 8032.
-    let s = match Scalar::from_canonical_bytes(&s_bytes) {
-        Some(s) => s,
-        None => return false,
+    VerifyingKey::from_bytes(public).is_some_and(|key| key.verify(message, signature))
+}
+
+/// Single verification exactly as the parent commit computed it —
+/// `[s]B == R + [k]A`, every key decompressed on the spot, both products by
+/// bit-at-a-time double-and-add that doubles by addition. The oracle the
+/// table-driven paths are held to, verdict for verdict.
+#[cfg(test)]
+pub(crate) fn verify_as_parent(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
+    let r_bytes: [u8; 32] = signature[..32].try_into().expect("32 bytes");
+    let s_bytes: [u8; 32] = signature[32..].try_into().expect("32 bytes");
+    let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
+        return false;
     };
-    let a = match Point::decompress(public) {
-        Some(a) => a,
-        None => return false,
-    };
-    let r = match Point::decompress(&r_bytes) {
-        Some(r) => r,
-        None => return false,
+    let (Some(a), Some(r)) = (Point::decompress(public), Point::decompress(&r_bytes)) else {
+        return false;
     };
     let k = {
         let mut h = Sha512::new();
@@ -99,7 +169,6 @@ pub fn verify(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
         h.update(message);
         Scalar::from_bytes_wide(&h.finalize())
     };
-    // Check [s]B == R + [k]A.
     let lhs = Point::base().mul(&s.to_bytes());
     let rhs = r.add(&a.mul(&k.to_bytes()));
     lhs.eq_point(&rhs)

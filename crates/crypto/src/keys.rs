@@ -13,7 +13,7 @@
 //!   byte-exact protocol behaviour.
 
 use crate::digest::Digest;
-use crate::ed25519::{self, ExpandedSecret};
+use crate::ed25519::{self, ExpandedSecret, VerifyingKey};
 use crate::sha2::Sha256;
 use std::fmt;
 
@@ -146,22 +146,82 @@ impl KeyPair {
 }
 
 impl PublicKey {
-    /// Verifies `signature` over `message` under `scheme`.
+    /// Verifies `signature` over `message` under `scheme`: prepares the key
+    /// for this one call, then [`PreparedKey::verify`].
     pub fn verify_with(&self, scheme: Scheme, message: &[u8], signature: &Signature) -> bool {
-        match scheme {
-            Scheme::Ed25519 => ed25519::verify(&self.0, message, &signature.0),
+        PreparedKey::new(scheme, *self).verify(message, signature)
+    }
+
+    /// Verifies a signature over a digest.
+    pub fn verify_digest(&self, scheme: Scheme, digest: &Digest, signature: &Signature) -> bool {
+        self.verify_with(scheme, digest.as_bytes(), signature)
+    }
+}
+
+/// A public key made ready to verify under one [`Scheme`], so that the work
+/// which depends on the key alone is done once: for Ed25519 the point is
+/// decompressed and its window table built; the insecure scheme has nothing
+/// to prepare. A committee prepares its members' keys at construction.
+///
+/// Bytes that do not decode to a curve point still prepare: every
+/// verification under such a key fails, as it does from the bytes.
+#[derive(Clone)]
+pub struct PreparedKey {
+    public: PublicKey,
+    scheme: Scheme,
+    /// `Some` iff the scheme is Ed25519 and the bytes decode.
+    ed25519: Option<VerifyingKey>,
+}
+
+impl PreparedKey {
+    /// Prepares `public` for verification under `scheme`.
+    pub fn new(scheme: Scheme, public: PublicKey) -> Self {
+        let ed25519 = match scheme {
+            Scheme::Ed25519 => VerifyingKey::from_bytes(&public.0),
+            Scheme::Insecure => None,
+        };
+        PreparedKey {
+            public,
+            scheme,
+            ed25519,
+        }
+    }
+
+    /// The key as bytes.
+    pub fn public(&self) -> PublicKey {
+        self.public
+    }
+
+    /// The decompressed key, if the scheme is Ed25519 and the bytes decode.
+    pub(crate) fn ed25519(&self) -> Option<&VerifyingKey> {
+        self.ed25519.as_ref()
+    }
+
+    /// Verifies `signature` over `message`.
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        match self.scheme {
+            Scheme::Ed25519 => self
+                .ed25519
+                .as_ref()
+                .is_some_and(|key| key.verify(message, &signature.0)),
             Scheme::Insecure => {
                 // Recompute the keyed hash. Anyone can forge this: the
                 // "secret" is derived from the public key. Simulation only.
-                let expect = insecure_sign_pk(self, message);
+                let expect = insecure_sign_pk(&self.public, message);
                 expect == signature.0
             }
         }
     }
 
     /// Verifies a signature over a digest.
-    pub fn verify_digest(&self, scheme: Scheme, digest: &Digest, signature: &Signature) -> bool {
-        self.verify_with(scheme, digest.as_bytes(), signature)
+    pub fn verify_digest(&self, digest: &Digest, signature: &Signature) -> bool {
+        self.verify(digest.as_bytes(), signature)
+    }
+}
+
+impl fmt::Debug for PreparedKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.public)
     }
 }
 

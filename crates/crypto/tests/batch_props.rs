@@ -8,7 +8,10 @@
 //! culprit (the first invalid index), so swapping one for the other can
 //! never change which certificates a validator admits.
 
-use nt_crypto::{verify_batch, verify_each, BatchItem, Digest, KeyPair, Scheme, Signature};
+use nt_crypto::{
+    verify_batch, verify_each, verify_prepared, BatchItem, Digest, KeyPair, PreparedItem,
+    PreparedKey, Scheme, Signature,
+};
 use proptest::prelude::*;
 
 /// How one item of the batch is corrupted (or not).
@@ -103,5 +106,41 @@ proptest! {
         let items = items(&signed);
         prop_assert_eq!(verify_batch(Scheme::Ed25519, &items), Err(culprit));
         prop_assert_eq!(verify_each(Scheme::Ed25519, &items), Err(culprit));
+    }
+
+    /// Keys prepared beforehand and keys prepared by the from-bytes adapter
+    /// run the same equation: same verdict, same culprit, for batches and
+    /// for each item on its own, under both schemes — including when
+    /// several items share one prepared key, as a block signature and its
+    /// coin share do.
+    #[test]
+    fn prepared_keys_equal_the_from_bytes_adapter(
+        spec in proptest::collection::vec((0u8..4, tamper_strategy()), 0..10),
+        ed25519 in any::<bool>(),
+    ) {
+        let scheme = if ed25519 { Scheme::Ed25519 } else { Scheme::Insecure };
+        let signed = sign_all(scheme, &spec);
+        let items = items(&signed);
+        // One prepared key per identity, shared by every item that names it.
+        let keys: Vec<PreparedKey> = (0..4)
+            .map(|i| PreparedKey::new(scheme, KeyPair::for_index(scheme, i).public()))
+            .collect();
+        let prepared: Vec<PreparedItem<'_>> = spec
+            .iter()
+            .zip(&items)
+            .map(|(&(key_idx, _), item)| PreparedItem {
+                key: &keys[key_idx as usize],
+                message: item.message,
+                signature: item.signature,
+            })
+            .collect();
+        prop_assert_eq!(verify_prepared(&prepared), verify_batch(scheme, &items));
+        for (p, item) in prepared.iter().zip(&items) {
+            prop_assert_eq!(p.key.public(), item.public);
+            prop_assert_eq!(
+                p.key.verify(p.message, &p.signature),
+                item.public.verify_with(scheme, item.message, &item.signature)
+            );
+        }
     }
 }

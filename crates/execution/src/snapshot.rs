@@ -163,8 +163,28 @@ impl SnapshotSig {
             return false;
         }
         committee
-            .public_key(self.signer)
-            .verify_digest(committee.scheme(), digest, &self.signature)
+            .key(self.signer)
+            .verify_digest(digest, &self.signature)
+    }
+
+    /// Keeps those of `sigs` that verify over `digest` under `committee`.
+    ///
+    /// All of them cover the one digest, so the set is checked as a single
+    /// batched multiscalar equation under the committee's prepared keys; if
+    /// that fails (some signature is bad), each is checked on its own.
+    pub fn retain_valid(committee: &Committee, digest: &Digest, sigs: &mut Vec<SnapshotSig>) {
+        sigs.retain(|s| (s.signer.0 as usize) < committee.size());
+        let items: Vec<nt_crypto::PreparedItem<'_>> = sigs
+            .iter()
+            .map(|s| nt_crypto::PreparedItem {
+                key: committee.key(s.signer),
+                message: digest.as_bytes(),
+                signature: s.signature,
+            })
+            .collect();
+        if nt_crypto::verify_prepared(&items).is_err() {
+            sigs.retain(|s| s.verify_digest(committee, digest));
+        }
     }
 }
 
@@ -228,33 +248,12 @@ impl SnapshotPackage {
         true
     }
 
-    /// Number of distinct valid signatures over the manifest.
-    ///
-    /// All signatures cover the one manifest digest, so the set is checked
-    /// as a single batched multiscalar equation; if that fails (some
-    /// signature is bad), the sequential pass counts the survivors.
+    /// Number of valid signatures over the manifest
+    /// ([`SnapshotSig::retain_valid`]).
     pub fn valid_signatures(&self, committee: &Committee) -> usize {
-        let digest = self.manifest.digest();
-        let candidates: Vec<&SnapshotSig> = self
-            .signatures
-            .iter()
-            .filter(|s| (s.signer.0 as usize) < committee.size())
-            .collect();
-        let items: Vec<nt_crypto::BatchItem<'_>> = candidates
-            .iter()
-            .map(|s| nt_crypto::BatchItem {
-                public: committee.public_key(s.signer),
-                message: digest.as_bytes(),
-                signature: s.signature,
-            })
-            .collect();
-        if nt_crypto::verify_batch(committee.scheme(), &items).is_ok() {
-            return candidates.len();
-        }
-        candidates
-            .iter()
-            .filter(|s| s.verify_digest(committee, &digest))
-            .count()
+        let mut valid = self.signatures.clone();
+        SnapshotSig::retain_valid(committee, &self.manifest.digest(), &mut valid);
+        valid.len()
     }
 
     /// Whether 2f+1 distinct validators vouch for the manifest.

@@ -12,7 +12,7 @@ use crate::header::{Header, HeaderError, SignedParts};
 use crate::vote::{vote_message, Vote};
 use crate::{Round, WireSize};
 use nt_codec::{Decode, DecodeError, Encode, Reader};
-use nt_crypto::{verify_batch, BatchItem, Digest, Hashable, Signature};
+use nt_crypto::{verify_prepared, Digest, Hashable, PreparedItem, Signature};
 
 /// A certificate of availability for one block.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -82,19 +82,38 @@ impl Certificate {
     }
 
     /// Verifies the embedded block, quorum size, voter uniqueness and every
-    /// signature.
+    /// signature: [`Certificate::verify_given`] for a block nothing is
+    /// known about.
+    pub fn verify(&self, committee: &Committee) -> Result<(), CertificateError> {
+        self.verify_given(committee, false)
+    }
+
+    /// Verifies the certificate, given whether its embedded block is already
+    /// known to be valid.
+    ///
+    /// `header_verified` is a promise by the caller that *this exact block* —
+    /// same digest, same block signature — has passed [`Header::verify`]
+    /// under `committee`. Then nothing about the block is checked again and
+    /// only the votes go into the signature batch; the verdict is the one
+    /// `header_verified = false` returns for the same certificate. (Genesis
+    /// certificates ignore the flag: they are checked by equality.)
     ///
     /// The block signature, its coin share and the `2f + 1` vote signatures
-    /// are checked as one batched multiscalar equation ([`verify_batch`]);
-    /// a bad batch falls back to the sequential pass to name the offender.
-    pub fn verify(&self, committee: &Committee) -> Result<(), CertificateError> {
-        let Some(signed) = self.structural_checks(committee)? else {
+    /// are checked as one batched multiscalar equation
+    /// ([`verify_prepared`]) under the committee's prepared keys; a bad
+    /// batch falls back to the sequential pass to name the offender.
+    pub fn verify_given(
+        &self,
+        committee: &Committee,
+        header_verified: bool,
+    ) -> Result<(), CertificateError> {
+        let Some(signed) = self.structural_checks(committee, header_verified)? else {
             // Genesis: nothing is signed.
             return Ok(());
         };
         let mut items = Vec::with_capacity(self.votes.len() + 2);
         self.push_items(committee, &signed, &mut items);
-        verify_batch(committee.scheme(), &items).map_err(|i| self.culprit(i))
+        verify_prepared(&items).map_err(|i| self.culprit(&signed, i))
     }
 
     /// Verifies a group of certificates in one multiscalar equation,
@@ -108,11 +127,22 @@ impl Certificate {
         committee: &Committee,
         certs: &[Certificate],
     ) -> Result<(), (usize, CertificateError)> {
+        Certificate::verify_all_given(committee, certs, |_| false)
+    }
+
+    /// [`Certificate::verify_all`], given for each index into `certs`
+    /// whether that certificate's block is already known to be valid (the
+    /// promise of [`Certificate::verify_given`]).
+    pub fn verify_all_given(
+        committee: &Committee,
+        certs: &[Certificate],
+        header_verified: impl Fn(usize) -> bool,
+    ) -> Result<(), (usize, CertificateError)> {
         // The signed messages must outlive the batch items borrowing them.
         let mut signed: Vec<(usize, Signed)> = Vec::with_capacity(certs.len());
         let mut malformed = None;
         for (c, cert) in certs.iter().enumerate() {
-            match cert.structural_checks(committee) {
+            match cert.structural_checks(committee, header_verified(c)) {
                 Ok(Some(parts)) => signed.push((c, parts)),
                 Ok(None) => {}
                 // Certificates before this one may still fail a signature.
@@ -122,41 +152,55 @@ impl Certificate {
                 }
             }
         }
-        let mut items: Vec<BatchItem<'_>> = Vec::new();
-        // Per signed certificate: its first item, and its index in `certs`.
+        let mut items: Vec<PreparedItem<'_>> = Vec::new();
+        // Per signed certificate: its first item, and its index in `signed`.
         let mut starts: Vec<(usize, usize)> = Vec::with_capacity(signed.len());
-        for (c, parts) in &signed {
-            starts.push((items.len(), *c));
+        for (s, (c, parts)) in signed.iter().enumerate() {
+            starts.push((items.len(), s));
             certs[*c].push_items(committee, parts, &mut items);
         }
-        verify_batch(committee.scheme(), &items).map_err(|i| {
-            let (start, c) = starts[starts.partition_point(|&(start, _)| start <= i) - 1];
-            (c, certs[c].culprit(i - start))
+        verify_prepared(&items).map_err(|i| {
+            let (start, s) = starts[starts.partition_point(|&(start, _)| start <= i) - 1];
+            let (c, parts) = &signed[s];
+            (*c, certs[*c].culprit(parts, i - start))
         })?;
         malformed.map_or(Ok(()), Err)
     }
 
-    /// The non-signature half of [`Certificate::verify`]: header validity,
-    /// voter membership/uniqueness and quorum size. Returns the messages
-    /// the signatures must cover, or `None` for genesis certificates.
-    fn structural_checks(&self, committee: &Committee) -> Result<Option<Signed>, CertificateError> {
-        let Some(header) = self
-            .header
-            .structural_checks(committee)
-            .map_err(CertificateError::BadHeader)?
-        else {
-            // Genesis certificates carry no votes and are valid iff the
-            // header is the canonical genesis (checked above).
-            return Ok(None);
+    /// The non-signature half of [`Certificate::verify_given`]: header
+    /// validity (unless already known), voter membership/uniqueness and
+    /// quorum size. Returns the messages the signatures must cover, or
+    /// `None` for genesis certificates.
+    fn structural_checks(
+        &self,
+        committee: &Committee,
+        header_verified: bool,
+    ) -> Result<Option<Signed>, CertificateError> {
+        let (header, digest) = if header_verified && self.round() > 0 {
+            (None, self.header_digest())
+        } else {
+            let Some(parts) = self
+                .header
+                .structural_checks(committee)
+                .map_err(CertificateError::BadHeader)?
+            else {
+                // Genesis certificates carry no votes and are valid iff the
+                // header is the canonical genesis (checked above).
+                return Ok(None);
+            };
+            let digest = parts.digest;
+            (Some(parts), digest)
         };
         if let Err(e) = self.vote_set_checks(committee) {
             // A bad block signature outranks a malformed vote set.
-            self.header
-                .verify(committee)
-                .map_err(CertificateError::BadHeader)?;
+            if header.is_some() {
+                self.header
+                    .verify(committee)
+                    .map_err(CertificateError::BadHeader)?;
+            }
             return Err(e);
         }
-        let vote_message = vote_message(&header.digest, self.round(), self.origin());
+        let vote_message = vote_message(&digest, self.round(), self.origin());
         Ok(Some(Signed {
             header,
             vote_message,
@@ -182,25 +226,32 @@ impl Certificate {
         }
     }
 
-    /// Appends every signature of this certificate to a batch: the block's
-    /// own, then the votes in order.
+    /// Appends every signature of this certificate still to be checked to a
+    /// batch: the block's own unless it is already verified, then the votes
+    /// in order.
     fn push_items<'a>(
         &self,
-        committee: &Committee,
+        committee: &'a Committee,
         signed: &'a Signed,
-        items: &mut Vec<BatchItem<'a>>,
+        items: &mut Vec<PreparedItem<'a>>,
     ) {
-        self.header.push_items(committee, &signed.header, items);
-        items.extend(self.votes.iter().map(|(voter, signature)| BatchItem {
-            public: committee.public_key(*voter),
+        if let Some(header) = &signed.header {
+            self.header.push_items(committee, header, items);
+        }
+        items.extend(self.votes.iter().map(|(voter, signature)| PreparedItem {
+            key: committee.key(*voter),
             message: &signed.vote_message,
             signature: *signature,
         }));
     }
 
     /// The error for the `index`-th item [`Certificate::push_items`] appended.
-    fn culprit(&self, index: usize) -> CertificateError {
-        match index.checked_sub(self.header.signed_items()) {
+    fn culprit(&self, signed: &Signed, index: usize) -> CertificateError {
+        let header_items = match signed.header {
+            Some(_) => self.header.signed_items(),
+            None => 0,
+        };
+        match index.checked_sub(header_items) {
             None => CertificateError::BadHeader(Header::culprit(index)),
             Some(vote) => CertificateError::InvalidSignature(self.votes[vote].0),
         }
@@ -209,7 +260,8 @@ impl Certificate {
 
 /// The byte strings a certificate's signatures cover.
 struct Signed {
-    header: SignedParts,
+    /// The block's own, or `None` when the block is already verified.
+    header: Option<SignedParts>,
     vote_message: Vec<u8>,
 }
 

@@ -1,7 +1,8 @@
 //! The validator committee and its quorum arithmetic.
 
 use nt_codec::{Decode, DecodeError, Encode, Reader};
-use nt_crypto::{KeyPair, PublicKey, Scheme};
+use nt_crypto::{KeyPair, PreparedKey, PublicKey, Scheme};
+use std::sync::Arc;
 
 /// Index of a validator within the committee (0-based, dense).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
@@ -38,10 +39,16 @@ pub struct ValidatorInfo {
 /// the quorum thresholds from the paper (`2f + 1` for availability
 /// certificates, `f + 1` for the Tusk commit rule), and the round-robin
 /// leader schedule used by HotStuff.
+///
+/// Every member's key is prepared for verification once, here: under
+/// Ed25519 the point is decompressed and its window table built (see
+/// [`PreparedKey`]), so no signature check pays for that again. The keys
+/// sit behind one `Arc`; cloning a committee copies no table.
 #[derive(Clone, Debug)]
 pub struct Committee {
     validators: Vec<ValidatorInfo>,
     scheme: Scheme,
+    keys: Arc<[PreparedKey]>,
 }
 
 impl Committee {
@@ -49,10 +56,19 @@ impl Committee {
     ///
     /// # Panics
     ///
-    /// Panics if `validators` is empty.
+    /// Panics if `validators` is empty. A key whose bytes do not decode is
+    /// not an error here: every signature checked against it fails.
     pub fn new(validators: Vec<ValidatorInfo>, scheme: Scheme) -> Self {
         assert!(!validators.is_empty(), "committee cannot be empty");
-        Committee { validators, scheme }
+        let keys = validators
+            .iter()
+            .map(|v| PreparedKey::new(scheme, v.public))
+            .collect();
+        Committee {
+            validators,
+            scheme,
+            keys,
+        }
     }
 
     /// Derives a deterministic test committee of `n` validators with
@@ -101,6 +117,15 @@ impl Committee {
     /// Panics if `id` is out of range.
     pub fn public_key(&self, id: ValidatorId) -> PublicKey {
         self.validators[id.0 as usize].public
+    }
+
+    /// The key of validator `id`, prepared for verification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn key(&self, id: ValidatorId) -> &PreparedKey {
+        &self.keys[id.0 as usize]
     }
 
     /// Number of workers of validator `id`.
@@ -206,5 +231,39 @@ mod tests {
         }
         assert_eq!(c.num_workers(ValidatorId(0)), 2);
         assert!(!c.contains(ValidatorId(4)));
+    }
+
+    #[test]
+    fn prepared_keys_verify_like_the_bytes_and_a_bad_key_fails_without_panicking() {
+        let (c, kps) = Committee::deterministic(4, 1, Scheme::Ed25519);
+        let sig = kps[2].sign(b"message");
+        assert_eq!(c.key(ValidatorId(2)).public(), kps[2].public());
+        assert!(c.key(ValidatorId(2)).verify(b"message", &sig));
+        assert!(!c.key(ValidatorId(1)).verify(b"message", &sig));
+        // Bytes that are no curve point: the committee builds, clones, and
+        // rejects every signature under that key, as `verify_with` does.
+        let not_a_point = (0u8..=255)
+            .map(|b| {
+                let mut bytes = [0xaau8; 32];
+                bytes[0] = b;
+                PublicKey(bytes)
+            })
+            .find(|pk| nt_crypto::ed25519::point::Point::decompress(&pk.0).is_none())
+            .expect("half of all y have no x");
+        let members = vec![
+            ValidatorInfo {
+                public: not_a_point,
+                num_workers: 1,
+            },
+            ValidatorInfo {
+                public: kps[0].public(),
+                num_workers: 1,
+            },
+        ];
+        let broken = Committee::new(members, Scheme::Ed25519).clone();
+        assert!(!broken.key(ValidatorId(0)).verify(b"message", &sig));
+        assert!(!not_a_point.verify_with(Scheme::Ed25519, b"message", &sig));
+        let own = kps[0].sign(b"message");
+        assert!(broken.key(ValidatorId(1)).verify(b"message", &own));
     }
 }

@@ -7,9 +7,10 @@
 
 use crate::committee::{Committee, ValidatorId, WorkerId};
 use crate::{Round, WireSize};
-use nt_codec::{Decode, DecodeError, Encode, Reader};
+use nt_codec::{varint_bytes, Decode, DecodeError, Encode, Reader};
 use nt_crypto::{
-    verify_batch, BatchItem, CoinShare, Digest, Hashable, KeyPair, PublicKey, Signature,
+    verify_prepared, CoinShare, Digest, Hashable, KeyPair, PreparedItem, PublicKey, Sha256,
+    Signature,
 };
 
 /// A Narwhal mempool block.
@@ -60,14 +61,15 @@ impl Header {
     /// and checked by the primary).
     ///
     /// The block signature and the coin share are checked as one batched
-    /// multiscalar equation ([`verify_batch`]).
+    /// multiscalar equation ([`verify_prepared`]) under the author's
+    /// prepared committee key.
     pub fn verify(&self, committee: &Committee) -> Result<(), HeaderError> {
         let Some(signed) = self.structural_checks(committee)? else {
             return Ok(());
         };
         let mut items = Vec::with_capacity(2);
         self.push_items(committee, &signed, &mut items);
-        verify_batch(committee.scheme(), &items).map_err(Header::culprit)
+        verify_prepared(&items).map_err(Header::culprit)
     }
 
     /// The non-signature half of [`Header::verify`]. Returns the byte
@@ -102,16 +104,17 @@ impl Header {
             return Err(HeaderError::DuplicateParents);
         }
         let digest = self.digest();
-        let public = committee.public_key(self.author);
-        if self.coin_share.is_some_and(|share| share.author != public) {
+        let key = committee.key(self.author);
+        if self
+            .coin_share
+            .is_some_and(|share| share.author != key.public())
+        {
             // A bad block signature outranks a foreign share.
-            return Err(
-                if public.verify_digest(committee.scheme(), &digest, &self.signature) {
-                    HeaderError::InvalidCoinShare
-                } else {
-                    HeaderError::InvalidSignature
-                },
-            );
+            return Err(if key.verify_digest(&digest, &self.signature) {
+                HeaderError::InvalidCoinShare
+            } else {
+                HeaderError::InvalidSignature
+            });
         }
         Ok(Some(SignedParts {
             digest,
@@ -123,19 +126,19 @@ impl Header {
     /// then the coin share if there is one.
     pub(crate) fn push_items<'a>(
         &self,
-        committee: &Committee,
+        committee: &'a Committee,
         signed: &'a SignedParts,
-        items: &mut Vec<BatchItem<'a>>,
+        items: &mut Vec<PreparedItem<'a>>,
     ) {
-        let public = committee.public_key(self.author);
-        items.push(BatchItem {
-            public,
+        let key = committee.key(self.author);
+        items.push(PreparedItem {
+            key,
             message: signed.digest.as_bytes(),
             signature: self.signature,
         });
         if let (Some(share), Some(message)) = (&self.coin_share, &signed.share) {
-            items.push(BatchItem {
-                public,
+            items.push(PreparedItem {
+                key,
                 message,
                 signature: share.signature,
             });
@@ -250,15 +253,45 @@ impl std::fmt::Display for HeaderError {
 impl std::error::Error for HeaderError {}
 
 impl Hashable for Header {
+    /// `Digest::of_parts(&[b"header", fields])`, where `fields` is the
+    /// canonical encoding of everything but the signature (which signs this
+    /// digest) — fed to the hasher field by field instead of through a
+    /// buffer, the length prefix `of_parts` writes taken from `encoded_len`.
     fn digest(&self) -> Digest {
-        // The signature is excluded: it signs this digest.
-        let mut buf = Vec::with_capacity(128);
-        self.author.encode(&mut buf);
-        self.round.encode(&mut buf);
-        self.payload.encode(&mut buf);
-        self.parents.encode(&mut buf);
-        self.coin_share.encode(&mut buf);
-        Digest::of_parts(&[b"header", &buf])
+        fn varint(h: &mut Sha256, value: u64) {
+            h.update(varint_bytes(value, &mut [0; 10]));
+        }
+        let tag = b"header";
+        let fields = self.author.encoded_len()
+            + self.round.encoded_len()
+            + self.payload.encoded_len()
+            + self.parents.encoded_len()
+            + self.coin_share.encoded_len();
+        let mut h = Sha256::new();
+        h.update(&(tag.len() as u64).to_le_bytes());
+        h.update(tag);
+        h.update(&(fields as u64).to_le_bytes());
+        h.update(&self.author.0.to_le_bytes());
+        varint(&mut h, self.round);
+        varint(&mut h, self.payload.len() as u64);
+        for (batch, worker) in &self.payload {
+            h.update(batch.as_bytes());
+            h.update(&worker.0.to_le_bytes());
+        }
+        varint(&mut h, self.parents.len() as u64);
+        for parent in &self.parents {
+            h.update(parent.as_bytes());
+        }
+        match &self.coin_share {
+            None => h.update(&[0]),
+            Some(share) => {
+                h.update(&[1]);
+                h.update(&share.author.0);
+                varint(&mut h, share.wave);
+                h.update(&share.signature.0)
+            }
+        };
+        Digest(h.finalize())
     }
 }
 
@@ -297,6 +330,7 @@ mod tests {
     use super::*;
     use nt_codec::{decode_from_slice, encode_to_vec};
     use nt_crypto::Scheme;
+    use proptest::prelude::*;
 
     fn setup() -> (Committee, Vec<KeyPair>) {
         Committee::deterministic(4, 1, Scheme::Ed25519)
@@ -400,6 +434,49 @@ mod tests {
         let tt = t.twin(&kps[0]);
         assert_eq!(tt.verify(&c), Ok(()));
         assert_ne!(tt.digest(), t.digest());
+    }
+
+    /// The digest as it was computed before it was streamed: the fields
+    /// encoded into a buffer, hashed as the second part of two.
+    fn buffered_digest(h: &Header) -> Digest {
+        let mut buf = Vec::new();
+        h.author.encode(&mut buf);
+        h.round.encode(&mut buf);
+        h.payload.encode(&mut buf);
+        h.parents.encode(&mut buf);
+        h.coin_share.encode(&mut buf);
+        Digest::of_parts(&[b"header", &buf])
+    }
+
+    proptest! {
+        /// Streaming the fields into the hasher changes no digest: with and
+        /// without a coin share, empty and long payloads and parent lists,
+        /// rounds and waves on both sides of every varint length.
+        #[test]
+        fn streamed_digest_equals_buffered_digest(
+            author in 0u32..1000,
+            round in any::<u64>(),
+            round_bits in 0u32..64,
+            payload in proptest::collection::vec(
+                (any::<[u8; 32]>(), any::<u32>()),
+                0..200,
+            ),
+            parents in proptest::collection::vec(any::<[u8; 32]>(), 0..140),
+            wave in any::<u64>(),
+            with_share in any::<bool>(),
+        ) {
+            let kp = KeyPair::for_index(Scheme::Insecure, 0);
+            let round = round >> round_bits;
+            let header = Header {
+                author: ValidatorId(author),
+                round,
+                payload: payload.into_iter().map(|(d, w)| (Digest(d), WorkerId(w))).collect(),
+                parents: parents.into_iter().map(Digest).collect(),
+                coin_share: with_share.then(|| CoinShare::new(&kp, wave >> round_bits)),
+                signature: kp.sign(b"excluded from the digest"),
+            };
+            prop_assert_eq!(header.digest(), buffered_digest(&header));
+        }
     }
 
     #[test]

@@ -49,9 +49,7 @@ impl Vote {
             return false;
         }
         let msg = vote_message(&self.header_digest, self.round, self.origin);
-        committee
-            .public_key(self.voter)
-            .verify_with(committee.scheme(), &msg, &self.signature)
+        committee.key(self.voter).verify(&msg, &self.signature)
     }
 }
 

@@ -7,6 +7,10 @@
 //! one-signature-at-a-time order kept below as the oracle: the same inputs
 //! are accepted, and a rejected one gets the same error, whatever mix of
 //! defects it carries, under both schemes.
+//!
+//! `Certificate::verify_given` / `verify_all_given` skip the block when the
+//! caller has already verified it. Their contract is the same equivalence:
+//! told the truth, they return what `verify` / `verify_all` return.
 
 use nt_crypto::{CoinShare, Digest, Hashable, KeyPair, Scheme};
 use nt_types::certificate::CertificateError;
@@ -273,5 +277,58 @@ proptest! {
             .enumerate()
             .find_map(|(c, cert)| unfolded_cert(cert, &committee).err().map(|e| (c, e)));
         prop_assert_eq!(Certificate::verify_all(&committee, &certs), expected.map_or(Ok(()), Err));
+    }
+
+    /// Telling `verify_given` that a block is verified — when it is —
+    /// changes no verdict: whatever is wrong with the votes is reported as
+    /// `verify` reports it, and a clean certificate is accepted. A block
+    /// that is *not* valid is never claimed verified (the memo only learns
+    /// from `Header::verify`), so those cases run cold on both sides.
+    #[test]
+    fn a_verified_header_changes_no_verdict(
+        shape in shape(),
+        defects in proptest::collection::vec(defect(), 0..3),
+        ed25519 in any::<bool>(),
+    ) {
+        let (committee, kps) = committee(ed25519);
+        let cert = build(&committee, &kps, shape, &defects);
+        let known = cert.header.verify(&committee).is_ok();
+        prop_assert_eq!(cert.verify_given(&committee, known), cert.verify(&committee));
+        prop_assert_eq!(cert.verify_given(&committee, false), cert.verify(&committee));
+        // Genesis is certified by equality and ignores the flag.
+        let genesis = Certificate::genesis(ValidatorId(shape.0));
+        prop_assert_eq!(genesis.verify_given(&committee, true), Ok(()));
+    }
+
+    /// The same for a group: flags set exactly for the valid blocks leave
+    /// `verify_all`'s verdict — which certificate, which error — alone.
+    #[test]
+    fn verified_headers_change_no_group_verdict(
+        group in proptest::collection::vec((shape(), any::<bool>(), defect(), any::<bool>()), 0..5),
+        genesis_at in 0usize..10,
+        ed25519 in any::<bool>(),
+    ) {
+        let (committee, kps) = committee(ed25519);
+        let mut certs: Vec<Certificate> = group
+            .iter()
+            .map(|(shape, bad, defect, _)| {
+                build(&committee, &kps, *shape, bad.then_some(*defect).as_slice())
+            })
+            .collect();
+        // Only some of the valid blocks were seen before.
+        let mut seen: Vec<bool> = group.iter().map(|(_, _, _, seen)| *seen).collect();
+        if genesis_at <= certs.len() {
+            certs.insert(genesis_at, Certificate::genesis(ValidatorId(1)));
+            seen.insert(genesis_at, true);
+        }
+        let known: Vec<bool> = certs
+            .iter()
+            .zip(&seen)
+            .map(|(cert, seen)| *seen && cert.header.verify(&committee).is_ok())
+            .collect();
+        prop_assert_eq!(
+            Certificate::verify_all_given(&committee, &certs, |c| known[c]),
+            Certificate::verify_all(&committee, &certs)
+        );
     }
 }
