@@ -5,10 +5,11 @@
 //! block in flight with the votes collected for it (`current_header`,
 //! `current_votes`). A lock is on disk before the vote it licenses is in the
 //! [`Context`]; the own proposal is on disk, behind a barrier, before its
-//! broadcast is. The locks of one round double as the list of blocks this
-//! validator helped certify, own included: the proposer is lent them
-//! ([`Certifier::locks`]) to wait for those certificates before it builds
-//! on the round.
+//! broadcast is — to the other primaries, and to this validator's own
+//! workers, whose batch clock it is (`worker.rs`). The locks of one round
+//! double as the list of blocks this validator helped certify, own
+//! included: the proposer is lent them ([`Certifier::locks`]) to wait for
+//! those certificates before it builds on the round.
 //!
 //! Deviation from §3.1 condition (2), "the block is at the local round":
 //! a block of any *retained* round at or below the local one gets a vote.
@@ -116,6 +117,14 @@ impl Certifier {
         });
         for node in id.addr.other_primaries(id.me) {
             ctx.send(node, NarwhalMsg::Header(header.clone()));
+        }
+        // The batch clock (`worker.rs`): the block that just left is what
+        // tells our workers to seal what they buffered for the next one. A
+        // self-generating worker has no buffer and is sent nothing.
+        if id.config.load.is_none() {
+            for node in id.addr.own_workers(id.me) {
+                ctx.send(node, NarwhalMsg::Header(header.clone()));
+            }
         }
         self.hold(header, id);
     }
@@ -246,7 +255,9 @@ impl Certifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NarwhalConfig;
     use crate::consensus::{NoConsensus, NoExt};
+    use crate::deployment::AddressBook;
     use crate::testing::fixture::{durable, effects, identity, Msg};
     use crate::testing::{certify, DagBench};
     use nt_network::NodeId;
@@ -405,11 +416,12 @@ mod tests {
         let mut ctx = Ctx::new(0, 0);
         let header = Header::new(&id.keypair, id.me, 1, vec![], bench.parents(0), None);
         certifier.adopt(header.clone(), &id, &mut ctx);
-        assert_eq!(
-            effects(&mut ctx, 0).0.len(),
-            3,
-            "header broadcast to 3 peers"
-        );
+        let (sent, _) = effects(&mut ctx, 0);
+        let to: Vec<NodeId> = sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, vec![1, 2, 3, 4], "3 peers, then our own worker");
+        let is_proposal =
+            |(_, msg): &(NodeId, Msg)| matches!(msg, NarwhalMsg::Header(h) if *h == header);
+        assert!(sent.iter().all(is_proposal));
         let peer_vote = |v: u32| {
             let kp = &bench.keypairs[v as usize];
             Vote::new(kp, ValidatorId(v), header.digest(), 1, id.me)
@@ -432,6 +444,34 @@ mod tests {
         let s = id.store.as_ref().expect("durable");
         assert_eq!(revived.recover(s, &bench.dag, &id).expect("store"), 1);
         assert_eq!(revived.current_header, Some(header));
+    }
+
+    /// The batch clock: every own worker hears the block leave, after the
+    /// peers do; a self-generating worker (the simulator's synthetic load)
+    /// has no buffer to seal and hears nothing.
+    #[test]
+    fn an_adopted_block_is_queued_for_own_workers_unless_they_generate_their_load() {
+        let bench = DagBench::new(4, |_| NoConsensus);
+        let adopted_by = |id: Identity| {
+            let mut ctx = Ctx::new(0, 0);
+            let header = Header::new(&id.keypair, id.me, 1, vec![], bench.parents(0), None);
+            Certifier::default().adopt(header, &id, &mut ctx);
+            let (sent, _) = effects(&mut ctx, 0);
+            assert!(sent
+                .iter()
+                .all(|(_, msg)| matches!(msg, NarwhalMsg::Header(h) if h.author == id.me)));
+            sent.iter().map(|(to, _)| *to).collect::<Vec<NodeId>>()
+        };
+        let three_workers = Identity {
+            addr: AddressBook::new(4, 3),
+            ..identity(&bench, 1)
+        };
+        assert_eq!(adopted_by(three_workers), vec![0, 2, 3, 7, 8, 9]);
+        let synthetic = Identity {
+            config: NarwhalConfig::with_load(10_000.0),
+            ..identity(&bench, 1)
+        };
+        assert_eq!(adopted_by(synthetic), vec![0, 2, 3]);
     }
 
     #[test]

@@ -74,11 +74,16 @@ impl SelfTestBugs {
 /// Tunable Narwhal parameters.
 #[derive(Clone, Debug)]
 pub struct NarwhalConfig {
-    /// Target batch size in bytes (paper baseline: 500 KB).
+    /// Batch size bound in bytes (paper baseline: 500 KB): a buffer that
+    /// reaches it is sealed whatever the clock says.
     pub batch_bytes: usize,
     /// Transaction size in bytes (paper baseline: 512 B).
     pub tx_bytes: usize,
-    /// Seal a non-empty batch after this delay even if under-sized.
+    /// The fallback bound on batching, never the pace: a worker seals what
+    /// it buffered whenever a block of its own primary leaves (`worker.rs`),
+    /// and this is how old the oldest buffered transaction may get if none
+    /// does — the primary is down, or its beat was lost. Under synthetic
+    /// load it caps the interval between self-generated batches.
     pub max_batch_delay: Time,
     /// The one clock of round pacing: every wait of the proposer ends this
     /// long after the round was entered (`proposer.rs` has the full text).

@@ -91,6 +91,13 @@ impl AddressBook {
             .collect()
     }
 
+    /// Node ids of every worker of validator `me`.
+    pub fn own_workers(&self, me: ValidatorId) -> Vec<NodeId> {
+        (0..self.workers_per_validator)
+            .map(|w| self.worker(me, WorkerId(w)))
+            .collect()
+    }
+
     /// Node ids of worker slot `w` at all validators except `me`.
     pub fn peer_workers(&self, me: ValidatorId, w: WorkerId) -> Vec<NodeId> {
         (0..self.validators as u32)
@@ -166,5 +173,9 @@ mod tests {
         let workers = book.peer_workers(ValidatorId(1), WorkerId(1));
         assert_eq!(workers.len(), 3);
         assert!(!workers.contains(&book.worker(ValidatorId(1), WorkerId(1))));
+        assert_eq!(book.own_workers(ValidatorId(1)), vec![6, 7]);
+        assert!(AddressBook::new(4, 0)
+            .own_workers(ValidatorId(1))
+            .is_empty());
     }
 }

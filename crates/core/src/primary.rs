@@ -683,7 +683,7 @@ mod tests {
     use crate::testing::fixture::{batch, effects, Msg};
     use crate::testing::{certify, certify_header};
     use nt_crypto::{Hashable, Scheme};
-    use nt_network::MS;
+    use nt_network::{Effect, MS};
     use nt_storage::{DynStore, MemStore};
     use nt_types::WorkerId;
     use std::collections::VecDeque;
@@ -824,6 +824,76 @@ mod tests {
         assert!(!effects(&mut ctx, 0).0.iter().any(proposal), "rule 2");
         let mut ctx = Context::new(5 * MS + revived.id.config.max_header_delay, 0);
         revived.on_timer(TAG_PROPOSE, &mut ctx);
+        match &effects(&mut ctx, 0).0[0].1 {
+            NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (3, 0)),
+            other => panic!("expected the round-3 block, got {other:?}"),
+        }
+    }
+
+    /// Orders every block the moment it is certified.
+    struct AnchorEveryBlock;
+
+    impl DagConsensus for AnchorEveryBlock {
+        type Ext = NoExt;
+
+        fn on_certificate(&mut self, _: &Dag, cert: &Certificate, out: &mut ConsensusOut<NoExt>) {
+            out.anchors.push(cert.clone());
+        }
+    }
+
+    /// With one WAL per role (`narwhal-node`) the primary's GC never reaches
+    /// its worker's store, and a worker that restarts alone re-reports all
+    /// of it — own batches that committed rounds ago, whose blocks are long
+    /// pruned, included. None of them may leave in a second block.
+    #[test]
+    fn a_worker_restarting_alone_cannot_make_its_primary_propose_a_committed_batch_again() {
+        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let config = NarwhalConfig {
+            gc_depth: 1,
+            ..NarwhalConfig::default()
+        };
+        let deadline = config.max_header_delay;
+        let mut p = NodeBuilder::new(committee.clone(), 0)
+            .keypair(kps[0].clone())
+            .config(config)
+            .store(Arc::new(MemStore::new()))
+            .build_primary(AnchorEveryBlock);
+        let mut ctx: Ctx<NoExt> = Context::new(0, 0);
+        p.on_start(&mut ctx);
+        // Our batch leaves in our round-1 block, which certifies and commits.
+        let own = batch(0, 1);
+        p.on_message(4, NarwhalMsg::ReportBatch(own.clone()), &mut ctx);
+        let block = p.certifier.current_header.clone().expect("proposed");
+        assert_eq!(block.payload, vec![(own.digest, own.worker)]);
+        for (v, kp) in kps.iter().enumerate().skip(1).take(2) {
+            let vote = Vote::new(kp, ValidatorId(v as u32), block.digest(), 1, p.id.me);
+            p.on_message(v, NarwhalMsg::Vote(vote), &mut ctx);
+        }
+        // The peers' rounds 1 and 2: round 2's anchors move GC past it.
+        let mut parents: Vec<Digest> = p.dag.round_certs(0).map(|c| c.header_digest()).collect();
+        for round in 1..=2 {
+            let certs = (1..4).map(|a| certify(&committee, &kps, a, round, parents.clone()));
+            let certs: Vec<Certificate> = certs.collect();
+            parents = certs.iter().map(Certificate::header_digest).collect();
+            for cert in certs {
+                p.on_message(
+                    cert.origin().0 as NodeId,
+                    NarwhalMsg::Certificate(cert),
+                    &mut ctx,
+                );
+            }
+        }
+        assert_eq!((p.round(), p.dag.first_retained_round()), (3, 2));
+        let carried_txs =
+            |e: &Effect<Msg>| matches!(e, Effect::Commit(event) if event.tx_count > 0);
+        let commits = ctx.drain().into_iter().filter(carried_txs).count();
+        assert_eq!(commits, 1, "our batch committed, once");
+        // The worker restarts and reports the batch again: no block now, and
+        // an empty one when the idle round's deadline comes.
+        p.on_message(4, NarwhalMsg::ReportBatch(own), &mut ctx);
+        assert!(effects(&mut ctx, 0).0.is_empty(), "nothing to propose");
+        let mut ctx = Context::new(deadline, 0);
+        p.on_timer(TAG_PROPOSE, &mut ctx);
         match &effects(&mut ctx, 0).0[0].1 {
             NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (3, 0)),
             other => panic!("expected the round-3 block, got {other:?}"),

@@ -289,7 +289,13 @@ impl Proposer {
                 .values()
                 .any(|digests| digests.contains(&digest))
         };
-        let queue = own && first && !self.committed_batches.contains(&digest) && !in_flight();
+        // `prune` bounds `committed_batches` by forgetting the batches of
+        // pruned blocks, but a worker whose store the primary's GC does not
+        // reach (one WAL per role) holds them for good and re-reports them
+        // all when it restarts: the durable marker is the permanent filter.
+        let marked = || disk(&id.store, |s| s.is_committed_batch(&digest)) == Some(true);
+        let queue =
+            own && first && !self.committed_batches.contains(&digest) && !in_flight() && !marked();
         if queue {
             self.pending_digests.push_back(info);
         }
@@ -400,7 +406,7 @@ mod tests {
     use super::*;
     use crate::config::NarwhalConfig;
     use crate::consensus::{ConsensusOut, NoConsensus, NoExt};
-    use crate::testing::fixture::{batch, effects, identity};
+    use crate::testing::fixture::{batch, durable, effects, identity};
     use crate::testing::{certify_header, DagBench};
     use nt_network::MS;
     use nt_types::WorkerId;
@@ -756,5 +762,30 @@ mod tests {
         let queued: Vec<Digest> = p.pending_digests.iter().map(|i| i.digest).collect();
         assert_eq!(queued, vec![b.digest], "`a` committed; `b` goes again");
         assert!(p.own_payloads.is_empty());
+    }
+
+    /// A worker with a store of its own (one WAL per role) is never garbage
+    /// collected and re-reports everything when it restarts alone: an own
+    /// batch that committed, and whose block GC has since made us forget,
+    /// must not be proposed a second time.
+    #[test]
+    fn a_committed_batch_re_reported_after_its_block_was_pruned_is_not_queued_again() {
+        let bench = DagBench::new(4, |_| NoConsensus);
+        let id = Identity {
+            store: durable(),
+            ..identity(&bench, 0)
+        };
+        let mut p = Proposer::default();
+        let a = batch(0, 1);
+        assert!(p.on_report(a.clone(), &id));
+        let block = propose(&mut p, &bench, 1, ENTERED).0.expect("payload");
+        let block = certify_header(&bench.committee, &bench.keypairs, block);
+        p.on_own_commit(&block, &mut CommitEvent::default(), &id);
+        assert_eq!(p.prune(1, &[block], &id), vec![a.digest]);
+        assert!(p.batch_meta.is_empty() && p.committed_batches.is_empty());
+        assert!(!p.on_report(a.clone(), &id), "committed once, for good");
+        assert!(p.pending_digests.is_empty());
+        // A batch that never committed is still ours to propose.
+        assert!(p.on_report(batch(0, 2), &id));
     }
 }

@@ -218,10 +218,11 @@ impl BlockStore {
         Ok(self.inner.contains(&batch_key(digest))?)
     }
 
-    /// Deletes a batch and its committed marker (garbage collection).
+    /// Deletes a batch's bytes (garbage collection). Its committed marker
+    /// stays: the bytes may outlive this call in a store the primary does
+    /// not share (one WAL per role), and be reported again.
     pub fn delete_batch(&self, digest: &Digest) -> Result<(), BlockStoreError> {
         self.inner.delete(&batch_key(digest))?;
-        self.inner.delete(&committed_batch_key(digest))?;
         Ok(())
     }
 
@@ -237,10 +238,17 @@ impl BlockStore {
     }
 
     /// Marks one of our own batches as committed (its digest reached the
-    /// committed sequence), so a restarted primary does not re-propose it.
+    /// committed sequence), so it is never proposed again — by a restarted
+    /// primary, or by this one once garbage collection has made it forget
+    /// the batch. Never deleted: it is the one permanent record.
     pub fn put_committed_batch(&self, digest: &Digest) -> Result<(), BlockStoreError> {
         self.inner.put(&committed_batch_key(digest), &[])?;
         Ok(())
+    }
+
+    /// True if our own batch `digest` is marked committed.
+    pub fn is_committed_batch(&self, digest: &Digest) -> Result<bool, BlockStoreError> {
+        Ok(self.inner.contains(&committed_batch_key(digest))?)
     }
 
     /// Digests of own batches marked committed.
@@ -812,10 +820,12 @@ mod tests {
         expected.sort();
         assert_eq!(recovered, expected);
         assert!(s.committed_batches().unwrap().contains(&a.digest()));
-        // GC removes the batch and its marker together.
+        assert!(s.is_committed_batch(&a.digest()).unwrap());
+        assert!(!s.is_committed_batch(&b.digest()).unwrap());
+        // GC removes the bytes; the marker is the permanent filter.
         s.delete_batch(&a.digest()).unwrap();
         assert_eq!(s.get_batch(&a.digest()).unwrap(), None);
-        assert!(s.committed_batches().unwrap().is_empty());
+        assert!(s.is_committed_batch(&a.digest()).unwrap());
         assert_eq!(s.batch_digests().unwrap(), vec![b.digest()]);
     }
 

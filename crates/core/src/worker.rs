@@ -20,6 +20,41 @@
 //! Each batch is encoded once and hashed once per worker
 //! ([`BlockStore::encode_batch`]): that `(digest, bytes)` pair is what the
 //! store writes and what every report names.
+//!
+//! # When a batch is sealed: the proposal is the clock
+//!
+//! The paper's worker seals at a size or at a timer (§4.2), and the only
+//! consumer of a sealed batch is its own primary's next block (§3.1): a
+//! digest can only leave in a block, so sealing more often than blocks leave
+//! buys nothing, and sealing less often makes every transaction wait for a
+//! timer nobody is waiting for. So the primary's block is the beat. The
+//! certifier queues each own header it adopts for this validator's workers
+//! as well as for the other primaries, and a worker taking client
+//! transactions seals its buffer at the earliest of:
+//!
+//! - **size**: the buffer reaches `batch_bytes`;
+//! - **beat**: a header of our own primary arrives and the buffer is not
+//!   empty — what gathered while that block was built rides in the next. On
+//!   an empty buffer the beat is remembered instead (`beat_unspent`);
+//! - **a remembered beat**: a transaction arrives and the last beat found
+//!   nothing to seal (or none came yet) — it is sealed at once, alone, so a
+//!   lone transaction into an idle committee waits for nothing; the block
+//!   that carries it is the next beat;
+//! - **age**, the fallback: the first transaction into an empty buffer arms
+//!   one timer, and a buffer whose oldest transaction is `max_batch_delay`
+//!   old when it fires is sealed. With the primary down or its beat lost,
+//!   this is the whole rule, and the paper's.
+//!
+//! `max_batch_delay` and `batch_bytes` are thus the two bounds, never the
+//! pace. The worker reads the header's author and nothing else, and verifies
+//! nothing: a forged beat can at worst seal a non-empty buffer early.
+//! Invariant: every seal before size or age spends one beat, and a beat is
+//! spent once, so early seals <= own proposals + 1 (the beat a worker starts
+//! with) and batches/s <= rounds/s + size seals/s + 1/`max_batch_delay`.
+//!
+//! A self-generating worker (`config.load`, the simulator's synthetic mode)
+//! has no buffer: it seals one synthetic batch per load interval, on a
+//! periodic timer, and is sent no beat.
 
 use crate::config::{NarwhalConfig, SyntheticLoad};
 use crate::deployment::AddressBook;
@@ -59,7 +94,11 @@ pub struct Worker<Ext: Clone + Send + 'static> {
     buffer: Vec<Transaction>,
     buffer_bytes: usize,
     buffer_samples: Vec<TxSample>,
+    /// When the oldest buffered transaction arrived.
     buffer_opened: Time,
+    /// A block of ours left and found the buffer empty (or none left yet):
+    /// the next transaction is sealed at once.
+    beat_unspent: bool,
     seq: u64,
     sample_seq: u64,
     // Replication.
@@ -97,6 +136,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             buffer_bytes: 0,
             buffer_samples: Vec::new(),
             buffer_opened: 0,
+            beat_unspent: true,
             seq: 0,
             sample_seq: 0,
             store,
@@ -158,13 +198,6 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         self.sample_seq += 1;
         // Globally unique across validators and workers.
         ((self.me.0 as u64) << 48) | ((self.worker_id.0 as u64) << 40) | self.sample_seq
-    }
-
-    fn seal_interval(&self) -> Time {
-        match self.config.load {
-            Some(load) => self.config.batch_interval(load.rate_tps),
-            None => self.config.max_batch_delay,
-        }
     }
 
     /// Persists a batch and hands its digest to the primary — in that
@@ -264,26 +297,32 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
     type Message = NarwhalMsg<Ext>;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Message>) {
-        self.buffer_opened = ctx.now();
         self.recover(ctx);
-        ctx.timer(self.seal_interval(), TAG_SEAL);
+        if let Some(load) = self.config.load {
+            ctx.timer(self.config.batch_interval(load.rate_tps), TAG_SEAL);
+        }
         ctx.timer(self.retry_interval(), TAG_RETRY);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<Self::Message>) {
         match tag {
-            TAG_SEAL => {
-                let interval = self.seal_interval();
-                if let Some(load) = self.config.load {
+            TAG_SEAL => match self.config.load {
+                Some(load) => {
+                    let interval = self.config.batch_interval(load.rate_tps);
                     self.seal_synthetic(load, interval, ctx);
-                } else if ctx.now().saturating_sub(self.buffer_opened)
-                    >= self.config.max_batch_delay
-                {
-                    self.seal_buffer(ctx);
-                    self.buffer_opened = ctx.now();
+                    ctx.timer(interval, TAG_SEAL);
                 }
-                ctx.timer(interval, TAG_SEAL);
-            }
+                // The fallback, one-shot: armed by the first transaction of
+                // a buffer. If a beat sealed that buffer since, this firing
+                // is stale — what is buffered now is younger and has its
+                // own timer.
+                None => {
+                    let age = ctx.now().saturating_sub(self.buffer_opened);
+                    if age >= self.config.max_batch_delay {
+                        self.seal_buffer(ctx);
+                    }
+                }
+            },
             TAG_RETRY => {
                 let now = ctx.now();
                 // Re-broadcast own batches stuck without a quorum (§4.1:
@@ -333,6 +372,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Context<Self::Message>) {
         match msg {
             NarwhalMsg::ClientTx(tx) => {
+                let first = self.buffer.is_empty();
                 self.buffer_bytes += tx.len();
                 if self
                     .buffer
@@ -346,9 +386,23 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     });
                 }
                 self.buffer.push(tx);
-                if self.buffer_bytes >= self.config.batch_bytes {
+                if self.beat_unspent || self.buffer_bytes >= self.config.batch_bytes {
+                    self.beat_unspent = false;
                     self.seal_buffer(ctx);
+                } else if first && self.config.load.is_none() {
+                    // (Under `load`, `TAG_SEAL` is the periodic load timer.)
                     self.buffer_opened = ctx.now();
+                    ctx.timer(self.config.max_batch_delay, TAG_SEAL);
+                }
+            }
+            // The beat (module doc): our own primary's block left.
+            NarwhalMsg::Header(header)
+                if header.author == self.me && from == self.addr.primary(self.me) =>
+            {
+                if self.buffer.is_empty() {
+                    self.beat_unspent = true;
+                } else {
+                    self.seal_buffer(ctx);
                 }
             }
             NarwhalMsg::Batch(batch) => {
@@ -452,6 +506,7 @@ mod tests {
     use nt_network::Effect;
     use nt_network::{MS, SEC};
     use nt_storage::{DynStore, MemStore, Store, StoreError};
+    use nt_types::Header;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -989,29 +1044,199 @@ mod tests {
         }
     }
 
+    /// Validator 0's worker taking client transactions, under `config`.
+    fn ingesting(config: NarwhalConfig) -> Worker<NoExt> {
+        let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
+        crate::node::NodeBuilder::new(committee, 0)
+            .config(config)
+            .build_worker(WorkerId(0))
+    }
+
+    /// The transaction counts of the batches the drained effects sealed (one
+    /// `Batch` per seal reaches validator 1's worker, node 5), and the delays
+    /// of the `TAG_SEAL` timers they armed.
+    fn sealed(ctx: &mut Context<Msg>) -> (Vec<u64>, Vec<Time>) {
+        let (mut batches, mut timers) = (Vec::new(), Vec::new());
+        for effect in ctx.drain() {
+            match effect {
+                Effect::Send {
+                    to: 5,
+                    msg: NarwhalMsg::Batch(batch),
+                } => batches.push(batch.tx_count()),
+                Effect::Timer {
+                    delay,
+                    tag: TAG_SEAL,
+                } => timers.push(delay),
+                _ => {}
+            }
+        }
+        (batches, timers)
+    }
+
+    /// One client transaction at `now`.
+    fn ingest(worker: &mut Worker<NoExt>, now: Time) -> (Vec<u64>, Vec<Time>) {
+        let mut ctx = Context::new(now, 4);
+        let tx = Transaction::filler(now, 0, 512);
+        worker.on_message(nt_network::CLIENT, NarwhalMsg::ClientTx(tx), &mut ctx);
+        sealed(&mut ctx)
+    }
+
+    /// A block of `author` delivered by node `from` at `now`.
+    fn header_from(
+        worker: &mut Worker<NoExt>,
+        author: u32,
+        from: NodeId,
+        now: Time,
+    ) -> (Vec<u64>, Vec<Time>) {
+        let (_, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let author_id = ValidatorId(author);
+        let header = Header::new(&kps[author as usize], author_id, 1, vec![], vec![], None);
+        let mut ctx = Context::new(now, 4);
+        worker.on_message(from, NarwhalMsg::Header(header), &mut ctx);
+        sealed(&mut ctx)
+    }
+
+    /// The beat: validator 0's block, from validator 0's primary.
+    fn beat(worker: &mut Worker<NoExt>, now: Time) -> (Vec<u64>, Vec<Time>) {
+        header_from(worker, 0, 0, now)
+    }
+
+    fn fallback_timer(worker: &mut Worker<NoExt>, now: Time) -> (Vec<u64>, Vec<Time>) {
+        let mut ctx = Context::new(now, 4);
+        worker.on_timer(TAG_SEAL, &mut ctx);
+        sealed(&mut ctx)
+    }
+
+    const NOTHING: (Vec<u64>, Vec<Time>) = (Vec::new(), Vec::new());
+
+    #[test]
+    fn a_beat_seals_what_gathered_since_the_last_one_and_an_idle_beat_seals_the_next_transaction() {
+        let delay = NarwhalConfig::default().max_batch_delay;
+        let mut worker = ingesting(NarwhalConfig::default());
+        let mut ctx = Context::new(0, 4);
+        worker.on_start(&mut ctx);
+        assert_eq!(sealed(&mut ctx), NOTHING, "real mode has no periodic seal");
+        // No block has left yet: the first transaction waits for nothing.
+        assert_eq!(ingest(&mut worker, MS), (vec![1], vec![]));
+        // The block carrying it is being built; what arrives meanwhile
+        // gathers, under one fallback timer.
+        assert_eq!(ingest(&mut worker, 2 * MS), (vec![], vec![delay]));
+        for k in 3..=6 {
+            assert_eq!(ingest(&mut worker, k * MS), NOTHING);
+        }
+        // The block leaves: the five ride in the next one, as one batch.
+        assert_eq!(beat(&mut worker, 7 * MS), (vec![5], vec![]));
+        // The next block leaves with nothing gathered: nothing to seal, and
+        // the beat is kept for the next transaction — for that one only.
+        assert_eq!(beat(&mut worker, 14 * MS), NOTHING);
+        assert_eq!(
+            beat(&mut worker, 21 * MS),
+            NOTHING,
+            "kept once, not counted"
+        );
+        assert_eq!(ingest(&mut worker, 30 * MS), (vec![1], vec![]));
+        assert_eq!(ingest(&mut worker, 31 * MS), (vec![], vec![delay]));
+        assert_eq!(beat(&mut worker, 37 * MS), (vec![1], vec![]));
+    }
+
+    #[test]
+    fn only_our_own_primarys_own_block_is_a_beat() {
+        let mut worker = ingesting(NarwhalConfig::default());
+        ingest(&mut worker, 0); // spends the beat a worker starts with
+        let not_beats = [
+            (0, 1),                  // our block, relayed by a peer's primary
+            (1, 0),                  // a peer's block, from our primary
+            (0, 5),                  // our block, from a peer's worker
+            (0, nt_network::CLIENT), // our block, from a client
+        ];
+        // On an empty buffer: the next transaction is not sealed alone.
+        for (k, (author, from)) in not_beats.into_iter().enumerate() {
+            assert_eq!(header_from(&mut worker, author, from, k as Time), NOTHING);
+        }
+        assert!(ingest(&mut worker, 10).0.is_empty());
+        // On a buffer holding one transaction: not sealed.
+        for (k, (author, from)) in not_beats.into_iter().enumerate() {
+            assert_eq!(
+                header_from(&mut worker, author, from, 20 + k as Time),
+                NOTHING
+            );
+        }
+        assert_eq!(beat(&mut worker, 30).0, vec![1]);
+    }
+
+    #[test]
+    fn the_fallback_seals_at_the_delay_from_the_first_buffered_transaction_and_a_stale_timer_seals_nothing(
+    ) {
+        let delay = NarwhalConfig::default().max_batch_delay;
+        let mut worker = ingesting(NarwhalConfig::default());
+        ingest(&mut worker, 0);
+        // Buffer A opens at 10 ms and arms the timer due at `10 ms + delay`.
+        assert_eq!(ingest(&mut worker, 10 * MS), (vec![], vec![delay]));
+        assert_eq!(ingest(&mut worker, 60 * MS), NOTHING, "one timer a buffer");
+        // A beat seals A; buffer B opens at 70 ms under a timer of its own.
+        assert_eq!(beat(&mut worker, 65 * MS).0, vec![2]);
+        assert_eq!(ingest(&mut worker, 70 * MS), (vec![], vec![delay]));
+        // A's timer fires: B is 40 ms old, and stays.
+        assert_eq!(fallback_timer(&mut worker, 10 * MS + delay), NOTHING);
+        // No beat comes (the primary is down): B's own timer seals it, at
+        // the delay from its first transaction — not from the last seal, and
+        // with nothing re-armed.
+        assert_eq!(ingest(&mut worker, 70 * MS + delay - 1), NOTHING);
+        assert_eq!(
+            fallback_timer(&mut worker, 70 * MS + delay),
+            (vec![2], vec![])
+        );
+        // On an empty buffer a firing does nothing.
+        assert_eq!(fallback_timer(&mut worker, SEC), NOTHING);
+    }
+
+    /// Early seals <= own proposals + 1, whatever the interleaving.
+    #[test]
+    fn every_seal_short_of_size_and_age_spends_one_beat() {
+        let mut worker = ingesting(NarwhalConfig::default());
+        let (mut beats, mut seals, mut txs) = (0u64, 0u64, 0u64);
+        let mut x = 7u64;
+        for now in 0..2_000 {
+            // A fixed pseudo-random walk: runs of beats, runs of transactions.
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (batches, _) = if (x >> 60) < 5 {
+                beats += 1;
+                beat(&mut worker, now)
+            } else {
+                txs += 1;
+                ingest(&mut worker, now)
+            };
+            seals += batches.len() as u64;
+            assert!(seals <= beats + 1, "at {now}: {seals} seals, {beats} beats");
+        }
+        let buffered = worker.buffer.len() as u64;
+        assert!(
+            beats > 100 && seals > 100 && txs > seals,
+            "the walk mixes both"
+        );
+        assert_eq!(worker.seq, seals);
+        assert!(buffered < txs, "and something was sealed");
+    }
+
     #[test]
     fn real_mode_seals_at_size() {
-        let (committee, _addr, _) = setup(4);
-        let mut worker: Worker<NoExt> = crate::node::NodeBuilder::new(committee, 0)
-            .config(NarwhalConfig {
-                batch_bytes: 2_000,
-                ..NarwhalConfig::default()
-            })
-            .build_worker(WorkerId(0));
-        let mut sealed = 0;
-        for i in 0..8 {
-            let mut ctx = Context::new(i, 4);
-            worker.on_message(
-                nt_network::CLIENT,
-                NarwhalMsg::ClientTx(Transaction::filler(i, 0, 512)),
-                &mut ctx,
-            );
-            sealed += sends(ctx.drain())
-                .iter()
-                .filter(|(_, m)| matches!(m, NarwhalMsg::Batch(_)))
-                .count();
+        let mut worker = ingesting(NarwhalConfig {
+            batch_bytes: 2_000,
+            ..NarwhalConfig::default()
+        });
+        ingest(&mut worker, 0); // spends the beat a worker starts with
+        let mut batches = Vec::new();
+        for now in 1..=8 {
+            batches.extend(ingest(&mut worker, now).0);
         }
-        // 8 x 512 B = 2 seals at the 2000 B threshold.
-        assert_eq!(sealed / 3, 2, "two batches broadcast to 3 peers each");
+        // 8 x 512 B against the 2000 B threshold: two seals, of four each.
+        assert_eq!(batches, vec![4, 4]);
+        // A transaction of the size seals alone, beat or no beat.
+        let mut ctx = Context::new(9, 4);
+        let tx = Transaction::filler(9, 0, 2_000);
+        worker.on_message(nt_network::CLIENT, NarwhalMsg::ClientTx(tx), &mut ctx);
+        assert_eq!(sealed(&mut ctx), (vec![1], vec![]));
     }
 }

@@ -10,7 +10,8 @@ use nt_crypto::{Hashable, Scheme};
 use nt_network::MS;
 use nt_runtime::{AppKind, ClientConn, CommitteeConfig, LoopbackCommittee, SystemKind};
 use nt_storage::{DynStore, JournalStore};
-use nt_types::{Transaction, ValidatorId};
+use nt_types::{BatchPayload, Transaction, ValidatorId};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,6 +28,15 @@ fn committee(
         max_header_delay: 60 * MS,
         ..NarwhalConfig::default()
     };
+    committee_under(narwhal, scheme, system, stores)
+}
+
+fn committee_under(
+    narwhal: NarwhalConfig,
+    scheme: Scheme,
+    system: SystemKind,
+    stores: Option<&[DynStore]>,
+) -> (LoopbackCommittee, Vec<ClientConn>) {
     let (config, keys) = CommitteeConfig::loopback(N, scheme, system, narwhal).expect("ports");
     let committee = LoopbackCommittee::spawn(config, &keys, |v, _| {
         let store = stores.map(|stores| stores[v.0 as usize].clone());
@@ -132,4 +142,77 @@ fn every_commit_stream_is_gapless_and_prefix_consistent() {
         );
     }
     assert_eq!(dropped, [0; N], "no stream shed events");
+}
+
+/// The proposal is the batch clock (`worker.rs`): 200 transactions trickle
+/// into one worker at 1 per ms, far under `batch_bytes` (500 KB), so size
+/// never seals, and `max_batch_delay` (100 ms) alone would make 2 or 3
+/// batches of them (4 with the one a starting worker seals at once). With every own block sealing what gathered while it was
+/// built, they leave in at least ten — and whatever sealed them, every
+/// transaction commits exactly once.
+#[test]
+fn a_trickle_is_batched_by_the_proposal_clock_and_commits_exactly_once() {
+    const TXS: u64 = 200;
+    let stores: Vec<DynStore> = (0..N)
+        .map(|_| Arc::new(JournalStore::new()) as DynStore)
+        .collect();
+    // GC far away: the committed batches are read back from the store.
+    let narwhal = NarwhalConfig {
+        gc_depth: 1_000_000,
+        ..NarwhalConfig::default()
+    };
+    let (committee, mut clients) =
+        committee_under(narwhal, Scheme::Insecure, SystemKind::Tusk, Some(&stores));
+    let worker_store = BlockStore::new(stores[0].clone());
+    let mut batches = HashSet::new();
+    let mut times_committed: BTreeMap<u64, u32> = BTreeMap::new();
+    // Waits up to `wait` for validator 0's next commit, accounts it if it
+    // is of its own block, and returns how many transactions were seen.
+    let mut collect = |wait: Duration| {
+        let event = committee.commits()[0].next_timeout(wait);
+        let own = event.filter(|event| event.author == ValidatorId(0));
+        for (digest, _) in own.map(|event| event.payload).unwrap_or_default() {
+            assert!(batches.insert(digest), "batch {digest:?} in two blocks");
+            let batch = worker_store.get_batch(&digest).expect("store read");
+            let BatchPayload::Data(txs) = batch.expect("stored before proposed").payload else {
+                panic!("a synthetic batch in real mode");
+            };
+            for tx in txs {
+                let id = u64::from_le_bytes(tx.payload[..8].try_into().expect("filler"));
+                *times_committed.entry(id).or_default() += 1;
+            }
+        }
+        times_committed.len() as u64
+    };
+    let start = Instant::now();
+    for i in 0..TXS {
+        while start.elapsed() < Duration::from_millis(i) {
+            collect(Duration::from_micros(200));
+        }
+        submit(&mut clients[0], Transaction::filler(i, 0, 128));
+    }
+    let deadline = start + Duration::from_secs(30);
+    while collect(Duration::from_millis(5)) < TXS && Instant::now() < deadline {}
+    let took = start.elapsed();
+    // A second commit of anything would follow within a few rounds.
+    let grace = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < grace {
+        collect(Duration::from_millis(5));
+    }
+    committee.stop();
+    eprintln!(
+        "{TXS} transactions in {} batches, all committed after {took:?}",
+        batches.len()
+    );
+    let expected: BTreeMap<u64, u32> = (0..TXS).map(|id| (id, 1)).collect();
+    assert_eq!(times_committed, expected, "every transaction, exactly once");
+    // An unoptimised build's rounds take ~20 ms (11-14 batches when run
+    // alone, fewer beside the other tests); an optimised one's ~5 (41-47).
+    let floor = if cfg!(debug_assertions) { 5 } else { 10 };
+    assert!(
+        batches.len() >= floor,
+        "{} batches: sealed by the fallback timer, not by the proposals",
+        batches.len()
+    );
+    assert!(took < Duration::from_secs(10), "the trickle took {took:?}");
 }
