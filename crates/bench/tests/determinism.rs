@@ -108,21 +108,20 @@ fn fold_commits(result: &SimResult) -> u64 {
 }
 
 /// Golden decisions: what each commit rule decided on seed 42 when these
-/// values were recorded (the PR 17 tree: commit-paced rounds; on this WAN
-/// committee the wait for every block voted for makes a round longer, so
-/// the same 10 s hold fewer of them than on the PR 13 tree — Tusk 748
-/// commits then, 564 now). A refactor of the rules must
+/// values were recorded, with the simulated workers sealing by the batch
+/// clock a deployed worker runs (beat, size, age) rather than one synthetic
+/// batch per interval. A refactor of the rules must
 /// leave them untouched; only a deliberate protocol change may re-pin them
 /// (see `.claude/skills/verify/SKILL.md`).
 #[test]
 fn seed_42_decisions_match_the_recorded_run() {
     let golden: [(System, usize, u64); 6] = [
-        (System::Tusk, 564, 0x7a2e_61e7_da55_4b4b),
-        (System::DagRider, 532, 0x6625_9396_e77d_b280),
-        (System::Bullshark, 564, 0x5e10_112b_bb46_df95),
-        (System::BullsharkRep, 560, 0x54d8_f1bf_64b8_71c8),
-        (System::BullsharkPipelined, 576, 0xfc35_8292_b1ab_f031),
-        (System::FinWhale, 564, 0x5e10_112b_bb46_df95),
+        (System::Tusk, 564, 0xa7a5_a45a_f714_ead6),
+        (System::DagRider, 532, 0xb906_0788_30d8_d4dd),
+        (System::Bullshark, 571, 0x2ffa_8fdc_28e6_4234),
+        (System::BullsharkRep, 560, 0x0415_fbb0_a0ea_f4b5),
+        (System::BullsharkPipelined, 576, 0x9e9b_8c52_5428_4b85),
+        (System::FinWhale, 571, 0x2ffa_8fdc_28e6_4234),
     ];
     for (system, commits, fold) in golden {
         let run = run_once(system, 42);

@@ -80,9 +80,10 @@ struct Outcome {
 }
 
 /// Runs the committee for [`DURATION`] with the validators in `loaded`
-/// sealing one 100-transaction batch per `max_batch_delay`; the second
-/// loaded validator's worker starts half an interval late, so the two
-/// streams of batches interleave.
+/// generating one transaction per `max_batch_delay`, each sealed alone as it
+/// arrives (the beat it finds is unspent): one batch per interval. The second
+/// loaded validator's worker starts half an interval late, so the two streams
+/// of batches interleave.
 fn run(loaded: &[u32]) -> Outcome {
     run_with(loaded, NarwhalConfig::default(), vec![])
 }
@@ -92,7 +93,7 @@ fn run(loaded: &[u32]) -> Outcome {
 fn run_with(loaded: &[u32], base: NarwhalConfig, spikes: Vec<LinkSpike>) -> Outcome {
     let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
     let load = SyntheticLoad {
-        rate_tps: 100.0 * SEC as f64 / base.max_batch_delay as f64,
+        rate_tps: SEC as f64 / base.max_batch_delay as f64,
     };
     let config = |v: u32| NarwhalConfig {
         load: loaded.contains(&v).then_some(load),
@@ -207,28 +208,30 @@ fn idle_rounds_keep_the_clock_and_loaded_rounds_follow_the_payload() {
     assert!(busy.stats.proposals.followed > 2 * busy.counts.followed);
 }
 
-/// (h) The orphan cliff. Validator 0 alone has payload; for 10 ms in mid-run
-/// everything between its primary and the other three takes 30 ms longer, so
-/// the block it proposes on the batch sealed just then reaches its peers
-/// after their idle-round deadline: they have closed the round among
-/// themselves. Such a block used to get no vote (§3.1 condition (2)), never
-/// certified, and its batch sat until garbage collection re-injected it
-/// `gc_depth` = 50 rounds — five seconds at this pace — later. Now it still
-/// certifies (the late vote), its author's next block waits for that
-/// certificate and links it (the wait for what one voted for, own block
-/// included), and the peers, not having proposed the next round yet, build on
-/// it too: every batch commits within 8 rounds of the one validator 0 was in
-/// when its worker sealed it. (A validator cut off for several rounds is a
-/// different case: it jumps ahead on its return, the block it left behind
+/// (h) The orphan cliff. Validator 0 alone has payload, one transaction per
+/// `max_batch_delay`; for 10 ms in mid-run everything between its primary and
+/// the other three takes 30 ms longer, so the block it proposes on the
+/// transaction that arrives just then reaches its peers after their idle-round
+/// deadline: they have closed the round among themselves. Such a block used to
+/// get no vote (§3.1 condition (2)), never certified, and its batch sat until
+/// garbage collection re-injected it `gc_depth` = 50 rounds — five seconds at
+/// this pace — later. Now it still certifies (the late vote), its author's
+/// next block waits for that certificate and links it (the wait for what one
+/// voted for, own block included), and the peers, not having proposed the
+/// next round yet, build on it too: every batch commits within 8 rounds of the
+/// one validator 0 was in when its first transaction arrived, which is no
+/// later than its worker sealed it. (A validator cut off for several rounds is
+/// a different case: it jumps ahead on its return, the block it left behind
 /// may certify with nothing to link it, and that one still waits for GC.)
 #[test]
 fn a_block_that_reaches_its_peers_late_still_commits_within_eight_rounds() {
-    // One latency sample per batch, submitted half a batch interval before
-    // the seal: a sample is a batch, and tells when it was sealed.
+    // One latency sample per batch: its oldest arrival. Arrival i is due at
+    // i * `max_batch_delay`, so a sample names its batch's first transaction.
     let config = NarwhalConfig {
         samples_per_batch: 1,
         ..NarwhalConfig::default()
     };
+    let gap = config.max_batch_delay;
     let (from, until) = (1_000 * MS, 1_010 * MS);
     let spike = |peer| LinkSpike {
         a: 0,
@@ -242,28 +245,50 @@ fn a_block_that_reaches_its_peers_late_still_commits_within_eight_rounds() {
         let entered = late.entered.iter().rev().find(|(t, _)| *t <= at);
         entered.map_or(0, |(_, round)| *round)
     };
-    let mut sealed = Vec::new();
+    let mut firsts = Vec::new();
     for event in &late.own_commits {
         for sample in &event.samples {
-            let seal = sample.submit_ns + config.max_batch_delay / 2;
-            let rounds = event.decided_round - round_at(seal);
+            let rounds = event.decided_round - round_at(sample.submit_ns);
             assert!(
                 rounds <= 8,
-                "the batch sealed at {} ms (round {}) committed {rounds} rounds later",
-                seal / MS,
-                round_at(seal)
+                "the batch opened at {} ms (round {}) committed {rounds} rounds later",
+                sample.submit_ns / MS,
+                round_at(sample.submit_ns)
             );
-            sealed.push(seal);
+            firsts.push(sample.submit_ns / gap);
         }
     }
-    // None is missing either: one batch per `max_batch_delay`, the ones
-    // sealed inside and right after the spike included.
-    sealed.sort_unstable();
+    // None is missing or doubled either. The batches split the arrivals 1, 2,
+    // 3, ... into runs, so a batch ends where the next one starts, and a block
+    // holds its batches' runs: a batch missing from the commits would stretch
+    // the run before it past its block's count.
+    firsts.sort_unstable();
+    assert_eq!(firsts.first(), Some(&1), "the first batch");
+    assert!(
+        firsts.windows(2).all(|w| w[0] < w[1]),
+        "one batch an arrival"
+    );
+    let run = |first: u64| firsts.iter().find(|f| **f > first).map(|next| next - first);
+    let mut end = 0;
+    for event in &late.own_commits {
+        let runs: Vec<Option<u64>> = event
+            .samples
+            .iter()
+            .map(|s| run(s.submit_ns / gap))
+            .collect();
+        let known: u64 = runs.iter().flatten().sum();
+        if runs.contains(&None) {
+            // The last batch: its run is what its block holds beyond the rest.
+            end = firsts[firsts.len() - 1] + event.tx_count - known;
+        } else {
+            assert_eq!(known, event.tx_count, "the block of round {}", event.round);
+        }
+    }
+    // And every arrival up to the tail of the run is in one.
     let tail = DURATION - 5 * config.max_header_delay;
-    let expected: Vec<Time> = (1..)
-        .map(|k| k * config.max_batch_delay)
-        .take_while(|seal| *seal <= tail)
-        .collect();
-    sealed.retain(|seal| *seal <= tail);
-    assert_eq!(sealed, expected);
+    assert!(
+        end * gap > tail,
+        "committed arrivals end at {} ms",
+        end * gap / MS
+    );
 }

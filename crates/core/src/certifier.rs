@@ -119,12 +119,9 @@ impl Certifier {
             ctx.send(node, NarwhalMsg::Header(header.clone()));
         }
         // The batch clock (`worker.rs`): the block that just left is what
-        // tells our workers to seal what they buffered for the next one. A
-        // self-generating worker has no buffer and is sent nothing.
-        if id.config.load.is_none() {
-            for node in id.addr.own_workers(id.me) {
-                ctx.send(node, NarwhalMsg::Header(header.clone()));
-            }
+        // tells our workers to seal what they buffered for the next one.
+        for node in id.addr.own_workers(id.me) {
+            ctx.send(node, NarwhalMsg::Header(header.clone()));
         }
         self.hold(header, id);
     }
@@ -447,10 +444,10 @@ mod tests {
     }
 
     /// The batch clock: every own worker hears the block leave, after the
-    /// peers do; a self-generating worker (the simulator's synthetic load)
-    /// has no buffer to seal and hears nothing.
+    /// peers do, whether it takes client transactions or generates its own
+    /// (the simulator's synthetic load).
     #[test]
-    fn an_adopted_block_is_queued_for_own_workers_unless_they_generate_their_load() {
+    fn an_adopted_block_is_queued_for_own_workers_whatever_their_load() {
         let bench = DagBench::new(4, |_| NoConsensus);
         let adopted_by = |id: Identity| {
             let mut ctx = Ctx::new(0, 0);
@@ -471,7 +468,7 @@ mod tests {
             config: NarwhalConfig::with_load(10_000.0),
             ..identity(&bench, 1)
         };
-        assert_eq!(adopted_by(synthetic), vec![0, 2, 3]);
+        assert_eq!(adopted_by(synthetic), vec![0, 2, 3, 5]);
     }
 
     #[test]

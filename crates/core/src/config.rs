@@ -7,10 +7,12 @@ use nt_network::{Time, MS};
 /// In the paper, "one benchmark client per worker submits transactions at
 /// a fixed rate"; in simulation mode each worker generates its own input
 /// stream so that client-to-worker links (which are local) need not be
-/// simulated.
+/// simulated. Only the source is synthetic: its transactions are virtual
+/// arrivals, sealed by the same rules as client transactions (`worker.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct SyntheticLoad {
-    /// Transactions per second submitted to this worker.
+    /// Transactions per second submitted to this worker: the i-th arrives
+    /// `i / rate_tps` seconds after the worker starts.
     pub rate_tps: f64,
 }
 
@@ -64,13 +66,6 @@ pub struct SelfTestBugs {
     pub disable_snapshots: bool,
 }
 
-impl SelfTestBugs {
-    /// True if every switch is off (the only sane non-test state).
-    pub fn none(&self) -> bool {
-        *self == SelfTestBugs::default()
-    }
-}
-
 /// Tunable Narwhal parameters.
 #[derive(Clone, Debug)]
 pub struct NarwhalConfig {
@@ -82,8 +77,7 @@ pub struct NarwhalConfig {
     /// The fallback bound on batching, never the pace: a worker seals what
     /// it buffered whenever a block of its own primary leaves (`worker.rs`),
     /// and this is how old the oldest buffered transaction may get if none
-    /// does — the primary is down, or its beat was lost. Under synthetic
-    /// load it caps the interval between self-generated batches.
+    /// does — the primary is down, or its beat was lost.
     pub max_batch_delay: Time,
     /// The one clock of round pacing: every wait of the proposer ends this
     /// long after the round was entered (`proposer.rs` has the full text).
@@ -120,7 +114,8 @@ pub struct NarwhalConfig {
     pub sync_retry_delay: Time,
     /// Re-broadcast interval for the current un-certified block.
     pub resend_delay: Time,
-    /// Latency-tracking samples embedded per batch.
+    /// At most this many latency samples per batch, at evenly spaced buffer
+    /// positions (the oldest first), each with that transaction's arrival.
     pub samples_per_batch: usize,
     /// Take a durable, committee-signed snapshot every this many commits.
     /// Must map to fewer than `gc_depth` rounds between snapshot points,
@@ -161,27 +156,6 @@ impl NarwhalConfig {
             ..Default::default()
         }
     }
-
-    /// Transactions per sealed batch under synthetic load.
-    pub fn batch_tx_count(&self) -> u64 {
-        (self.batch_bytes / self.tx_bytes).max(1) as u64
-    }
-
-    /// Interval between sealed batches at `rate_tps`, capped by
-    /// `max_batch_delay`.
-    pub fn batch_interval(&self, rate_tps: f64) -> Time {
-        if rate_tps <= 0.0 {
-            return self.max_batch_delay;
-        }
-        let secs = self.batch_tx_count() as f64 / rate_tps;
-        let ns = (secs * nt_network::SEC as f64) as Time;
-        ns.clamp(MS, self.max_batch_delay)
-    }
-
-    /// Transactions generated in one `interval` at `rate_tps`.
-    pub fn txs_in_interval(&self, rate_tps: f64, interval: Time) -> u64 {
-        ((rate_tps * interval as f64) / nt_network::SEC as f64).round() as u64
-    }
 }
 
 #[cfg(test)]
@@ -193,25 +167,5 @@ mod tests {
         let c = NarwhalConfig::default();
         assert_eq!(c.batch_bytes, 500_000);
         assert_eq!(c.tx_bytes, 512);
-        assert_eq!(c.batch_tx_count(), 976);
-    }
-
-    #[test]
-    fn batch_interval_scales_with_rate() {
-        let c = NarwhalConfig::default();
-        // ~976 tx/batch at 10k tps = ~98 ms.
-        let at_10k = c.batch_interval(10_000.0);
-        assert!(at_10k > 90 * MS && at_10k <= 100 * MS, "{at_10k}");
-        // High rates seal faster.
-        assert!(c.batch_interval(100_000.0) < at_10k);
-        // Low rates are capped by max delay.
-        assert_eq!(c.batch_interval(10.0), c.max_batch_delay);
-    }
-
-    #[test]
-    fn txs_in_interval_matches_rate() {
-        let c = NarwhalConfig::default();
-        let n = c.txs_in_interval(50_000.0, 100 * MS);
-        assert_eq!(n, 5_000);
     }
 }

@@ -310,8 +310,9 @@ impl Proposer {
         event: &mut CommitEvent,
         id: &Identity,
     ) {
-        // Throughput/latency accounting: each batch is counted exactly
-        // once across the system — by its creator (see DESIGN.md).
+        // Throughput/latency accounting: each batch is counted exactly once
+        // across the system — by its creator, though every validator commits
+        // it (`nt_bench::RunStats` sums only an author's own events).
         for (batch_digest, _) in &cert.header.payload {
             if let Some(info) = self.batch_meta.get(batch_digest) {
                 event.tx_count += info.tx_count;

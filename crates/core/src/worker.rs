@@ -29,8 +29,8 @@
 //! buys nothing, and sealing less often makes every transaction wait for a
 //! timer nobody is waiting for. So the primary's block is the beat. The
 //! certifier queues each own header it adopts for this validator's workers
-//! as well as for the other primaries, and a worker taking client
-//! transactions seals its buffer at the earliest of:
+//! as well as for the other primaries, and a worker seals its buffer at the
+//! earliest of:
 //!
 //! - **size**: the buffer reaches `batch_bytes`;
 //! - **beat**: a header of our own primary arrives and the buffer is not
@@ -40,10 +40,9 @@
 //!   nothing to seal (or none came yet) — it is sealed at once, alone, so a
 //!   lone transaction into an idle committee waits for nothing; the block
 //!   that carries it is the next beat;
-//! - **age**, the fallback: the first transaction into an empty buffer arms
-//!   one timer, and a buffer whose oldest transaction is `max_batch_delay`
-//!   old when it fires is sealed. With the primary down or its beat lost,
-//!   this is the whole rule, and the paper's.
+//! - **age**, the fallback: a buffer whose oldest transaction is
+//!   `max_batch_delay` old when the seal timer fires is sealed. With the
+//!   primary down or its beat lost, this is the whole rule, and the paper's.
 //!
 //! `max_batch_delay` and `batch_bytes` are thus the two bounds, never the
 //! pace. The worker reads the header's author and nothing else, and verifies
@@ -52,18 +51,30 @@
 //! spent once, so early seals <= own proposals + 1 (the beat a worker starts
 //! with) and batches/s <= rounds/s + size seals/s + 1/`max_batch_delay`.
 //!
-//! A self-generating worker (`config.load`, the simulator's synthetic mode)
-//! has no buffer: it seals one synthetic batch per load interval, on a
-//! periodic timer, and is sent no beat.
+//! A batch carries at most `samples_per_batch` latency samples, at evenly
+//! spaced buffer positions (the oldest first), each with its arrival time.
+//!
+//! In simulation each worker generates its own clients' fixed-rate stream
+//! (§7, `config.load`), and only that source is synthetic: its transactions
+//! are *virtual arrivals*, the i-th at `started + i·SEC/rate_tps`, counted
+//! whenever the worker handles an event (elapsed time × rate, floored, minus
+//! what it already counted: rounding cannot drift) into the same buffer,
+//! under the same rules, and sealed as one [`Batch::synthetic`] — no event
+//! and no allocation per transaction. They arrive unseen between events, so
+//! the one `TAG_SEAL` timer is armed for the earliest moment a rule fires
+//! without a beat: the age bound, and under load also the arrival that
+//! crosses `batch_bytes` and, while a beat is unspent, the next arrival.
 
-use crate::config::{NarwhalConfig, SyntheticLoad};
+use crate::config::NarwhalConfig;
 use crate::deployment::AddressBook;
 use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::store::{fail_stop, BlockStore};
 use nt_crypto::Digest;
-use nt_network::{Actor, Context, NodeId, Time};
+use nt_network::{Actor, Context, NodeId, Time, SEC};
 use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap, HashSet};
+
+type Ctx<Ext> = Context<NarwhalMsg<Ext>>;
 
 const TAG_SEAL: u64 = 1;
 const TAG_RETRY: u64 = 2;
@@ -90,15 +101,22 @@ pub struct Worker<Ext: Clone + Send + 'static> {
     addr: AddressBook,
     me: ValidatorId,
     worker_id: WorkerId,
-    // Batching.
+    // Batching: client transactions and their arrivals, then the last
+    // `virtual_txs` of the `accrued` virtual arrivals.
     buffer: Vec<Transaction>,
+    arrived: Vec<Time>,
+    virtual_txs: u64,
     buffer_bytes: usize,
-    buffer_samples: Vec<TxSample>,
     /// When the oldest buffered transaction arrived.
     buffer_opened: Time,
     /// A block of ours left and found the buffer empty (or none left yet):
     /// the next transaction is sealed at once.
     beat_unspent: bool,
+    /// This incarnation's start, and the virtual arrivals counted since.
+    started: Time,
+    accrued: u64,
+    /// The moment the last `TAG_SEAL` timer was armed for.
+    armed: Option<Time>,
     seq: u64,
     sample_seq: u64,
     // Replication.
@@ -133,10 +151,14 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             me,
             worker_id,
             buffer: Vec::new(),
+            arrived: Vec::new(),
+            virtual_txs: 0,
             buffer_bytes: 0,
-            buffer_samples: Vec::new(),
             buffer_opened: 0,
             beat_unspent: true,
+            started: 0,
+            accrued: 0,
+            armed: None,
             seq: 0,
             sample_seq: 0,
             store,
@@ -169,7 +191,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
     /// the primary's own recovered state. Also resumes the batch/sample
     /// sequence counters so new batches never collide with pre-crash
     /// digests.
-    fn recover(&mut self, ctx: &mut Context<NarwhalMsg<Ext>>) {
+    fn recover(&mut self, ctx: &mut Ctx<Ext>) {
         for digest in fail_stop(self.store.batch_digests()) {
             // Unreadable records are skipped, as on-disk data always is.
             let Ok(Some(batch)) = self.store.get_batch(&digest) else {
@@ -178,8 +200,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             if batch.creator == self.me && batch.worker == self.worker_id {
                 self.seq = self.seq.max(batch.seq);
                 for sample in &batch.samples {
-                    // Sample ids pack the per-worker counter in the low 40
-                    // bits (see `next_sample_id`).
+                    // Ids pack the counter in the low 40 bits (`next_sample_id`).
                     self.sample_seq = self.sample_seq.max(sample.id & ((1 << 40) - 1));
                 }
             }
@@ -200,24 +221,89 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         ((self.me.0 as u64) << 48) | ((self.worker_id.0 as u64) << 40) | self.sample_seq
     }
 
+    fn is_empty(&self) -> bool {
+        self.buffer.is_empty() && self.virtual_txs == 0
+    }
+
+    /// Virtual arrivals due by `t`, at `rate` (module doc).
+    fn due(&self, rate: f64, t: Time) -> u64 {
+        (t.saturating_sub(self.started) as f64 * rate / SEC as f64) as u64
+    }
+
+    /// When the `i`-th virtual arrival is counted: `i·SEC/rate` after the
+    /// start, or as many nanoseconds later as [`Self::due`]'s rounding needs
+    /// to count it, so a timer armed for it finds it. `None` without load.
+    fn arrival(&self, i: u64) -> Option<Time> {
+        let rate = Some(self.config.load?.rate_tps).filter(|r| *r > 0.0)?;
+        let mut at = self.started + (i as f64 * SEC as f64 / rate).ceil() as Time;
+        while self.due(rate, at) < i {
+            at += 1;
+        }
+        Some(at)
+    }
+
+    /// Arrivals of `tx_bytes` that bring the buffer to `batch_bytes`.
+    fn to_size(&self) -> u64 {
+        let missing = self.config.batch_bytes.saturating_sub(self.buffer_bytes);
+        missing.div_ceil(self.config.tx_bytes.max(1)).max(1) as u64
+    }
+
+    /// The rules an arrival triggers: a remembered beat, or the size bound.
+    fn on_arrival(&mut self, ctx: &mut Ctx<Ext>) {
+        if self.beat_unspent || self.buffer_bytes >= self.config.batch_bytes {
+            self.beat_unspent = false;
+            self.seal_buffer(ctx);
+        }
+    }
+
+    /// Counts the virtual arrivals due by now into the buffer, stopping at
+    /// each one a rule fires on: a long gap seals every batch it filled.
+    fn accrue(&mut self, ctx: &mut Ctx<Ext>) {
+        let Some(load) = self.config.load else { return };
+        let due = self.due(load.rate_tps, ctx.now());
+        while self.accrued < due {
+            if self.is_empty() {
+                self.buffer_opened = self.arrival(self.accrued + 1).unwrap_or_default();
+            }
+            let take = if self.beat_unspent { 1 } else { self.to_size() }.min(due - self.accrued);
+            self.accrued += take;
+            self.virtual_txs += take;
+            self.buffer_bytes += take as usize * self.config.tx_bytes;
+            self.on_arrival(ctx);
+        }
+    }
+
+    /// The earliest moment a rule fires without a beat (module doc).
+    fn seal_due(&self) -> Option<Time> {
+        let next = self.arrival(self.accrued + 1);
+        if self.beat_unspent {
+            return next;
+        }
+        let opened = (!self.is_empty()).then_some(self.buffer_opened).or(next)?;
+        let age = opened + self.config.max_batch_delay;
+        let size = self.arrival(self.accrued + self.to_size());
+        Some(size.map_or(age, |size| size.min(age)))
+    }
+
+    /// Arms `TAG_SEAL` for [`Self::seal_due`], unless it is set for then.
+    fn arm(&mut self, ctx: &mut Ctx<Ext>) {
+        if let Some(at) = self.seal_due().filter(|at| self.armed != Some(*at)) {
+            ctx.timer(at.saturating_sub(ctx.now()), TAG_SEAL);
+            self.armed = Some(at);
+        }
+    }
+
     /// Persists a batch and hands its digest to the primary — in that
     /// order: a report is a promise that the store can serve the bytes.
-    fn store_and_report(
-        &self,
-        digest: Digest,
-        bytes: &[u8],
-        batch: &Batch,
-        ctx: &mut Context<NarwhalMsg<Ext>>,
-    ) {
+    fn store_and_report(&self, digest: Digest, bytes: &[u8], batch: &Batch, ctx: &mut Ctx<Ext>) {
         fail_stop(self.store.put_batch(&digest, bytes));
         self.report(digest, batch, ctx);
     }
 
     /// Seals and disseminates a batch.
-    fn seal(&mut self, batch: Batch, ctx: &mut Context<NarwhalMsg<Ext>>) {
+    fn seal(&mut self, batch: Batch, ctx: &mut Ctx<Ext>) {
         let (digest, bytes) = BlockStore::encode_batch(&batch);
-        let mut acked = HashSet::new();
-        acked.insert(self.me);
+        let acked = HashSet::from([self.me]);
         if acked.len() >= self.committee.quorum_threshold() {
             // Single-validator committee: no replication needed.
             self.store_and_report(digest, &bytes, &batch, ctx);
@@ -225,62 +311,53 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             for peer in self.addr.peer_workers(self.me, self.worker_id) {
                 ctx.send(peer, NarwhalMsg::Batch(batch.clone()));
             }
-            self.pending.insert(
-                digest,
-                PendingBatch {
-                    batch,
-                    bytes,
-                    acked,
-                    created: ctx.now(),
-                },
-            );
+            let created = ctx.now();
+            let pending = PendingBatch {
+                batch,
+                bytes,
+                acked,
+                created,
+            };
+            self.pending.insert(digest, pending);
         }
     }
 
-    /// Seals the synthetic batch for one load-generation interval.
-    fn seal_synthetic(
-        &mut self,
-        load: SyntheticLoad,
-        interval: Time,
-        ctx: &mut Context<NarwhalMsg<Ext>>,
-    ) {
-        let count = self.config.txs_in_interval(load.rate_tps, interval);
-        if count == 0 {
-            return;
+    /// Seals the buffer: client transactions as one batch, virtual arrivals
+    /// as one synthetic batch, each with the samples on its positions.
+    fn seal_buffer(&mut self, ctx: &mut Ctx<Ext>) {
+        let real = self.buffer.len() as u64;
+        let total = real + self.virtual_txs;
+        let k = (self.config.samples_per_batch as u64).min(total);
+        let (mut samples, mut synthetic) = (Vec::new(), Vec::new());
+        for p in (0..k).map(|j| j * total / k) {
+            let id = self.next_sample_id();
+            match self.arrived.get(p as usize) {
+                Some(&submit_ns) => samples.push(TxSample { id, submit_ns }),
+                None => {
+                    let submit_ns = self.arrival(self.accrued + p + 1 - total);
+                    let submit_ns = submit_ns.unwrap_or_default();
+                    synthetic.push(TxSample { id, submit_ns });
+                }
+            }
         }
-        let bytes = count * self.config.tx_bytes as u64;
-        let samples = self.make_samples(interval, ctx.now());
-        self.seq += 1;
-        let batch = Batch::synthetic(self.me, self.worker_id, self.seq, count, bytes, samples);
-        self.seal(batch, ctx);
-    }
-
-    /// Seals the buffered client transactions (real mode).
-    fn seal_buffer(&mut self, ctx: &mut Context<NarwhalMsg<Ext>>) {
-        if self.buffer.is_empty() {
-            return;
+        let (me, worker) = (self.me, self.worker_id);
+        if real > 0 {
+            self.seq += 1;
+            let txs = std::mem::take(&mut self.buffer);
+            self.seal(Batch::new(me, worker, self.seq, txs, samples), ctx);
         }
-        self.seq += 1;
-        let txs = std::mem::take(&mut self.buffer);
-        let samples = std::mem::take(&mut self.buffer_samples);
+        let count = std::mem::take(&mut self.virtual_txs);
+        if count > 0 {
+            self.seq += 1;
+            let bytes = count * self.config.tx_bytes as u64;
+            let batch = Batch::synthetic(me, worker, self.seq, count, bytes, synthetic);
+            self.seal(batch, ctx);
+        }
+        self.arrived.clear();
         self.buffer_bytes = 0;
-        let batch = Batch::new(self.me, self.worker_id, self.seq, txs, samples);
-        self.seal(batch, ctx);
     }
 
-    /// Latency samples whose submit times spread over the accumulation
-    /// interval ending at `now`.
-    fn make_samples(&mut self, interval: Time, now: Time) -> Vec<TxSample> {
-        let k = self.config.samples_per_batch.max(1) as u64;
-        (0..k)
-            .map(|i| TxSample {
-                id: self.next_sample_id(),
-                submit_ns: now.saturating_sub(interval * (i + 1) / (k + 1)),
-            })
-            .collect()
-    }
-
-    fn report(&self, digest: Digest, batch: &Batch, ctx: &mut Context<NarwhalMsg<Ext>>) {
+    fn report(&self, digest: Digest, batch: &Batch, ctx: &mut Ctx<Ext>) {
         let info = BatchInfo {
             digest,
             worker: self.worker_id,
@@ -297,37 +374,27 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
     type Message = NarwhalMsg<Ext>;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Message>) {
+        self.started = ctx.now();
         self.recover(ctx);
-        if let Some(load) = self.config.load {
-            ctx.timer(self.config.batch_interval(load.rate_tps), TAG_SEAL);
-        }
+        self.arm(ctx);
         ctx.timer(self.retry_interval(), TAG_RETRY);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<Self::Message>) {
+        self.accrue(ctx);
         match tag {
-            TAG_SEAL => match self.config.load {
-                Some(load) => {
-                    let interval = self.config.batch_interval(load.rate_tps);
-                    self.seal_synthetic(load, interval, ctx);
-                    ctx.timer(interval, TAG_SEAL);
+            // The fallback. A firing that finds a younger buffer (a beat sealed
+            // the one it was armed for) or none is stale.
+            TAG_SEAL => {
+                let age = ctx.now().saturating_sub(self.buffer_opened);
+                if !self.is_empty() && age >= self.config.max_batch_delay {
+                    self.seal_buffer(ctx);
                 }
-                // The fallback, one-shot: armed by the first transaction of
-                // a buffer. If a beat sealed that buffer since, this firing
-                // is stale — what is buffered now is younger and has its
-                // own timer.
-                None => {
-                    let age = ctx.now().saturating_sub(self.buffer_opened);
-                    if age >= self.config.max_batch_delay {
-                        self.seal_buffer(ctx);
-                    }
-                }
-            },
+            }
             TAG_RETRY => {
                 let now = ctx.now();
-                // Re-broadcast own batches stuck without a quorum (§4.1:
-                // retransmission stops once the round advances; workers stop
-                // when the quorum forms or the batch is garbage collected).
+                // Re-broadcast own batches stuck without a quorum (§4.1), until
+                // the quorum forms or the batch is garbage collected.
                 let peers = self.addr.peer_workers(self.me, self.worker_id);
                 for p in self.pending.values() {
                     if now.saturating_sub(p.created) < self.config.resend_delay {
@@ -341,65 +408,41 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     }
                 }
                 // Retry outstanding fetches against rotating targets,
-                // deterministically skipping ourselves: the old fallback
-                // (retreat to the creator) re-targeted *us* whenever we
-                // were fetching a batch we ourselves created and the
-                // rotation landed on us — a request that can never be
-                // answered.
-                let mut retries: Vec<(NodeId, Digest)> = Vec::new();
+                // deterministically skipping ourselves: we cannot answer.
                 for (digest, fetch) in self.fetching.iter_mut() {
                     if now.saturating_sub(fetch.last) >= self.config.sync_retry_delay {
                         fetch.attempts += 1;
                         fetch.last = now;
                         let target = self.addr.rotate(self.me, fetch.creator, fetch.attempts);
-                        retries.push((self.addr.worker(target, self.worker_id), *digest));
+                        let node = self.addr.worker(target, self.worker_id);
+                        let digests = vec![*digest];
+                        ctx.send(node, NarwhalMsg::BatchRequest { digests });
                     }
-                }
-                for (node, digest) in retries {
-                    ctx.send(
-                        node,
-                        NarwhalMsg::BatchRequest {
-                            digests: vec![digest],
-                        },
-                    );
                 }
                 ctx.timer(self.retry_interval(), TAG_RETRY);
             }
             _ => {}
         }
+        self.arm(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Context<Self::Message>) {
+        self.accrue(ctx);
         match msg {
             NarwhalMsg::ClientTx(tx) => {
-                let first = self.buffer.is_empty();
-                self.buffer_bytes += tx.len();
-                if self
-                    .buffer
-                    .len()
-                    .is_multiple_of(self.config.samples_per_batch.max(1))
-                {
-                    let id = self.next_sample_id();
-                    self.buffer_samples.push(TxSample {
-                        id,
-                        submit_ns: ctx.now(),
-                    });
-                }
-                self.buffer.push(tx);
-                if self.beat_unspent || self.buffer_bytes >= self.config.batch_bytes {
-                    self.beat_unspent = false;
-                    self.seal_buffer(ctx);
-                } else if first && self.config.load.is_none() {
-                    // (Under `load`, `TAG_SEAL` is the periodic load timer.)
+                if self.is_empty() {
                     self.buffer_opened = ctx.now();
-                    ctx.timer(self.config.max_batch_delay, TAG_SEAL);
                 }
+                self.buffer_bytes += tx.len();
+                self.buffer.push(tx);
+                self.arrived.push(ctx.now());
+                self.on_arrival(ctx);
             }
             // The beat (module doc): our own primary's block left.
             NarwhalMsg::Header(header)
                 if header.author == self.me && from == self.addr.primary(self.me) =>
             {
-                if self.buffer.is_empty() {
+                if self.is_empty() {
                     self.beat_unspent = true;
                 } else {
                     self.seal_buffer(ctx);
@@ -414,13 +457,8 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 if first_seen {
                     fail_stop(self.store.put_batch(&digest, &bytes));
                 }
-                ctx.send(
-                    from,
-                    NarwhalMsg::BatchAck {
-                        digest,
-                        voter: self.me,
-                    },
-                );
+                let voter = self.me;
+                ctx.send(from, NarwhalMsg::BatchAck { digest, voter });
                 if first_seen {
                     self.report(digest, &batch, ctx);
                 }
@@ -433,9 +471,8 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     p.acked.len() >= quorum
                 });
                 if let Some(done) = reached.then(|| self.pending.remove(&digest)).flatten() {
-                    // Quorum reached: the batch is now replicated enough
-                    // to be referenced by a block — persist it before the
-                    // digest reaches the primary.
+                    // Replicated enough to be referenced by a block: persist
+                    // it before the digest reaches the primary.
                     self.store_and_report(digest, &done.bytes, &done.batch, ctx);
                 }
             }
@@ -460,46 +497,37 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 }
             }
             NarwhalMsg::FetchBatch {
-                digest,
-                worker: _,
-                creator,
+                digest, creator, ..
             } => {
                 if self.pending.contains_key(&digest) {
-                    // Own batch still collecting acknowledgments: its
-                    // report follows the quorum.
+                    // Own batch awaiting its quorum: the report follows it.
                 } else if let Some(batch) = fail_stop(self.store.get_batch(&digest)) {
-                    // Held: (re-)report, straight from the store — a hit
-                    // is proof the bytes are durable, nothing to rewrite.
+                    // Held, so durable: re-report it, and rewrite nothing.
                     self.report(digest, &batch, ctx);
-                } else if let std::collections::btree_map::Entry::Vacant(e) =
-                    self.fetching.entry(digest)
-                {
+                } else if let Entry::Vacant(e) = self.fetching.entry(digest) {
                     // Never seen, or deleted by our validator's garbage
-                    // collection (an execution backlog catching up after
-                    // a restart asks for batches whose rounds GC already
-                    // pruned): peers still hold it.
+                    // collection: peers still hold it.
                     e.insert(FetchState {
                         creator,
                         attempts: 0,
                         last: ctx.now(),
                     });
-                    ctx.send(
-                        self.addr.worker(creator, self.worker_id),
-                        NarwhalMsg::BatchRequest {
-                            digests: vec![digest],
-                        },
-                    );
+                    let digests = vec![digest];
+                    let node = self.addr.worker(creator, self.worker_id);
+                    ctx.send(node, NarwhalMsg::BatchRequest { digests });
                 }
             }
             // Primary-to-primary traffic is never addressed to workers.
             _ => {}
         }
+        self.arm(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SyntheticLoad;
     use crate::consensus::NoExt;
     use crate::store::BATCH_ENCODES;
     use nt_crypto::{Hashable as _, Scheme};
@@ -516,11 +544,7 @@ mod tests {
         let (committee, _) = Committee::deterministic(n, 1, Scheme::Insecure);
         let addr = AddressBook::new(n, 1);
         let workers = (0..n as u32)
-            .map(|v| {
-                crate::node::NodeBuilder::new(committee.clone(), v)
-                    .config(NarwhalConfig::with_load(10_000.0))
-                    .build_worker(WorkerId(0))
-            })
+            .map(|v| crate::node::NodeBuilder::new(committee.clone(), v).build_worker(WorkerId(0)))
             .collect();
         (committee, addr, workers)
     }
@@ -569,7 +593,6 @@ mod tests {
     fn worker_over(store: DynStore) -> Worker<NoExt> {
         let (committee, _) = Committee::deterministic(4, 1, Scheme::Insecure);
         crate::node::NodeBuilder::new(committee, 0)
-            .config(NarwhalConfig::with_load(10_000.0))
             .store(store)
             .build_worker(WorkerId(0))
     }
@@ -585,10 +608,13 @@ mod tests {
         sends(ctx.drain())
     }
 
-    /// Seals one own batch at `now` and returns its digest.
+    /// Seals one own batch at `now` — a beat on the empty buffer, then one
+    /// client transaction — and returns its digest.
     fn seal_own(worker: &mut Worker<NoExt>, now: Time) -> Digest {
+        beat(worker, now);
         let mut ctx = Context::new(now, 4);
-        worker.on_timer(TAG_SEAL, &mut ctx);
+        let tx = Transaction::filler(now, 0, 512);
+        worker.on_message(nt_network::CLIENT, NarwhalMsg::ClientTx(tx), &mut ctx);
         sends(ctx.drain())
             .into_iter()
             .find_map(|(_, m)| match m {
@@ -600,16 +626,15 @@ mod tests {
 
     #[test]
     fn synthetic_seal_broadcasts_batch() {
-        let (_, _, mut workers) = setup(4);
-        let mut ctx = Context::new(200 * MS, 4);
-        workers[0].on_timer(TAG_SEAL, &mut ctx);
-        let out = sends(ctx.drain());
-        let batches: Vec<&Msg> = out
-            .iter()
-            .map(|(_, m)| m)
-            .filter(|m| matches!(m, NarwhalMsg::Batch(_)))
+        let (mut worker, _) = loaded(10_000.0, NarwhalConfig::default(), 0);
+        let mut ctx = Context::new(100 * US, 4);
+        worker.on_timer(TAG_SEAL, &mut ctx);
+        let to: Vec<NodeId> = sends(ctx.drain())
+            .into_iter()
+            .filter(|(_, m)| matches!(m, NarwhalMsg::Batch(b) if b.tx_count() == 1))
+            .map(|(to, _)| to)
             .collect();
-        assert_eq!(batches.len(), 3, "batch goes to the 3 peer workers");
+        assert_eq!(to, vec![5, 6, 7], "batch goes to the 3 peer workers");
     }
 
     #[test]
@@ -816,7 +841,6 @@ mod tests {
         let (committee, addr, _) = setup(4);
         let backend: DynStore = Arc::new(MemStore::new());
         let mut worker: Worker<NoExt> = crate::node::NodeBuilder::new(committee.clone(), 0)
-            .config(NarwhalConfig::with_load(10_000.0))
             .store(backend.clone())
             .build_worker(WorkerId(0));
         // A peer batch is persisted before it is acknowledged.
@@ -843,7 +867,6 @@ mod tests {
 
         // Crash; a fresh incarnation recovers both batches and re-reports.
         let mut revived: Worker<NoExt> = crate::node::NodeBuilder::new(committee, 0)
-            .config(NarwhalConfig::with_load(10_000.0))
             .store(backend)
             .build_worker(WorkerId(0));
         let mut ctx = Context::new(SEC, 4);
@@ -1081,6 +1104,14 @@ mod tests {
         sealed(&mut ctx)
     }
 
+    /// A round-1 block of `author`.
+    fn header(author: u32) -> Msg {
+        let (_, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let author_id = ValidatorId(author);
+        let header = Header::new(&kps[author as usize], author_id, 1, vec![], vec![], None);
+        NarwhalMsg::Header(header)
+    }
+
     /// A block of `author` delivered by node `from` at `now`.
     fn header_from(
         worker: &mut Worker<NoExt>,
@@ -1088,11 +1119,8 @@ mod tests {
         from: NodeId,
         now: Time,
     ) -> (Vec<u64>, Vec<Time>) {
-        let (_, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let author_id = ValidatorId(author);
-        let header = Header::new(&kps[author as usize], author_id, 1, vec![], vec![], None);
         let mut ctx = Context::new(now, 4);
-        worker.on_message(from, NarwhalMsg::Header(header), &mut ctx);
+        worker.on_message(from, header(author), &mut ctx);
         sealed(&mut ctx)
     }
 
@@ -1238,5 +1266,183 @@ mod tests {
         let tx = Transaction::filler(9, 0, 2_000);
         worker.on_message(nt_network::CLIENT, NarwhalMsg::ClientTx(tx), &mut ctx);
         assert_eq!(sealed(&mut ctx), (vec![1], vec![]));
+    }
+
+    /// Validator 0's worker generating `rate` transactions a second under
+    /// `config`, started at `t0`, and the seal timers its start armed.
+    fn loaded(rate: f64, config: NarwhalConfig, t0: Time) -> (Worker<NoExt>, Vec<Time>) {
+        let load = Some(SyntheticLoad { rate_tps: rate });
+        let mut worker = ingesting(NarwhalConfig { load, ..config });
+        let mut ctx = Context::new(t0, 4);
+        worker.on_start(&mut ctx);
+        let (batches, timers) = sealed(&mut ctx);
+        assert!(batches.is_empty());
+        (worker, timers)
+    }
+
+    const US: Time = 1_000;
+
+    #[test]
+    fn under_load_a_beat_seals_exactly_what_accrued_since_the_last_seal() {
+        // Started at 3 ms, 10 000 tx/s: the i-th arrives at 3 ms + i * 100 us.
+        let (mut worker, armed) = loaded(10_000.0, NarwhalConfig::default(), 3 * MS);
+        // The beat a worker starts with is kept for the first arrival.
+        assert_eq!(armed, vec![100 * US]);
+        assert_eq!(fallback_timer(&mut worker, 3 * MS + 100 * US).0, vec![1]);
+        // Each beat seals the arrivals since the last seal, counted to the
+        // instant: arrival 30 is due at 6 ms, not a nanosecond earlier.
+        assert_eq!(beat(&mut worker, 5 * MS).0, vec![19]);
+        assert_eq!(beat(&mut worker, 5 * MS + 350 * US).0, vec![3]);
+        assert_eq!(beat(&mut worker, 6 * MS - 1).0, vec![6]);
+        assert_eq!(beat(&mut worker, 6 * MS).0, vec![1]);
+        // A client transaction joins the same buffer — it brings the size
+        // crossing one arrival closer, to arrival 1006 at 103.6 ms — and the
+        // same beat seals both: the transaction as data, arrivals 31..=33 as
+        // one synthetic batch.
+        let crossing = 103_600 * US - (6 * MS + 250 * US);
+        assert_eq!(
+            ingest(&mut worker, 6 * MS + 250 * US),
+            (vec![], vec![crossing])
+        );
+        assert_eq!(beat(&mut worker, 6 * MS + 300 * US).0, vec![1, 3]);
+    }
+
+    #[test]
+    fn under_load_an_idle_beat_seals_the_next_arrival_alone() {
+        let (mut worker, _) = loaded(10_000.0, NarwhalConfig::default(), 0);
+        assert_eq!(fallback_timer(&mut worker, 100 * US).0, vec![1]);
+        assert_eq!(beat(&mut worker, MS).0, vec![9]);
+        // The block leaves with nothing gathered: a timer for the next
+        // arrival, which is sealed alone — and only that one.
+        assert_eq!(beat(&mut worker, MS), (vec![], vec![100 * US]));
+        assert_eq!(fallback_timer(&mut worker, MS + 100 * US).0, vec![1]);
+        assert_eq!(fallback_timer(&mut worker, MS + 200 * US), NOTHING);
+        // Found late, after three arrivals: the first alone, two wait.
+        assert_eq!(beat(&mut worker, 2 * MS).0, vec![9]);
+        assert_eq!(beat(&mut worker, 2 * MS), (vec![], vec![100 * US]));
+        assert_eq!(header_from(&mut worker, 1, 1, 2 * MS + 350 * US).0, vec![1]);
+        assert_eq!(beat(&mut worker, 2 * MS + 350 * US).0, vec![2]);
+    }
+
+    #[test]
+    fn under_load_a_size_seal_falls_on_the_crossing_arrival_even_after_a_long_gap() {
+        let config = NarwhalConfig {
+            batch_bytes: 10 * 512,
+            ..NarwhalConfig::default()
+        };
+        let (mut worker, _) = loaded(10_000.0, config, 0);
+        // After the first arrival, the timer is for the tenth one after it.
+        assert_eq!(fallback_timer(&mut worker, 100 * US), (vec![1], vec![MS]));
+        assert_eq!(fallback_timer(&mut worker, 1_100 * US - 1), NOTHING);
+        assert_eq!(
+            fallback_timer(&mut worker, 1_100 * US),
+            (vec![10], vec![MS])
+        );
+        // Nothing wakes the worker until 5.55 ms: arrivals 12..=51 fill four
+        // batches, 52..=55 wait for arrival 61.
+        assert_eq!(
+            header_from(&mut worker, 1, 1, 5_550 * US),
+            (vec![10; 4], vec![550 * US])
+        );
+    }
+
+    #[test]
+    fn under_load_the_fallback_seals_without_a_beat_and_a_stale_firing_seals_nothing() {
+        // 100 tx/s: the i-th arrives at i * 10 ms.
+        let (mut worker, armed) = loaded(100.0, NarwhalConfig::default(), 0);
+        assert_eq!(armed, vec![10 * MS]);
+        // Arrival 2 opens the next buffer: the timer is for 120 ms.
+        assert_eq!(
+            fallback_timer(&mut worker, 10 * MS),
+            (vec![1], vec![110 * MS])
+        );
+        // A beat seals arrivals 2..=6; arrival 7 opens a buffer at 70 ms.
+        assert_eq!(beat(&mut worker, 65 * MS), (vec![5], vec![105 * MS]));
+        assert_eq!(fallback_timer(&mut worker, 120 * MS), NOTHING, "stale");
+        // The primary goes quiet: the fallback alone paces the worker.
+        for (k, at) in [170, 280, 390].into_iter().enumerate() {
+            assert_eq!(
+                fallback_timer(&mut worker, at * MS),
+                (vec![11], vec![110 * MS]),
+                "seal {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn under_load_the_virtual_count_is_the_floor_of_rate_times_elapsed_at_every_event() {
+        let (rate, t0) = (3_333.3, 7 * MS);
+        let config = NarwhalConfig {
+            batch_bytes: 20_000,
+            ..NarwhalConfig::default()
+        };
+        let (mut worker, _) = loaded(rate, config, t0);
+        // At 0.7 tx/s the 63rd arrival is due at exactly 90 s, where the
+        // floor still counts 62: a timer armed for it must fire later, or it
+        // would find nothing and be armed for the same instant again.
+        let (slow, _) = loaded(0.7, NarwhalConfig::default(), 0);
+        for i in 1..=200 {
+            let at = slow.arrival(i).expect("under load");
+            assert_eq!(slow.due(0.7, at), i, "arrival {i} at {at}");
+        }
+        let (mut now, mut counted, mut x) = (t0, 0u64, 7u64);
+        for step in 0..2_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            now += (x >> 32) % (3 * MS);
+            let (batches, _) = match x >> 62 {
+                0 => beat(&mut worker, now),
+                1 => header_from(&mut worker, 1, 1, now),
+                _ => fallback_timer(&mut worker, now),
+            };
+            counted += batches.iter().sum::<u64>();
+            let elapsed = (now - t0) as f64 / SEC as f64;
+            let expected = (elapsed * rate).floor() as u64;
+            assert_eq!(counted + worker.virtual_txs, expected, "step {step}");
+        }
+        assert!(counted > 4_000, "{counted}");
+    }
+
+    #[test]
+    fn a_batch_samples_at_most_samples_per_batch_evenly_spaced_arrivals() {
+        let samples = |worker: &mut Worker<NoExt>, msg: Msg, now: Time| {
+            let mut ctx = Context::new(now, 4);
+            worker.on_message(0, msg, &mut ctx);
+            let mut times: Vec<Vec<Time>> = Vec::new();
+            for effect in ctx.drain() {
+                if let Effect::Send {
+                    to: 5,
+                    msg: NarwhalMsg::Batch(batch),
+                } = effect
+                {
+                    times.push(batch.samples.iter().map(|s| s.submit_ns / MS).collect());
+                }
+            }
+            times
+        };
+        // Ten client transactions at 1..=10 ms: positions 0, 2, 5 and 7.
+        let mut worker = ingesting(NarwhalConfig::default());
+        ingest(&mut worker, 0);
+        for at in 1..=10 {
+            ingest(&mut worker, at * MS);
+        }
+        assert_eq!(samples(&mut worker, header(0), 11 * MS), [vec![1, 3, 6, 8]]);
+        // Ten virtual arrivals at 2..=11 ms: the same positions.
+        let rate = 1_000.0;
+        let (mut worker, _) = loaded(rate, NarwhalConfig::default(), 0);
+        fallback_timer(&mut worker, MS);
+        assert_eq!(samples(&mut worker, header(0), 11 * MS), [vec![2, 4, 7, 9]]);
+        // One sample a batch is its oldest arrival; more than it holds, all.
+        for (k, expected) in [(1, vec![12]), (9, vec![12, 13, 14])] {
+            let config = NarwhalConfig {
+                samples_per_batch: k,
+                ..NarwhalConfig::default()
+            };
+            let (mut worker, _) = loaded(rate, config, 0);
+            fallback_timer(&mut worker, MS);
+            beat(&mut worker, 11 * MS);
+            assert_eq!(samples(&mut worker, header(0), 14 * MS), [expected]);
+        }
     }
 }

@@ -14,9 +14,10 @@
 //!   produced in the wave's third round.
 //!
 //! Unlike real threshold BLS, `f + 1` *specific* colluding parties could
-//! predict their own shares ahead of time; the discrete-event adversary in
-//! this reproduction is not adaptive, so this difference is not load-bearing
-//! (documented in `DESIGN.md`).
+//! predict their own shares ahead of time. That difference is not
+//! load-bearing here: every adversary this reproduction runs (the simulator's
+//! fault schedules and `narwhal::Byzantine`'s fixed strategies) is chosen
+//! before the run and never adapts to a coin value.
 
 use crate::digest::Digest;
 use crate::keys::{KeyPair, PublicKey, Scheme, Signature};
@@ -74,8 +75,8 @@ fn share_message(wave: u64) -> [u8; 16] {
 /// leader). Here uniqueness is obtained by deriving the value from
 /// `(domain, wave)` alone; the shares gate *when* the value can be
 /// reconstructed, not what it is. This makes the coin predictable to an
-/// observer who ignores the share rule — acceptable here because the
-/// simulator's adversary is not adaptive (see DESIGN.md).
+/// observer who ignores the share rule — acceptable here because no
+/// adversary this reproduction runs adapts to a coin value (module doc).
 pub fn combine_shares(
     domain: u64,
     wave: u64,

@@ -23,8 +23,8 @@
 //!   identifies the offending signer; over prepared keys
 //!   ([`verify_prepared`]) or keys as bytes ([`verify_batch`]).
 //! - [`coin`]: the threshold random coin Tusk uses to elect wave leaders
-//!   (§5 of the paper). See `DESIGN.md` for the substitution of the paper's
-//!   BLS threshold signature by a hash-based share scheme.
+//!   (§5 of the paper), with the paper's BLS threshold signature replaced by
+//!   a hash-based share scheme (the module doc says why that is enough here).
 
 pub mod batch;
 pub mod codec_impls;

@@ -89,7 +89,8 @@ impl BaselineValidator {
                     };
                     if let HsPayload::Txs(batch) = &block.payload {
                         // Count each block's transactions once system-wide:
-                        // at its proposer (metrics convention, DESIGN.md).
+                        // at its proposer, since every replica commits it and
+                        // the run's statistics sum every replica's events.
                         if block.author == self.me {
                             event.tx_count = batch.tx_count();
                             event.tx_bytes = batch.tx_bytes();

@@ -46,6 +46,7 @@ struct Slot {
 
 /// The index over a log's complete records and the accounting that goes
 /// with it: what a replay produces and what appends keep current.
+#[derive(Default)]
 struct Log {
     index: BTreeMap<Vec<u8>, Slot>,
     /// Bytes of live key + value data; used to decide when compaction
@@ -90,12 +91,7 @@ impl Log {
 /// (a missing file is an empty log), stopping early at a torn tail. Holds
 /// one key and one read buffer at a time — never the log, never a value.
 fn replay(path: &Path, max_records: usize) -> Result<Log, StoreError> {
-    let mut log = Log {
-        index: BTreeMap::new(),
-        live_bytes: 0,
-        end: 0,
-        records: 0,
-    };
+    let mut log = Log::default();
     let file = match File::open(path) {
         Ok(file) => file,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(log),
@@ -243,10 +239,12 @@ impl WalStore {
     pub fn compact(&self) -> Result<u64, StoreError> {
         let mut inner = unpoisoned(self.inner.lock());
         let tmp_path = self.path.with_extension("compact");
+        let mut log = Log::default();
         {
             let mut w = BufWriter::new(File::create(&tmp_path)?);
             for (key, slot) in &inner.log.index {
                 write_record(&mut w, key, Some(&read_slot(&inner.reader, *slot)?))?;
+                log.apply(key, Some(slot.len));
             }
             w.flush()?;
             w.get_ref().sync_all()?;
@@ -260,7 +258,7 @@ impl WalStore {
             _ => Path::new("."),
         };
         File::open(dir)?.sync_all()?;
-        inner.log = replay(&self.path, usize::MAX)?;
+        inner.log = log;
         (inner.writer, inner.reader) = open_handles(&self.path)?;
         // The compacted log was fsynced before the rename.
         inner.synced_records = inner.log.records;
