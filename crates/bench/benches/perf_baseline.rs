@@ -3,7 +3,7 @@
 //! Usage (`cargo bench -p nt_bench --bench perf_baseline -- [flags]`):
 //!
 //! - (no flags): the full matrix (6 DAG systems × committees of 4/10/20,
-//!   30 s runs), written to `BENCH_20.json` at the repository root.
+//!   30 s runs), written to `BENCH_21.json` at the repository root.
 //! - `--test`: a quick one-committee matrix written to a scratch path and
 //!   sanity-checked — the CI smoke profile.
 //! - `--out PATH`: override the output path.
@@ -17,7 +17,7 @@
 
 use nt_bench::baseline::{render_json, run_baseline, BaselineEntry};
 
-const ISSUE: u64 = 20;
+const ISSUE: u64 = 21;
 
 /// Pulls a numeric field out of one hand-rolled baseline entry line.
 fn field(line: &str, name: &str) -> Option<f64> {

@@ -71,7 +71,7 @@ use std::collections::BTreeMap;
 /// victim's blocks into the order. A system anchoring every round
 /// (pipelined Bullshark) packs those 8 chances into 8 rounds, so judging
 /// it by the raw constant would let a coalition censor a victim almost
-/// twice as long. [`check_fairness`] therefore re-derives the effective
+/// twice as long. `check_fairness` therefore re-derives the effective
 /// window per witness from the cadence its commit stream actually shows.
 pub const FAIRNESS_WINDOW: Round = 16;
 

@@ -402,10 +402,10 @@ pub fn self_test() -> Vec<SelfTestArm> {
         ],
     };
     let torn_outages = vec![
-        (1, torn_outage(10_100, 20)),
-        (45, torn_outage(10_100, 20)),
-        (164, torn_outage(10_100, 16)),
-        (84, torn_outage(10_100, 20)),
+        (118, torn_outage(10_100, 20)),
+        (160, torn_outage(10_100, 20)),
+        (79, torn_outage(10_100, 16)),
+        (364, torn_outage(10_100, 20)),
     ];
     let bug = |f: fn(&mut SelfTestBugs)| {
         let mut bugs = SelfTestBugs::default();

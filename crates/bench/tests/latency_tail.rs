@@ -1,9 +1,9 @@
 //! Regression: the Bullshark p99 latency cliff at 10-node committees
 //! (`BENCH_7.json` recorded ~16.5 s p99 against ~1.4 s p50).
 //!
-//! Two mechanisms, both in `Primary::try_propose` + `coverage_wishes`,
-//! produced the cliff on the fig-7 WAN topology (five regions, two
-//! validators each at n = 10):
+//! Two mechanisms, both in when the primary proposes, produced the cliff
+//! on the fig-7 WAN topology (five regions, two validators each at
+//! n = 10):
 //!
 //! 1. **Chain-continuity breaks.** A primary proposed round r the moment
 //!    payload and a 2f + 1 parent quorum were ready — without its *own*
@@ -19,11 +19,12 @@
 //!    validators led a wave — every 10 rounds under round-robin at n = 10,
 //!    and potentially never under a reputation schedule.
 //!
-//! The fix: every proposal waits (bounded by the header deadline) for its
-//! author's own previous certificate — the own-block case of the primary's
-//! wait for every block it voted for, under every commit rule — and
-//! Bullshark's `coverage_wishes` makes an anchor author wait for full
-//! previous-round coverage. This test pins both mechanisms.
+//! One proposer rule closes both, under every commit rule (rule 2): a block
+//! waits, up to the header deadline, for the certificate of every
+//! previous-round block its author voted for. Its own block is among them,
+//! so the chain holds. The others are every block it helped certify, so an
+//! anchor references those and not just the bare quorum, and the sweep
+//! reaches the slow region. This test pins both mechanisms.
 
 use nt_bench::metrics::RunStats;
 use nt_bench::{build_dag_actors, run_actors_result, BenchParams, System};

@@ -69,7 +69,7 @@ pub trait Election: Send {
     /// The leader `slot` (numbered from 1) will have if no
     /// [`Election::record`] intervenes, for elections fixed ahead of time.
     /// An election that only decides in retrospect (the coin) foresees
-    /// nobody, and its rules take no timing hints from the primary.
+    /// nobody, and its rules wish for no parent.
     fn foreseen(&self, slot: u64) -> Option<ValidatorId> {
         let _ = slot;
         None
@@ -152,7 +152,7 @@ pub trait CommitRule: Send + Default {
     /// (`slot > at.settled`).
     fn anchor_round(&self, at: Frontier, slot: u64) -> Round;
 
-    /// The slot whose candidate sits at `round`, for the timing hints (so
+    /// The slot whose candidate sits at `round`, for the parent wish (so
     /// only rules whose election foresees leaders are ever asked).
     fn slot_at(&self, at: Frontier, round: Round) -> Option<u64> {
         let _ = (at, round);
@@ -384,31 +384,5 @@ impl<E: Election, R: CommitRule> DagConsensus for AnchorWalk<E, R> {
         let prev = round.checked_sub(1);
         let wish = prev.and_then(|prev| Some((prev, self.foreseen_anchor(prev)?)));
         wish.into_iter().collect()
-    }
-
-    fn coverage_wishes(&self, round: Round, me: ValidatorId) -> Vec<(Round, ValidatorId)> {
-        // No foreseeable leader, no timing hints (see `Election::foreseen`).
-        if round == 0 || self.election.foreseen(self.at.settled + 1).is_none() {
-            return Vec::new();
-        }
-        // A leader about to propose its own anchor wishes for *every*
-        // previous-round certificate: the anchor's causal history is the
-        // commit sweep, and a history built from the bare 2f + 1 fastest
-        // certificates never reaches the slowest regions' chains — their
-        // blocks then wait for the next anchor led from their own region
-        // (10 rounds at n = 10 under round-robin; unboundedly long under a
-        // reputation schedule that stops electing them). Non-anchor blocks
-        // keep proposing at quorum, so the round cadence is untouched.
-        if round >= 2 && self.foreseen_anchor(round) == Some(me) {
-            return (0..self.committee.size())
-                .map(|v| (round - 1, ValidatorId(v as u32)))
-                .collect();
-        }
-        // Every other block wishes for nothing. Chain continuity — a block
-        // proposed without its author's own previous certificate strands
-        // everything below it until GC re-injection — is the primary's
-        // rule under every commit rule: a block waits for each
-        // previous-round block its author voted for, its own first of all.
-        Vec::new()
     }
 }

@@ -141,12 +141,12 @@ impl Certifier {
         dag: &Dag,
         id: &Identity,
         ctx: &mut Ctx<E>,
-    ) -> bool {
+    ) {
         // Condition (2), relaxed (module doc): not above our round — newer
         // blocks became current via their parents — and not below the GC
         // boundary, where the lock could not be kept.
         if header.round > round || header.round < dag.first_retained_round() {
-            return false;
+            return;
         }
         // Condition (4): first block from this creator in this round. A
         // re-delivery of the block we already acknowledged gets the same
@@ -161,7 +161,7 @@ impl Certifier {
         {
             Entry::Occupied(e) => {
                 if *e.get() != digest {
-                    return false; // Equivocation: never sign a second block.
+                    return; // Equivocation: never sign a second block.
                 }
             }
             Entry::Vacant(e) => {
@@ -177,7 +177,6 @@ impl Certifier {
         }
         let vote = Vote::new(&id.keypair, id.me, digest, header.round, header.author);
         ctx.send(id.addr.primary(header.author), NarwhalMsg::Vote(vote));
-        true
     }
 
     /// Counts a peer's vote for our block in flight; `true` if it is new.
@@ -318,16 +317,17 @@ mod tests {
         let mut certifier = Certifier::default();
         let (original, twin) = (block(&bench, &[]), block(&bench, b"x"));
         let mut ctx = Ctx::new(0, 0);
-        assert!(certifier.vote(&original, 1, &bench.dag, &id, &mut ctx));
-        assert!(certifier.vote(&original, 1, &bench.dag, &id, &mut ctx));
-        assert!(
-            !certifier.vote(&twin, 1, &bench.dag, &id, &mut ctx),
-            "second block from the same creator in the same round is not signed"
-        );
+        certifier.vote(&original, 1, &bench.dag, &id, &mut ctx);
+        certifier.vote(&original, 1, &bench.dag, &id, &mut ctx);
         let (sends, _) = effects(&mut ctx, 0);
         let cast = votes(&sends);
         assert_eq!(cast.len(), 2);
         assert_eq!(cast[0], cast[1], "acknowledgments are idempotent");
+        certifier.vote(&twin, 1, &bench.dag, &id, &mut ctx);
+        assert!(
+            ctx.is_empty(),
+            "second block from the same creator in the same round is not signed"
+        );
         assert!(sends
             .iter()
             .all(|(to, _)| *to == id.addr.primary(ValidatorId(1))));
@@ -336,7 +336,8 @@ mod tests {
         let s = id.store.as_ref().expect("durable");
         assert_eq!(revived.recover(s, &bench.dag, &id).expect("store"), 0);
         assert_eq!(revived.voted, certifier.voted);
-        assert!(!revived.vote(&twin, 1, &bench.dag, &id, &mut ctx));
+        revived.vote(&twin, 1, &bench.dag, &id, &mut ctx);
+        assert!(ctx.is_empty());
     }
 
     /// Rule 3: the local round has moved on, the block still gets its vote —
@@ -359,14 +360,16 @@ mod tests {
             bench.parents(3),
             None,
         );
+        certifier.vote(&ahead, 4, &bench.dag, &id, &mut ctx);
         assert!(
-            !certifier.vote(&ahead, 4, &bench.dag, &id, &mut ctx),
+            ctx.is_empty(),
             "a block above our round is not ours to judge yet"
         );
-        assert!(certifier.vote(&late, 4, &bench.dag, &id, &mut ctx));
+        certifier.vote(&late, 4, &bench.dag, &id, &mut ctx);
         assert_eq!(votes(&effects(&mut ctx, 0).0).len(), 1);
+        certifier.vote(&twin, 4, &bench.dag, &id, &mut ctx);
         assert!(
-            !certifier.vote(&twin, 4, &bench.dag, &id, &mut ctx),
+            ctx.is_empty(),
             "one vote per (creator, round), whenever it is cast"
         );
         let locks = certifier.locks(1).expect("locked");
@@ -375,7 +378,7 @@ mod tests {
         // GC passes round 1: the lock goes, and so does the right to a vote.
         bench.dag.gc(1);
         certifier.prune(bench.dag.first_retained_round());
-        assert!(!certifier.vote(&late, 4, &bench.dag, &id, &mut ctx));
+        certifier.vote(&late, 4, &bench.dag, &id, &mut ctx);
         assert!(ctx.is_empty() && certifier.locks(1).is_none());
     }
 

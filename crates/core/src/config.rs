@@ -82,11 +82,10 @@ pub struct NarwhalConfig {
     /// The one clock of round pacing: every wait of the proposer ends this
     /// long after the round was entered (`proposer.rs` has the full text).
     /// 1. An idle primary proposes an empty block at this deadline, unless
-    ///    the round is *live* — it voted for a peer's payload-bearing block
-    ///    of the round, or certified payload still awaits its anchor — in
-    ///    which case it proposes at once: rounds follow the commit, and only
-    ///    an all-idle committee runs on this clock (empty blocks keep the
-    ///    DAG, and thus consensus, alive).
+    ///    the round is *live* — certified payload still awaits its anchor —
+    ///    in which case it proposes at once: rounds follow the commit, and
+    ///    only an all-idle committee runs on this clock (empty blocks keep
+    ///    the DAG, and thus consensus, alive).
     /// 2. A primary holds its next block, up to this deadline, for the
     ///    certificate of every previous-round block it voted for, its own
     ///    included: an author that collects votes and withholds the

@@ -10,8 +10,8 @@
 //! Tusk, DAG-Rider, Bullshark and its variants — are policies over the one
 //! implementation in [`anchor_walk`](crate::anchor_walk), with the empty
 //! [`NoExt`]. The trait is what the primary calls, nothing more: decisions
-//! in, anchors out; counters, a crash checkpoint, and two bounded-wait
-//! timing hints.
+//! in, anchors out; counters, a crash checkpoint, and one bounded-wait
+//! timing hint (the parent wish).
 
 use crate::dag::Dag;
 use nt_network::Time;
@@ -120,33 +120,11 @@ pub trait DagConsensus: Send {
     /// This is the partial-synchrony hook: Bullshark-style protocols wait
     /// for the wave leader's certificate so voting-round blocks reference
     /// it and the leader commits in two rounds. It is purely a timing
-    /// hint — the primary waits at most its header deadline (the same
-    /// bound it applies to payload), then proposes without the wish, so
-    /// liveness and safety never depend on it. The default waits for
-    /// nothing.
+    /// hint — the primary waits at most its leader timeout
+    /// (`max_leader_delay`), then proposes without the wish, so liveness
+    /// and safety never depend on it. The default waits for nothing.
     fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
         let _ = round;
-        Vec::new()
-    }
-
-    /// Parents worth a *short*, payload-deadline-bounded wait before `me`
-    /// proposes its `round` block, as `(round - 1, author)` slots.
-    ///
-    /// Where [`DagConsensus::parent_wishes`] buys a whole WAN round-trip
-    /// for the one certificate a wave cannot commit without, this hook is
-    /// a best-effort coverage hint for blocks whose *causal history* is
-    /// what commits: an anchor ("leader block") sweeps everything it can
-    /// reach, so an anchor proposed at bare 2f + 1 quorum strands the
-    /// slowest validators' chains until a leader from their own region
-    /// comes up — rounds of extra latency for their batches. Waiting the
-    /// few extra milliseconds for full parent coverage is free as long as
-    /// it stays inside the quorum slack (the gap between the anchor's own
-    /// certificate forming and the 2f + 1st certificate the round advance
-    /// actually waits for), which is why the primary bounds the wait by
-    /// `max_header_delay`, not the leader timeout. The default wishes for
-    /// nothing.
-    fn coverage_wishes(&self, round: Round, me: ValidatorId) -> Vec<(Round, ValidatorId)> {
-        let _ = (round, me);
         Vec::new()
     }
 }
@@ -192,10 +170,6 @@ impl<C: DagConsensus + ?Sized> DagConsensus for Box<C> {
 
     fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
         (**self).parent_wishes(round)
-    }
-
-    fn coverage_wishes(&self, round: Round, me: ValidatorId) -> Vec<(Round, ValidatorId)> {
-        (**self).coverage_wishes(round, me)
     }
 }
 

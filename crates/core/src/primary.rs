@@ -15,15 +15,15 @@
 //! [`Primary`] keeps what they all read — the [`Dag`], the local round, the
 //! consensus plug-in ([`DagConsensus`]: Tusk interprets the DAG locally with
 //! zero extra messages; Narwhal-HotStuff exchanges extension messages
-//! through the same primary) and the validator's [`Identity`], store handle
+//! through the same primary) and the validator's `Identity`, store handle
 //! included — and the order in which they are called. A certificate whose
 //! ancestry is complete runs one re-entrant sequence:
 //!
 //! ```text
 //! insert_certificate    dag.insert, persist (barrier before an own broadcast),
 //!                         executor.on_certified (payload now awaits its anchor)
-//!  1 wake voters        synchronizer.next_ready -> maybe_vote ----+
-//!  2 advance_round      2f + 1 certificates of the round ---------+-> try_propose
+//!  1 wake voters        synchronizer.next_ready -> maybe_vote
+//!  2 advance_round      2f + 1 certificates of the round -> try_propose
 //!  3 consensus          on_certificate -> pulls, anchors
 //!  4 try_propose        proposer.try_propose (told: executor.awaits_anchor,
 //!                         certifier.locks) -> certifier.adopt -> certify
@@ -47,7 +47,7 @@
 //! garbage collection. On start it recovers all of it, so a crashed
 //! validator resumes from its persisted frontier instead of genesis and
 //! never re-commits or equivocates across the outage. Every access goes
-//! through [`disk`]: skipped on a volatile primary, fail-stop on a disk
+//! through `disk`: skipped on a volatile primary, fail-stop on a disk
 //! error.
 
 use crate::certifier::{parents_certified, Certifier};
@@ -376,14 +376,8 @@ impl<C: DagConsensus> Primary<C> {
             return;
         }
         self.advance_round(ctx);
-        let (round, dag) = (self.round, &self.dag);
-        if !self.certifier.vote(&header, round, dag, &self.id, ctx) {
-            return;
-        }
-        if !header.payload.is_empty() && header.round == round {
-            self.proposer.live_round = round;
-            self.try_propose(ctx);
-        }
+        self.certifier
+            .vote(&header, self.round, &self.dag, &self.id, ctx);
     }
 
     fn handle_vote(&mut self, vote: Vote, ctx: &mut Ctx<C::Ext>) {
@@ -913,13 +907,13 @@ mod tests {
         assert_eq!((volatile.round(), volatile.dag().len()), (1, 4));
     }
 
-    /// The vote is what first makes a round live: an idle primary proposes
-    /// in the very handler in which it votes for a payload-bearing block of
-    /// its round — not for an empty block, and not while it cannot vote. A
+    /// A payload-bearing block gets its vote once its batch is stored, and
+    /// releases nothing: only its certificate makes the round live (rule 1),
+    /// and an idle primary proposes in the very handler that inserts it. A
     /// block of the round behind gets its vote too (rule 3), and releases
-    /// nothing.
+    /// nothing either.
     #[test]
-    fn voting_for_a_payload_bearing_block_releases_our_own_in_the_same_handler() {
+    fn a_stored_batch_releases_the_vote_and_certified_payload_our_block() {
         let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
         let mut p = NodeBuilder::new(committee.clone(), 0)
             .keypair(kps[0].clone())
@@ -957,24 +951,26 @@ mod tests {
         let report = NarwhalMsg::ReportBatch(held.clone());
         assert_eq!(
             deliver(&mut p, 4, report, 3 * MS),
-            (true, true, 0),
-            "the report releases both"
+            (true, false, 0),
+            "the report releases the vote only"
         );
+        // Validator 2's certified payload awaits an anchor: round 1 is live,
+        // and our block leaves in the handler that inserts the certificate.
+        let empty = certify_header(&committee, &kps, block(1, vec![]));
+        let empty = deliver(&mut p, 1, NarwhalMsg::Certificate(empty), 4 * MS);
+        assert_eq!(empty, (false, false, 0), "no payload, not live");
+        let loaded = certify_header(&committee, &kps, loaded);
+        let loaded = deliver(&mut p, 2, NarwhalMsg::Certificate(loaded), 4 * MS);
+        assert_eq!(loaded, (false, true, 0), "rule 1");
         // Round 2 opens on the certificates of validators 1 and 2 and our
-        // own. Validator 2's certified payload awaits an anchor, so the
-        // round is live, and every block we voted for is certified: our
-        // next block leaves in the handler that completes our certificate.
+        // own. The round is live, and every block we voted for is
+        // certified: our next block leaves in the handler that completes
+        // our certificate.
         let vote = |v: usize, header: &Header| {
             let voter = ValidatorId(v as u32);
             Vote::new(&kps[v], voter, header.digest(), header.round, header.author)
         };
         let own = p.certifier.current_header.clone().expect("in flight");
-        for cert in [
-            certify_header(&committee, &kps, block(1, vec![])),
-            certify_header(&committee, &kps, loaded),
-        ] {
-            deliver(&mut p, 1, NarwhalMsg::Certificate(cert), 4 * MS);
-        }
         let first_vote = deliver(&mut p, 1, NarwhalMsg::Vote(vote(1, &own)), 4 * MS);
         assert_eq!(first_vote, (false, false, 0), "two of three");
         assert_eq!(

@@ -5,13 +5,12 @@
 //!
 //! The block of round r + 1 needs 2f + 1 certificates of round r, and then
 //! leaves as soon as none of the waits below holds it. The only clock is
-//! `round_entered + max_header_delay` (the *deadline*); consensus wishes
-//! keep their own bounds.
+//! `round_entered + max_header_delay` (the *deadline*); the consensus
+//! parent wish keeps its own bound.
 //!
 //! 1. **A round is live while certified payload awaits its anchor.** An
 //!    idle primary (no own digest pending) waits for the deadline only if
-//!    the round is not live. It is live once we voted for a peer's
-//!    payload-bearing block of it, and for as long as the DAG holds a
+//!    the round is not live. It is live for as long as the DAG holds a
 //!    payload-bearing certificate no anchor has ordered: the 3-4 rounds a
 //!    block still needs to reach its anchor run at network speed instead of
 //!    each waiting for somebody's next batch (§3.1: a validator moves on as
@@ -36,21 +35,16 @@
 //!    new block rather than waiting `gc_depth` rounds for GC re-injection
 //!    (which remains for blocks that certified and were pruned unordered).
 //!
-//! Consensus wishes sit beside these. A *parent* wish (Bullshark's wave
-//! leader) is the one certificate whose absence costs a whole wave, so it
-//! is worth the leader timeout — a WAN round-trip. *Coverage* wishes (an
-//! anchor sweeping the slowest regions' chains) are opportunistic and must
-//! stay inside the quorum slack before the 2f + 1st certificate the round
-//! advance waits for, or the wait stretches the cadence; fig-7 WAN
-//! stragglers trail round entry by tens of milliseconds, so 3/8 of the
-//! header delay catches them. Chain continuity — the wait for one's own
-//! previous certificate — is rule 2's own-block case, not a wish.
+//! A consensus *parent* wish (Bullshark's wave leader) sits beside these:
+//! the one certificate whose absence costs a whole wave, so it is worth the
+//! leader timeout — a WAN round-trip. Chain continuity — the wait for one's
+//! own previous certificate — is rule 2's own-block case, not a wish.
 //!
 //! # State
 //!
-//! Owns the round pacing state (`last_proposed`, `live_round`, the
-//! [`ProposalWait`] in force, the [`ProposalCounts`] it feeds), the queue of
-//! own digests awaiting a block (`pending_digests`), what each own block
+//! Owns the round pacing state (`last_proposed`, the [`ProposalWait`] in
+//! force, the [`ProposalCounts`] it feeds), the queue of own digests
+//! awaiting a block (`pending_digests`), what each own block
 //! carried (`own_payloads`), and the three batch-bookkeeping sets. Two of
 //! those gate and feed proposals — `committed_batches` keeps a re-reported
 //! batch out of a second block, `batch_meta` is what re-injection re-queues
@@ -73,7 +67,8 @@ use nt_types::{Certificate, CommitEvent, Header, ProposalCounts, Round, Validato
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// The proposal wait in force: its round, the due time of the one
-/// `TAG_PROPOSE` timer armed for it, and whether only a wish still held it.
+/// `TAG_PROPOSE` timer armed for it, and whether only the parent wish still
+/// held it.
 #[derive(Default)]
 struct ProposalWait {
     round: Round,
@@ -95,9 +90,6 @@ pub(crate) struct RoundState<'a> {
 #[derive(Default)]
 pub(crate) struct Proposer {
     last_proposed: Round,
-    /// The latest round in which we voted for a payload-bearing block: the
-    /// committee has work in that round, so an idle proposal need not wait.
-    pub(crate) live_round: Round,
     wait: ProposalWait,
     /// Why each block so far was proposed.
     pub(crate) proposals: ProposalCounts,
@@ -190,12 +182,9 @@ impl Proposer {
         let config = &id.config;
         let deadline = round_entered + config.max_header_delay;
         let wish_deadline = round_entered + config.max_leader_delay.max(config.max_header_delay);
-        let coverage_deadline = round_entered + config.max_header_delay * 3 / 8;
         let absent = |&(round, author): &(Round, ValidatorId)| dag.get(round, author).is_none();
         let awaiting_parent =
             now < wish_deadline && consensus.parent_wishes(round).iter().any(absent);
-        let wishes = consensus.coverage_wishes(round, id.me);
-        let awaiting_coverage = now < coverage_deadline && wishes.iter().any(absent);
         // Rule 2. The slot, not the digest: if a twin of the block we voted
         // for certified instead, ours no longer can.
         let uncertified = |author: &ValidatorId| absent(&(round - 1, *author));
@@ -203,14 +192,12 @@ impl Proposer {
             now < deadline && voted.is_some_and(|locks| locks.keys().any(uncertified));
         // Rule 1.
         let idle = self.pending_digests.is_empty();
-        let awaiting_payload = now < deadline && idle && !live && self.live_round != round;
-        if awaiting_parent || awaiting_coverage || awaiting_voted || awaiting_payload {
+        let awaiting_payload = now < deadline && idle && !live;
+        if awaiting_parent || awaiting_voted || awaiting_payload {
             let until = if awaiting_parent {
                 wish_deadline
-            } else if awaiting_voted || awaiting_payload {
-                deadline
             } else {
-                coverage_deadline
+                deadline
             };
             // One timer per wait, however many certificates and reports
             // land here; `until > now`, so a fired timer's successor differs.
@@ -412,12 +399,9 @@ mod tests {
     use nt_network::MS;
     use nt_types::WorkerId;
 
-    /// Wishes for fixed authors' previous-round blocks, Bullshark-style.
-    #[derive(Default)]
-    struct Wishes {
-        parent: Vec<u32>,
-        coverage: Vec<u32>,
-    }
+    /// Wishes for one fixed author's previous-round block as a parent,
+    /// Bullshark-style.
+    struct Wishes(u32);
 
     impl DagConsensus for Wishes {
         type Ext = NoExt;
@@ -425,13 +409,7 @@ mod tests {
         fn on_certificate(&mut self, _: &Dag, _: &Certificate, _: &mut ConsensusOut<NoExt>) {}
 
         fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
-            let slot = |a: &u32| (round - 1, ValidatorId(*a));
-            self.parent.iter().map(slot).collect()
-        }
-
-        fn coverage_wishes(&self, round: Round, _: ValidatorId) -> Vec<(Round, ValidatorId)> {
-            let slot = |a: &u32| (round - 1, ValidatorId(*a));
-            self.coverage.iter().map(slot).collect()
+            vec![(round - 1, ValidatorId(self.0))]
         }
     }
 
@@ -538,10 +516,10 @@ mod tests {
         let delay = identity(&bench, 0).config.max_header_delay;
         let idle = propose(&mut p, &bench, 2, ENTERED + MS);
         assert_eq!(idle, (None, vec![delay - MS]));
-        // The vote for a peer's payload-bearing block of the round makes it
-        // live before any certificate does.
-        p.live_round = 2;
-        assert!(propose(&mut p, &bench, 2, ENTERED + 2 * MS).0.is_some());
+        // New certified payload makes the waiting round live: the block
+        // leaves at once, not at the timer already armed.
+        let (header, timers) = propose_told(&mut p, &bench, 2, ENTERED + 2 * MS, live);
+        assert!(header.is_some() && timers.is_empty());
         assert_eq!((p.proposals.followed, p.proposals.deadline), (2, 0));
     }
 
@@ -585,20 +563,19 @@ mod tests {
     }
 
     /// The wait table: validator 0 of 10 at round 2 wishes for validator
-    /// 5's block as a parent and for validator 6's as coverage, and voted
-    /// for validator 7's.
+    /// 5's block as a parent and voted for validator 7's; validator 6's
+    /// block is neither, and its absence holds nothing.
     #[test]
     fn each_wait_alone_and_combined_arms_one_timer_for_its_own_deadline() {
         let config = NarwhalConfig::default();
         let (header, leader) = (config.max_header_delay, config.max_leader_delay);
         // (absent round-1 blocks, own batch queued, wait from round entry)
-        let cases: [(&[u32], bool, Option<Time>); 11] = [
+        let cases: [(&[u32], bool, Option<Time>); 10] = [
             (&[], true, None),
+            (&[6], true, None),
             (&[], false, Some(header)),
             (&[5], true, Some(leader)),
             (&[7], true, Some(header)),
-            (&[6], true, Some(header * 3 / 8)),
-            (&[6], false, Some(header)),
             (&[6, 7], true, Some(header)),
             (&[7], false, Some(header)),
             (&[5, 6], false, Some(leader)),
@@ -606,10 +583,7 @@ mod tests {
             (&[5, 6, 7], true, Some(leader)),
         ];
         for (absent, queued, wait) in cases {
-            let mut bench = DagBench::new(10, |_| Wishes {
-                parent: vec![5],
-                coverage: vec![6],
-            });
+            let mut bench = DagBench::new(10, |_| Wishes(5));
             let present: Vec<u32> = (0..10).filter(|a| !absent.contains(a)).collect();
             bench.round(1, &present);
             let mut p = Proposer::default();
@@ -639,7 +613,7 @@ mod tests {
                     assert_eq!(proposed.map(|h| h.round), Some(2), "{case}");
                     // A wish ended the wait only if neither payload nor a
                     // block we voted for was also awaited.
-                    let by_wish = queued && !absent.is_empty() && !absent.contains(&7);
+                    let by_wish = queued && absent.contains(&5) && !absent.contains(&7);
                     assert_eq!(p.proposals.wish, by_wish as u32, "{case}");
                 }
             }
@@ -648,10 +622,7 @@ mod tests {
 
     #[test]
     fn a_missing_wished_leader_holds_even_a_live_round() {
-        let mut bench = DagBench::new(4, |_| Wishes {
-            parent: vec![3],
-            coverage: vec![],
-        });
+        let mut bench = DagBench::new(4, |_| Wishes(3));
         bench.round(1, &[0, 1, 2]);
         let config = NarwhalConfig::default();
         let mut p = Proposer::default();

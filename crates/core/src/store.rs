@@ -525,7 +525,7 @@ impl BlockStore {
     }
 
     /// Persists one snapshot package at its snapshot point and prunes
-    /// superseded packages, keeping the newest [`SNAPSHOTS_RETAINED`].
+    /// superseded packages, keeping the newest `SNAPSHOTS_RETAINED`.
     pub fn put_snapshot(&self, package: &SnapshotPackage) -> Result<(), BlockStoreError> {
         self.inner.put(
             &snapshot_key(package.manifest.sequence),

@@ -199,7 +199,7 @@ impl Fe {
     }
 
     /// Field multiplication: schoolbook 4 × 4 → 8 limbs, row by row, then
-    /// [`fold512`].
+    /// `fold512`.
     ///
     /// Each step computes `out[i+j] + a[i] * b[j] + carry`, whose maximum
     /// value is exactly `u128::MAX`, so no intermediate overflows.

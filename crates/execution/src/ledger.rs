@@ -43,7 +43,7 @@ const TRANSFER_MIN: usize = 16;
 
 /// Encodes a transfer as transaction payload bytes: `[0..8]` id (LE),
 /// `[8..10]` source account (LE), `[10..12]` destination account (LE),
-/// `[12..16]` amount (LE), zero-padded to [`TRANSFER_TX_BYTES`].
+/// `[12..16]` amount (LE), zero-padded to `TRANSFER_TX_BYTES` (64).
 pub fn transfer_tx(id: u64, from: u16, to: u16, amount: u32) -> Transaction {
     let mut payload = vec![0u8; TRANSFER_TX_BYTES];
     payload[..8].copy_from_slice(&id.to_le_bytes());

@@ -173,9 +173,9 @@ impl DagConsensus for NarwhalHsConsensus {
     }
 }
 
-/// Builds a Narwhal-HS deployment in [`AddressBook`] order: `n` primaries
-/// (each embedding a HotStuff replica) followed by `workers` workers per
-/// validator.
+/// Builds a Narwhal-HS deployment in [`AddressBook`](narwhal::AddressBook)
+/// order: `n` primaries (each embedding a HotStuff replica) followed by
+/// `workers` workers per validator.
 pub fn build_narwhal_hs_actors(
     n: usize,
     workers: u32,

@@ -13,14 +13,14 @@ use nt_crypto::Digest;
 pub struct ProposalCounts {
     /// Own batch digests were pending.
     pub payload: u32,
-    /// Idle, but the round was live: the primary had voted for a peer's
-    /// payload-bearing block of the round, or certified payload still
-    /// awaited its anchor.
+    /// Idle, but the round was live: certified payload still awaited its
+    /// anchor.
     pub followed: u32,
     /// Idle in an idle round: `max_header_delay` ran out.
     pub deadline: u32,
-    /// Ready earlier, but held for a parent the consensus protocol wished
-    /// for until it arrived or its own timeout ran out.
+    /// Ready earlier, but held only for the parent the consensus protocol
+    /// wished for (the parent wish, e.g. Bullshark's wave leader) until it
+    /// arrived or the leader timeout ran out.
     pub wish: u32,
 }
 

@@ -52,9 +52,11 @@ impl Encode for Transaction {
 }
 
 impl Decode for Transaction {
+    /// Accepts what `Vec<u8>::decode` accepts, as one copy instead of a
+    /// push per byte.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Transaction {
-            payload: Vec::<u8>::decode(reader)?,
+            payload: <&[u8]>::decode_borrowed(reader)?.to_vec(),
         })
     }
 }
@@ -159,6 +161,38 @@ mod tests {
             assert_eq!(bytes, encode_to_vec(&tx.payload), "{size} B");
             assert_eq!(bytes.len(), tx.encoded_len(), "{size} B");
         }
+    }
+
+    /// The one-copy decode accepts and rejects exactly what the generic
+    /// `Vec<u8>` one does: every size across the varint's width steps,
+    /// every truncated prefix of each, and a length over the bound. The
+    /// generic decode of a prefix costs its length, so it is compared at
+    /// every cut near either end and at every 61st in between (every
+    /// prefix of all of them would take a minute in a debug build).
+    #[test]
+    fn transaction_decodes_as_its_payload_vec() {
+        use DecodeError::UnexpectedEnd;
+        let one_copy = |bytes: &[u8]| decode_from_slice::<Transaction>(bytes).map(|tx| tx.payload);
+        let generic = |bytes: &[u8]| decode_from_slice::<Vec<u8>>(bytes);
+        for size in [0, 1, 127, 128, 16_383, 16_384, 70_000] {
+            let payload: Vec<u8> = (0..size).map(|i| i as u8).collect();
+            let bytes = encode_to_vec(&payload);
+            assert_eq!(one_copy(&bytes), Ok(payload), "{size} B");
+            assert_eq!(generic(&bytes), one_copy(&bytes), "{size} B");
+            for cut in 0..bytes.len() {
+                let prefix = &bytes[..cut];
+                let truncated = one_copy(prefix);
+                assert_eq!(truncated, Err(UnexpectedEnd), "{size} B, {cut}");
+                if cut < 256 || bytes.len() - cut <= 256 || cut % 61 == 0 {
+                    assert_eq!(generic(prefix), truncated, "{size} B, {cut}");
+                }
+            }
+        }
+        let mut over = Vec::new();
+        put_varint(&mut over, nt_codec::MAX_SEQUENCE_LEN + 1);
+        let overflow = DecodeError::LengthOverflow(nt_codec::MAX_SEQUENCE_LEN + 1);
+        assert_eq!(one_copy(&over), Err(overflow));
+        assert_eq!(generic(&over), one_copy(&over));
     }
 
     #[test]
