@@ -158,7 +158,8 @@ pub fn dag_rule(system: System, committee: &Committee, seed: u64) -> DagRule {
 }
 
 /// Builds the actor set of a DAG-over-Narwhal system (all of them share the
-/// `NarwhalMsg<NoExt>` wire type), without persistence.
+/// `NarwhalMsg<NoExt>` wire type) for a run that never restarts a host:
+/// each writes through a fresh store in memory, and no snapshot is taken.
 pub fn build_dag_actors(
     system: System,
     params: &BenchParams,
@@ -166,13 +167,11 @@ pub fn build_dag_actors(
     let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
     let seed = params.seed;
     let rule = move |c: &Committee| dag_rule(system, c, seed);
-    narwhal::committee_actors(
-        &committee,
-        &kps,
-        &params.narwhal_config(),
-        params.workers,
-        rule,
-    )
+    let config = narwhal::NarwhalConfig {
+        snapshot_interval: 0,
+        ..params.narwhal_config()
+    };
+    narwhal::committee_actors(&committee, &kps, &config, rule)
 }
 
 fn run_dag_system(system: System, params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
@@ -243,7 +242,6 @@ pub fn build_dag_actor_factories_with_app(
         &committee,
         &kps,
         config,
-        params.workers,
         move |c: &Committee| dag_rule(system, c, seed),
         move |v, builder| {
             let builder = builder.store(stores[v as usize].clone());

@@ -19,14 +19,14 @@
 //! advance still certify, instead of being abandoned by a committee that
 //! every member of then waits out the header delay for.
 //!
-//! Outcomes: [`Certifier::vote`] says whether the vote went out;
+//! Outcomes: [`Certifier::vote`] queues the vote, if one is due;
 //! [`Certifier::certify`] returns the assembled certificate, already
 //! broadcast, for the caller to insert.
 
 use crate::dag::Dag;
 use crate::messages::NarwhalMsg;
 use crate::primary::{Ctx, Identity};
-use crate::store::{disk, BlockStore, BlockStoreError};
+use crate::store::{fail_stop, BlockStore, BlockStoreError};
 use nt_crypto::{Digest, Hashable};
 use nt_types::{Certificate, Header, Round, ValidatorId, Vote};
 use std::collections::hash_map::Entry;
@@ -97,24 +97,22 @@ impl Certifier {
             .entry(header.round)
             .or_default()
             .insert(id.me, digest);
-        disk(&id.store, |s| {
-            if !id.config.bugs.skip_vote_persist {
-                s.put_vote(header.round, id.me, &digest)?;
-            }
-            // Persist the in-flight proposal and sync, both *before* the
-            // broadcast below leaves (effects drain after this handler):
-            // a primary that crashes between proposing and certifying can
-            // neither re-propose the round (condition 4) nor retransmit a
-            // header it no longer has — with two such losses at one round,
-            // a 4-validator committee wedges below quorum forever (found
-            // by `sim_fuzz`, seeds 19 and 378). Recovery re-arms the slot
-            // and §4.1 retransmission completes the round.
-            s.put_own_header(&header)?;
-            if !id.config.bugs.skip_sync_barriers {
-                s.barrier()?;
-            }
-            Ok(())
-        });
+        let s = &id.store;
+        if !id.config.bugs.skip_vote_persist {
+            fail_stop(s.put_vote(header.round, id.me, &digest));
+        }
+        // Persist the in-flight proposal and sync, both *before* the
+        // broadcast below leaves (effects drain after this handler): a
+        // primary that crashes between proposing and certifying can neither
+        // re-propose the round (condition 4) nor retransmit a header it no
+        // longer has — with two such losses at one round, a 4-validator
+        // committee wedges below quorum forever (found by `sim_fuzz`, seeds
+        // 19 and 378). Recovery re-arms the slot and §4.1 retransmission
+        // completes the round.
+        fail_stop(s.put_own_header(&header));
+        if !id.config.bugs.skip_sync_barriers {
+            fail_stop(s.barrier());
+        }
         for node in id.addr.other_primaries(id.me) {
             ctx.send(node, NarwhalMsg::Header(header.clone()));
         }
@@ -169,9 +167,7 @@ impl Certifier {
                 // Persist the lock *before* the vote leaves: a restarted
                 // incarnation must remember what it signed (§3.1 cond. 4).
                 if !id.config.bugs.skip_vote_persist {
-                    disk(&id.store, |s| {
-                        s.put_vote(header.round, header.author, &digest)
-                    });
+                    fail_stop(id.store.put_vote(header.round, header.author, &digest));
                 }
             }
         }
@@ -254,7 +250,7 @@ mod tests {
     use crate::config::NarwhalConfig;
     use crate::consensus::{NoConsensus, NoExt};
     use crate::deployment::AddressBook;
-    use crate::testing::fixture::{durable, effects, identity, Msg};
+    use crate::testing::fixture::{effects, identity, Msg};
     use crate::testing::{certify, DagBench};
     use nt_network::NodeId;
     use nt_storage::{Store, StoreError};
@@ -310,10 +306,7 @@ mod tests {
     #[test]
     fn a_redelivered_block_gets_the_same_vote_and_its_twin_none() {
         let bench = DagBench::new(4, |_| NoConsensus);
-        let id = Identity {
-            store: durable(),
-            ..identity(&bench, 0)
-        };
+        let id = identity(&bench, 0);
         let mut certifier = Certifier::default();
         let (original, twin) = (block(&bench, &[]), block(&bench, b"x"));
         let mut ctx = Ctx::new(0, 0);
@@ -333,8 +326,8 @@ mod tests {
             .all(|(to, _)| *to == id.addr.primary(ValidatorId(1))));
         // The lock outlives the incarnation that took it.
         let mut revived = Certifier::default();
-        let s = id.store.as_ref().expect("durable");
-        assert_eq!(revived.recover(s, &bench.dag, &id).expect("store"), 0);
+        let signed = revived.recover(&id.store, &bench.dag, &id);
+        assert_eq!(signed.expect("store"), 0);
         assert_eq!(revived.voted, certifier.voted);
         revived.vote(&twin, 1, &bench.dag, &id, &mut ctx);
         assert!(ctx.is_empty());
@@ -386,7 +379,7 @@ mod tests {
     fn a_lock_that_misses_the_disk_stops_the_validator_before_the_vote_is_queued() {
         let bench = DagBench::new(4, |_| NoConsensus);
         let id = Identity {
-            store: Some(BlockStore::new(Arc::new(Failing))),
+            store: BlockStore::new(Arc::new(Failing)),
             ..identity(&bench, 0)
         };
         let mut certifier = Certifier::default();
@@ -408,10 +401,7 @@ mod tests {
     #[test]
     fn a_quorum_of_distinct_votes_certifies_the_adopted_block_once() {
         let bench = DagBench::new(4, |_| NoConsensus);
-        let id = Identity {
-            store: durable(),
-            ..identity(&bench, 0)
-        };
+        let id = identity(&bench, 0);
         let mut certifier = Certifier::default();
         let mut ctx = Ctx::new(0, 0);
         let header = Header::new(&id.keypair, id.me, 1, vec![], bench.parents(0), None);
@@ -441,8 +431,8 @@ mod tests {
         assert!(!certifier.on_vote(peer_vote(3), &id), "nothing in flight");
         // A restart before certification re-arms the persisted proposal.
         let mut revived = Certifier::default();
-        let s = id.store.as_ref().expect("durable");
-        assert_eq!(revived.recover(s, &bench.dag, &id).expect("store"), 1);
+        let signed = revived.recover(&id.store, &bench.dag, &id);
+        assert_eq!(signed.expect("store"), 1);
         assert_eq!(revived.current_header, Some(header));
     }
 

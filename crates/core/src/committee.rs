@@ -8,7 +8,7 @@ use crate::node::NodeBuilder;
 use nt_crypto::KeyPair;
 use nt_network::Actor;
 use nt_simnet::ActorFactory;
-use nt_types::{Committee, WorkerId};
+use nt_types::{Committee, ValidatorId, WorkerId};
 
 /// One factory per host. A factory builds its host from scratch on every
 /// call, which is what crash–restart scenarios need: the simulator rebuilds
@@ -23,7 +23,6 @@ pub fn committee_factories<C, R, N>(
     committee: &Committee,
     keypairs: &[KeyPair],
     config: &NarwhalConfig,
-    workers: u32,
     rule: R,
     node: N,
 ) -> Vec<ActorFactory<NarwhalMsg<C::Ext>>>
@@ -36,7 +35,7 @@ where
         let (committee, config) = (committee.clone(), config.clone());
         move |v: u32| {
             let builder = NodeBuilder::new(committee.clone(), v).config(config.clone());
-            node(v, builder.workers_per_validator(workers))
+            node(v, builder)
         }
     };
     let validators = 0..committee.size() as u32;
@@ -50,7 +49,7 @@ where
         }));
     }
     for v in validators {
-        for w in 0..workers {
+        for w in 0..committee.num_workers(ValidatorId(v)) {
             let builder = builder.clone();
             factories.push(Box::new(move || {
                 Box::new(builder(v).build_worker::<C::Ext>(WorkerId(w)))
@@ -60,16 +59,16 @@ where
     factories
 }
 
-/// The actors of a deployment without persistence: every
-/// [`committee_factories`] host, built once.
+/// The actors of a deployment whose hosts never restart: every
+/// [`committee_factories`] host, built once, each over a fresh store in
+/// memory.
 pub fn committee_actors<C: DagConsensus + 'static>(
     committee: &Committee,
     keypairs: &[KeyPair],
     config: &NarwhalConfig,
-    workers: u32,
     rule: impl Fn(&Committee) -> C + Clone + Send + 'static,
 ) -> Vec<Box<dyn Actor<Message = NarwhalMsg<C::Ext>>>> {
-    committee_factories(committee, keypairs, config, workers, rule, |_, b| b)
+    committee_factories(committee, keypairs, config, rule, |_, b| b)
         .into_iter()
         .map(|mut build| build())
         .collect()
@@ -83,9 +82,9 @@ mod tests {
 
     #[test]
     fn actor_count_matches_layout() {
-        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let (committee, kps) = Committee::deterministic(4, 2, Scheme::Insecure);
         let config = NarwhalConfig::with_load(1000.0);
-        let actors = committee_actors(&committee, &kps, &config, 2, |_| NoConsensus);
+        let actors = committee_actors(&committee, &kps, &config, |_| NoConsensus);
         assert_eq!(actors.len(), AddressBook::new(4, 2).total_hosts());
     }
 }

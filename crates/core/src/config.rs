@@ -66,6 +66,15 @@ pub struct SelfTestBugs {
     pub disable_snapshots: bool,
 }
 
+/// How long a request for what is missing — a certificate (§4.1), a batch,
+/// a snapshot chunk — waits for its answer before it is sent again, to the
+/// next peer; also the period of both roles' retry timer.
+pub(crate) const SYNC_RETRY_DELAY: Time = 500 * MS;
+
+/// How long an own block or batch goes without its quorum before it is
+/// re-broadcast to the peers whose acknowledgment is missing.
+pub(crate) const RESEND_DELAY: Time = 1_000 * MS;
+
 /// Tunable Narwhal parameters.
 #[derive(Clone, Debug)]
 pub struct NarwhalConfig {
@@ -95,31 +104,17 @@ pub struct NarwhalConfig {
     ///    this deadline at the latest — is given up, and the replacement
     ///    carries its payload first.
     pub max_header_delay: Time,
-    /// Upper bound on waiting for a parent the consensus protocol *wished*
-    /// for (Bullshark's wave leader) before proposing leaderless — the
-    /// partial-synchrony leader timeout. Must cover a WAN vote round-trip
-    /// plus certificate propagation, which is longer than the payload
-    /// deadline: with the two collapsed, waves led by far-region validators
-    /// systematically miss their `2f + 1` direct quorum and every commit
-    /// behind them stalls on the indirect path.
-    pub max_leader_delay: Time,
-    /// Maximum number of batch digests per block. Bounds the primary block
-    /// at ~2.5 KB; at ten workers the scale-out needs ~40 digests per block
-    /// (§4.2's "future bottleneck" arithmetic).
-    pub header_payload_limit: usize,
     /// Rounds kept in memory behind the last committed anchor (§3.3).
     pub gc_depth: u64,
-    /// Retry interval for pull synchronization (§4.1).
-    pub sync_retry_delay: Time,
-    /// Re-broadcast interval for the current un-certified block.
-    pub resend_delay: Time,
     /// At most this many latency samples per batch, at evenly spaced buffer
     /// positions (the oldest first), each with that transaction's arrival.
     pub samples_per_batch: usize,
     /// Take a durable, committee-signed snapshot every this many commits.
     /// Must map to fewer than `gc_depth` rounds between snapshot points,
     /// or the latest snapshot could itself be beyond the horizon a joiner
-    /// can close with per-certificate sync.
+    /// can close with per-certificate sync. 0 turns state transfer off: no
+    /// snapshot is produced, served or asked for — for runs that never
+    /// restart a validator.
     pub snapshot_interval: u64,
     /// If set, workers self-generate synthetic load at this rate.
     pub load: Option<SyntheticLoad>,
@@ -134,11 +129,7 @@ impl Default for NarwhalConfig {
             tx_bytes: 512,
             max_batch_delay: 100 * MS,
             max_header_delay: 100 * MS,
-            max_leader_delay: 400 * MS,
-            header_payload_limit: 64,
             gc_depth: 50,
-            sync_retry_delay: 500 * MS,
-            resend_delay: 1_000 * MS,
             samples_per_batch: 4,
             snapshot_interval: 32,
             load: None,

@@ -120,9 +120,9 @@ pub trait DagConsensus: Send {
     /// This is the partial-synchrony hook: Bullshark-style protocols wait
     /// for the wave leader's certificate so voting-round blocks reference
     /// it and the leader commits in two rounds. It is purely a timing
-    /// hint — the primary waits at most its leader timeout
-    /// (`max_leader_delay`), then proposes without the wish, so liveness
-    /// and safety never depend on it. The default waits for nothing.
+    /// hint — the primary waits at most its leader timeout (400 ms,
+    /// `proposer.rs`), then proposes without the wish, so liveness and
+    /// safety never depend on it. The default waits for nothing.
     fn parent_wishes(&self, round: Round) -> Vec<(Round, ValidatorId)> {
         let _ = round;
         Vec::new()

@@ -16,7 +16,7 @@
 use crate::dag::Dag;
 use crate::messages::NarwhalMsg;
 use crate::primary::{Ctx, Identity};
-use crate::store::{disk, fail_stop, BlockStore, BlockStoreError};
+use crate::store::{fail_stop, BlockStore, BlockStoreError};
 use nt_crypto::Digest;
 use nt_execution::{BatchData, Execution, SnapshotPackage};
 use nt_types::{Certificate, CommitEvent, ValidatorId};
@@ -54,8 +54,8 @@ pub(crate) struct Executor {
     /// Batch digest the backlog front is blocked on (fetch in flight).
     waiting: Option<Digest>,
     /// Batches whose fetch round-trip completed but whose bytes the
-    /// primary's store cannot serve (split primary/worker stores): folded
-    /// as [`BatchData::Missing`] from then on. Every validator of such a
+    /// primary's store cannot serve (one store per role): folded as
+    /// [`BatchData::Missing`] from then on. Every validator of such a
     /// deployment folds identically, so app roots still agree.
     unresolved: HashSet<Digest>,
     /// Batch deletions GC owed but could not take because the execution
@@ -231,7 +231,7 @@ impl Executor {
             } else {
                 self.sequence
             };
-            disk(&id.store, |s| s.put_ordered(&digest, persisted_seq));
+            fail_stop(id.store.put_ordered(&digest, persisted_seq));
         }
         self.sequence
     }
@@ -259,7 +259,7 @@ impl Executor {
             let digest = cert.header_digest();
             self.ordered.remove(&digest);
             self.unordered_payload.remove(&digest);
-            disk(store, |s| s.delete_ordered(&digest));
+            fail_stop(store.delete_ordered(&digest));
         }
         let backlog = self.backlog.iter();
         let pending: HashSet<&Digest> = backlog
@@ -270,16 +270,16 @@ impl Executor {
             if pending.contains(batch_digest) {
                 self.deferred_delete.insert(*batch_digest);
             } else {
-                disk(store, |s| s.delete_batch(batch_digest));
+                fail_stop(store.delete_batch(batch_digest));
             }
         }
     }
 
     /// Our worker reported `digest`; if the backlog front was blocked on
     /// it, the fetch round-trip completed. If the store still cannot serve
-    /// the bytes (split primary/worker stores), the digest is folded as
-    /// missing from here on; `drain` re-checks the store first, so this
-    /// mark is moot wherever it can read.
+    /// the bytes (one store per role), the digest is folded as missing from
+    /// here on; `drain` re-checks the store first, so this mark is moot
+    /// wherever it can read.
     pub(crate) fn on_report(&mut self, digest: Digest) {
         if self.waiting == Some(digest) {
             self.waiting = None;
@@ -311,16 +311,15 @@ impl Executor {
             let mut batches: Vec<BatchData> = Vec::with_capacity(front.payload.len());
             let mut missing = None;
             for (digest, worker) in &front.payload {
-                match disk(store, |s| s.get_batch(digest)).flatten() {
+                match fail_stop(store.get_batch(digest)) {
                     Some(batch) => batches.push(BatchData::Full(batch)),
-                    None if store.is_some() && !self.unresolved.contains(digest) => {
+                    None if !self.unresolved.contains(digest) => {
                         missing = Some((*digest, *worker));
                         break;
                     }
-                    // No store at all (the primary never sees batch
-                    // bytes) or a completed fetch the store still cannot
-                    // serve (split primary/worker stores): fold the
-                    // commitment. Deterministic per deployment.
+                    // A completed fetch the store still cannot serve (one
+                    // store per role): fold the commitment. Deterministic
+                    // per deployment.
                     None => batches.push(BatchData::Missing(*digest)),
                 }
             }
@@ -354,14 +353,12 @@ impl Executor {
             for (digest, _) in &event.payload {
                 if self.deferred_delete.contains(digest) && !still_needed(digest) {
                     self.deferred_delete.remove(digest);
-                    disk(store, |s| s.delete_batch(digest));
+                    fail_stop(store.delete_batch(digest));
                 }
             }
             // Written after the commit's ordered marker, so recovery sees
             // app state at or behind the replay floor.
-            disk(store, |s| {
-                s.put_app_state(event.sequence, &engine.snapshot())
-            });
+            fail_stop(store.put_app_state(event.sequence, &engine.snapshot()));
             if snapshot_due == Some(event.sequence) {
                 *snapshot_app = Some(engine.snapshot());
             }
@@ -395,7 +392,7 @@ impl Executor {
         // deferred on its behalf are due now — the installed app state
         // already covers those commits.
         for digest in std::mem::take(&mut self.deferred_delete) {
-            disk(&id.store, |s| s.delete_batch(&digest));
+            fail_stop(id.store.delete_batch(&digest));
         }
         if self.engine.is_some() {
             let refs = base.ordered.iter().map(|r| (r.digest, r.sequence));
@@ -409,7 +406,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::consensus::{NoConsensus, NoExt};
-    use crate::testing::fixture::{durable, effects, identity};
+    use crate::testing::fixture::{effects, identity};
     use crate::testing::{certify_header, DagBench};
     use nt_execution::{LedgerApp, OrderedRef, SnapshotBase, SnapshotManifest};
     use nt_network::Effect;
@@ -421,12 +418,9 @@ mod tests {
         Executor::new(Some(Box::new(LedgerApp::new())))
     }
 
-    /// Validator 0 of four, durable.
-    fn durable_identity() -> Identity {
-        Identity {
-            store: durable(),
-            ..identity(&DagBench::new(4, |_| NoConsensus), 0)
-        }
+    /// Validator 0 of four.
+    fn validator_0() -> Identity {
+        identity(&DagBench::new(4, |_| NoConsensus), 0)
     }
 
     /// Peer batch number `seq`, stored if a store is given: its digest.
@@ -525,14 +519,13 @@ mod tests {
     #[test]
     fn recovery_and_install_rebuild_what_awaits_an_anchor() {
         let mut bench = DagBench::new(4, |_| NoConsensus);
-        let id = durable_identity();
+        let id = identity(&bench, 0);
         let (first, second) = (round_one(&bench, 1, true), round_one(&bench, 2, true));
         bench.feed(vec![first.clone(), second.clone()]);
         let mut executor = Executor::default();
         executor.order(first.header_digest(), &id);
-        let s = id.store.as_ref().expect("durable");
         let mut revived = Executor::default();
-        revived.recover(s, &bench.dag).expect("store");
+        revived.recover(&id.store, &bench.dag).expect("store");
         let awaited = HashSet::from([second.header_digest()]);
         assert_eq!(revived.unordered_payload, awaited);
         // The served order covers both blocks: nothing is owed any more.
@@ -562,23 +555,22 @@ mod tests {
     #[test]
     fn the_sequence_and_its_markers_survive_a_restart() {
         let bench = DagBench::new(4, |_| NoConsensus);
-        let (id, mut ctx) = (durable_identity(), Ctx::new(0, 0));
+        let (id, mut ctx) = (identity(&bench, 0), Ctx::new(0, 0));
         let mut executor = Executor::default();
         commit(&mut executor, &[], &id, &mut ctx);
         commit(&mut executor, &[], &id, &mut ctx);
         let sequences: Vec<u64> = commits(&mut ctx).iter().map(|e| e.sequence).collect();
         assert_eq!(sequences, vec![1, 2], "no engine: commits leave at once");
         let mut revived = Executor::default();
-        let s = id.store.as_ref().expect("durable");
-        revived.recover(s, &bench.dag).expect("store");
+        revived.recover(&id.store, &bench.dag).expect("store");
         assert_eq!(revived.sequence, 2);
         assert_eq!(revived.ordered, executor.ordered);
     }
 
     #[test]
     fn gc_defers_deleting_the_bytes_the_backlog_still_needs() {
-        let (id, mut ctx) = (durable_identity(), Ctx::new(0, 0));
-        let s = id.store.as_ref().expect("durable");
+        let (id, mut ctx) = (validator_0(), Ctx::new(0, 0));
+        let s = &id.store;
         let (needed, idle) = (peer_batch(1, Some(s)), peer_batch(2, Some(s)));
         let mut executor = with_engine();
         commit(&mut executor, &[needed], &id, &mut ctx);
@@ -599,7 +591,7 @@ mod tests {
 
     #[test]
     fn a_missing_batch_is_fetched_once_then_folded_after_the_round_trip() {
-        let (id, mut ctx) = (durable_identity(), Ctx::new(0, 0));
+        let (id, mut ctx) = (validator_0(), Ctx::new(0, 0));
         let elsewhere = peer_batch(1, None);
         let mut executor = with_engine();
         commit(&mut executor, &[elsewhere], &id, &mut ctx);
@@ -627,7 +619,7 @@ mod tests {
     #[test]
     fn an_install_the_engine_rejects_replaces_nothing() {
         let bench = DagBench::new(4, |_| NoConsensus);
-        let (id, mut ctx) = (durable_identity(), Ctx::new(0, 0));
+        let (id, mut ctx) = (identity(&bench, 0), Ctx::new(0, 0));
         let mut executor = with_engine();
         commit(&mut executor, &[], &id, &mut ctx);
         let mut donor = LedgerApp::new();

@@ -53,7 +53,6 @@ pub struct NodeBuilder {
     committee: Committee,
     me: ValidatorId,
     config: NarwhalConfig,
-    workers_per_validator: u32,
     keypair: Option<KeyPair>,
     store: Option<DynStore>,
     execution: Option<Box<dyn Execution>>,
@@ -62,15 +61,13 @@ pub struct NodeBuilder {
 impl NodeBuilder {
     /// Starts a builder for validator `me` of `committee`.
     ///
-    /// Defaults: the paper's [`NarwhalConfig`], the committee's per-validator
-    /// worker count, no persistence, no keypair (only primaries need one).
+    /// Defaults: the paper's [`NarwhalConfig`], a fresh in-memory store per
+    /// host, no keypair (only primaries need one).
     pub fn new(committee: Committee, me: u32) -> Self {
-        let workers_per_validator = committee.num_workers(ValidatorId(0));
         NodeBuilder {
             committee,
             me: ValidatorId(me),
             config: NarwhalConfig::default(),
-            workers_per_validator,
             keypair: None,
             store: None,
             execution: None,
@@ -83,22 +80,17 @@ impl NodeBuilder {
         self
     }
 
-    /// Overrides the worker count used for the flat host-id layout
-    /// (defaults to the committee's per-validator worker count).
-    pub fn workers_per_validator(mut self, workers: u32) -> Self {
-        self.workers_per_validator = workers;
-        self
-    }
-
     /// Sets the signing keypair (required for primaries).
     pub fn keypair(mut self, keypair: KeyPair) -> Self {
         self.keypair = Some(keypair);
         self
     }
 
-    /// Persists through `store` and recovers from it on start. Workers and
-    /// the primary of one validator share a backend in single-process
-    /// deployments (the paper's per-validator RocksDB instance).
+    /// Persists through `store` and recovers from it on start; without it,
+    /// each host writes through a fresh store in memory of its own, which
+    /// no restart outlives. `narwhal-node` gives each role a WAL of its
+    /// own; a simulated validator's primary and workers share one backend
+    /// (the paper's per-validator RocksDB instance).
     pub fn store(mut self, store: DynStore) -> Self {
         self.store = Some(store);
         self
@@ -106,16 +98,18 @@ impl NodeBuilder {
 
     /// Attaches an execution engine to the primary: every committed block
     /// is applied in sequence order and its [`CommitEvent`] is emitted with
-    /// the resulting `app_root` stamped. Workers ignore this. Combine with
-    /// [`store`](NodeBuilder::store) for durable app state and snapshots.
+    /// the resulting `app_root` stamped. Workers ignore this. Its state is
+    /// persisted after every commit, and snapshotted every
+    /// `snapshot_interval` commits.
     pub fn execution(mut self, execution: Box<dyn Execution>) -> Self {
         self.execution = Some(execution);
         self
     }
 
-    /// The flat `(validator, role) -> NodeId` layout this builder derives.
+    /// The flat `(validator, role) -> NodeId` layout of the committee.
     pub fn address_book(&self) -> AddressBook {
-        AddressBook::new(self.committee.size(), self.workers_per_validator)
+        let workers = self.committee.num_workers(ValidatorId(0));
+        AddressBook::new(self.committee.size(), workers)
     }
 
     /// Builds the bare primary state machine (no [`Node`] wrapper).
@@ -133,7 +127,7 @@ impl NodeBuilder {
             committee: self.committee,
             config: self.config,
             me: self.me,
-            store: self.store.map(BlockStore::new),
+            store: own_store(self.store),
         };
         Primary::build(id, consensus, self.execution)
     }
@@ -141,17 +135,8 @@ impl NodeBuilder {
     /// Builds the bare worker state machine for slot `worker`.
     pub fn build_worker<Ext: Clone + Send + 'static>(self, worker: WorkerId) -> Worker<Ext> {
         let addr = self.address_book();
-        // A worker always writes through a store; without a shared backend
-        // it gets one of its own.
-        let store = self.store.unwrap_or_else(|| Arc::new(MemStore::new()));
-        Worker::build(
-            self.committee,
-            self.config,
-            addr,
-            self.me,
-            worker,
-            BlockStore::new(store),
-        )
+        let store = own_store(self.store);
+        Worker::build(self.committee, self.config, addr, self.me, worker, store)
     }
 
     /// Builds a driver-ready primary [`Node`].
@@ -173,6 +158,11 @@ impl NodeBuilder {
             NodeRole::Worker(worker),
         )
     }
+}
+
+/// The store a host writes through: the one it was given, or a fresh one.
+fn own_store(store: Option<DynStore>) -> BlockStore {
+    BlockStore::new(store.unwrap_or_else(|| Arc::new(MemStore::new())))
 }
 
 /// The role a [`Node`] plays within its validator.
@@ -392,10 +382,8 @@ mod tests {
 
     #[test]
     fn builder_address_book_matches_manual_layout() {
-        let (committee, _) = committee4();
-        let book = NodeBuilder::new(committee, 0)
-            .workers_per_validator(3)
-            .address_book();
+        let (committee, _) = Committee::deterministic(4, 3, Scheme::Insecure);
+        let book = NodeBuilder::new(committee, 0).address_book();
         assert_eq!(book.total_hosts(), 4 + 4 * 3);
     }
 

@@ -39,19 +39,19 @@
 //! commits follow everything it sent. The seed-42 commit folds of the
 //! determinism suite hold every step in place.
 //!
-//! Durability (§6, "data-structures are persisted using RocksDB"): a
-//! primary built with a store ([`NodeBuilder::store`](crate::NodeBuilder::store)) writes through a
-//! [`BlockStore`] — certificates on DAG insert, vote locks on
-//! acknowledgment, ordered markers and the sequence counter on commit, the
-//! consensus checkpoint after every settled anchor — and deletes with
-//! garbage collection. On start it recovers all of it, so a crashed
-//! validator resumes from its persisted frontier instead of genesis and
-//! never re-commits or equivocates across the outage. Every access goes
-//! through `disk`: skipped on a volatile primary, fail-stop on a disk
-//! error.
+//! Durability (§6, "data-structures are persisted using RocksDB"): every
+//! primary writes through a [`BlockStore`] (the one given to
+//! [`NodeBuilder::store`](crate::NodeBuilder::store), or a fresh one in
+//! memory) — certificates on DAG insert, vote locks on acknowledgment,
+//! ordered markers and the sequence counter on commit, the consensus
+//! checkpoint after every settled anchor — and deletes with garbage
+//! collection. On start it recovers all of it, so a crashed validator
+//! resumes from its persisted frontier instead of genesis and never
+//! re-commits or equivocates across the outage; a fresh store recovers
+//! genesis. A disk error is fail-stop.
 
 use crate::certifier::{parents_certified, Certifier};
-use crate::config::NarwhalConfig;
+use crate::config::{NarwhalConfig, RESEND_DELAY, SYNC_RETRY_DELAY};
 use crate::consensus::{ConsensusOut, DagConsensus};
 use crate::dag::{Dag, InsertOutcome};
 use crate::deployment::AddressBook;
@@ -59,7 +59,7 @@ use crate::executor::Executor;
 use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::proposer::{Proposer, RoundState};
 use crate::state_transfer::StateTransfer;
-use crate::store::{disk, BlockStore};
+use crate::store::{fail_stop, BlockStore, BlockStoreError};
 use crate::synchronizer::{serve_digests, serve_range, Synchronizer, Wait};
 use nt_crypto::{Digest, KeyPair};
 use nt_execution::{Execution, SnapshotPackage};
@@ -84,8 +84,8 @@ pub(crate) struct Identity {
     pub(crate) addr: AddressBook,
     pub(crate) me: ValidatorId,
     pub(crate) keypair: KeyPair,
-    /// Durable write-through store (`None` = volatile, simulation default).
-    pub(crate) store: Option<BlockStore>,
+    /// Durable write-through store.
+    pub(crate) store: BlockStore,
 }
 
 /// The primary of one validator, generic over the consensus plug-in.
@@ -134,40 +134,36 @@ impl<C: DagConsensus> Primary<C> {
         self.proposer.proposals
     }
 
-    /// Rebuilds state from the block store (crash recovery). Returns
-    /// `false` when no store is configured — the volatile genesis boot.
-    ///
-    /// Recovered: the certified DAG (verified against the committee) and
-    /// its GC boundary, then each component's slice of the store, then the
-    /// consensus checkpoint.
-    fn recover(&mut self, now: Time) -> bool {
-        let id = &self.id;
-        let recovered = disk(&id.store, |s| {
-            let mut dag = s.load_dag(&id.committee)?;
-            if let Some(gc_round) = s.gc_round()? {
-                // Restore the GC boundary; the pruned certificates were
-                // already deleted, so this only prunes the freshly
-                // re-inserted genesis.
-                dag.gc(gc_round);
-            }
-            self.executor.recover(s, &dag)?;
-            let last_signed = self.certifier.recover(s, &dag, id)?;
-            let unfinished = self.certifier.current_header.as_ref();
-            let ordered = &self.executor.ordered;
-            self.proposer
-                .recover(s, &dag, ordered, last_signed, unfinished, id)?;
-            if let Some(blob) = s.consensus_checkpoint()? {
-                self.consensus.restore(&blob);
-            }
-            Ok(dag)
-        });
-        let Some(dag) = recovered else {
-            return false;
-        };
-        self.dag = dag;
+    /// Rebuilds state from the block store: what a crashed incarnation
+    /// persisted, or genesis from a fresh store.
+    fn recover(&mut self, now: Time) {
+        self.dag = fail_stop(self.load());
         self.transfer.rebase(self.executor.sequence);
         self.resume_round(now);
-        true
+    }
+
+    /// Loads the certified DAG (verified against the committee) and its GC
+    /// boundary, then each component's slice of the store, then the
+    /// consensus checkpoint.
+    fn load(&mut self) -> Result<Dag, BlockStoreError> {
+        let (id, s) = (&self.id, &self.id.store);
+        let mut dag = s.load_dag(&id.committee)?;
+        if let Some(gc_round) = s.gc_round()? {
+            // Restore the GC boundary; the pruned certificates were
+            // already deleted, so this only prunes the freshly
+            // re-inserted genesis.
+            dag.gc(gc_round);
+        }
+        self.executor.recover(s, &dag)?;
+        let last_signed = self.certifier.recover(s, &dag, id)?;
+        let unfinished = self.certifier.current_header.as_ref();
+        let ordered = &self.executor.ordered;
+        self.proposer
+            .recover(s, &dag, ordered, last_signed, unfinished, id)?;
+        if let Some(blob) = s.consensus_checkpoint()? {
+            self.consensus.restore(&blob);
+        }
+        Ok(dag)
     }
 
     /// Resumes at the highest round our DAG holds a full quorum for
@@ -183,14 +179,6 @@ impl<C: DagConsensus> Primary<C> {
             .find(|r| self.dag.round_size(*r) >= quorum)
             .unwrap_or_else(|| self.dag.first_retained_round());
         self.round_entered = now;
-    }
-
-    /// The retry-timer cadence. Driven off the *smaller* of the two retry
-    /// delays: a `resend_delay` below `sync_retry_delay` would otherwise be
-    /// silently quantized up to the timer period.
-    fn retry_interval(&self) -> Time {
-        let config = &self.id.config;
-        config.sync_retry_delay.min(config.resend_delay)
     }
 
     fn apply_consensus_out(&mut self, out: ConsensusOut<C::Ext>, ctx: &mut Ctx<C::Ext>) {
@@ -253,10 +241,9 @@ impl<C: DagConsensus> Primary<C> {
         // early return above (missing certificates) skips the checkpoint
         // for the same reason.
         if settled_any {
-            disk(&self.id.store, |s| match self.consensus.checkpoint() {
-                Some(blob) => s.put_consensus_checkpoint(&blob),
-                None => Ok(()),
-            });
+            if let Some(blob) = self.consensus.checkpoint() {
+                fail_stop(self.id.store.put_consensus_checkpoint(&blob));
+            }
             // The drained-checkpoint moment is the only one where the
             // consensus checkpoint, the ordered markers and the DAG frontier
             // are mutually consistent — capture the snapshot base here.
@@ -306,12 +293,11 @@ impl<C: DagConsensus> Primary<C> {
         // deletions while forgetting the boundary, leaving a recovered
         // validator with a boundary round it could never assemble a quorum
         // for — wedging it permanently (found by `sim_fuzz` seed 19).
-        disk(&self.id.store, |s| {
-            if !self.id.config.bugs.skip_sequence_persist {
-                s.put_sequence(self.executor.sequence)?;
-            }
-            s.put_gc_round(gc_round)
-        });
+        let s = &self.id.store;
+        if !self.id.config.bugs.skip_sequence_persist {
+            fail_stop(s.put_sequence(self.executor.sequence));
+        }
+        fail_stop(s.put_gc_round(gc_round));
         let forgotten = self.proposer.prune(gc_round, &pruned, &self.id);
         self.executor.prune(&pruned, &forgotten, &self.id);
         self.synchronizer.prune(boundary, &pruned);
@@ -319,10 +305,8 @@ impl<C: DagConsensus> Primary<C> {
         // Mirror the prune in the durable store: certificates and vote
         // locks below the boundary go (the boundary itself was recorded
         // up front, before the first delete).
-        disk(&self.id.store, |s| {
-            s.gc_certificates_below(boundary)?;
-            s.gc_votes_below(boundary)
-        });
+        fail_stop(s.gc_certificates_below(boundary));
+        fail_stop(s.gc_votes_below(boundary));
     }
 
     /// Re-evaluates the local round from certificate quorums: "once
@@ -441,21 +425,18 @@ impl<C: DagConsensus> Primary<C> {
             InsertOutcome::BelowGc | InsertOutcome::Duplicate => return,
             InsertOutcome::Inserted => {}
         }
-        disk(&self.id.store, |s| {
-            s.put_certificate(&cert)?;
-            // Sync before our own certificate's broadcast leaves (the
-            // effects of this handler drain after it returns): once peers
-            // can hold the certificate, a torn tail must not erase our
-            // record of having proposed its payload, or a restarted
-            // incarnation re-proposes those batches and the committee
-            // commits them twice. Found by `sim_fuzz` (seed 219) before
-            // this barrier existed; `skip_sync_barriers` re-opens the
-            // window to prove the checkers still see it.
-            if cert.origin() == self.id.me && !self.id.config.bugs.skip_sync_barriers {
-                s.barrier()?;
-            }
-            Ok(())
-        });
+        fail_stop(self.id.store.put_certificate(&cert));
+        // Sync before our own certificate's broadcast leaves (the effects
+        // of this handler drain after it returns): once peers can hold the
+        // certificate, a torn tail must not erase our record of having
+        // proposed its payload, or a restarted incarnation re-proposes
+        // those batches and the committee commits them twice. Found by
+        // `sim_fuzz` (seed 219) before this barrier existed;
+        // `skip_sync_barriers` re-opens the window to prove the checkers
+        // still see it.
+        if cert.origin() == self.id.me && !self.id.config.bugs.skip_sync_barriers {
+            fail_stop(self.id.store.barrier());
+        }
         self.synchronizer.arrived(&digest);
         self.executor.on_certified(digest, &cert);
         // Wake any block proposal that waited on this certificate.
@@ -488,7 +469,7 @@ impl<C: DagConsensus> Primary<C> {
     fn handle_retry(&mut self, ctx: &mut Ctx<C::Ext>) {
         let now = ctx.now();
         self.synchronizer.retry(now, &self.id, ctx);
-        if now.saturating_sub(self.round_entered) >= self.id.config.resend_delay {
+        if now.saturating_sub(self.round_entered) >= RESEND_DELAY {
             self.certifier
                 .retransmit(self.round, &self.dag, &self.id, ctx);
         }
@@ -496,7 +477,7 @@ impl<C: DagConsensus> Primary<C> {
         self.executor.rearm_fetch();
         self.drain_anchors(ctx);
         self.drain_execution(ctx);
-        ctx.timer(self.retry_interval(), TAG_RETRY);
+        ctx.timer(SYNC_RETRY_DELAY, TAG_RETRY);
     }
 
     /// Pushes the committed sequence through the engine; also the finish
@@ -541,52 +522,64 @@ impl<C: DagConsensus> Primary<C> {
         self.transfer.rebase(sequence);
         let ordered = &self.executor.ordered;
         let presumed_committed = self.proposer.reconcile(&self.dag, ordered, &self.id);
-        disk(&self.id.store, |s| {
-            // Old markers at sequences the install supersedes; collected
-            // before the new basis lands so the cleanup below can tell
-            // them apart from freshly-written ones.
-            let stale_refs = s.ordered_refs()?;
-            // Persist the new basis. Order matters against a torn tail:
-            // content first (certificates, checkpoint, markers ascending,
-            // counter, install marker, app state), the GC boundary last
-            // among state keys — an unpruned DAG merely makes recovery
-            // descend into a hole, stall, and re-fetch a snapshot; a
-            // pruned DAG with no recorded basis would commit wrong
-            // content. The barrier seals the basis before any deletion.
-            for cert in &frontier {
-                s.put_certificate(cert)?;
-            }
-            s.put_consensus_checkpoint(&base.consensus)?;
-            let mut refs = base.ordered.clone();
-            refs.sort_by_key(|r| r.sequence);
-            for r in &refs {
-                s.put_ordered(&r.digest, r.sequence)?;
-            }
-            s.put_sequence(sequence)?;
-            s.put_snapshot_install(sequence)?;
-            if let Some(gc_round) = base.gc_round {
-                s.put_gc_round(gc_round)?;
-            }
-            for digest in &presumed_committed {
-                s.put_committed_batch(digest)?;
-            }
-            s.put_app_state(package.manifest.sequence, &package.app)?;
-            s.put_snapshot(&package)?;
-            s.barrier()?;
-            // Cleanup: superseded markers, pruned certificates and votes.
-            for (digest, seq) in stale_refs {
-                if seq <= sequence && !ordered.contains(&digest) {
-                    s.delete_ordered(&digest)?;
-                }
-            }
-            s.gc_certificates_below(boundary)?;
-            s.gc_votes_below(boundary)
-        });
+        fail_stop(self.persist_install(&package, &frontier, &presumed_committed));
         // Resume normal participation from the installed frontier.
         self.resume_round(ctx.now());
         self.advance_round(ctx);
         self.try_propose(ctx);
         self.drain_execution(ctx);
+    }
+
+    /// Persists the basis `install_snapshot` just adopted (`frontier` is
+    /// the package's, sorted by round), then deletes what it supersedes.
+    fn persist_install(
+        &self,
+        package: &SnapshotPackage,
+        frontier: &[Certificate],
+        presumed_committed: &[Digest],
+    ) -> Result<(), BlockStoreError> {
+        let (s, base) = (&self.id.store, &package.base);
+        let (sequence, ordered) = (self.executor.sequence, &self.executor.ordered);
+        // Old markers at sequences the install supersedes; collected before
+        // the new basis lands so the cleanup below can tell them apart from
+        // freshly-written ones.
+        let stale_refs = s.ordered_refs()?;
+        // Persist the new basis. Order matters against a torn tail: content
+        // first (certificates, checkpoint, markers ascending, counter,
+        // install marker, app state), the GC boundary last among state keys
+        // — an unpruned DAG merely makes recovery descend into a hole,
+        // stall, and re-fetch a snapshot; a pruned DAG with no recorded
+        // basis would commit wrong content. The barrier seals the basis
+        // before any deletion.
+        for cert in frontier {
+            s.put_certificate(cert)?;
+        }
+        s.put_consensus_checkpoint(&base.consensus)?;
+        let mut refs = base.ordered.clone();
+        refs.sort_by_key(|r| r.sequence);
+        for r in &refs {
+            s.put_ordered(&r.digest, r.sequence)?;
+        }
+        s.put_sequence(sequence)?;
+        s.put_snapshot_install(sequence)?;
+        if let Some(gc_round) = base.gc_round {
+            s.put_gc_round(gc_round)?;
+        }
+        for digest in presumed_committed {
+            s.put_committed_batch(digest)?;
+        }
+        s.put_app_state(package.manifest.sequence, &package.app)?;
+        s.put_snapshot(package)?;
+        s.barrier()?;
+        // Cleanup: superseded markers, pruned certificates and votes.
+        for (digest, seq) in stale_refs {
+            if seq <= sequence && !ordered.contains(&digest) {
+                s.delete_ordered(&digest)?;
+            }
+        }
+        let boundary = self.dag.first_retained_round();
+        s.gc_certificates_below(boundary)?;
+        s.gc_votes_below(boundary)
     }
 }
 
@@ -594,12 +587,7 @@ impl<C: DagConsensus> Actor for Primary<C> {
     type Message = NarwhalMsg<C::Ext>;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Message>) {
-        if !self.recover(ctx.now()) {
-            // Volatile boot: bootstrap from genesis (the recovered DAG
-            // already contains it otherwise).
-            self.dag
-                .insert_genesis(Certificate::genesis_set(&self.id.committee));
-        }
+        self.recover(ctx.now());
         let mut out = ConsensusOut::default();
         self.consensus.on_start(&mut out);
         self.apply_consensus_out(out, ctx);
@@ -607,7 +595,7 @@ impl<C: DagConsensus> Actor for Primary<C> {
         self.try_propose(ctx);
         // Replay recovered commits through the engine before new ones land.
         self.drain_execution(ctx);
-        ctx.timer(self.retry_interval(), TAG_RETRY);
+        ctx.timer(SYNC_RETRY_DELAY, TAG_RETRY);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<Self::Message>) {
@@ -892,19 +880,6 @@ mod tests {
             NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (3, 0)),
             other => panic!("expected the round-3 block, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fresh_store_boots_like_a_volatile_primary() {
-        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let builder = || NodeBuilder::new(committee.clone(), 0).keypair(kps[0].clone());
-        let mut volatile = builder().build_primary(NoConsensus);
-        let store: DynStore = Arc::new(MemStore::new());
-        let mut durable = builder().store(store).build_primary(NoConsensus);
-        volatile.on_start(&mut Context::new(0, 0));
-        durable.on_start(&mut Context::new(0, 0));
-        assert_eq!((durable.round(), durable.dag().len()), (1, 4));
-        assert_eq!((volatile.round(), volatile.dag().len()), (1, 4));
     }
 
     /// A payload-bearing block gets its vote once its batch is stored, and

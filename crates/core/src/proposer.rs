@@ -60,11 +60,25 @@ use crate::consensus::DagConsensus;
 use crate::dag::Dag;
 use crate::messages::BatchInfo;
 use crate::primary::{Ctx, Identity, TAG_PROPOSE};
-use crate::store::{disk, BlockStore, BlockStoreError};
+use crate::store::{fail_stop, BlockStore, BlockStoreError};
 use nt_crypto::{CoinShare, Digest};
-use nt_network::Time;
+use nt_network::{Time, MS};
 use nt_types::{Certificate, CommitEvent, Header, ProposalCounts, Round, ValidatorId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+
+/// Upper bound on waiting for a parent the consensus protocol *wished* for
+/// (Bullshark's wave leader) before proposing leaderless — the
+/// partial-synchrony leader timeout. Must cover a WAN vote round-trip plus
+/// certificate propagation, which is longer than the payload deadline: with
+/// the two collapsed, waves led by far-region validators systematically
+/// miss their `2f + 1` direct quorum and every commit behind them stalls on
+/// the indirect path.
+const MAX_LEADER_DELAY: Time = 400 * MS;
+
+/// Maximum number of batch digests per block. Bounds the primary block at
+/// ~2.5 KB; at ten workers the scale-out needs ~40 digests per block
+/// (§4.2's "future bottleneck" arithmetic).
+const HEADER_PAYLOAD_LIMIT: usize = 64;
 
 /// The proposal wait in force: its round, the due time of the one
 /// `TAG_PROPOSE` timer armed for it, and whether only the parent wish still
@@ -181,7 +195,7 @@ impl Proposer {
         let now = ctx.now();
         let config = &id.config;
         let deadline = round_entered + config.max_header_delay;
-        let wish_deadline = round_entered + config.max_leader_delay.max(config.max_header_delay);
+        let wish_deadline = round_entered + MAX_LEADER_DELAY.max(config.max_header_delay);
         let absent = |&(round, author): &(Round, ValidatorId)| dag.get(round, author).is_none();
         let awaiting_parent =
             now < wish_deadline && consensus.parent_wishes(round).iter().any(absent);
@@ -231,10 +245,7 @@ impl Proposer {
             .round_certs(round - 1)
             .map(Certificate::header_digest)
             .collect();
-        let take = self
-            .pending_digests
-            .len()
-            .min(id.config.header_payload_limit);
+        let take = self.pending_digests.len().min(HEADER_PAYLOAD_LIMIT);
         let payload = self
             .pending_digests
             .drain(..take)
@@ -280,7 +291,7 @@ impl Proposer {
         // pruned blocks, but a worker whose store the primary's GC does not
         // reach (one WAL per role) holds them for good and re-reports them
         // all when it restarts: the durable marker is the permanent filter.
-        let marked = || disk(&id.store, |s| s.is_committed_batch(&digest)) == Some(true);
+        let marked = || fail_stop(id.store.is_committed_batch(&digest));
         let queue =
             own && first && !self.committed_batches.contains(&digest) && !in_flight() && !marked();
         if queue {
@@ -306,7 +317,7 @@ impl Proposer {
                 event.tx_bytes += info.tx_bytes;
                 event.samples.extend(info.samples.iter().copied());
                 self.committed_batches.insert(*batch_digest);
-                disk(&id.store, |s| s.put_committed_batch(batch_digest));
+                fail_stop(id.store.put_committed_batch(batch_digest));
             }
         }
         self.own_payloads.remove(&cert.round());
@@ -394,9 +405,8 @@ mod tests {
     use super::*;
     use crate::config::NarwhalConfig;
     use crate::consensus::{ConsensusOut, NoConsensus, NoExt};
-    use crate::testing::fixture::{batch, durable, effects, identity};
+    use crate::testing::fixture::{batch, effects, identity};
     use crate::testing::{certify_header, DagBench};
-    use nt_network::MS;
     use nt_types::WorkerId;
 
     /// Wishes for one fixed author's previous-round block as a parent,
@@ -568,7 +578,7 @@ mod tests {
     #[test]
     fn each_wait_alone_and_combined_arms_one_timer_for_its_own_deadline() {
         let config = NarwhalConfig::default();
-        let (header, leader) = (config.max_header_delay, config.max_leader_delay);
+        let (header, leader) = (config.max_header_delay, MAX_LEADER_DELAY);
         // (absent round-1 blocks, own batch queued, wait from round entry)
         let cases: [(&[u32], bool, Option<Time>); 10] = [
             (&[], true, None),
@@ -632,13 +642,13 @@ mod tests {
         };
         let (header, timers) = propose_told(&mut p, &bench, 2, ENTERED + MS, live);
         assert!(header.is_none(), "validator 3's block is wished for");
-        assert_eq!(timers, vec![config.max_leader_delay - MS]);
+        assert_eq!(timers, vec![MAX_LEADER_DELAY - MS]);
         // The header delay passes: the leader timeout is the longer bound.
         let at_header_delay = ENTERED + config.max_header_delay;
         assert!(propose_told(&mut p, &bench, 2, at_header_delay, live)
             .0
             .is_none());
-        let at_leader_delay = ENTERED + config.max_leader_delay;
+        let at_leader_delay = ENTERED + MAX_LEADER_DELAY;
         assert!(propose_told(&mut p, &bench, 2, at_leader_delay, live)
             .0
             .is_some());
@@ -743,10 +753,7 @@ mod tests {
     #[test]
     fn a_committed_batch_re_reported_after_its_block_was_pruned_is_not_queued_again() {
         let bench = DagBench::new(4, |_| NoConsensus);
-        let id = Identity {
-            store: durable(),
-            ..identity(&bench, 0)
-        };
+        let id = identity(&bench, 0);
         let mut p = Proposer::default();
         let a = batch(0, 1);
         assert!(p.on_report(a.clone(), &id));

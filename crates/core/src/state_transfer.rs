@@ -5,17 +5,20 @@
 //!
 //! Owns the producing side (`due`, `last_point`, the captured `base` and
 //! `app` halves, buffered peer `votes`) and the fetching side (`fetch`).
-//! Everything here requires a durable store — a snapshot a crash can erase
-//! is worse than none, because peers may be counting on our signature.
+//! Produced packages live in the primary's store, and peers count on our
+//! signature over them. All of it is off when `snapshot_interval` is 0 (a
+//! run that never restarts a validator) or the `disable_snapshots`
+//! self-test switch is set: nothing is produced, served or asked for.
 //!
 //! Outcomes: [`StateTransfer::on_response`] returns the downloaded package
 //! once it is complete and verified, for the caller to install.
 
+use crate::config::SYNC_RETRY_DELAY;
 use crate::consensus::DagConsensus;
 use crate::dag::Dag;
 use crate::messages::NarwhalMsg;
 use crate::primary::{Ctx, Identity};
-use crate::store::disk;
+use crate::store::fail_stop;
 use nt_crypto::Digest;
 use nt_execution::{
     chunk_of, OrderedRef, SnapshotBase, SnapshotManifest, SnapshotPackage, SnapshotSig,
@@ -74,7 +77,7 @@ fn snapshot_request<E>(to: NodeId, sequence: u64, cursor: u64, ctx: &mut Ctx<E>)
 impl StateTransfer {
     /// Whether this validator produces, serves and fetches snapshots.
     fn enabled(id: &Identity) -> bool {
-        id.store.is_some() && !id.config.bugs.disable_snapshots && id.config.snapshot_interval > 0
+        !id.config.bugs.disable_snapshots && id.config.snapshot_interval > 0
     }
 
     /// Never re-produce a snapshot bucket that was in progress when the
@@ -118,9 +121,7 @@ impl StateTransfer {
         if self.due.is_none() || self.base.is_some() {
             return;
         }
-        let Some(refs) = disk(&id.store, |s| s.ordered_refs()) else {
-            return;
-        };
+        let refs = fail_stop(id.store.ordered_refs());
         // Skip round 0: genesis is implied, every joiner regenerates it.
         let frontier = (dag.first_retained_round().max(1)..=dag.highest_round())
             .flat_map(|r| dag.round_certs(r).cloned())
@@ -143,7 +144,7 @@ impl StateTransfer {
     /// engine applied exactly the due sequence; empty without an engine).
     /// Persists the package and broadcasts our manifest signature.
     pub(crate) fn try_finish<E>(&mut self, has_engine: bool, id: &Identity, ctx: &mut Ctx<E>) {
-        // A point is only ever due on a durable validator (`schedule`).
+        // A point is only ever due with snapshots on (`schedule`).
         let Some(point) = self.due else {
             return;
         };
@@ -170,7 +171,7 @@ impl StateTransfer {
                 package.add_signature(vote_sig);
             }
         }
-        disk(&id.store, |s| s.put_snapshot(&package));
+        fail_stop(id.store.put_snapshot(&package));
         self.due = None;
         self.app = None;
         for node in id.addr.other_primaries(id.me) {
@@ -198,17 +199,14 @@ impl StateTransfer {
         if !Self::enabled(id) || !sig.verify_digest(&id.committee, &manifest) {
             return;
         }
-        let produced = disk(&id.store, |s| {
-            let Some(mut package) = s.snapshot(sequence)? else {
-                return Ok(false);
-            };
+        if let Some(mut package) = fail_stop(id.store.snapshot(sequence)) {
             if package.manifest.digest() == manifest && package.add_signature(sig.clone()) {
-                s.put_snapshot(&package)?;
+                fail_stop(id.store.put_snapshot(&package));
             }
-            Ok(true)
-        });
-        if produced == Some(true) || sequence < self.last_point {
-            return; // merged, or a point we passed without producing (or pruned)
+            return; // a point we produced: merged, if it signs our manifest
+        }
+        if sequence < self.last_point {
+            return; // a point we passed without producing (or pruned)
         }
         if self.votes.len() >= 8 && !self.votes.contains_key(&sequence) {
             return; // bound the buffer against junk points
@@ -232,21 +230,15 @@ impl StateTransfer {
         if !Self::enabled(id) {
             return;
         }
-        let servable = disk(&id.store, |s| {
-            let sequences = match sequence {
-                0 => s.snapshot_sequences()?,
-                point => vec![point],
-            };
-            for seq in sequences.into_iter().rev() {
-                if let Some(package) = s.snapshot(seq)? {
-                    if package.has_quorum(&id.committee) {
-                        return Ok(Some(package));
-                    }
-                }
-            }
-            Ok(None)
+        let sequences = match sequence {
+            0 => fail_stop(id.store.snapshot_sequences()),
+            point => vec![point],
+        };
+        let servable = sequences.into_iter().rev().find_map(|seq| {
+            let package = fail_stop(id.store.snapshot(seq))?;
+            package.has_quorum(&id.committee).then_some(package)
         });
-        let Some(package) = servable.flatten() else {
+        let Some(package) = servable else {
             return;
         };
         let Some(chunk) = chunk_of(&package.app, cursor as usize) else {
@@ -274,7 +266,7 @@ impl StateTransfer {
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) {
-        if id.config.bugs.disable_snapshots || self.fetch.is_some() {
+        if !Self::enabled(id) || self.fetch.is_some() {
             return;
         }
         if cert.round() <= dag.highest_round() + id.config.gc_depth {
@@ -299,7 +291,7 @@ impl StateTransfer {
         let Some(fetch) = self.fetch.as_mut() else {
             return;
         };
-        if now.saturating_sub(fetch.last) < id.config.sync_retry_delay {
+        if now.saturating_sub(fetch.last) < SYNC_RETRY_DELAY {
             return;
         }
         fetch.attempts += 1;
@@ -438,8 +430,9 @@ impl StateTransfer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NarwhalConfig;
     use crate::consensus::{NoConsensus, NoExt};
-    use crate::testing::fixture::{durable, effects, identity, Msg};
+    use crate::testing::fixture::{effects, identity, Msg};
     use crate::testing::{certify, DagBench};
     use nt_types::Round;
 
@@ -456,10 +449,7 @@ mod tests {
     /// validators 2 and 3 co-sign it, and validator 0's request for the
     /// latest point is served: the response, as validator 0 receives it.
     fn served_snapshot(bench: &DagBench<NoConsensus>) -> Msg {
-        let id = Identity {
-            store: durable(),
-            ..identity(bench, 1)
-        };
+        let id = identity(bench, 1);
         let mut ctx = Ctx::new(0, 1);
         let mut server = StateTransfer::default();
         server.schedule(POINT - 1, &id);
@@ -523,6 +513,28 @@ mod tests {
             other => panic!("expected one request to the certificate's author, got {other:?}"),
         }
         (id, transfer)
+    }
+
+    /// With the interval at 0 nobody serves a snapshot, so a validator past
+    /// the pull-sync horizon asks nobody for one either.
+    #[test]
+    fn a_snapshot_is_asked_for_only_where_snapshots_are_served() {
+        let bench = DagBench::new(4, |_| NoConsensus);
+        let defaults = NarwhalConfig::default();
+        let far = certify(
+            &bench.committee,
+            &bench.keypairs,
+            1,
+            defaults.gc_depth + 1,
+            vec![],
+        );
+        for (interval, asks) in [(0, false), (defaults.snapshot_interval, true)] {
+            let mut id = identity(&bench, 0);
+            id.config.snapshot_interval = interval;
+            let mut ctx = Ctx::new(0, 0);
+            StateTransfer::default().maybe_trigger(&far, &bench.dag, &id, &mut ctx);
+            assert_eq!(!sends(&mut ctx).is_empty(), asks, "interval {interval}");
+        }
     }
 
     /// Delivers `response` from validator 1 to lagging validator 0: what
@@ -609,7 +621,7 @@ mod tests {
             )] => {}
             other => panic!("expected the next chunk to be asked for, got {other:?}"),
         }
-        let delay = id.config.sync_retry_delay;
+        let delay = SYNC_RETRY_DELAY;
         transfer.retry(delay - 1, &id, &mut ctx);
         assert!(ctx.is_empty(), "not yet");
         let mut asked = Vec::new();

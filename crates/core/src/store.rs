@@ -133,14 +133,20 @@ pub(crate) fn fail_stop<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| panic!("fail-stop, durable state is unavailable: {e}"))
 }
 
-/// Runs `op` against the durable store, if this primary has one: `None`
-/// is the volatile primary (the simulation default), `Some` the result of
-/// an operation that reached disk. Failures end in [`fail_stop`].
-pub(crate) fn disk<T>(
-    store: &Option<BlockStore>,
-    op: impl FnOnce(&BlockStore) -> Result<T, BlockStoreError>,
-) -> Option<T> {
-    store.as_ref().map(|s| fail_stop(op(s)))
+// Key parsers. A key of the wrong length is skipped by every reader, the
+// way an unreadable record is: on-disk data is never trusted to be
+// well formed.
+
+/// The digest that makes up all of `key` after its `prefix` bytes.
+fn digest_after(key: &[u8], prefix: usize) -> Option<Digest> {
+    Some(Digest(key.get(prefix..)?.try_into().ok()?))
+}
+
+/// The `(round, creator)` of a `v/` key.
+fn vote_key_parts(key: &[u8]) -> Option<(Round, ValidatorId)> {
+    let (round, creator) = key.get(2..)?.split_first_chunk::<8>()?;
+    let creator = u32::from_be_bytes(creator.try_into().ok()?);
+    Some((Round::from_be_bytes(*round), ValidatorId(creator)))
 }
 
 #[cfg(test)]
@@ -233,7 +239,7 @@ impl BlockStore {
             .inner
             .keys_with_prefix(b"b/")?
             .iter()
-            .filter_map(|key| Some(Digest(key.get(2..)?.try_into().ok()?)))
+            .filter_map(|key| digest_after(key, 2))
             .collect())
     }
 
@@ -253,13 +259,12 @@ impl BlockStore {
 
     /// Digests of own batches marked committed.
     pub fn committed_batches(&self) -> Result<HashSet<Digest>, BlockStoreError> {
-        let mut out = HashSet::new();
-        for key in self.inner.keys_with_prefix(b"cb/")? {
-            if key.len() == 3 + 32 {
-                out.insert(Digest(key[3..35].try_into().expect("32-byte digest")));
-            }
-        }
-        Ok(out)
+        Ok(self
+            .inner
+            .keys_with_prefix(b"cb/")?
+            .iter()
+            .filter_map(|key| digest_after(key, 3))
+            .collect())
     }
 
     /// Marks a block as linearized into the committed sequence at position
@@ -294,12 +299,13 @@ impl BlockStore {
         let mut out = HashSet::new();
         let mut max_seq = 0u64;
         for key in self.inner.keys_with_prefix(b"o/")? {
-            if key.len() == 2 + 32 {
-                out.insert(Digest(key[2..34].try_into().expect("32-byte digest")));
-                if let Some(value) = self.inner.get(&key)? {
-                    if let Ok(raw) = <[u8; 8]>::try_from(value.as_slice()) {
-                        max_seq = max_seq.max(u64::from_be_bytes(raw));
-                    }
+            let Some(digest) = digest_after(&key, 2) else {
+                continue;
+            };
+            out.insert(digest);
+            if let Some(value) = self.inner.get(&key)? {
+                if let Ok(raw) = <[u8; 8]>::try_from(value.as_slice()) {
+                    max_seq = max_seq.max(u64::from_be_bytes(raw));
                 }
             }
         }
@@ -335,13 +341,9 @@ impl BlockStore {
     ) -> Result<BTreeMap<Round, HashMap<ValidatorId, Digest>>, BlockStoreError> {
         let mut out: BTreeMap<Round, HashMap<ValidatorId, Digest>> = BTreeMap::new();
         for key in self.inner.keys_with_prefix(b"v/")? {
-            if key.len() != 2 + 8 + 4 {
+            let Some((round, creator)) = vote_key_parts(&key) else {
                 continue;
-            }
-            let round = Round::from_be_bytes(key[2..10].try_into().expect("8-byte round"));
-            let creator = ValidatorId(u32::from_be_bytes(
-                key[10..14].try_into().expect("4-byte creator"),
-            ));
+            };
             let Some(bytes) = self.inner.get(&key)? else {
                 continue;
             };
@@ -356,11 +358,7 @@ impl BlockStore {
     /// Deletes vote locks for rounds strictly below `round` (GC).
     pub fn gc_votes_below(&self, round: Round) -> Result<(), BlockStoreError> {
         for key in self.inner.keys_with_prefix(b"v/")? {
-            if key.len() != 2 + 8 + 4 {
-                continue;
-            }
-            let key_round = Round::from_be_bytes(key[2..10].try_into().expect("8-byte round"));
-            if key_round < round {
+            if vote_key_parts(&key).is_some_and(|(key_round, _)| key_round < round) {
                 self.inner.delete(&key)?;
             }
         }
@@ -437,15 +435,12 @@ impl BlockStore {
     pub fn gc_certificates_below(&self, round: Round) -> Result<usize, BlockStoreError> {
         let mut removed = 0;
         for key in self.inner.keys_with_prefix(b"c/")? {
-            if key.len() < 2 + 8 {
+            let Some((key_round, rest)) = key.get(2..).and_then(<[u8]>::split_first_chunk) else {
                 continue;
-            }
-            let key_round =
-                Round::from_be_bytes(key[2..10].try_into().expect("8-byte round prefix"));
-            if key_round < round {
-                if key.len() >= 2 + 8 + 32 {
-                    let digest = Digest(key[10..42].try_into().expect("32-byte digest"));
-                    self.inner.delete(&cert_index_key(&digest))?;
+            };
+            if Round::from_be_bytes(*key_round) < round {
+                if let Some(digest) = rest.first_chunk() {
+                    self.inner.delete(&cert_index_key(&Digest(*digest)))?;
                 }
                 self.inner.delete(&key)?;
                 removed += 1;
@@ -483,10 +478,9 @@ impl BlockStore {
     pub fn ordered_refs(&self) -> Result<Vec<(Digest, u64)>, BlockStoreError> {
         let mut out = Vec::new();
         for key in self.inner.keys_with_prefix(b"o/")? {
-            if key.len() != 2 + 32 {
+            let Some(digest) = digest_after(&key, 2) else {
                 continue;
-            }
-            let digest = Digest(key[2..34].try_into().expect("32-byte digest"));
+            };
             let Some(value) = self.inner.get(&key)? else {
                 continue;
             };
@@ -517,11 +511,10 @@ impl BlockStore {
         let Some(value) = self.inner.get(APP_STATE_KEY)? else {
             return Ok(None);
         };
-        if value.len() < 8 {
+        let Some((sequence, app)) = value.split_first_chunk::<8>() else {
             return Err(BlockStoreError::Corrupt(Digest::of(APP_STATE_KEY)));
-        }
-        let sequence = u64::from_be_bytes(value[..8].try_into().expect("8-byte prefix"));
-        Ok(Some((sequence, value[8..].to_vec())))
+        };
+        Ok(Some((u64::from_be_bytes(*sequence), app.to_vec())))
     }
 
     /// Persists one snapshot package at its snapshot point and prunes
@@ -552,14 +545,7 @@ impl BlockStore {
 
     /// Snapshot points with a retained package, ascending.
     pub fn snapshot_sequences(&self) -> Result<Vec<u64>, BlockStoreError> {
-        let mut out = Vec::new();
-        for key in self.inner.keys_with_prefix(b"s/p/")? {
-            if key.len() == 4 + 8 {
-                out.push(u64::from_be_bytes(key[4..12].try_into().expect("8 bytes")));
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        self.sequences_under(b"s/p/")
     }
 
     /// The newest retained snapshot package, if any.
@@ -581,12 +567,15 @@ impl BlockStore {
 
     /// Checkpoint sequences of every installed snapshot, ascending.
     pub fn snapshot_installs(&self) -> Result<Vec<u64>, BlockStoreError> {
-        let mut out = Vec::new();
-        for key in self.inner.keys_with_prefix(b"s/j/")? {
-            if key.len() == 4 + 8 {
-                out.push(u64::from_be_bytes(key[4..12].try_into().expect("8 bytes")));
-            }
-        }
+        self.sequences_under(b"s/j/")
+    }
+
+    /// The sequences named by the keys under a four-byte `prefix`,
+    /// ascending.
+    fn sequences_under(&self, prefix: &[u8]) -> Result<Vec<u64>, BlockStoreError> {
+        let keys = self.inner.keys_with_prefix(prefix)?;
+        let sequence = |key: &Vec<u8>| Some(u64::from_be_bytes(key.get(4..)?.try_into().ok()?));
+        let mut out: Vec<u64> = keys.iter().filter_map(sequence).collect();
         out.sort_unstable();
         Ok(out)
     }
@@ -727,6 +716,28 @@ mod tests {
         assert_eq!(dag.len(), 4 + 1, "genesis + only the good certificate");
         assert!(dag.contains_digest(&good.header_digest()));
         assert!(!dag.contains_digest(&digest));
+    }
+
+    #[test]
+    fn keys_of_the_wrong_length_are_skipped_by_every_reader() {
+        use nt_storage::Store;
+        let backend = Arc::new(MemStore::new());
+        for prefix in ["b/", "c/", "cb/", "o/", "v/", "s/p/", "s/j/"] {
+            backend
+                .put(format!("{prefix}?").as_bytes(), &[0; 8])
+                .unwrap();
+        }
+        let s = BlockStore::new(backend);
+        assert!(s.batch_digests().unwrap().is_empty());
+        assert!(s.committed_batches().unwrap().is_empty());
+        assert_eq!(s.load_ordered().unwrap(), (HashSet::new(), 0));
+        assert!(s.ordered_refs().unwrap().is_empty());
+        assert!(s.load_votes().unwrap().is_empty());
+        s.gc_votes_below(Round::MAX).unwrap();
+        assert_eq!(s.gc_certificates_below(Round::MAX).unwrap(), 0);
+        assert!(s.snapshot_sequences().unwrap().is_empty());
+        assert!(s.snapshot_installs().unwrap().is_empty());
+        assert_eq!(s.len().unwrap(), 7, "skipped, not deleted");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! certificate whose ancestry is complete; [`Synchronizer::release`] says
 //! whether a suspended one has become so.
 
+use crate::config::SYNC_RETRY_DELAY;
 use crate::dag::Dag;
 use crate::messages::NarwhalMsg;
 use crate::primary::{Ctx, Identity};
@@ -219,7 +220,7 @@ impl Synchronizer {
             self.missing_certs.clear();
         }
         for (digest, missing) in self.missing_certs.iter_mut() {
-            if now.saturating_sub(missing.last) >= id.config.sync_retry_delay {
+            if now.saturating_sub(missing.last) >= SYNC_RETRY_DELAY {
                 missing.attempts += 1;
                 missing.last = now;
                 let target = id.addr.rotate(id.me, missing.hint, missing.attempts);
@@ -395,7 +396,7 @@ impl Synchronizer {
     /// network round-trip — per DAG round, and a validator restarting a few
     /// dozen rounds behind burns seconds it may not have before the run (or
     /// its peers' patience) ends; a Byzantine equivocator's header spam
-    /// makes the walk strictly worse. Rate-limited by `sync_retry_delay`
+    /// makes the walk strictly worse. Rate-limited by `SYNC_RETRY_DELAY`
     /// and target-rotated like digest pulls.
     pub(crate) fn maybe_range_pull<E>(
         &mut self,
@@ -415,7 +416,7 @@ impl Synchronizer {
             return;
         }
         let now = ctx.now();
-        if now.saturating_sub(self.range_pull_last) < id.config.sync_retry_delay
+        if now.saturating_sub(self.range_pull_last) < SYNC_RETRY_DELAY
             && self.range_pull_attempts > 0
         {
             return;
@@ -521,7 +522,7 @@ mod tests {
         assert!(ctx.is_empty());
         // A silent author: each retry asks another validator, never us.
         for (retry, target) in [(1, 3), (2, 1), (3, 1), (4, 2)] {
-            sync.retry(retry * id.config.sync_retry_delay, &id, &mut ctx);
+            sync.retry(retry * SYNC_RETRY_DELAY, &id, &mut ctx);
             let retried = sends(&mut ctx);
             assert_eq!(retried.len(), 3);
             assert!(retried.iter().all(|(to, _)| *to == target), "retry {retry}");
@@ -607,7 +608,7 @@ mod tests {
                 "released by its last parent only"
             );
         }
-        sync.retry(id.config.sync_retry_delay, &id, &mut ctx);
+        sync.retry(SYNC_RETRY_DELAY, &id, &mut ctx);
         assert!(ctx.is_empty(), "nothing is left to pull");
     }
 
@@ -770,7 +771,7 @@ mod tests {
             [(1, NarwhalMsg::CertRangeRequest { from: 1, to: 9 })] => {}
             other => panic!("expected one range pull, got {other:?}"),
         }
-        let mut later = Ctx::new(id.config.sync_retry_delay, 0);
+        let mut later = Ctx::new(SYNC_RETRY_DELAY, 0);
         sync.maybe_range_pull(&ahead, 1, &bench.dag, &id, &mut later);
         assert_eq!(sends(&mut later)[0].0, 2, "rotated");
     }

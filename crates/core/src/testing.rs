@@ -262,8 +262,8 @@ pub(crate) mod fixture {
 
     pub(crate) type Msg = NarwhalMsg<NoExt>;
 
-    /// Validator `me` of `bench`'s committee, volatile, under the default
-    /// config.
+    /// Validator `me` of `bench`'s committee, over a fresh store in
+    /// memory, under the default config.
     pub(crate) fn identity<C>(bench: &DagBench<C>, me: u32) -> Identity {
         Identity {
             committee: bench.committee.clone(),
@@ -271,13 +271,8 @@ pub(crate) mod fixture {
             addr: AddressBook::new(bench.committee.size(), 1),
             me: ValidatorId(me),
             keypair: bench.keypairs[me as usize].clone(),
-            store: None,
+            store: BlockStore::new(Arc::new(nt_storage::MemStore::new())),
         }
-    }
-
-    /// A durable primary's store handle, over memory.
-    pub(crate) fn durable() -> Option<BlockStore> {
-        Some(BlockStore::new(Arc::new(nt_storage::MemStore::new())))
     }
 
     /// The report of `creator`'s worker-0 batch number `seq`.

@@ -65,7 +65,7 @@
 //! without a beat: the age bound, and under load also the arrival that
 //! crosses `batch_bytes` and, while a beat is unspent, the next arrival.
 
-use crate::config::NarwhalConfig;
+use crate::config::{NarwhalConfig, RESEND_DELAY, SYNC_RETRY_DELAY};
 use crate::deployment::AddressBook;
 use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::store::{fail_stop, BlockStore};
@@ -206,13 +206,6 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             }
             self.report(digest, &batch, ctx);
         }
-    }
-
-    /// The retry-timer cadence: the smaller of the two retry delays, so a
-    /// `resend_delay` below `sync_retry_delay` is not silently quantized
-    /// up to the timer period.
-    fn retry_interval(&self) -> Time {
-        self.config.sync_retry_delay.min(self.config.resend_delay)
     }
 
     fn next_sample_id(&mut self) -> u64 {
@@ -377,7 +370,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
         self.started = ctx.now();
         self.recover(ctx);
         self.arm(ctx);
-        ctx.timer(self.retry_interval(), TAG_RETRY);
+        ctx.timer(SYNC_RETRY_DELAY, TAG_RETRY);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<Self::Message>) {
@@ -397,7 +390,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 // the quorum forms or the batch is garbage collected.
                 let peers = self.addr.peer_workers(self.me, self.worker_id);
                 for p in self.pending.values() {
-                    if now.saturating_sub(p.created) < self.config.resend_delay {
+                    if now.saturating_sub(p.created) < RESEND_DELAY {
                         continue;
                     }
                     for &node in &peers {
@@ -410,7 +403,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 // Retry outstanding fetches against rotating targets,
                 // deterministically skipping ourselves: we cannot answer.
                 for (digest, fetch) in self.fetching.iter_mut() {
-                    if now.saturating_sub(fetch.last) >= self.config.sync_retry_delay {
+                    if now.saturating_sub(fetch.last) >= SYNC_RETRY_DELAY {
                         fetch.attempts += 1;
                         fetch.last = now;
                         let target = self.addr.rotate(self.me, fetch.creator, fetch.attempts);
@@ -419,7 +412,7 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                         ctx.send(node, NarwhalMsg::BatchRequest { digests });
                     }
                 }
-                ctx.timer(self.retry_interval(), TAG_RETRY);
+                ctx.timer(SYNC_RETRY_DELAY, TAG_RETRY);
             }
             _ => {}
         }
@@ -786,7 +779,7 @@ mod tests {
         );
         ctx.drain();
         // After the resend delay, the retry timer re-sends to 2 and 3 only.
-        let resend_at = 200 * MS + NarwhalConfig::default().resend_delay + MS;
+        let resend_at = 200 * MS + RESEND_DELAY + MS;
         let mut ctx = Context::new(resend_at, 4);
         workers[0].on_timer(TAG_RETRY, &mut ctx);
         let targets: Vec<NodeId> = sends(ctx.drain())
@@ -823,7 +816,7 @@ mod tests {
         // Repeated retry timers hit different validators (§4.1: asking "a
         // handful of validators" succeeds with overwhelming probability).
         let mut seen = std::collections::HashSet::new();
-        let retry = NarwhalConfig::default().sync_retry_delay;
+        let retry = SYNC_RETRY_DELAY;
         for k in 1..=3u64 {
             let mut ctx = Context::new(k * (retry + MS), 4);
             workers[0].on_timer(TAG_RETRY, &mut ctx);
@@ -1007,35 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_timer_runs_at_the_faster_of_the_two_delays() {
-        let (committee, _addr, _) = setup(4);
-        // resend_delay shorter than sync_retry_delay: the timer must follow
-        // the resend cadence, not quantize it up to the sync interval.
-        let config = NarwhalConfig {
-            resend_delay: 100 * MS,
-            sync_retry_delay: 500 * MS,
-            ..NarwhalConfig::with_load(10_000.0)
-        };
-        let mut worker: Worker<NoExt> = crate::node::NodeBuilder::new(committee, 0)
-            .config(config)
-            .build_worker(WorkerId(0));
-        let mut ctx = Context::new(0, 4);
-        worker.on_start(&mut ctx);
-        let delays: Vec<Time> = ctx
-            .drain()
-            .into_iter()
-            .filter_map(|e| match e {
-                Effect::Timer {
-                    delay,
-                    tag: TAG_RETRY,
-                } => Some(delay),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(delays, vec![100 * MS], "retry timer at min(resend, sync)");
-    }
-
-    #[test]
     fn fetch_retry_rotation_skips_self() {
         let (_, addr, mut workers) = setup(4);
         // Validator 0 fetches a batch created by validator 3: the rotation
@@ -1054,7 +1018,7 @@ mod tests {
             &mut ctx,
         );
         ctx.drain();
-        let retry = NarwhalConfig::default().sync_retry_delay;
+        let retry = SYNC_RETRY_DELAY;
         let own_node = addr.worker(ValidatorId(0), WorkerId(0));
         for k in 1..=8u64 {
             let mut ctx = Context::new(k * (retry + MS), 4);

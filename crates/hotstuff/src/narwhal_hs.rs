@@ -175,7 +175,8 @@ impl DagConsensus for NarwhalHsConsensus {
 
 /// Builds a Narwhal-HS deployment in [`AddressBook`](narwhal::AddressBook)
 /// order: `n` primaries (each embedding a HotStuff replica) followed by
-/// `workers` workers per validator.
+/// `workers` workers per validator. No host is ever restarted: each writes
+/// through a fresh store in memory, and no snapshot is taken.
 pub fn build_narwhal_hs_actors(
     n: usize,
     workers: u32,
@@ -184,6 +185,10 @@ pub fn build_narwhal_hs_actors(
 ) -> Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> {
     let (committee, kps) = Committee::deterministic(n, workers, nt_crypto::Scheme::Insecure);
     let hs_config = HsConfig::default();
+    let config = NarwhalConfig {
+        snapshot_interval: 0,
+        ..config.clone()
+    };
     let mut actors: Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> = Vec::new();
     for v in 0..n as u32 {
         let consensus = NarwhalHsConsensus::new(
