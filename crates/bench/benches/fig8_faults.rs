@@ -20,7 +20,6 @@ fn point(system: System, faults: usize, rate: f64) -> RunStats {
         faults,
         duration: 90 * SEC,
         seed: 1,
-        ..Default::default()
     };
     run_system(system, &params, vec![])
 }

@@ -22,7 +22,6 @@ fn base_params(rate: f64, duration: Time, faults: usize) -> BenchParams {
         faults,
         duration,
         seed: 1,
-        ..Default::default()
     }
 }
 

@@ -1,9 +1,10 @@
 //! Experiment parameters, mirroring the paper's `bench_params` (§B.4).
 
 use narwhal::NarwhalConfig;
-use nt_network::{Time, MS, SEC};
+use nt_network::{Time, SEC};
 
-/// One experiment configuration point.
+/// One experiment configuration point. Transactions are
+/// [`nt_types::TX_BYTES`] (512 B) long, as in every experiment of the paper.
 #[derive(Clone, Debug)]
 pub struct BenchParams {
     /// Number of validators (paper: 4, 10, 20, 50).
@@ -12,8 +13,6 @@ pub struct BenchParams {
     pub workers: u32,
     /// Total system input rate, transactions per second.
     pub rate: f64,
-    /// Transaction size in bytes (paper: 512).
-    pub tx_size: usize,
     /// Crashed validators (paper: 0, 1, 3).
     pub faults: usize,
     /// Simulated duration (paper runs 300 s; the DES reaches steady state
@@ -29,7 +28,6 @@ impl Default for BenchParams {
             nodes: 4,
             workers: 1,
             rate: 10_000.0,
-            tx_size: 512,
             faults: 0,
             duration: 30 * SEC,
             seed: 1,
@@ -43,27 +41,15 @@ impl BenchParams {
         self.rate / (self.nodes as f64 * self.workers as f64)
     }
 
-    /// Narwhal config for this experiment (paper baselines: 500 KB batches,
-    /// 512 B transactions).
-    pub fn narwhal_config(&self) -> NarwhalConfig {
-        NarwhalConfig {
-            tx_bytes: self.tx_size,
-            load: Some(narwhal::SyntheticLoad {
-                rate_tps: self.rate_per_worker(),
-            }),
-            max_header_delay: 100 * MS,
-            ..NarwhalConfig::default()
-        }
+    /// Rate submitted to each validator of the baseline/batched HotStuff
+    /// systems, which have no workers.
+    pub fn rate_per_validator(&self) -> f64 {
+        self.rate / self.nodes as f64
     }
 
-    /// HotStuff config for the baseline/batched systems (no workers; each
-    /// validator ingests `rate / nodes`).
-    pub fn hs_config(&self) -> nt_hotstuff::HsConfig {
-        nt_hotstuff::HsConfig {
-            tx_bytes: self.tx_size,
-            rate_per_validator: self.rate / self.nodes as f64,
-            ..nt_hotstuff::HsConfig::default()
-        }
+    /// Narwhal config for this experiment (paper baselines: 500 KB batches).
+    pub fn narwhal_config(&self) -> NarwhalConfig {
+        NarwhalConfig::with_load(self.rate_per_worker())
     }
 }
 
@@ -87,6 +73,5 @@ mod tests {
         let p = BenchParams::default();
         let c = p.narwhal_config();
         assert!(c.load.is_some());
-        assert_eq!(c.tx_bytes, 512);
     }
 }

@@ -21,7 +21,7 @@ pub fn run_narwhal_hs(params: &BenchParams, partitions: Vec<Partition>) -> RunSt
 pub fn run_batched_hs(params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
     let mut flat = params.clone();
     flat.workers = 0;
-    let actors = nt_hotstuff::build_batched_hs_actors(params.nodes, &params.hs_config());
+    let actors = nt_hotstuff::build_batched_hs_actors(params.nodes, params.rate_per_validator());
     run_actors(actors, &flat, partitions)
 }
 
@@ -29,6 +29,6 @@ pub fn run_batched_hs(params: &BenchParams, partitions: Vec<Partition>) -> RunSt
 pub fn run_baseline_hs(params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
     let mut flat = params.clone();
     flat.workers = 0;
-    let actors = nt_hotstuff::build_baseline_hs_actors(params.nodes, &params.hs_config());
+    let actors = nt_hotstuff::build_baseline_hs_actors(params.nodes, params.rate_per_validator());
     run_actors(actors, &flat, partitions)
 }

@@ -227,10 +227,7 @@ fn idle_rounds_keep_the_clock_and_loaded_rounds_follow_the_payload() {
 fn a_block_that_reaches_its_peers_late_still_commits_within_eight_rounds() {
     // One latency sample per batch: its oldest arrival. Arrival i is due at
     // i * `max_batch_delay`, so a sample names its batch's first transaction.
-    let config = NarwhalConfig {
-        samples_per_batch: 1,
-        ..NarwhalConfig::default()
-    };
+    let config = NarwhalConfig::default();
     let gap = config.max_batch_delay;
     let (from, until) = (1_000 * MS, 1_010 * MS);
     let spike = |peer| LinkSpike {

@@ -6,8 +6,7 @@ use crate::consensus::DagConsensus;
 use crate::messages::NarwhalMsg;
 use crate::node::NodeBuilder;
 use nt_crypto::KeyPair;
-use nt_network::Actor;
-use nt_simnet::ActorFactory;
+use nt_network::{Actor, ActorFactory};
 use nt_types::{Committee, ValidatorId, WorkerId};
 
 /// One factory per host. A factory builds its host from scratch on every

@@ -81,8 +81,6 @@ pub struct NarwhalConfig {
     /// Batch size bound in bytes (paper baseline: 500 KB): a buffer that
     /// reaches it is sealed whatever the clock says.
     pub batch_bytes: usize,
-    /// Transaction size in bytes (paper baseline: 512 B).
-    pub tx_bytes: usize,
     /// The fallback bound on batching, never the pace: a worker seals what
     /// it buffered whenever a block of its own primary leaves (`worker.rs`),
     /// and this is how old the oldest buffered transaction may get if none
@@ -106,9 +104,6 @@ pub struct NarwhalConfig {
     pub max_header_delay: Time,
     /// Rounds kept in memory behind the last committed anchor (§3.3).
     pub gc_depth: u64,
-    /// At most this many latency samples per batch, at evenly spaced buffer
-    /// positions (the oldest first), each with that transaction's arrival.
-    pub samples_per_batch: usize,
     /// Take a durable, committee-signed snapshot every this many commits.
     /// Must map to fewer than `gc_depth` rounds between snapshot points,
     /// or the latest snapshot could itself be beyond the horizon a joiner
@@ -126,11 +121,9 @@ impl Default for NarwhalConfig {
     fn default() -> Self {
         NarwhalConfig {
             batch_bytes: 500_000,
-            tx_bytes: 512,
             max_batch_delay: 100 * MS,
             max_header_delay: 100 * MS,
             gc_depth: 50,
-            samples_per_batch: 4,
             snapshot_interval: 32,
             load: None,
             bugs: SelfTestBugs::default(),
@@ -156,6 +149,5 @@ mod tests {
     fn defaults_match_paper_baseline() {
         let c = NarwhalConfig::default();
         assert_eq!(c.batch_bytes, 500_000);
-        assert_eq!(c.tx_bytes, 512);
     }
 }

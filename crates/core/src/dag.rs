@@ -644,11 +644,6 @@ impl<'a> DagView<'a> {
         self.dag.slot(id).author
     }
 
-    /// The header digest of `id`'s certificate.
-    pub fn digest_of(&self, id: CertId) -> Digest {
-        self.dag.slot(id).digest
-    }
-
     /// The ids of `round`'s certificates, in author order.
     pub fn round_ids(&self, round: Round) -> impl Iterator<Item = CertId> + 'a {
         self.dag.round_ids(round)

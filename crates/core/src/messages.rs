@@ -8,6 +8,7 @@
 use nt_codec::{Decode, DecodeError, Encode, Reader};
 use nt_crypto::Digest;
 use nt_execution::{SnapshotBase, SnapshotManifest, SnapshotSig};
+use nt_network::SimMessage;
 use nt_types::{
     Batch, Certificate, Header, Round, Transaction, TxSample, ValidatorId, Vote, WireSize, WorkerId,
 };
@@ -183,9 +184,9 @@ impl<Ext> NarwhalMsg<Ext> {
     }
 }
 
-impl<Ext: nt_simnet::SimMessage> nt_simnet::SimMessage for NarwhalMsg<Ext> {
+impl<Ext: SimMessage> SimMessage for NarwhalMsg<Ext> {
     fn wire_size(&self) -> usize {
-        self.wire_size_with(nt_simnet::SimMessage::wire_size)
+        self.wire_size_with(SimMessage::wire_size)
     }
 
     fn verify_count(&self) -> usize {
@@ -224,7 +225,7 @@ impl<Ext: nt_simnet::SimMessage> nt_simnet::SimMessage for NarwhalMsg<Ext> {
     }
 }
 
-impl nt_simnet::SimMessage for crate::consensus::NoExt {
+impl SimMessage for crate::consensus::NoExt {
     fn wire_size(&self) -> usize {
         match *self {}
     }

@@ -628,7 +628,13 @@ impl<C: DagConsensus> Actor for Primary<C> {
                 }
                 self.drain_anchors(ctx);
             }
-            NarwhalMsg::ReportBatch(info) => self.handle_report(info, ctx),
+            // A report vouches that our own store holds the batch (§4.2):
+            // only our own workers can say so.
+            NarwhalMsg::ReportBatch(info)
+                if self.id.addr.worker_of(from).map(|(v, _)| v) == Some(self.id.me) =>
+            {
+                self.handle_report(info, ctx)
+            }
             NarwhalMsg::SnapshotVote {
                 sequence,
                 manifest,
@@ -880,6 +886,49 @@ mod tests {
             NarwhalMsg::Header(header) => assert_eq!((header.round, header.payload.len()), (3, 0)),
             other => panic!("expected the round-3 block, got {other:?}"),
         }
+    }
+
+    /// Only this validator's own workers vouch for a batch. A report from a
+    /// client, a peer primary or a peer's worker is dropped whole: it joins
+    /// no proposal and releases no vote (§4.2's availability check). The
+    /// same reports from our own worker do both.
+    #[test]
+    fn batch_reports_count_only_from_our_own_workers() {
+        let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
+        let mut p = NodeBuilder::new(committee.clone(), 0)
+            .keypair(kps[0].clone())
+            .build_primary(NoConsensus);
+        p.on_start(&mut Context::new(0, 0));
+        let (own, peer) = (batch(0, 1), batch(2, 7));
+        let genesis = Certificate::genesis_set(&committee);
+        let parents: Vec<Digest> = genesis.iter().map(Certificate::header_digest).collect();
+        let payload = vec![(peer.digest, peer.worker)];
+        let header = Header::new(&kps[2], ValidatorId(2), 1, payload, parents, None);
+        let deliver = |p: &mut Primary<NoConsensus>, from: NodeId, msg: Msg| {
+            let mut ctx: Ctx<NoExt> = Context::new(MS, 0);
+            p.on_message(from, msg, &mut ctx);
+            effects(&mut ctx, TAG_PROPOSE).0
+        };
+        // A client, validator 1's primary, validator 2's worker.
+        for from in [nt_network::CLIENT, 1, 6] {
+            for info in [&own, &peer] {
+                let sends = deliver(&mut p, from, NarwhalMsg::ReportBatch(info.clone()));
+                assert!(sends.is_empty(), "a report from {from} was acted on");
+            }
+        }
+        assert!(p.certifier.current_header.is_none(), "nothing proposed");
+        let sends = deliver(&mut p, 2, NarwhalMsg::Header(header));
+        let voted = sends.iter().any(|(_, m)| matches!(m, NarwhalMsg::Vote(_)));
+        assert!(!voted, "no vote for a batch our workers lack");
+        // Our own worker is node 4.
+        let sends = deliver(&mut p, 4, NarwhalMsg::ReportBatch(peer));
+        assert!(
+            matches!(&sends[..], [(2, NarwhalMsg::Vote(_))]),
+            "{sends:?}"
+        );
+        deliver(&mut p, 4, NarwhalMsg::ReportBatch(own.clone()));
+        let proposed = p.certifier.current_header.as_ref().expect("proposed");
+        assert_eq!(proposed.payload, vec![(own.digest, own.worker)]);
     }
 
     /// A payload-bearing block gets its vote once its batch is stored, and

@@ -51,19 +51,20 @@
 //! spent once, so early seals <= own proposals + 1 (the beat a worker starts
 //! with) and batches/s <= rounds/s + size seals/s + 1/`max_batch_delay`.
 //!
-//! A batch carries at most `samples_per_batch` latency samples, at evenly
+//! A batch carries at most [`SAMPLES_PER_BATCH`] latency samples, at evenly
 //! spaced buffer positions (the oldest first), each with its arrival time.
 //!
 //! In simulation each worker generates its own clients' fixed-rate stream
 //! (§7, `config.load`), and only that source is synthetic: its transactions
-//! are *virtual arrivals*, the i-th at `started + i·SEC/rate_tps`, counted
-//! whenever the worker handles an event (elapsed time × rate, floored, minus
-//! what it already counted: rounding cannot drift) into the same buffer,
-//! under the same rules, and sealed as one [`Batch::synthetic`] — no event
-//! and no allocation per transaction. They arrive unseen between events, so
-//! the one `TAG_SEAL` timer is armed for the earliest moment a rule fires
-//! without a beat: the age bound, and under load also the arrival that
-//! crosses `batch_bytes` and, while a beat is unspent, the next arrival.
+//! are *virtual arrivals* of [`TX_BYTES`] each, the i-th at
+//! `started + i·SEC/rate_tps`, counted whenever the worker handles an event
+//! (elapsed time × rate, floored, minus what it already counted: rounding
+//! cannot drift) into the same buffer, under the same rules, and sealed as
+//! one [`Batch::synthetic`] — no event and no allocation per transaction.
+//! They arrive unseen between events, so the one `TAG_SEAL` timer is armed
+//! for the earliest moment a rule fires without a beat: the age bound, and
+//! under load also the arrival that crosses `batch_bytes` and, while a beat
+//! is unspent, the next arrival.
 
 use crate::config::{NarwhalConfig, RESEND_DELAY, SYNC_RETRY_DELAY};
 use crate::deployment::AddressBook;
@@ -71,13 +72,17 @@ use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::store::{fail_stop, BlockStore};
 use nt_crypto::Digest;
 use nt_network::{Actor, Context, NodeId, Time, SEC};
-use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId};
+use nt_types::{Batch, Committee, Transaction, TxSample, ValidatorId, WorkerId, TX_BYTES};
 use std::collections::{btree_map::Entry, BTreeMap, HashSet};
 
 type Ctx<Ext> = Context<NarwhalMsg<Ext>>;
 
 const TAG_SEAL: u64 = 1;
 const TAG_RETRY: u64 = 2;
+
+/// At most this many latency samples per batch, at evenly spaced buffer
+/// positions (the oldest first), each with that transaction's arrival.
+pub const SAMPLES_PER_BATCH: u64 = 4;
 
 struct PendingBatch {
     batch: Batch,
@@ -235,10 +240,10 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         Some(at)
     }
 
-    /// Arrivals of `tx_bytes` that bring the buffer to `batch_bytes`.
+    /// Arrivals of [`TX_BYTES`] that bring the buffer to `batch_bytes`.
     fn to_size(&self) -> u64 {
         let missing = self.config.batch_bytes.saturating_sub(self.buffer_bytes);
-        missing.div_ceil(self.config.tx_bytes.max(1)).max(1) as u64
+        missing.div_ceil(TX_BYTES).max(1) as u64
     }
 
     /// The rules an arrival triggers: a remembered beat, or the size bound.
@@ -261,7 +266,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
             let take = if self.beat_unspent { 1 } else { self.to_size() }.min(due - self.accrued);
             self.accrued += take;
             self.virtual_txs += take;
-            self.buffer_bytes += take as usize * self.config.tx_bytes;
+            self.buffer_bytes += take as usize * TX_BYTES;
             self.on_arrival(ctx);
         }
     }
@@ -320,7 +325,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
     fn seal_buffer(&mut self, ctx: &mut Ctx<Ext>) {
         let real = self.buffer.len() as u64;
         let total = real + self.virtual_txs;
-        let k = (self.config.samples_per_batch as u64).min(total);
+        let k = SAMPLES_PER_BATCH.min(total);
         let (mut samples, mut synthetic) = (Vec::new(), Vec::new());
         for p in (0..k).map(|j| j * total / k) {
             let id = self.next_sample_id();
@@ -342,7 +347,7 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
         let count = std::mem::take(&mut self.virtual_txs);
         if count > 0 {
             self.seq += 1;
-            let bytes = count * self.config.tx_bytes as u64;
+            let bytes = count * TX_BYTES as u64;
             let batch = Batch::synthetic(me, worker, self.seq, count, bytes, synthetic);
             self.seal(batch, ctx);
         }
@@ -489,9 +494,10 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     }
                 }
             }
+            // Only our own primary asks us to fetch.
             NarwhalMsg::FetchBatch {
                 digest, creator, ..
-            } => {
+            } if from == self.addr.primary(self.me) => {
                 if self.pending.contains_key(&digest) {
                     // Own batch awaiting its quorum: the report follows it.
                 } else if let Some(batch) = fail_stop(self.store.get_batch(&digest)) {
@@ -742,20 +748,36 @@ mod tests {
         }
     }
 
+    /// Only our own primary asks us to fetch: the same request from a
+    /// client, a peer primary or a peer's worker starts nothing.
     #[test]
     fn fetch_batch_pulls_from_creator() {
         let (_, addr, mut workers) = setup(4);
         let digest = Digest::of(b"missing");
-        let mut ctx = Context::new(0, 4);
-        workers[0].on_message(
-            addr.primary(ValidatorId(0)),
-            NarwhalMsg::FetchBatch {
-                digest,
-                worker: WorkerId(0),
-                creator: ValidatorId(2),
-            },
-            &mut ctx,
-        );
+        let fetch = NarwhalMsg::FetchBatch {
+            digest,
+            worker: WorkerId(0),
+            creator: ValidatorId(2),
+        };
+        let peer = ValidatorId(1);
+        for from in [
+            nt_network::CLIENT,
+            addr.primary(peer),
+            addr.worker(peer, WorkerId(0)),
+        ] {
+            let mut ctx = Context::new(0, 4);
+            workers[0].on_message(from, fetch.clone(), &mut ctx);
+            assert!(
+                sends(ctx.drain()).is_empty(),
+                "a fetch from {from} acted on"
+            );
+        }
+        let now = SYNC_RETRY_DELAY + MS;
+        let mut ctx = Context::new(now, 4);
+        workers[0].on_timer(TAG_RETRY, &mut ctx);
+        assert!(sends(ctx.drain()).is_empty(), "no fetch to retry");
+        let mut ctx = Context::new(now, 4);
+        workers[0].on_message(addr.primary(ValidatorId(0)), fetch, &mut ctx);
         let out = sends(ctx.drain());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, addr.worker(ValidatorId(2), WorkerId(0)));
@@ -974,13 +996,19 @@ mod tests {
         let batch = peer_batch(9);
         let digest = batch.digest();
         deliver(&mut worker, NarwhalMsg::Batch(batch));
-        let fetch = || NarwhalMsg::FetchBatch {
-            digest,
-            worker: WorkerId(0),
-            creator: ValidatorId(1),
+        // Our own primary (node 0) asks.
+        let fetch = |worker: &mut Worker<NoExt>| {
+            let msg = NarwhalMsg::FetchBatch {
+                digest,
+                worker: WorkerId(0),
+                creator: ValidatorId(1),
+            };
+            let mut ctx = Context::new(0, 4);
+            worker.on_message(0, msg, &mut ctx);
+            sends(ctx.drain())
         };
         // Held: re-reported from the store, nothing re-persisted.
-        let out = deliver(&mut worker, fetch());
+        let out = fetch(&mut worker);
         assert!(matches!(
             &out[..],
             [(_, NarwhalMsg::ReportBatch(info))] if info.digest == digest
@@ -991,7 +1019,7 @@ mod tests {
         BlockStore::new(store.clone())
             .delete_batch(&digest)
             .unwrap();
-        let out = deliver(&mut worker, fetch());
+        let out = fetch(&mut worker);
         assert!(matches!(
             &out[..],
             [(5, NarwhalMsg::BatchRequest { digests })] if digests[..] == [digest]
@@ -1397,16 +1425,10 @@ mod tests {
         let (mut worker, _) = loaded(rate, NarwhalConfig::default(), 0);
         fallback_timer(&mut worker, MS);
         assert_eq!(samples(&mut worker, header(0), 11 * MS), [vec![2, 4, 7, 9]]);
-        // One sample a batch is its oldest arrival; more than it holds, all.
-        for (k, expected) in [(1, vec![12]), (9, vec![12, 13, 14])] {
-            let config = NarwhalConfig {
-                samples_per_batch: k,
-                ..NarwhalConfig::default()
-            };
-            let (mut worker, _) = loaded(rate, config, 0);
-            fallback_timer(&mut worker, MS);
-            beat(&mut worker, 11 * MS);
-            assert_eq!(samples(&mut worker, header(0), 14 * MS), [expected]);
-        }
+        // More samples than the batch holds arrivals: all of them.
+        let (mut worker, _) = loaded(rate, NarwhalConfig::default(), 0);
+        fallback_timer(&mut worker, MS);
+        beat(&mut worker, 11 * MS);
+        assert_eq!(samples(&mut worker, header(0), 14 * MS), [vec![12, 13, 14]]);
     }
 }

@@ -11,17 +11,23 @@
 //! 2k tx/s in §7.1), and leader proposals carry *full transaction data*, so
 //! the leader's NIC serializes `(n-1) x 500 KB` per block.
 
-use crate::config::HsConfig;
 use crate::core::{HotStuffCore, HsAction};
 use crate::types::{HsMsg, HsPayload};
+use crate::TICK;
+use narwhal::worker::SAMPLES_PER_BATCH;
 use nt_crypto::KeyPair;
 use nt_network::{Actor, Context, NodeId};
-use nt_types::{Batch, CommitEvent, Committee, TxSample, ValidatorId, WorkerId};
+use nt_types::{Batch, CommitEvent, Committee, TxSample, ValidatorId, WorkerId, TX_BYTES};
 use std::collections::VecDeque;
 
 const TAG_TICK: u64 = 1;
 /// View timers use tags above this base (tag = base + view).
 const TAG_VIEW_BASE: u64 = 1 << 32;
+
+/// Maximum proposal payload in bytes (paper: 500 KB max block size).
+const MAX_BLOCK_BYTES: usize = 500_000;
+/// Max transactions per proposal.
+const MAX_TXS_PER_BLOCK: u64 = (MAX_BLOCK_BYTES / TX_BYTES) as u64;
 
 /// One chunk of pooled transactions (a gossip burst kept intact so latency
 /// samples stay attached to their transactions).
@@ -34,7 +40,8 @@ struct PoolChunk {
 /// A Baseline-HS validator (consensus + gossip mempool on one host).
 pub struct BaselineValidator {
     core: HotStuffCore,
-    config: HsConfig,
+    /// Synthetic client rate (tx/s) into this validator; 0 for none.
+    rate_per_validator: f64,
     me: ValidatorId,
     n: usize,
     pool: VecDeque<PoolChunk>,
@@ -45,12 +52,18 @@ pub struct BaselineValidator {
 }
 
 impl BaselineValidator {
-    /// Creates the validator (node id == validator id; no workers).
-    pub fn new(committee: Committee, config: HsConfig, me: ValidatorId, keypair: KeyPair) -> Self {
+    /// Creates the validator (node id == validator id; no workers), whose
+    /// clients submit `rate_per_validator` transactions per second.
+    pub fn new(
+        committee: Committee,
+        rate_per_validator: f64,
+        me: ValidatorId,
+        keypair: KeyPair,
+    ) -> Self {
         let n = committee.size();
         BaselineValidator {
-            core: HotStuffCore::new(committee, config.clone(), me, keypair),
-            config,
+            core: HotStuffCore::new(committee, me, keypair),
+            rate_per_validator,
             me,
             n,
             pool: VecDeque::new(),
@@ -110,7 +123,7 @@ impl BaselineValidator {
 
     /// Drains up to one block's worth of pooled transactions.
     fn next_payload(&mut self) -> HsPayload {
-        let max = self.config.max_txs_per_block();
+        let max = MAX_TXS_PER_BLOCK;
         let mut count = 0u64;
         let mut bytes = 0u64;
         let mut samples = Vec::new();
@@ -155,7 +168,7 @@ impl BaselineValidator {
                 self.pool.pop_front();
             } else {
                 front.count -= count;
-                front.bytes -= (count * self.config.tx_bytes as u64).min(front.bytes);
+                front.bytes -= (count * TX_BYTES as u64).min(front.bytes);
                 self.pooled_txs -= count.min(self.pooled_txs);
                 count = 0;
             }
@@ -163,17 +176,17 @@ impl BaselineValidator {
     }
 
     fn generate_burst(&mut self, ctx: &mut Context<HsMsg>) {
-        let rate = self.config.rate_per_validator;
+        let rate = self.rate_per_validator;
         if rate <= 0.0 {
             return;
         }
-        let interval = self.config.tick;
+        let interval = TICK;
         let count = ((rate * interval as f64) / nt_network::SEC as f64).round() as u64;
         if count == 0 {
             return;
         }
-        let bytes = count * self.config.tx_bytes as u64;
-        let k = self.config.samples_per_batch.max(1) as u64;
+        let bytes = count * TX_BYTES as u64;
+        let k = SAMPLES_PER_BATCH;
         let samples: Vec<TxSample> = (0..k)
             .map(|i| {
                 self.sample_seq += 1;
@@ -203,7 +216,7 @@ impl Actor for BaselineValidator {
     fn on_start(&mut self, ctx: &mut Context<HsMsg>) {
         let actions = self.core.start();
         self.apply(actions, ctx);
-        ctx.timer(self.config.tick, TAG_TICK);
+        ctx.timer(TICK, TAG_TICK);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<HsMsg>) {
@@ -214,7 +227,7 @@ impl Actor for BaselineValidator {
         }
         if tag == TAG_TICK {
             self.generate_burst(ctx);
-            ctx.timer(self.config.tick, TAG_TICK);
+            ctx.timer(TICK, TAG_TICK);
         }
     }
 
@@ -249,17 +262,18 @@ impl Actor for BaselineValidator {
     }
 }
 
-/// Builds a Baseline-HS deployment: one host per validator.
+/// Builds a Baseline-HS deployment: one host per validator, each fed
+/// `rate_per_validator` transactions per second.
 pub fn build_baseline_hs_actors(
     n: usize,
-    config: &HsConfig,
+    rate_per_validator: f64,
 ) -> Vec<Box<dyn Actor<Message = HsMsg>>> {
     let (committee, kps) = Committee::deterministic(n, 0, nt_crypto::Scheme::Insecure);
     (0..n)
         .map(|v| {
             Box::new(BaselineValidator::new(
                 committee.clone(),
-                config.clone(),
+                rate_per_validator,
                 ValidatorId(v as u32),
                 kps[v].clone(),
             )) as Box<dyn Actor<Message = HsMsg>>
@@ -276,15 +290,7 @@ mod tests {
     #[test]
     fn burst_generation_gossips_and_pools() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        let mut v = BaselineValidator::new(
-            committee,
-            HsConfig {
-                rate_per_validator: 1_000.0,
-                ..HsConfig::default()
-            },
-            ValidatorId(0),
-            kps[0].clone(),
-        );
+        let mut v = BaselineValidator::new(committee, 1_000.0, ValidatorId(0), kps[0].clone());
         let mut ctx = Context::new(200 * MS, 0);
         v.generate_burst(&mut ctx);
         let sends = ctx
@@ -299,12 +305,7 @@ mod tests {
     #[test]
     fn payload_respects_block_size() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        let mut v = BaselineValidator::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(0),
-            kps[0].clone(),
-        );
+        let mut v = BaselineValidator::new(committee, 0.0, ValidatorId(0), kps[0].clone());
         for _ in 0..20 {
             v.pool.push_back(PoolChunk {
                 count: 100,
@@ -315,7 +316,7 @@ mod tests {
         }
         match v.next_payload() {
             HsPayload::Txs(batch) => {
-                assert!(batch.tx_count() <= v.config.max_txs_per_block());
+                assert!(batch.tx_count() <= MAX_TXS_PER_BLOCK);
                 assert!(batch.tx_count() >= 900, "fills close to the limit");
             }
             other => panic!("expected txs, got {other:?}"),
@@ -326,12 +327,7 @@ mod tests {
     #[test]
     fn empty_pool_proposes_empty() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        let mut v = BaselineValidator::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(0),
-            kps[0].clone(),
-        );
+        let mut v = BaselineValidator::new(committee, 0.0, ValidatorId(0), kps[0].clone());
         assert!(matches!(v.next_payload(), HsPayload::Empty));
     }
 }

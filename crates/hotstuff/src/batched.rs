@@ -11,18 +11,25 @@
 //! availability certificates), so a replica receiving a proposal may lack
 //! referenced batches and must fetch them from the leader before voting —
 //! and under crash faults, view changes stall the pipeline while batch
-//! catch-up is bounded per block ([`HsConfig::max_digests_per_block`]).
+//! catch-up is bounded per block ([`MAX_DIGESTS_PER_BLOCK`]).
 
-use crate::config::HsConfig;
 use crate::core::{HotStuffCore, HsAction};
 use crate::types::{HsMsg, HsPayload};
+use crate::TICK;
+use narwhal::worker::SAMPLES_PER_BATCH;
 use nt_crypto::{Digest, Hashable, KeyPair};
 use nt_network::{Actor, Context, NodeId};
-use nt_types::{Batch, CommitEvent, Committee, TxSample, ValidatorId, WorkerId};
+use nt_types::{Batch, CommitEvent, Committee, TxSample, ValidatorId, WorkerId, TX_BYTES};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 const TAG_TICK: u64 = 1;
 const TAG_VIEW_BASE: u64 = 1 << 32;
+
+/// Maximum batch digests per proposal. Bounds catch-up after stalls, which
+/// is what makes Batched-HS fragile under faults.
+pub const MAX_DIGESTS_PER_BLOCK: usize = 64;
+/// Target batch size for dissemination (the paper's 500 KB).
+const BATCH_BYTES: usize = 500_000;
 
 struct BatchMeta {
     creator: ValidatorId,
@@ -39,7 +46,8 @@ struct PendingProposal {
 /// A Batched-HS validator (consensus + batch mempool on one host).
 pub struct BatchedValidator {
     core: HotStuffCore,
-    config: HsConfig,
+    /// Synthetic client rate (tx/s) into this validator; 0 for none.
+    rate_per_validator: f64,
     me: ValidatorId,
     n: usize,
     /// Batch digests eligible for proposing, in arrival order.
@@ -55,12 +63,18 @@ pub struct BatchedValidator {
 }
 
 impl BatchedValidator {
-    /// Creates the validator (node id == validator id; no workers).
-    pub fn new(committee: Committee, config: HsConfig, me: ValidatorId, keypair: KeyPair) -> Self {
+    /// Creates the validator (node id == validator id; no workers), whose
+    /// clients submit `rate_per_validator` transactions per second.
+    pub fn new(
+        committee: Committee,
+        rate_per_validator: f64,
+        me: ValidatorId,
+        keypair: KeyPair,
+    ) -> Self {
         let n = committee.size();
         BatchedValidator {
-            core: HotStuffCore::new(committee, config.clone(), me, keypair),
-            config,
+            core: HotStuffCore::new(committee, me, keypair),
+            rate_per_validator,
             me,
             n,
             pool: VecDeque::new(),
@@ -122,7 +136,7 @@ impl BatchedValidator {
         }
     }
 
-    /// Selects up to `max_digests_per_block` uncommitted pooled batches.
+    /// Selects up to [`MAX_DIGESTS_PER_BLOCK`] uncommitted pooled batches.
     fn next_payload(&mut self) -> HsPayload {
         // Lazily drop committed digests from the pool head.
         while let Some(front) = self.pool.front() {
@@ -136,7 +150,7 @@ impl BatchedValidator {
             .pool
             .iter()
             .filter(|d| !self.committed_batches.contains(*d))
-            .take(self.config.max_digests_per_block)
+            .take(MAX_DIGESTS_PER_BLOCK)
             .copied()
             .collect();
         if digests.is_empty() {
@@ -147,7 +161,7 @@ impl BatchedValidator {
     }
 
     fn seal_batch(&mut self, ctx: &mut Context<HsMsg>) {
-        let rate = self.config.rate_per_validator;
+        let rate = self.rate_per_validator;
         if rate <= 0.0 {
             return;
         }
@@ -156,8 +170,8 @@ impl BatchedValidator {
         if count == 0 {
             return;
         }
-        let bytes = count * self.config.tx_bytes as u64;
-        let k = self.config.samples_per_batch.max(1) as u64;
+        let bytes = count * TX_BYTES as u64;
+        let k = SAMPLES_PER_BATCH;
         let samples: Vec<TxSample> = (0..k)
             .map(|i| {
                 self.sample_seq += 1;
@@ -176,11 +190,10 @@ impl BatchedValidator {
     }
 
     fn batch_interval(&self) -> nt_network::Time {
-        let rate = self.config.rate_per_validator.max(1.0);
-        let per_batch = (self.config.batch_bytes / self.config.tx_bytes).max(1) as f64;
+        let rate = self.rate_per_validator.max(1.0);
+        let per_batch = (BATCH_BYTES / TX_BYTES) as f64;
         let secs = per_batch / rate;
-        ((secs * nt_network::SEC as f64) as nt_network::Time)
-            .clamp(nt_network::MS, self.config.tick)
+        ((secs * nt_network::SEC as f64) as nt_network::Time).clamp(nt_network::MS, TICK)
     }
 
     fn remember(&mut self, digest: Digest, batch: &Batch) {
@@ -299,17 +312,18 @@ impl Actor for BatchedValidator {
     }
 }
 
-/// Builds a Batched-HS deployment: one host per validator.
+/// Builds a Batched-HS deployment: one host per validator, each fed
+/// `rate_per_validator` transactions per second.
 pub fn build_batched_hs_actors(
     n: usize,
-    config: &HsConfig,
+    rate_per_validator: f64,
 ) -> Vec<Box<dyn Actor<Message = HsMsg>>> {
     let (committee, kps) = Committee::deterministic(n, 0, nt_crypto::Scheme::Insecure);
     (0..n)
         .map(|v| {
             Box::new(BatchedValidator::new(
                 committee.clone(),
-                config.clone(),
+                rate_per_validator,
                 ValidatorId(v as u32),
                 kps[v].clone(),
             )) as Box<dyn Actor<Message = HsMsg>>
@@ -325,15 +339,7 @@ mod tests {
 
     fn setup(rate: f64) -> BatchedValidator {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        BatchedValidator::new(
-            committee,
-            HsConfig {
-                rate_per_validator: rate,
-                ..HsConfig::default()
-            },
-            ValidatorId(0),
-            kps[0].clone(),
-        )
+        BatchedValidator::new(committee, rate, ValidatorId(0), kps[0].clone())
     }
 
     #[test]
@@ -360,7 +366,7 @@ mod tests {
         v.committed_batches.insert(digests[0]);
         match v.next_payload() {
             HsPayload::Batches(ds) => {
-                assert_eq!(ds.len(), v.config.max_digests_per_block);
+                assert_eq!(ds.len(), MAX_DIGESTS_PER_BLOCK);
                 assert!(!ds.contains(&digests[0]), "committed digest skipped");
             }
             other => panic!("expected batches, got {other:?}"),
@@ -371,20 +377,11 @@ mod tests {
     fn missing_batches_trigger_fetch_and_deferred_vote() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
         // Leader of view 1 proposes a batch nobody else has.
-        let mut leader = BatchedValidator::new(
-            committee.clone(),
-            HsConfig::default(),
-            ValidatorId(1),
-            kps[1].clone(),
-        );
+        let mut leader =
+            BatchedValidator::new(committee.clone(), 0.0, ValidatorId(1), kps[1].clone());
         // Replica 3 is not the next leader (leader(2) = 2), so its vote is
         // an explicit Send.
-        let mut replica = BatchedValidator::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(3),
-            kps[3].clone(),
-        );
+        let mut replica = BatchedValidator::new(committee, 0.0, ValidatorId(3), kps[3].clone());
         // Start the cores directly (the actor `on_start` would auto-propose
         // an empty block for view 1, consuming the leader's proposal slot).
         let _ = leader.core.start();

@@ -15,14 +15,14 @@
 //! - **Commit** block `b` when a QC certifies its child `b'` with
 //!   `b.view + 1 = b'.view` (2-chain rule).
 //! - **Pacemaker**: view timers broadcast `Timeout` messages carrying the
-//!   sender's highest QC; `2f + 1` form a TC that advances the view, with
-//!   exponential backoff on consecutive failures — producing the
-//!   fault-case latencies of Figure 8.
+//!   sender's highest QC; `2f + 1` form a TC that advances the view. The
+//!   delay is fixed ([`VIEW_TIMEOUT`]), like the paper's open-source
+//!   artifact: exponential backoff compounds multi-view stalls under crash
+//!   faults far beyond the latencies reported in Figure 8.
 
-use crate::config::HsConfig;
 use crate::types::{genesis_id, HsBlock, HsMsg, HsPayload, HsTimeout, HsVote, Qc, Tc};
 use nt_crypto::{Digest, KeyPair};
-use nt_network::Time;
+use nt_network::{Time, SEC};
 use nt_types::{Committee, ValidatorId};
 use std::collections::{HashMap, HashSet};
 
@@ -49,10 +49,13 @@ pub enum HsAction {
     },
 }
 
+/// How long a view may go without progress before this replica broadcasts
+/// its `Timeout`, and again every time after until the view changes.
+pub const VIEW_TIMEOUT: Time = 5 * SEC;
+
 /// Chained HotStuff replica state.
 pub struct HotStuffCore {
     committee: Committee,
-    config: HsConfig,
     me: ValidatorId,
     keypair: KeyPair,
     cur_view: u64,
@@ -66,13 +69,12 @@ pub struct HotStuffCore {
     timeouts: HashMap<u64, HashMap<ValidatorId, HsTimeout>>,
     committed: HashSet<Digest>,
     last_committed_view: u64,
-    consecutive_timeouts: u32,
     commits_total: u64,
 }
 
 impl HotStuffCore {
     /// Creates a replica; call [`Self::start`] to begin view 1.
-    pub fn new(committee: Committee, config: HsConfig, me: ValidatorId, keypair: KeyPair) -> Self {
+    pub fn new(committee: Committee, me: ValidatorId, keypair: KeyPair) -> Self {
         let mut blocks = HashMap::new();
         // The implicit genesis block anchors the chain at view 0.
         blocks.insert(
@@ -90,7 +92,6 @@ impl HotStuffCore {
         committed.insert(genesis_id());
         HotStuffCore {
             committee,
-            config,
             me,
             keypair,
             cur_view: 0,
@@ -103,7 +104,6 @@ impl HotStuffCore {
             timeouts: HashMap::new(),
             committed,
             last_committed_view: 0,
-            consecutive_timeouts: 0,
             commits_total: 0,
         }
     }
@@ -134,13 +134,6 @@ impl HotStuffCore {
         self.committee.leader(view)
     }
 
-    fn timeout_delay(&self) -> Time {
-        // Fixed-delay pacemaker, like the paper's open-source artifact.
-        // (Exponential backoff compounds multi-view stalls under crash
-        // faults far beyond the latencies reported in Figure 8.)
-        self.config.view_timeout
-    }
-
     fn enter_view(&mut self, view: u64, actions: &mut Vec<HsAction>) {
         if view <= self.cur_view {
             return;
@@ -148,7 +141,7 @@ impl HotStuffCore {
         self.cur_view = view;
         actions.push(HsAction::ArmViewTimer {
             view,
-            delay: self.timeout_delay(),
+            delay: VIEW_TIMEOUT,
         });
         if self.leader(view) == self.me {
             actions.push(HsAction::ReadyToPropose { view });
@@ -314,7 +307,6 @@ impl HotStuffCore {
         if tc.view < self.cur_view {
             return;
         }
-        self.consecutive_timeouts += 1;
         self.last_tc = Some(tc.clone());
         self.enter_view(tc.view + 1, actions);
     }
@@ -333,7 +325,7 @@ impl HotStuffCore {
         if view == self.cur_view {
             actions.push(HsAction::ArmViewTimer {
                 view,
-                delay: self.timeout_delay(),
+                delay: VIEW_TIMEOUT,
             });
         }
         actions
@@ -345,7 +337,6 @@ impl HotStuffCore {
         }
         if qc.view > self.high_qc.view {
             self.high_qc = qc.clone();
-            self.consecutive_timeouts = 0;
             self.enter_view(qc.view + 1, actions);
         }
         // 2-chain commit: QC certifies b'; commit b' s parent if the views
@@ -420,12 +411,7 @@ mod tests {
             let (committee, kps) = Committee::deterministic(n, 0, Scheme::Insecure);
             let cores = (0..n)
                 .map(|i| {
-                    HotStuffCore::new(
-                        committee.clone(),
-                        HsConfig::default(),
-                        ValidatorId(i as u32),
-                        kps[i].clone(),
-                    )
+                    HotStuffCore::new(committee.clone(), ValidatorId(i as u32), kps[i].clone())
                 })
                 .collect();
             Net {
@@ -599,12 +585,7 @@ mod tests {
     #[test]
     fn non_leader_cannot_propose() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        let mut core = HotStuffCore::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(2),
-            kps[2].clone(),
-        );
+        let mut core = HotStuffCore::new(committee, ValidatorId(2), kps[2].clone());
         let _ = core.start();
         let actions = core.propose(HsPayload::Empty);
         assert!(actions.is_empty(), "validator 2 is not leader of view 1");
@@ -613,19 +594,9 @@ mod tests {
     #[test]
     fn unavailable_payload_defers_vote_until_available() {
         let (committee, kps) = Committee::deterministic(4, 0, Scheme::Insecure);
-        let mut leader = HotStuffCore::new(
-            committee.clone(),
-            HsConfig::default(),
-            ValidatorId(1),
-            kps[1].clone(),
-        );
+        let mut leader = HotStuffCore::new(committee.clone(), ValidatorId(1), kps[1].clone());
         // Validator 3 is not the next leader, so its vote is a Send.
-        let mut replica = HotStuffCore::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(3),
-            kps[3].clone(),
-        );
+        let mut replica = HotStuffCore::new(committee, ValidatorId(3), kps[3].clone());
         let _ = leader.start();
         let _ = replica.start();
         let actions = leader.propose(HsPayload::Batches(vec![Digest::of(b"missing")]));

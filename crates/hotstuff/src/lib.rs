@@ -13,19 +13,27 @@
 //!
 //! All three share [`core::HotStuffCore`]: a sans-io 2-chain chained
 //! HotStuff (Jolteon/DiemBFT-v4 style, like the paper's open-source
-//! artifact) with timeout certificates and exponential backoff.
+//! artifact) with timeout certificates and a fixed-delay pacemaker.
+//!
+//! Every parameter is the paper's baseline (§7) and a constant: 512 B
+//! transactions ([`nt_types::TX_BYTES`]), 500 KB blocks and batches, and a
+//! 5 s view timeout ([`core::VIEW_TIMEOUT`]). The one value a deployment
+//! chooses is its clients' rate, `rate_per_validator`.
+
+use nt_network::{Time, MS};
 
 pub mod baseline;
 pub mod batched;
-pub mod config;
 pub mod core;
 pub mod narwhal_hs;
 pub mod types;
 
 pub use baseline::{build_baseline_hs_actors, BaselineValidator};
 pub use batched::{build_batched_hs_actors, BatchedValidator};
-pub use config::HsConfig;
 pub use core::{HotStuffCore, HsAction};
 
 pub use narwhal_hs::{build_narwhal_hs_actors, NarwhalHsConsensus};
 pub use types::{HsBlock, HsMsg, HsPayload, HsTimeout, HsVote, Qc, Tc};
+
+/// The gossip/batching tick of the Baseline-HS and Batched-HS mempools.
+const TICK: Time = 100 * MS;

@@ -12,7 +12,6 @@
 //! missing ones through the §4.1 synchronizer), and committed certificate
 //! digests flow back to the primary as anchors for causal linearization.
 
-use crate::config::HsConfig;
 use crate::core::{HotStuffCore, HsAction};
 use crate::types::{HsMsg, HsPayload};
 use narwhal::{ConsensusOut, Dag, DagConsensus, NarwhalConfig};
@@ -37,9 +36,9 @@ pub struct NarwhalHsConsensus {
 
 impl NarwhalHsConsensus {
     /// Creates the plug-in for validator `me`.
-    pub fn new(committee: Committee, config: HsConfig, me: ValidatorId, keypair: KeyPair) -> Self {
+    pub fn new(committee: Committee, me: ValidatorId, keypair: KeyPair) -> Self {
         NarwhalHsConsensus {
-            core: HotStuffCore::new(committee, config, me, keypair),
+            core: HotStuffCore::new(committee, me, keypair),
             pending: Vec::new(),
             max_certs: 16,
         }
@@ -184,19 +183,14 @@ pub fn build_narwhal_hs_actors(
     _seed: u64,
 ) -> Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> {
     let (committee, kps) = Committee::deterministic(n, workers, nt_crypto::Scheme::Insecure);
-    let hs_config = HsConfig::default();
     let config = NarwhalConfig {
         snapshot_interval: 0,
         ..config.clone()
     };
     let mut actors: Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> = Vec::new();
     for v in 0..n as u32 {
-        let consensus = NarwhalHsConsensus::new(
-            committee.clone(),
-            hs_config.clone(),
-            ValidatorId(v),
-            kps[v as usize].clone(),
-        );
+        let consensus =
+            NarwhalHsConsensus::new(committee.clone(), ValidatorId(v), kps[v as usize].clone());
         let primary = narwhal::NodeBuilder::new(committee.clone(), v)
             .config(config.clone())
             .keypair(kps[v as usize].clone())
@@ -229,12 +223,7 @@ mod tests {
     #[test]
     fn payload_tracks_highest_round() {
         let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let hs = NarwhalHsConsensus::new(
-            committee.clone(),
-            HsConfig::default(),
-            ValidatorId(0),
-            kps[0].clone(),
-        );
+        let hs = NarwhalHsConsensus::new(committee.clone(), ValidatorId(0), kps[0].clone());
         let mut dag = Dag::new();
         dag.insert_genesis(nt_types::Certificate::genesis_set(&committee));
         match hs.payload_from_dag(&dag) {
@@ -246,12 +235,7 @@ mod tests {
     #[test]
     fn empty_dag_gives_empty_payload() {
         let (committee, kps) = Committee::deterministic(4, 1, Scheme::Insecure);
-        let hs = NarwhalHsConsensus::new(
-            committee,
-            HsConfig::default(),
-            ValidatorId(0),
-            kps[0].clone(),
-        );
+        let hs = NarwhalHsConsensus::new(committee, ValidatorId(0), kps[0].clone());
         assert!(matches!(hs.payload_from_dag(&Dag::new()), HsPayload::Empty));
     }
 }

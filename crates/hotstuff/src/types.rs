@@ -314,7 +314,7 @@ pub enum HsMsg {
     },
 }
 
-impl nt_simnet::SimMessage for HsMsg {
+impl nt_network::SimMessage for HsMsg {
     fn wire_size(&self) -> usize {
         match self {
             HsMsg::Proposal(b) => {
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn gossip_burst_charges_per_tx_verification() {
-        use nt_simnet::SimMessage;
+        use nt_network::SimMessage;
         let burst = Batch::synthetic(ValidatorId(0), nt_types::WorkerId(0), 0, 50, 25_600, vec![]);
         assert_eq!(HsMsg::GossipBurst(burst.clone()).verify_count(), 100);
         assert_eq!(HsMsg::Batch(burst).verify_count(), 1);

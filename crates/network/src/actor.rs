@@ -164,6 +164,31 @@ impl<M: Clone + Send + 'static> Actor for Box<dyn Actor<Message = M>> {
     }
 }
 
+/// Builds one fresh actor for a host; invoked once at start and once per
+/// restart of that host (the simulator's crash-restart scenarios).
+pub type ActorFactory<M> = Box<dyn FnMut() -> Box<dyn Actor<Message = M>> + Send>;
+
+/// Messages routable by the simulator.
+///
+/// `wire_size` feeds the NIC model; `verify_count` is how many signature
+/// verifications the receiver performs (e.g. a certificate carries `2f + 1`
+/// of them). Systems implement this for their top-level message enums.
+pub trait SimMessage: Clone + Send + 'static {
+    /// Bytes this message occupies on the wire.
+    fn wire_size(&self) -> usize;
+
+    /// Signature verifications the receiver performs.
+    fn verify_count(&self) -> usize {
+        0
+    }
+
+    /// Signatures the sender created to produce this message, charged at
+    /// every send of it.
+    fn sign_count(&self) -> usize {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,12 +12,16 @@
 //!   integration tests and the wall-clock benchmark all run.
 //!
 //! This split is what makes a laptop-scale reproduction of WAN experiments
-//! possible while keeping the protocol code production-shaped.
+//! possible while keeping the protocol code production-shaped. What the
+//! simulator asks of a protocol — [`SimMessage`] (a message's wire size and
+//! signature work) and [`ActorFactory`] (how a restarted host is rebuilt) —
+//! is declared here too, so the protocol crates, and `narwhal-node` with
+//! them, never link the simulator.
 
 pub mod actor;
 pub mod addr;
 
-pub use actor::{Actor, Context, Effect, NodeId, Time, CLIENT};
+pub use actor::{Actor, ActorFactory, Context, Effect, NodeId, SimMessage, Time, CLIENT};
 pub use addr::PeerAddr;
 
 /// Nanoseconds per second.

@@ -13,7 +13,7 @@
 //!   backoff + jitter ([`Backoff`]). When the outbox is full, or a connect
 //!   attempt fails, the frames queued so far are dropped and counted — the
 //!   same at-most-once contract the actors already survive under the
-//!   simulator's loss schedules — so a dead peer never pins more than one
+//!   simulator's partitions and crashes — so a dead peer never pins more than one
 //!   backoff interval's worth of frames in memory.
 //!
 //! The transport never interprets payloads: it moves `(NodeId, Vec<u8>)`

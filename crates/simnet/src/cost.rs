@@ -6,75 +6,35 @@
 //! a host sends and receives. Constants are calibrated so that a single
 //! worker saturates at roughly the paper's measured single-worker
 //! throughput; all *relative* results then emerge from protocol structure.
+//! Every host runs the same calibrated core (one CPU class, as on the
+//! paper's `m5.8xlarge` testbed).
+//!
+//! Calibrated against the paper's single-worker saturation point
+//! (~140-170k tx/s of 512 B transactions per §7.1) with the `calibrate`
+//! bin of `nt_bench`. Costs are in nanoseconds.
 
-/// CPU cost constants, in nanoseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed per-received-message cost: dispatch, framing, allocation.
-    pub recv_message_ns: u64,
-    /// Per-byte receive cost: copy + deserialize + hash of bulk data.
-    pub recv_byte_ns: f64,
-    /// Fixed per-sent-message cost: serialization setup, syscalls.
-    pub send_message_ns: u64,
-    /// Per-byte send cost: serialization + kernel copies.
-    pub send_byte_ns: f64,
-    /// One Ed25519 signature creation.
-    pub sign_ns: u64,
-    /// One Ed25519 signature verification.
-    pub verify_ns: u64,
+/// Fixed per-received-message cost: dispatch, framing, allocation.
+pub const RECV_MESSAGE_NS: u64 = 20_000;
+/// Per-byte receive cost: copy + deserialize + hash of bulk data.
+pub const RECV_BYTE_NS: f64 = 9.0;
+/// Fixed per-sent-message cost: serialization setup, syscalls.
+pub const SEND_MESSAGE_NS: u64 = 10_000;
+/// Per-byte send cost: serialization + kernel copies.
+pub const SEND_BYTE_NS: f64 = 5.0;
+/// One Ed25519 signature creation.
+pub const SIGN_NS: u64 = 55_000;
+/// One Ed25519 signature verification.
+pub const VERIFY_NS: u64 = 110_000;
+
+/// Cost of receiving a message of `bytes` bytes plus `verifies` signature
+/// verifications.
+pub fn recv(bytes: usize, verifies: usize) -> u64 {
+    RECV_MESSAGE_NS + (bytes as f64 * RECV_BYTE_NS) as u64 + verifies as u64 * VERIFY_NS
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Calibrated against the paper's single-worker saturation point
-        // (~140-170k tx/s of 512 B transactions per §7.1) with the
-        // `calibrate` bin of `nt_bench`.
-        CostModel {
-            recv_message_ns: 20_000,
-            recv_byte_ns: 9.0,
-            send_message_ns: 10_000,
-            send_byte_ns: 5.0,
-            sign_ns: 55_000,
-            verify_ns: 110_000,
-        }
-    }
-}
-
-impl CostModel {
-    /// Cost of receiving a message of `bytes` bytes plus `verifies`
-    /// signature verifications.
-    pub fn recv(&self, bytes: usize, verifies: usize) -> u64 {
-        self.recv_message_ns
-            + (bytes as f64 * self.recv_byte_ns) as u64
-            + verifies as u64 * self.verify_ns
-    }
-
-    /// Cost of sending a message of `bytes` bytes.
-    pub fn send(&self, bytes: usize) -> u64 {
-        self.send_message_ns + (bytes as f64 * self.send_byte_ns) as u64
-    }
-}
-
-/// Messages routable by the simulator.
-///
-/// `wire_size` feeds the NIC model; `verify_count` is how many signature
-/// verifications the receiver performs (e.g. a certificate carries `2f + 1`
-/// of them). Systems implement this for their top-level message enums.
-pub trait SimMessage: Clone + Send + 'static {
-    /// Bytes this message occupies on the wire.
-    fn wire_size(&self) -> usize;
-
-    /// Signature verifications the receiver performs.
-    fn verify_count(&self) -> usize {
-        0
-    }
-
-    /// Signatures the sender created to produce this message (charged once
-    /// at send time; broadcasts of the same message only pay it once, which
-    /// the simulator handles by charging per *distinct* message).
-    fn sign_count(&self) -> usize {
-        0
-    }
+/// Cost of sending a message of `bytes` bytes plus `signs` signatures.
+pub fn send(bytes: usize, signs: usize) -> u64 {
+    SEND_MESSAGE_NS + (bytes as f64 * SEND_BYTE_NS) as u64 + signs as u64 * SIGN_NS
 }
 
 #[cfg(test)]
@@ -83,18 +43,16 @@ mod tests {
 
     #[test]
     fn recv_cost_scales_with_bytes() {
-        let m = CostModel::default();
-        let small = m.recv(100, 0);
-        let large = m.recv(500_000, 0);
+        let small = recv(100, 0);
+        let large = recv(500_000, 0);
         assert!(large > small);
-        // 500 KB at 6 ns/B = 3 ms dominates the fixed cost.
+        // 500 KB at 9 ns/B = 4.5 ms dominates the fixed cost.
         assert!(large > 2_500_000);
     }
 
     #[test]
     fn verification_cost_is_per_signature() {
-        let m = CostModel::default();
-        assert_eq!(m.recv(0, 3) - m.recv(0, 0), 3 * m.verify_ns);
+        assert_eq!(recv(0, 3) - recv(0, 0), 3 * VERIFY_NS);
     }
 
     #[test]
@@ -103,10 +61,9 @@ mod tests {
         // 512 B transactions batched at 500 KB from 9 peers plus sending its
         // own. At ~150k tx/s system throughput with 10 validators, a worker
         // processes ~15.4 MB/s ingress runtime cost and ~7 MB/s egress * 9.
-        let m = CostModel::default();
         let ingress_per_sec = 69.0e6; // bytes from 9 peers + own batches
         let egress_per_sec = 69.0e6;
-        let cpu = ingress_per_sec * m.recv_byte_ns + egress_per_sec * m.send_byte_ns;
+        let cpu = ingress_per_sec * RECV_BYTE_NS + egress_per_sec * SEND_BYTE_NS;
         // Should be near (but below) one core at this rate.
         assert!(cpu < 1.0e9, "cpu = {cpu}");
         assert!(cpu > 0.3e9, "cpu = {cpu}");

@@ -270,33 +270,37 @@ pub struct Schedule {
     pub events: Vec<FaultEvent>,
 }
 
-/// Generation envelope for [`Schedule::generate`].
+/// No fault starts before this (the DAG gets going first).
+pub const WARMUP: Time = nt_network::SEC;
+
+/// Maximum number of events per schedule.
+pub const MAX_EVENTS: usize = 7;
+
+/// Maximum store operations torn at a restart.
+pub const MAX_TEAR: u32 = 12;
+
+/// Minimum gap between two outages of the *same* unit: a restarted
+/// validator needs real time to pull the rounds it missed (or to fetch and
+/// install a snapshot) before the next crash throws the (volatile) sync
+/// state away.
+pub const UNIT_OUTAGE_GAP: Time = 3 * nt_network::SEC;
+
+/// Generation envelope for [`Schedule::generate`]. At most
+/// `f = (units - 1) / 3` units are in outage at the same instant, which
+/// keeps a quorum of *some* committee members alive through the run.
 #[derive(Clone, Debug)]
 pub struct FuzzPlan {
     /// Committee size (units are `0..units`).
     pub units: u32,
     /// Simulated run length; fault windows live well inside it.
     pub horizon: Time,
-    /// No fault starts before this (the DAG gets going first).
-    pub warmup: Time,
     /// No fault is active after `horizon - quiet_tail`: every run ends in
     /// a fault-free window the liveness/catch-up checkers assert against.
     pub quiet_tail: Time,
-    /// Maximum number of events per schedule.
-    pub max_events: usize,
     /// Maximum length of any single fault window.
     pub max_window: Time,
-    /// Maximum store operations torn at a restart.
-    pub max_tear: u32,
-    /// Maximum units in outage at the same instant (keeps a quorum of
-    /// *some* committee members alive through the run).
-    pub max_concurrent_down: u32,
-    /// Minimum gap between two outages of the *same* unit: a restarted
-    /// validator needs real time to pull the rounds it missed (or to fetch
-    /// and install a snapshot) before the next crash throws the (volatile)
-    /// sync state away.
-    pub unit_outage_gap: Time,
-    /// Cap on one unit's summed outage time, for the same reason.
+    /// Cap on one unit's summed outage time, for the same reason as
+    /// [`UNIT_OUTAGE_GAP`].
     pub unit_downtime: Time,
     /// Cap on the summed window lengths of all events: bounds how far any
     /// validator can fall behind. Deployments without snapshot state
@@ -319,13 +323,8 @@ impl FuzzPlan {
         FuzzPlan {
             units,
             horizon,
-            warmup: sec,
             quiet_tail: 6 * sec,
-            max_events: 7,
             max_window: 4 * sec,
-            max_tear: 12,
-            max_concurrent_down: units.saturating_sub(1) / 3,
-            unit_outage_gap: 3 * sec,
             unit_downtime: 5 * sec,
             fault_mass: 9 * sec,
             worker_spikes: false,
@@ -337,24 +336,25 @@ impl Schedule {
     /// Samples a random schedule. Same `(seed, plan)` ⇒ same schedule.
     ///
     /// Events are accepted under the plan's constraints (windows inside
-    /// `[warmup, horizon - quiet_tail)`, one outage at a time per unit,
+    /// `[WARMUP, horizon - quiet_tail)`, one outage at a time per unit,
     /// bounded concurrency and fault mass); candidates that violate them
     /// are re-rolled a bounded number of times, so a schedule may end up
     /// with fewer events than sampled — or, rarely, none.
     pub fn generate(seed: u64, plan: &FuzzPlan) -> Schedule {
         assert!(plan.units >= 1, "need a committee");
         assert!(
-            plan.warmup + plan.quiet_tail < plan.horizon,
+            WARMUP + plan.quiet_tail < plan.horizon,
             "no room for faults"
         );
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_fa57_f0a1_7a11);
         let mut events: Vec<FaultEvent> = Vec::new();
-        let target = rng.random_range_u64(1, plan.max_events as u64 + 1) as usize;
+        let target = rng.random_range_u64(1, MAX_EVENTS as u64 + 1) as usize;
+        let max_concurrent_down = (plan.units - 1) / 3;
         let fault_end = plan.horizon - plan.quiet_tail;
         let min_window = 200 * MS;
         let mut mass: Time = 0;
         let mut attempts = 0;
-        while events.len() < target && attempts < plan.max_events * 16 {
+        while events.len() < target && attempts < MAX_EVENTS * 16 {
             attempts += 1;
             if mass + min_window > plan.fault_mass {
                 break;
@@ -362,10 +362,10 @@ impl Schedule {
             // Sample a window, millisecond-aligned.
             let max_len = plan.max_window.min(plan.fault_mass - mass);
             let len = rng.random_range_u64(min_window / MS, max_len / MS + 1) * MS;
-            if plan.warmup + len >= fault_end {
+            if WARMUP + len >= fault_end {
                 continue;
             }
-            let from = rng.random_range_u64(plan.warmup / MS, (fault_end - len) / MS + 1) * MS;
+            let from = rng.random_range_u64(WARMUP / MS, (fault_end - len) / MS + 1) * MS;
             let until = from + len;
             let kind = rng.random_range_u64(0, 100);
             let candidate = if kind < 50 {
@@ -374,7 +374,7 @@ impl Schedule {
                 // gap (which also keeps crash/restart pairing unambiguous)
                 // and fit its downtime budget; and never more than
                 // `max_concurrent_down` units may be down at once.
-                let gap = plan.unit_outage_gap;
+                let gap = UNIT_OUTAGE_GAP;
                 let clashes = events.iter().any(|e| match e {
                     FaultEvent::Outage {
                         unit: u,
@@ -406,11 +406,11 @@ impl Schedule {
                         _ => false,
                     })
                     .count() as u32;
-                if concurrent >= plan.max_concurrent_down {
+                if concurrent >= max_concurrent_down {
                     continue;
                 }
-                let tear = if plan.max_tear > 0 && rng.random_bool(0.5) {
-                    rng.random_range_u64(1, plan.max_tear as u64 + 1) as u32
+                let tear = if rng.random_bool(0.5) {
+                    rng.random_range_u64(1, MAX_TEAR as u64 + 1) as u32
                 } else {
                     0
                 };
@@ -686,11 +686,11 @@ mod tests {
         let plan = plan();
         for seed in 0..300u64 {
             let schedule = Schedule::generate(seed, &plan);
-            assert!(schedule.events.len() <= plan.max_events);
+            assert!(schedule.events.len() <= MAX_EVENTS);
             let mut mass = 0;
             for event in &schedule.events {
                 let (from, until) = event.window();
-                assert!(from >= plan.warmup, "seed {seed}: fault in warmup");
+                assert!(from >= WARMUP, "seed {seed}: fault in warmup");
                 assert!(
                     until <= plan.horizon - plan.quiet_tail,
                     "seed {seed}: fault reaches into the quiet tail"
@@ -701,7 +701,7 @@ mod tests {
                 match event {
                     FaultEvent::Outage { unit, tear, .. } => {
                         assert!(*unit < plan.units);
-                        assert!(*tear <= plan.max_tear);
+                        assert!(*tear <= MAX_TEAR);
                     }
                     FaultEvent::Split { side, .. } => {
                         assert!(!side.is_empty() && side.len() < plan.units as usize);
@@ -731,7 +731,7 @@ mod tests {
                 windows.sort_unstable();
                 for pair in windows.windows(2) {
                     assert!(
-                        pair[0].1 + plan.unit_outage_gap <= pair[1].0,
+                        pair[0].1 + UNIT_OUTAGE_GAP <= pair[1].0,
                         "seed {seed}: outages of unit {unit} closer than the recovery gap"
                     );
                 }

@@ -12,9 +12,9 @@
 //!   which is what makes a leader broadcasting a large block a bottleneck —
 //!   the core phenomenon behind the paper's Figure 6.
 //! - **CPUs** are FIFO servers with a per-message plus per-byte cost model
-//!   (deserialization, hashing) and explicit signature costs; saturation of
-//!   this server produces the throughput ceilings and latency hockey
-//!   sticks in the figures.
+//!   (deserialization, hashing) and explicit signature costs ([`cost`]);
+//!   saturation of this server produces the throughput ceilings and latency
+//!   hockey sticks in the figures.
 //! - **Faults**: hosts crash at scheduled times (Figure 8) and can restart
 //!   with a fresh actor from a per-host factory (the crash-recovery
 //!   scenarios); link partitions model periods of asynchrony (Table 1).
@@ -30,7 +30,7 @@ pub mod fuzz;
 pub mod sim;
 pub mod topology;
 
-pub use cost::{CostModel, SimMessage};
 pub use fuzz::{shrink, FaultEvent, FuzzPlan, Schedule};
-pub use sim::{ActorFactory, LinkSpike, Partition, RestartHook, SimConfig, SimResult, Simulation};
+pub use nt_network::{ActorFactory, SimMessage};
+pub use sim::{LinkSpike, Partition, RestartHook, SimConfig, SimResult, Simulation};
 pub use topology::{HostSpec, Region, Topology};

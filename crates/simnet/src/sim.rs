@@ -19,15 +19,15 @@
 //! while the host was down stay dropped — exactly the fault model of the
 //! paper's crash experiments plus the recovery path its RocksDB layer
 //! exists for. Partitions drop messages between two host groups during an
-//! interval. Optional uniform loss exercises the retransmission paths. All
-//! randomness comes from one seeded RNG: runs are bit-for-bit reproducible.
+//! interval, and delay spikes slow one link. All randomness comes from one
+//! seeded RNG: runs are bit-for-bit reproducible.
 
-use crate::cost::{CostModel, SimMessage};
-use crate::topology::Topology;
-use nt_network::{Actor, Context, Effect, NodeId, Time};
+use crate::cost;
+use crate::topology::{nic_time, Topology};
+use nt_network::{Actor, ActorFactory, Context, Effect, NodeId, SimMessage, Time};
 use nt_types::CommitEvent;
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -91,8 +91,6 @@ impl LinkSpike {
 /// Simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// CPU cost constants.
-    pub cost: CostModel,
     /// RNG seed; same seed ⇒ identical run.
     pub seed: u64,
     /// Simulated duration in nanoseconds; events beyond it are discarded.
@@ -110,22 +108,18 @@ pub struct SimConfig {
     pub partitions: Vec<Partition>,
     /// Per-link delay spikes.
     pub spikes: Vec<LinkSpike>,
-    /// Uniform message loss probability in `[0, 1)`.
-    pub loss: f64,
 }
 
 impl SimConfig {
-    /// A config with the default cost model and no faults.
+    /// A config with no faults.
     pub fn new(seed: u64, duration: Time) -> Self {
         SimConfig {
-            cost: CostModel::default(),
             seed,
             duration,
             crashes: Vec::new(),
             restarts: Vec::new(),
             partitions: Vec::new(),
             spikes: Vec::new(),
-            loss: 0.0,
         }
     }
 }
@@ -137,7 +131,7 @@ pub struct SimResult {
     pub commits: Vec<(Time, NodeId, CommitEvent)>,
     /// Messages delivered to actors.
     pub delivered: u64,
-    /// Messages dropped (loss, partitions, crashes).
+    /// Messages dropped (partitions, crashes).
     pub dropped: u64,
     /// Time of the last processed event.
     pub end_time: Time,
@@ -203,10 +197,6 @@ struct HostState {
     /// Bumped on every restart; stamps timers and in-flight executions.
     incarnation: u64,
 }
-
-/// Builds one fresh actor for a host; invoked once at start and once per
-/// restart of that host.
-pub type ActorFactory<M> = Box<dyn FnMut() -> Box<dyn Actor<Message = M>> + Send>;
 
 /// Called when a host restarts, after the dead incarnation is dropped and
 /// *before* its replacement actor is built — the window in which a fault
@@ -399,16 +389,14 @@ impl<M: SimMessage> Simulation<M> {
                     }
                     // Ingress NIC serialization.
                     let size = msg.wire_size();
-                    let nic = self.topology.nic_time(to, size);
+                    let nic = nic_time(size);
                     let ingress_start = now.max(hosts[to].ingress_free);
                     let ingress_end = ingress_start + nic;
                     hosts[to].ingress_free = ingress_end;
                     // CPU service.
-                    let scale = self.topology.hosts[to].cpu_scale;
-                    let cost =
-                        (self.config.cost.recv(size, msg.verify_count()) as f64 * scale) as u64;
+                    let cpu = cost::recv(size, msg.verify_count());
                     let exec_start = ingress_end.max(hosts[to].cpu_free);
-                    let exec_end = exec_start + cost;
+                    let exec_end = exec_start + cpu;
                     hosts[to].cpu_free = exec_end;
                     queue.push(Reverse(Event {
                         time: exec_end,
@@ -545,11 +533,7 @@ impl<M: SimMessage> Simulation<M> {
                         *dropped += 1;
                         continue;
                     }
-                    // Loss and partitions are decided at send time.
-                    if self.config.loss > 0.0 && rng.random::<f64>() < self.config.loss {
-                        *dropped += 1;
-                        continue;
-                    }
+                    // Partitions are decided at send time.
                     if self
                         .config
                         .partitions
@@ -561,20 +545,15 @@ impl<M: SimMessage> Simulation<M> {
                     }
                     let size = msg.wire_size();
                     // Sender CPU: serialization + signing.
-                    let scale = self.topology.hosts[node].cpu_scale;
-                    let send_cpu = ((self.config.cost.send(size)
-                        + msg.sign_count() as u64 * self.config.cost.sign_ns)
-                        as f64
-                        * scale) as u64;
+                    let send_cpu = cost::send(size, msg.sign_count());
                     hosts[node].cpu_free = hosts[node].cpu_free.max(now) + send_cpu;
                     // Egress NIC: broadcasts serialize.
-                    let nic = self.topology.nic_time(node, size);
+                    let nic = nic_time(size);
                     let ser_start = now.max(hosts[node].egress_free);
                     let ser_end = ser_start + nic;
                     hosts[node].egress_free = ser_end;
                     // Link propagation (+ any active delay spike, decided at
-                    // send time like loss and partitions) + per-pair FIFO
-                    // clamp.
+                    // send time like partitions) + per-pair FIFO clamp.
                     let latency = self.topology.latency(node, to, rng);
                     let spike = self
                         .config
@@ -620,9 +599,7 @@ impl<M: SimMessage> Simulation<M> {
                     commits.push((now, node, ev));
                 }
                 Effect::Cpu { nanos } => {
-                    let scale = self.topology.hosts[node].cpu_scale;
-                    hosts[node].cpu_free =
-                        hosts[node].cpu_free.max(now) + (nanos as f64 * scale) as u64;
+                    hosts[node].cpu_free = hosts[node].cpu_free.max(now) + nanos;
                 }
             }
         }
@@ -755,20 +732,6 @@ mod tests {
         );
         let result = sim.run();
         assert!(result.commits.is_empty());
-    }
-
-    #[test]
-    fn loss_drops_messages() {
-        let mut config = SimConfig::new(1, 10 * SEC);
-        config.loss = 1.0;
-        let sim = Simulation::new(
-            two_hosts(Region::UsEast1, Region::UsWest1),
-            config,
-            ping_actors(),
-        );
-        let result = sim.run();
-        assert!(result.commits.is_empty());
-        assert_eq!(result.delivered, 0);
     }
 
     /// A periodic pinger (every 100 ms); the peer echoes; each echo commits

@@ -62,29 +62,34 @@ const ONE_WAY_MS: [[f64; 5]; 5] = [
 /// One-way delay between a validator's own machines (same data centre), ms.
 pub const INTRA_DC_MS: f64 = 0.25;
 
-/// Static description of a simulated host.
+/// NIC bandwidth of every host, in bits per second: 10 Gbps, as the
+/// paper's `m5.8xlarge` instances.
+pub const NIC_BPS: f64 = 10e9;
+
+/// Serialization time of `bytes` on a host's NIC.
+pub fn nic_time(bytes: usize) -> Time {
+    ((bytes as f64 * 8.0 / NIC_BPS) * nt_network::SEC as f64) as Time
+}
+
+/// Latency jitter: each delay is multiplied by a uniform sample from
+/// `[1 - JITTER, 1 + JITTER]`.
+pub const JITTER: f64 = 0.10;
+
+/// Static description of a simulated host: every host has a [`NIC_BPS`]
+/// NIC and the calibrated core of [`crate::cost`].
 #[derive(Clone, Debug)]
 pub struct HostSpec {
     /// Which region the host runs in.
     pub region: Region,
-    /// NIC bandwidth in bits per second (default: 10 Gbps, as m5.8xlarge).
-    pub nic_bps: f64,
-    /// Multiplier on CPU costs (1.0 = the calibrated baseline core).
-    pub cpu_scale: f64,
     /// The validator this host belongs to (same validator + same region =
     /// same data centre, so links use [`INTRA_DC_MS`]).
     pub validator: u32,
 }
 
 impl HostSpec {
-    /// A default 10 Gbps host for `validator` in `region`.
+    /// A host of `validator` in `region`.
     pub fn new(validator: u32, region: Region) -> Self {
-        HostSpec {
-            region,
-            nic_bps: 10e9,
-            cpu_scale: 1.0,
-            validator,
-        }
+        HostSpec { region, validator }
     }
 }
 
@@ -93,18 +98,12 @@ impl HostSpec {
 pub struct Topology {
     /// Host specifications; `NodeId` indexes into this.
     pub hosts: Vec<HostSpec>,
-    /// Latency jitter: each delay is multiplied by a uniform sample from
-    /// `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
 }
 
 impl Topology {
-    /// Creates a topology from host specs with 10% jitter.
+    /// Creates a topology from host specs.
     pub fn new(hosts: Vec<HostSpec>) -> Self {
-        Topology {
-            hosts,
-            jitter: 0.10,
-        }
+        Topology { hosts }
     }
 
     /// Number of hosts.
@@ -126,14 +125,8 @@ impl Topology {
         } else {
             ONE_WAY_MS[ha.region.idx()][hb.region.idx()]
         };
-        let factor = 1.0 + self.jitter * (rng.random::<f64>() * 2.0 - 1.0);
+        let factor = 1.0 + JITTER * (rng.random::<f64>() * 2.0 - 1.0);
         ((base_ms * factor) * MS as f64) as Time
-    }
-
-    /// Serialization time of `bytes` on host `host`'s NIC.
-    pub fn nic_time(&self, host: usize, bytes: usize) -> Time {
-        let bps = self.hosts[host].nic_bps;
-        ((bytes as f64 * 8.0 / bps) * nt_network::SEC as f64) as Time
     }
 }
 
@@ -182,9 +175,8 @@ mod tests {
 
     #[test]
     fn nic_time_matches_bandwidth() {
-        let topo = Topology::new(vec![HostSpec::new(0, Region::UsEast1)]);
         // 500 KB over 10 Gbps = 400 microseconds.
-        let t = topo.nic_time(0, 500_000);
+        let t = nic_time(500_000);
         assert!((t as i64 - 400_000).abs() < 1_000, "t = {t}");
     }
 

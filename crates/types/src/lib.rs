@@ -20,7 +20,7 @@ pub use certificate::Certificate;
 pub use commit::{CommitEvent, ProposalCounts};
 pub use committee::{Committee, ValidatorId, ValidatorInfo, WorkerId};
 pub use header::Header;
-pub use transaction::{Transaction, TransactionRef, TxSample};
+pub use transaction::{Transaction, TransactionRef, TxSample, TX_BYTES};
 pub use vote::Vote;
 
 /// A Narwhal round number (the DAG layer index).

@@ -3,6 +3,10 @@
 use crate::WireSize;
 use nt_codec::{put_varint, varint_len, Decode, DecodeBorrowed, DecodeError, Encode, Reader};
 
+/// Transaction size of every experiment in the paper (§7), in bytes: what a
+/// simulated client submits.
+pub const TX_BYTES: usize = 512;
+
 /// An opaque client transaction.
 ///
 /// Narwhal treats transaction contents as opaque bytes; the evaluation uses

@@ -62,7 +62,8 @@ fn run(system: System, duration: u64) -> Vec<u64> {
             Simulation::new(topology, config, actors).run().commits
         }
         System::BatchedHs => {
-            let actors = nt_hotstuff::build_batched_hs_actors(params.nodes, &params.hs_config());
+            let actors =
+                nt_hotstuff::build_batched_hs_actors(params.nodes, params.rate_per_validator());
             Simulation::new(topology, config, actors).run().commits
         }
         _ => unreachable!("demo compares Tusk and Batched-HS"),

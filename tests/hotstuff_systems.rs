@@ -69,7 +69,6 @@ fn fault_hierarchy_matches_the_paper() {
             faults: 1,
             duration: 60 * SEC,
             seed: 6,
-            ..Default::default()
         };
         run_system(sys, &params, vec![])
     };

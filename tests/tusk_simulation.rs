@@ -68,7 +68,6 @@ fn total_order_holds_with_crash_faults() {
         duration: 20 * SEC,
         faults: 3,
         seed: 5,
-        ..Default::default()
     };
     let seqs = committed_sequences(&params, vec![]);
     // Crashed validators commit nothing; the live 7 agree.
