@@ -20,10 +20,8 @@
 //! headline claims (CI smoke); the default run reproduces the full
 //! table.
 
-use nt_bench::runner::{build_dag_actors, run_actors_result, split_partition};
-use nt_bench::{
-    committed_sequences, print_series, sequences_prefix_consistent, BenchParams, RunStats, System,
-};
+use nt_bench::runner::{dag_factories, run_factories, split_partition};
+use nt_bench::{agreement, print_series, BenchParams, RunStats, System};
 use nt_network::SEC;
 use nt_simnet::Partition;
 
@@ -68,10 +66,10 @@ const SCENARIOS: [Scenario; 3] = [
 
 /// One run: stats plus the cross-validator prefix-agreement verdict.
 fn run(system: System, params: &BenchParams, partitions: Vec<Partition>) -> (RunStats, bool) {
-    let result = run_actors_result(build_dag_actors(system, params), params, partitions);
+    let factories = dag_factories(system, params, &params.no_restart_config(), |_, b| b);
+    let result = run_factories(factories, params, partitions, vec![], vec![]);
     let stats = RunStats::from_result(&result, params.duration, params.nodes);
-    let seqs = committed_sequences(&result.commits, params.nodes);
-    (stats, sequences_prefix_consistent(&seqs))
+    (stats, agreement(&result.commits, params.nodes).is_empty())
 }
 
 fn main() {

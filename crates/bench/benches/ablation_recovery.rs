@@ -22,8 +22,8 @@
 //! default run uses the paper-scale committee.
 
 use narwhal::BlockStore;
-use nt_bench::runner::{build_dag_actor_factories, run_factories_result, validator_hosts};
-use nt_bench::{committed_sequences, sequences_prefix_consistent, BenchParams, RunStats, System};
+use nt_bench::runner::{dag_factories, run_factories, validator_hosts};
+use nt_bench::{agreement, BenchParams, RunStats, System};
 use nt_crypto::Scheme;
 use nt_network::{NodeId, Time, SEC};
 use nt_simnet::SimResult;
@@ -56,13 +56,10 @@ fn run(system: System, scenario: &Scenario, restart: bool) -> Outcome {
     } else {
         vec![]
     };
-    let result = run_factories_result(
-        build_dag_actor_factories(system, params, &stores),
-        params,
-        vec![],
-        crashes,
-        restarts,
-    );
+    let node_stores = stores.clone();
+    let node = move |v: u32, b: narwhal::NodeBuilder| b.store(node_stores[v as usize].clone());
+    let factories = dag_factories(system, params, &params.narwhal_config(), node);
+    let result = run_factories(factories, params, vec![], crashes, restarts);
     let stats = RunStats::from_result(&result, params.duration, params.nodes);
     Outcome {
         stats,
@@ -88,10 +85,10 @@ fn check_recovery(system: System, scenario: &Scenario, outcome: &Outcome, commit
     let victim = params.nodes - 1;
 
     // 1. Every validator's committed sequence agrees across the outage.
-    let seqs = committed_sequences(&outcome.result.commits, params.nodes);
+    let disagreements = agreement(&outcome.result.commits, params.nodes);
     assert!(
-        sequences_prefix_consistent(&seqs),
-        "{name}: committed prefixes must agree across the outage"
+        disagreements.is_empty(),
+        "{name}: committed prefixes must agree across the outage: {disagreements:?}"
     );
 
     // 2. The victim committed on both sides of the outage, its sequence

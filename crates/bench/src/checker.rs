@@ -167,7 +167,7 @@ type BlockId = (Round, ValidatorId, Digest);
 /// Runs every checker; returns all violations found (empty = clean run).
 pub fn check_all(input: &CheckInput<'_>) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let streams = per_validator_streams(input);
+    let streams = per_validator_streams(input.commits, input.nodes);
     // Durable snapshot-install markers license the one legal sequence
     // discontinuity (resume at marker + 1 after state transfer).
     let installs: Vec<Vec<u64>> = input
@@ -211,10 +211,13 @@ struct CommitRecord {
     payload: Vec<nt_crypto::Digest>,
 }
 
-fn per_validator_streams(input: &CheckInput<'_>) -> Vec<Vec<CommitRecord>> {
-    let mut streams: Vec<Vec<CommitRecord>> = (0..input.nodes).map(|_| Vec::new()).collect();
-    for (at, node, ev) in input.commits {
-        if *node < input.nodes {
+fn per_validator_streams(
+    commits: &[(Time, NodeId, CommitEvent)],
+    nodes: usize,
+) -> Vec<Vec<CommitRecord>> {
+    let mut streams: Vec<Vec<CommitRecord>> = (0..nodes).map(|_| Vec::new()).collect();
+    for (at, node, ev) in commits {
+        if *node < nodes {
             streams[*node].push(CommitRecord {
                 at: *at,
                 sequence: ev.sequence,
@@ -384,6 +387,20 @@ fn check_batches_exactly_once(v: usize, stream: &[CommitRecord], violations: &mu
             }
         }
     }
+}
+
+/// The [`Checker::Agreement`] pass alone, over a raw commit stream whose
+/// primaries are node ids `0..nodes`: wherever two validators both emitted
+/// a sequence number, they committed the same block there, header digest
+/// included. Empty = they agree.
+pub fn agreement(commits: &[(Time, NodeId, CommitEvent)], nodes: usize) -> Vec<Violation> {
+    let canonical: Vec<_> = per_validator_streams(commits, nodes)
+        .iter()
+        .map(|stream| canonical_sequence(stream))
+        .collect();
+    let mut violations = Vec::new();
+    check_agreement(&canonical, &mut violations);
+    violations
 }
 
 fn check_agreement(canonical: &[Vec<(u64, BlockId)>], violations: &mut Vec<Violation>) {
@@ -745,6 +762,29 @@ mod tests {
         let (stores, committee) = (mem_stores(), committee());
         let violations = check_all(&input_over(&commits, &schedule, &stores, &committee));
         assert!(violations.iter().any(|v| v.checker == Checker::Agreement));
+    }
+
+    #[test]
+    fn agreement_over_raw_commits_tells_equivocating_twins_apart() {
+        let twin = |digest: &[u8]| CommitEvent {
+            header_digest: nt_crypto::Digest::of(digest),
+            ..ev(2, 2, 1)
+        };
+        let mut commits = vec![
+            (SEC, 0usize, ev(1, 1, 0)),
+            (2 * SEC, 0usize, twin(b"a")),
+            (SEC, 1usize, ev(1, 1, 0)),
+            (SEC, 2usize, ev(9, 9, 0)), // a worker's node id: not a validator
+        ];
+        assert!(agreement(&commits, 2).is_empty(), "a shorter view agrees");
+        commits.push((2 * SEC, 1usize, twin(b"a")));
+        assert!(agreement(&commits, 2).is_empty());
+        // Same `(round, author)` slot, a different block.
+        commits.pop();
+        commits.push((2 * SEC, 1usize, twin(b"b")));
+        let violations = agreement(&commits, 2);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].checker, Checker::Agreement);
     }
 
     #[test]

@@ -23,11 +23,11 @@ use crate::checker::{check_all, CheckInput, Checker, Violation};
 use crate::metrics::RunStats;
 use crate::params::BenchParams;
 use crate::runner::System;
-use crate::runner::{build_dag_actor_factories_byz, narwhal_topology, validator_hosts};
-use narwhal::{AdversaryKind, NarwhalConfig, SelfTestBugs};
+use crate::runner::{dag_factories, narwhal_topology, validator_hosts};
+use narwhal::{AddressBook, AdversaryKind, Byzantine, NarwhalConfig, SelfTestBugs};
 use nt_crypto::Scheme;
 use nt_network::{NodeId, Time, MS, SEC};
-use nt_simnet::{FaultEvent, FuzzPlan, Schedule, SimConfig, Simulation};
+use nt_simnet::{ActorFactory, FaultEvent, FuzzPlan, Schedule, SimConfig, Simulation};
 use nt_storage::{DynStore, JournalStore};
 use nt_types::{Committee, ValidatorId};
 use std::collections::HashMap;
@@ -140,13 +140,34 @@ pub fn run_schedule_byz(
         .map(|_| Arc::new(JournalStore::new()) as DynStore)
         .collect();
     let config = fuzz_config(params, bugs);
-    let factories = build_dag_actor_factories_byz(system, params, &config, &stores, byzantine);
+    let node_stores = stores.clone();
+    let node = move |v: u32, b: narwhal::NodeBuilder| b.store(node_stores[v as usize].clone());
+    // Each listed validator's primary (the first `nodes` factories) runs
+    // inside an adversary; a restarted one is rebuilt around a fresh inner
+    // primary over the same store and resumes misbehaving. Workers stay
+    // honest: every adversary here attacks the primary protocol.
+    let (committee, kps) = Committee::deterministic(nodes, params.workers, Scheme::Insecure);
+    let addr = AddressBook::new(nodes, params.workers);
+    let factories = dag_factories(system, params, &config, node)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut inner)| -> ActorFactory<tusk::TuskMsg> {
+            let Some(&(v, kind)) = byzantine.iter().find(|(v, _)| v.0 as usize == i) else {
+                return inner;
+            };
+            let (committee, kp) = (committee.clone(), kps[i].clone());
+            Box::new(move || {
+                let (kp, committee) = (kp.clone(), committee.clone());
+                Box::new(Byzantine::new(inner(), kind, v, kp, committee, addr))
+            })
+        })
+        .collect();
     let unit_hosts: Vec<Vec<NodeId>> = (0..nodes)
         .map(|v| validator_hosts(nodes, params.workers, ValidatorId(v as u32)))
         .collect();
     let mut sim_config = SimConfig::new(params.seed, params.duration);
     schedule.apply(&mut sim_config, &unit_hosts);
-    let mut sim = Simulation::from_factories(narwhal_topology(params), sim_config, factories);
+    let mut sim = Simulation::new(narwhal_topology(params), sim_config, factories);
     // Torn tails: at the scheduled restart instant, discard the last N
     // write ops from the validator's store — between the death of the old
     // incarnation and the recovery of the new one. Keyed by primary host
@@ -168,7 +189,6 @@ pub fn run_schedule_byz(
         }));
     }
     let result = sim.run();
-    let (committee, _) = Committee::deterministic(nodes, params.workers, Scheme::Insecure);
     let violations = check_all(&CheckInput {
         commits: &result.commits,
         nodes,

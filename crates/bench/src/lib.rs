@@ -27,16 +27,13 @@ pub mod fuzz;
 pub mod metrics;
 pub mod params;
 pub mod runner;
-pub mod runner_hs;
 pub mod table;
 
-pub use checker::{check_all, CheckInput, Checker, Violation};
+pub use checker::{agreement, check_all, CheckInput, Checker, Violation};
 pub use fuzz::{fuzz_params, regression_snippet, run_case, run_schedule, shrink_case};
-pub use metrics::{committed_sequences, sequences_prefix_consistent, RunStats};
+pub use metrics::RunStats;
 pub use params::BenchParams;
 pub use runner::{
-    build_dag_actor_factories, build_dag_actor_factories_with_app,
-    build_dag_actor_factories_with_config, build_dag_actors, dag_rule, run_actors_result,
-    run_factories_result, run_system, validator_hosts, DagRule, System,
+    dag_factories, dag_rule, run_factories, run_system, validator_hosts, DagRule, System,
 };
 pub use table::print_series;

@@ -8,7 +8,7 @@
 
 use nt_network::{NodeId, Time, SEC};
 use nt_simnet::SimResult;
-use nt_types::{CommitEvent, ProposalCounts, Round, ValidatorId};
+use nt_types::{CommitEvent, ProposalCounts};
 use std::collections::{HashMap, HashSet};
 
 /// Aggregated statistics from one run.
@@ -45,12 +45,6 @@ pub struct RunStats {
     pub total_txs: u64,
     /// Number of latency samples observed.
     pub samples: usize,
-    /// Commit events shed by lagging [`narwhal::CommitStream`] subscribers,
-    /// summed over the run's streams. Always 0 on the simulator (the DES
-    /// host observes commit effects losslessly); real-runtime collectors
-    /// fill it via [`RunStats::record_lag_drops`] so silent loss shows up
-    /// in the same stats row as the throughput it distorted.
-    pub lag_drops: u64,
 }
 
 impl RunStats {
@@ -159,7 +153,6 @@ impl RunStats {
             proposals,
             total_txs,
             samples: latencies.len(),
-            lag_drops: 0,
         }
     }
 
@@ -167,47 +160,6 @@ impl RunStats {
     pub fn from_result(result: &SimResult, duration: Time, creators: usize) -> RunStats {
         Self::from_commits(&result.commits, duration, creators)
     }
-
-    /// Folds in commits dropped by a lagging subscriber (see
-    /// [`narwhal::CommitStream::dropped`]).
-    pub fn record_lag_drops(&mut self, dropped: u64) {
-        self.lag_drops += dropped;
-    }
-}
-
-/// Per-validator committed `(round, author)` sequences, in commit order.
-///
-/// Only the first `nodes` hosts (the primaries, by [`narwhal::AddressBook`]
-/// layout) emit consensus commits; each sequence is one validator's local
-/// total order of block identities.
-pub fn committed_sequences(
-    commits: &[(Time, NodeId, CommitEvent)],
-    nodes: usize,
-) -> Vec<Vec<(Round, ValidatorId)>> {
-    let mut seqs = vec![Vec::new(); nodes];
-    for (_, node, ev) in commits {
-        if *node < nodes {
-            seqs[*node].push((ev.round, ev.author));
-        }
-    }
-    seqs
-}
-
-/// True if every pair of non-empty sequences agrees on their common prefix
-/// — the agreement check the partition/heal scenarios assert.
-pub fn sequences_prefix_consistent(seqs: &[Vec<(Round, ValidatorId)>]) -> bool {
-    let live: Vec<&Vec<(Round, ValidatorId)>> = seqs.iter().filter(|s| !s.is_empty()).collect();
-    // All pairs: prefix agreement is not transitive through a short
-    // middle sequence, so adjacent checks would not suffice.
-    for (i, a) in live.iter().enumerate() {
-        for b in &live[i + 1..] {
-            let common = a.len().min(b.len());
-            if a[..common] != b[..common] {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -322,43 +274,5 @@ mod tests {
         let commits = vec![mk(3, 5), mk(4, 5), mk(5, 6)];
         let stats = RunStats::from_commits(&commits, 10 * SEC, 1);
         assert!((stats.decision_rounds - (2.0 + 1.0 + 1.0) / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sequence_helpers_detect_divergence() {
-        let ev_at = |node: usize, round, author| {
-            (
-                SEC,
-                node,
-                CommitEvent {
-                    round,
-                    author: ValidatorId(author),
-                    ..Default::default()
-                },
-            )
-        };
-        let commits = vec![
-            ev_at(0, 1, 0),
-            ev_at(0, 3, 1),
-            ev_at(1, 1, 0),
-            ev_at(2, 1, 0), // worker node id: ignored given nodes = 2
-        ];
-        let seqs = committed_sequences(&commits, 2);
-        assert_eq!(seqs.len(), 2);
-        assert_eq!(seqs[0], vec![(1, ValidatorId(0)), (3, ValidatorId(1))]);
-        assert!(sequences_prefix_consistent(&seqs), "shorter view agrees");
-        let diverged = vec![
-            vec![(1, ValidatorId(0)), (3, ValidatorId(1))],
-            vec![(1, ValidatorId(0)), (3, ValidatorId(2))],
-        ];
-        assert!(!sequences_prefix_consistent(&diverged));
-        // Non-transitivity guard: a short middle sequence must not mask a
-        // first/last divergence.
-        let masked = vec![
-            vec![(1, ValidatorId(0)), (3, ValidatorId(1))],
-            vec![(1, ValidatorId(0))],
-            vec![(1, ValidatorId(0)), (3, ValidatorId(2))],
-        ];
-        assert!(!sequences_prefix_consistent(&masked));
     }
 }

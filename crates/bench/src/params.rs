@@ -51,6 +51,16 @@ impl BenchParams {
     pub fn narwhal_config(&self) -> NarwhalConfig {
         NarwhalConfig::with_load(self.rate_per_worker())
     }
+
+    /// [`Self::narwhal_config`] for a run that never restarts a host:
+    /// snapshots are off, since no host ever installs one (with them on,
+    /// every seeded figure and `BENCH_*.json` would move).
+    pub fn no_restart_config(&self) -> NarwhalConfig {
+        NarwhalConfig {
+            snapshot_interval: 0,
+            ..self.narwhal_config()
+        }
+    }
 }
 
 #[cfg(test)]

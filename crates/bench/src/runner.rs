@@ -5,11 +5,12 @@ use crate::params::BenchParams;
 use bullshark::{Bullshark, FinWhale, PipelinedBullshark, Reputation, RoundRobin};
 use narwhal::{AddressBook, DagConsensus, NoExt};
 use nt_crypto::Scheme;
-use nt_network::{Actor, NodeId, Time};
+use nt_hotstuff::{build_baseline_hs_actors, build_batched_hs_actors, build_narwhal_hs_actors};
+use nt_network::{NodeId, Time};
 use nt_simnet::{
-    ActorFactory, HostSpec, Partition, Region, SimConfig, SimMessage, Simulation, Topology,
+    ActorFactory, HostSpec, Partition, Region, SimConfig, SimMessage, SimResult, Simulation,
+    Topology,
 };
-use nt_storage::DynStore;
 use nt_types::{Committee, ValidatorId, WorkerId};
 use tusk::{DagRider, Tusk};
 
@@ -117,20 +118,36 @@ pub fn split_partition(nodes: usize, workers: u32, from: Time, until: Time) -> P
 
 /// Runs `system` under `params` and returns aggregate statistics.
 ///
-/// `partitions` optionally scripts periods of asynchrony (Table 1).
+/// `partitions` optionally scripts periods of asynchrony (Table 1). No host
+/// restarts: each writes through a fresh store in memory, and no snapshot
+/// is taken ([`BenchParams::no_restart_config`]).
 pub fn run_system(system: System, params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
-    match system {
-        System::Tusk
-        | System::DagRider
-        | System::Bullshark
-        | System::BullsharkRep
-        | System::BullsharkPipelined
-        | System::FinWhale => run_dag_system(system, params, partitions),
-        // The HotStuff arms are wired in `runner_hs` (see below).
-        System::NarwhalHs => crate::runner_hs::run_narwhal_hs(params, partitions),
-        System::BatchedHs => crate::runner_hs::run_batched_hs(params, partitions),
-        System::BaselineHs => crate::runner_hs::run_baseline_hs(params, partitions),
-    }
+    let config = params.no_restart_config();
+    // Batched-HS and Baseline-HS run one host per validator, no workers.
+    let flat = BenchParams {
+        workers: 0,
+        ..params.clone()
+    };
+    let (n, rate) = (params.nodes, params.rate_per_validator());
+    let result = match system {
+        System::NarwhalHs => {
+            let factories = build_narwhal_hs_actors(n, params.workers, &config);
+            run_factories(factories, params, partitions, vec![], vec![])
+        }
+        System::BatchedHs => {
+            let factories = build_batched_hs_actors(n, rate);
+            run_factories(factories, &flat, partitions, vec![], vec![])
+        }
+        System::BaselineHs => {
+            let factories = build_baseline_hs_actors(n, rate);
+            run_factories(factories, &flat, partitions, vec![], vec![])
+        }
+        dag => {
+            let factories = dag_factories(dag, params, &config, |_, b| b);
+            run_factories(factories, params, partitions, vec![], vec![])
+        }
+    };
+    RunStats::from_result(&result, params.duration, params.nodes)
 }
 
 /// A boxed zero-message commit rule.
@@ -157,27 +174,6 @@ pub fn dag_rule(system: System, committee: &Committee, seed: u64) -> DagRule {
     }
 }
 
-/// Builds the actor set of a DAG-over-Narwhal system (all of them share the
-/// `NarwhalMsg<NoExt>` wire type) for a run that never restarts a host:
-/// each writes through a fresh store in memory, and no snapshot is taken.
-pub fn build_dag_actors(
-    system: System,
-    params: &BenchParams,
-) -> Vec<Box<dyn Actor<Message = tusk::TuskMsg>>> {
-    let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
-    let seed = params.seed;
-    let rule = move |c: &Committee| dag_rule(system, c, seed);
-    let config = narwhal::NarwhalConfig {
-        snapshot_interval: 0,
-        ..params.narwhal_config()
-    };
-    narwhal::committee_actors(&committee, &kps, &config, rule)
-}
-
-fn run_dag_system(system: System, params: &BenchParams, partitions: Vec<Partition>) -> RunStats {
-    run_actors(build_dag_actors(system, params), params, partitions)
-}
-
 /// Host ids of validator `v` in the [`AddressBook`] layout: its primary
 /// followed by its workers. Crash/restart schedules are built from these.
 pub fn validator_hosts(nodes: usize, workers: u32, v: ValidatorId) -> Vec<NodeId> {
@@ -189,159 +185,49 @@ pub fn validator_hosts(nodes: usize, workers: u32, v: ValidatorId) -> Vec<NodeId
     ids
 }
 
-/// Builds per-host *actor factories* for a DAG-over-Narwhal system, wiring
-/// one durable store per validator through its primary and workers (the
-/// paper's per-validator RocksDB instance, §6).
+/// Builds per-host factories for a DAG-over-Narwhal system (all of them
+/// share the `NarwhalMsg<NoExt>` wire type) under `config`, in
+/// [`AddressBook`] order.
 ///
-/// The factories are what the crash–restart scenarios need: the simulator
-/// rebuilds a restarted host's actor from its factory, and because the
-/// store handle survives in the closure while every other piece of state is
-/// rebuilt, the new incarnation recovers exactly what was persisted —
-/// nothing more.
+/// `node` finishes the [`narwhal::NodeBuilder`] of each of validator `v`'s
+/// hosts, as in [`narwhal::committee_factories`]: a run that restarts hosts
+/// hands each validator one durable store there (the paper's per-validator
+/// RocksDB instance, §6), which survives in the closure while every other
+/// piece of state is rebuilt, so a restarted host recovers exactly what was
+/// persisted. A host built without a store gets a fresh one in memory of
+/// its own.
 ///
 /// Panics for the HotStuff systems, whose actors speak different messages.
-pub fn build_dag_actor_factories(
-    system: System,
-    params: &BenchParams,
-    stores: &[DynStore],
-) -> Vec<ActorFactory<tusk::TuskMsg>> {
-    build_dag_actor_factories_with_config(system, params, &params.narwhal_config(), stores)
-}
-
-/// Like [`build_dag_actor_factories`], but with an explicit
-/// [`narwhal::NarwhalConfig`] instead of the one derived from `params` —
-/// the schedule fuzzer uses this to flip deliberate-bug switches and tune
-/// the GC window per run.
-pub fn build_dag_actor_factories_with_config(
+pub fn dag_factories(
     system: System,
     params: &BenchParams,
     config: &narwhal::NarwhalConfig,
-    stores: &[DynStore],
+    node: impl Fn(u32, narwhal::NodeBuilder) -> narwhal::NodeBuilder + Clone + Send + 'static,
 ) -> Vec<ActorFactory<tusk::TuskMsg>> {
-    build_dag_actor_factories_with_app(system, params, config, stores, false)
-}
-
-/// Like [`build_dag_actor_factories_with_config`], but optionally attaching
-/// a fresh [`nt_execution::LedgerApp`] to every primary (`ledger = true`):
-/// commits then carry real `app_root`s and the validators produce durable,
-/// signable app snapshots. Each factory invocation builds a *fresh* engine,
-/// so a restarted primary replays (or snapshot-restores) its way back to
-/// the committee's state — exactly the purity property
-/// `tests/app_root_purity.rs` checks.
-pub fn build_dag_actor_factories_with_app(
-    system: System,
-    params: &BenchParams,
-    config: &narwhal::NarwhalConfig,
-    stores: &[DynStore],
-    ledger: bool,
-) -> Vec<ActorFactory<tusk::TuskMsg>> {
-    assert_eq!(stores.len(), params.nodes, "one store per validator");
     let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
-    let (stores, seed) = (stores.to_vec(), params.seed);
-    narwhal::committee_factories(
-        &committee,
-        &kps,
-        config,
-        move |c: &Committee| dag_rule(system, c, seed),
-        move |v, builder| {
-            let builder = builder.store(stores[v as usize].clone());
-            if ledger {
-                builder.execution(Box::new(nt_execution::LedgerApp::new()))
-            } else {
-                builder
-            }
-        },
-    )
+    let seed = params.seed;
+    let rule = move |_, c: &Committee| dag_rule(system, c, seed);
+    narwhal::committee_factories(&committee, &kps, config, rule, node)
 }
 
-/// Like [`build_dag_actor_factories_with_config`], but wrapping the listed
-/// validators' primaries in [`narwhal::Byzantine`] adversary actors. The
-/// wrapper composes with crash–restart schedules the same way the honest
-/// factories do: a restarted adversary is rebuilt around a fresh inner
-/// primary (same durable store) and resumes misbehaving.
-///
-/// Workers are left honest — every adversary in this corpus attacks the
-/// primary protocol (headers, votes, certificates); the worker layer's
-/// quorum acknowledgments are orthogonal.
-pub fn build_dag_actor_factories_byz(
-    system: System,
-    params: &BenchParams,
-    config: &narwhal::NarwhalConfig,
-    stores: &[DynStore],
-    byzantine: &[(ValidatorId, narwhal::AdversaryKind)],
-) -> Vec<ActorFactory<tusk::TuskMsg>> {
-    let factories = build_dag_actor_factories_with_config(system, params, config, stores);
-    let (committee, kps) = Committee::deterministic(params.nodes, params.workers, Scheme::Insecure);
-    let addr = AddressBook::new(params.nodes, params.workers);
-    let assignment: std::collections::BTreeMap<u32, narwhal::AdversaryKind> =
-        byzantine.iter().map(|(v, k)| (v.0, *k)).collect();
-    factories
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut inner)| -> ActorFactory<tusk::TuskMsg> {
-            // Primaries occupy the first `nodes` factory slots, in order.
-            let Some(kind) = (i < params.nodes)
-                .then(|| assignment.get(&(i as u32)).copied())
-                .flatten()
-            else {
-                return inner;
-            };
-            let v = ValidatorId(i as u32);
-            let (committee, kp) = (committee.clone(), kps[i].clone());
-            Box::new(move || {
-                Box::new(narwhal::Byzantine::new(
-                    inner(),
-                    kind,
-                    v,
-                    kp.clone(),
-                    committee.clone(),
-                    addr,
-                ))
-            })
-        })
-        .collect()
-}
-
-/// Runs durable factory-built actors under an explicit fault schedule
-/// (crashes *and* restarts) and returns the raw result.
-pub fn run_factories_result(
-    factories: Vec<ActorFactory<tusk::TuskMsg>>,
+/// Runs `factories` on [`narwhal_topology`] for `params.duration` under
+/// `params.seed` and returns the raw [`SimResult`]. The last
+/// `params.faults` validators are down from the start ([`crash_schedule`]);
+/// `crashes` and `restarts` add outages, `partitions` periods of
+/// asynchrony.
+pub fn run_factories<M: SimMessage>(
+    factories: Vec<ActorFactory<M>>,
     params: &BenchParams,
     partitions: Vec<Partition>,
     crashes: Vec<(NodeId, Time)>,
     restarts: Vec<(NodeId, Time)>,
-) -> nt_simnet::SimResult {
-    let topology = narwhal_topology(params);
-    let mut config = SimConfig::new(params.seed, params.duration);
-    config.crashes = crashes;
-    config.restarts = restarts;
-    config.partitions = partitions;
-    Simulation::from_factories(topology, config, factories).run()
-}
-
-/// Shared runner: topology + crash schedule + simulation + metrics.
-pub fn run_actors<M: SimMessage>(
-    actors: Vec<Box<dyn Actor<Message = M>>>,
-    params: &BenchParams,
-    partitions: Vec<Partition>,
-) -> RunStats {
-    let result = run_actors_result(actors, params, partitions);
-    RunStats::from_result(&result, params.duration, params.nodes)
-}
-
-/// Like [`run_actors`], but returns the raw [`nt_simnet::SimResult`] so
-/// callers can inspect the per-validator commit streams (e.g. the
-/// partition/heal agreement checks).
-pub fn run_actors_result<M: SimMessage>(
-    actors: Vec<Box<dyn Actor<Message = M>>>,
-    params: &BenchParams,
-    partitions: Vec<Partition>,
-) -> nt_simnet::SimResult {
-    let topology = narwhal_topology(params);
+) -> SimResult {
     let mut config = SimConfig::new(params.seed, params.duration);
     config.crashes = crash_schedule(params);
+    config.crashes.extend(crashes);
+    config.restarts = restarts;
     config.partitions = partitions;
-    Simulation::new(topology, config, actors).run()
+    Simulation::new(narwhal_topology(params), config, factories).run()
 }
 
 #[cfg(test)]
@@ -436,8 +322,7 @@ mod tests {
 
     #[test]
     fn crash_restart_recovers_and_stays_prefix_consistent() {
-        use crate::metrics::{committed_sequences, sequences_prefix_consistent};
-        use nt_storage::MemStore;
+        use nt_storage::{DynStore, MemStore};
         use std::sync::Arc;
         let params = BenchParams {
             nodes: 4,
@@ -454,17 +339,13 @@ mod tests {
         let hosts = validator_hosts(params.nodes, params.workers, victim);
         let crashes: Vec<(NodeId, Time)> = hosts.iter().map(|h| (*h, 6 * SEC)).collect();
         let restarts: Vec<(NodeId, Time)> = hosts.iter().map(|h| (*h, 10 * SEC)).collect();
-        let result = run_factories_result(
-            build_dag_actor_factories(System::Tusk, &params, &stores),
-            &params,
-            vec![],
-            crashes,
-            restarts,
-        );
-        let seqs = committed_sequences(&result.commits, params.nodes);
+        let node = move |v: u32, b: narwhal::NodeBuilder| b.store(stores[v as usize].clone());
+        let factories = dag_factories(System::Tusk, &params, &params.narwhal_config(), node);
+        let result = run_factories(factories, &params, vec![], crashes, restarts);
+        let disagreements = crate::checker::agreement(&result.commits, params.nodes);
         assert!(
-            sequences_prefix_consistent(&seqs),
-            "prefixes agree across the outage"
+            disagreements.is_empty(),
+            "prefixes agree across the outage: {disagreements:?}"
         );
         // The victim committed both before the crash and after the restart.
         let victim_node = victim.0 as usize;

@@ -9,7 +9,7 @@
 //! users, and any iteration-order-dependent send would shift message
 //! timing and fork the commit stream.
 
-use nt_bench::{build_dag_actors, run_actors_result, BenchParams, System};
+use nt_bench::{dag_factories, run_factories, BenchParams, System};
 use nt_network::SEC;
 use nt_simnet::SimResult;
 
@@ -22,7 +22,8 @@ fn run_once(system: System, seed: u64) -> SimResult {
         seed,
         ..Default::default()
     };
-    run_actors_result(build_dag_actors(system, &params), &params, vec![])
+    let factories = dag_factories(system, &params, &params.no_restart_config(), |_, b| b);
+    run_factories(factories, &params, vec![], vec![], vec![])
 }
 
 #[test]

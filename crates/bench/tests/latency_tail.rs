@@ -27,7 +27,7 @@
 //! reaches the slow region. This test pins both mechanisms.
 
 use nt_bench::metrics::RunStats;
-use nt_bench::{build_dag_actors, run_actors_result, BenchParams, System};
+use nt_bench::{dag_factories, run_factories, BenchParams, System};
 use nt_network::SEC;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,7 +40,8 @@ fn run(system: System) -> (nt_simnet::SimResult, BenchParams) {
         seed: 7,
         ..Default::default()
     };
-    let result = run_actors_result(build_dag_actors(system, &params), &params, vec![]);
+    let factories = dag_factories(system, &params, &params.no_restart_config(), |_, b| b);
+    let result = run_factories(factories, &params, vec![], vec![], vec![]);
     (result, params)
 }
 

@@ -142,7 +142,7 @@ fn run_with(loaded: &[u32], base: NarwhalConfig, spikes: Vec<LinkSpike>) -> Outc
         sim.crashes = vec![(worker, 0)];
         sim.restarts = vec![(worker, base.max_batch_delay / 2)];
     }
-    let result = Simulation::from_factories(Topology::new(hosts), sim, factories).run();
+    let result = Simulation::new(Topology::new(hosts), sim, factories).run();
     let seen = std::mem::take(&mut *seen.lock().expect("probe lock"));
     let own = |(_, node, event): &(Time, NodeId, CommitEvent)| {
         (*node == 0 && event.author.0 == 0 && event.tx_count > 0).then(|| event.clone())

@@ -6,7 +6,7 @@ use crate::consensus::DagConsensus;
 use crate::messages::NarwhalMsg;
 use crate::node::NodeBuilder;
 use nt_crypto::KeyPair;
-use nt_network::{Actor, ActorFactory};
+use nt_network::ActorFactory;
 use nt_types::{Committee, ValidatorId, WorkerId};
 
 /// One factory per host. A factory builds its host from scratch on every
@@ -14,7 +14,7 @@ use nt_types::{Committee, ValidatorId, WorkerId};
 /// a restarted host from its factory, so whatever `node` captured (a
 /// durable store) survives while every other piece of state is rebuilt.
 ///
-/// `rule` makes each primary's consensus instance; all validators of one
+/// `rule` makes validator `v`'s consensus instance; all validators of one
 /// deployment must start from identical rule state. `node` finishes the
 /// [`NodeBuilder`] of each of validator `v`'s hosts (a store, an execution
 /// engine); workers ignore what only primaries use.
@@ -27,7 +27,7 @@ pub fn committee_factories<C, R, N>(
 ) -> Vec<ActorFactory<NarwhalMsg<C::Ext>>>
 where
     C: DagConsensus + 'static,
-    R: Fn(&Committee) -> C + Clone + Send + 'static,
+    R: Fn(u32, &Committee) -> C + Clone + Send + 'static,
     N: Fn(u32, NodeBuilder) -> NodeBuilder + Clone + Send + 'static,
 {
     let builder = {
@@ -44,7 +44,7 @@ where
         let (builder, rule) = (builder.clone(), rule.clone());
         factories.push(Box::new(move || {
             let builder = builder(v).keypair(keypair.clone());
-            Box::new(builder.build_primary(rule(&committee)))
+            Box::new(builder.build_primary(rule(v, &committee)))
         }));
     }
     for v in validators {
@@ -58,21 +58,6 @@ where
     factories
 }
 
-/// The actors of a deployment whose hosts never restart: every
-/// [`committee_factories`] host, built once, each over a fresh store in
-/// memory.
-pub fn committee_actors<C: DagConsensus + 'static>(
-    committee: &Committee,
-    keypairs: &[KeyPair],
-    config: &NarwhalConfig,
-    rule: impl Fn(&Committee) -> C + Clone + Send + 'static,
-) -> Vec<Box<dyn Actor<Message = NarwhalMsg<C::Ext>>>> {
-    committee_factories(committee, keypairs, config, rule, |_, b| b)
-        .into_iter()
-        .map(|mut build| build())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,10 +65,11 @@ mod tests {
     use nt_crypto::Scheme;
 
     #[test]
-    fn actor_count_matches_layout() {
+    fn factory_count_matches_layout() {
         let (committee, kps) = Committee::deterministic(4, 2, Scheme::Insecure);
         let config = NarwhalConfig::with_load(1000.0);
-        let actors = committee_actors(&committee, &kps, &config, |_| NoConsensus);
-        assert_eq!(actors.len(), AddressBook::new(4, 2).total_hosts());
+        let factories =
+            committee_factories(&committee, &kps, &config, |_, _| NoConsensus, |_, b| b);
+        assert_eq!(factories.len(), AddressBook::new(4, 2).total_hosts());
     }
 }

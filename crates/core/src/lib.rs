@@ -56,7 +56,7 @@ pub mod worker;
 
 pub use adversary::{AdversaryKind, Byzantine, ADVERSARY_TAG_BASE};
 pub use anchor_walk::{AnchorWalk, Coin, CommitRule, Election, Frontier, Seed};
-pub use committee::{committee_actors, committee_factories};
+pub use committee::committee_factories;
 pub use config::{NarwhalConfig, SelfTestBugs, SyntheticLoad};
 pub use consensus::{ConsensusOut, DagConsensus, NoConsensus, NoExt};
 pub use dag::{CertId, Dag, DagView, InsertOutcome};

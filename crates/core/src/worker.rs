@@ -446,7 +446,13 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                     self.seal_buffer(ctx);
                 }
             }
-            NarwhalMsg::Batch(batch) => {
+            // A peer's batch, from the peer's worker of our index: only the
+            // creator vouches that it disseminated it, and our own batches
+            // come back as acknowledgments, never as batches.
+            NarwhalMsg::Batch(batch)
+                if batch.creator != self.me
+                    && from == self.addr.worker(batch.creator, self.worker_id) =>
+            {
                 let (digest, bytes) = BlockStore::encode_batch(&batch);
                 let first_seen = !self.holds(&digest);
                 // Persist *before* acknowledging: the ack is a storage
@@ -462,7 +468,11 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
                 }
                 self.fetching.remove(&digest);
             }
-            NarwhalMsg::BatchAck { digest, voter } => {
+            // An acknowledgment counts for its voter only from the voter's
+            // worker of our index: the 2f+1 acks are a storage quorum.
+            NarwhalMsg::BatchAck { digest, voter }
+                if from == self.addr.worker(voter, self.worker_id) =>
+            {
                 let quorum = self.committee.quorum_threshold();
                 let reached = self.pending.get_mut(&digest).is_some_and(|p| {
                     p.acked.insert(voter);
@@ -489,7 +499,8 @@ impl<Ext: Clone + Send + 'static> Actor for Worker<Ext> {
             NarwhalMsg::BatchResponse { batches } => {
                 for batch in batches {
                     let (digest, bytes) = BlockStore::encode_batch(&batch);
-                    if self.fetching.remove(&digest).is_some() || !self.holds(&digest) {
+                    // Only an answer to a fetch in flight is taken.
+                    if self.fetching.remove(&digest).is_some() {
                         self.store_and_report(digest, &bytes, &batch, ctx);
                     }
                 }
@@ -697,6 +708,81 @@ mod tests {
         }
     }
 
+    /// The senders no worker input but the one under test may come from:
+    /// a client, a peer's primary, and validator 3's worker.
+    fn strangers(addr: &AddressBook) -> [NodeId; 3] {
+        let wrong = ValidatorId(3);
+        [
+            nt_network::CLIENT,
+            addr.primary(ValidatorId(1)),
+            addr.worker(wrong, WorkerId(0)),
+        ]
+    }
+
+    #[test]
+    fn an_ack_counts_only_from_its_voters_worker() {
+        let (_, addr, mut workers) = setup(4);
+        let digest = seal_own(&mut workers[0], 200 * MS);
+        for from in strangers(&addr) {
+            for voter in [1u32, 2] {
+                let mut ctx = Context::new(210 * MS, 4);
+                let ack = NarwhalMsg::BatchAck {
+                    digest,
+                    voter: ValidatorId(voter),
+                };
+                workers[0].on_message(from, ack, &mut ctx);
+                assert!(sends(ctx.drain()).is_empty(), "an ack from {from} counted");
+            }
+            assert_eq!(workers[0].resident_batches(), 1);
+            assert_eq!(workers[0].stored_batches(), 0);
+        }
+    }
+
+    #[test]
+    fn a_batch_is_taken_only_from_its_creators_worker_and_never_as_our_own() {
+        let (_, addr, mut workers) = setup(4);
+        let own = Batch::synthetic(ValidatorId(0), WorkerId(0), 9, 100, 51_200, vec![]);
+        let inputs = strangers(&addr)
+            .map(|from| (from, peer_batch(9)))
+            .into_iter()
+            .chain([(addr.worker(ValidatorId(0), WorkerId(0)), own)]);
+        for (from, batch) in inputs {
+            let mut ctx = Context::new(0, 4);
+            workers[0].on_message(from, NarwhalMsg::Batch(batch), &mut ctx);
+            assert!(sends(ctx.drain()).is_empty(), "a batch from {from} taken");
+            assert_eq!(workers[0].stored_batches(), 0);
+        }
+    }
+
+    #[test]
+    fn a_response_is_taken_only_for_a_fetch_in_flight() {
+        let (_, addr, mut workers) = setup(4);
+        let batch = peer_batch(9);
+        let creator = addr.worker(ValidatorId(1), WorkerId(0));
+        for from in strangers(&addr).into_iter().chain([creator]) {
+            let mut ctx = Context::new(0, 4);
+            let batches = vec![batch.clone()];
+            workers[0].on_message(from, NarwhalMsg::BatchResponse { batches }, &mut ctx);
+            assert!(
+                sends(ctx.drain()).is_empty(),
+                "a response from {from} taken"
+            );
+            assert_eq!(workers[0].stored_batches(), 0);
+        }
+        // Fetched, the same response is stored and reported, whoever serves it.
+        let mut ctx = Context::new(0, 4);
+        let fetch = NarwhalMsg::FetchBatch {
+            digest: batch.digest(),
+            worker: WorkerId(0),
+            creator: ValidatorId(1),
+        };
+        workers[0].on_message(addr.primary(ValidatorId(0)), fetch, &mut ctx);
+        let server = addr.worker(ValidatorId(2), WorkerId(0));
+        let batches = vec![batch];
+        workers[0].on_message(server, NarwhalMsg::BatchResponse { batches }, &mut ctx);
+        assert_eq!(workers[0].stored_batches(), 1);
+    }
+
     #[test]
     fn peer_batch_stored_acked_and_reported() {
         let (_, addr, mut workers) = setup(4);
@@ -867,11 +953,12 @@ mod tests {
         let own_digest = seal_own(&mut worker, 200 * MS);
         for voter in [1u32, 2] {
             let mut ctx = Context::new(210 * MS, 4);
+            let voter = ValidatorId(voter);
             worker.on_message(
-                5,
+                addr.worker(voter, WorkerId(0)),
                 NarwhalMsg::BatchAck {
                     digest: own_digest,
-                    voter: ValidatorId(voter),
+                    voter,
                 },
                 &mut ctx,
             );
@@ -920,7 +1007,9 @@ mod tests {
             assert_eq!(worker.stored_batches(), 2 + k as usize, "not yet stored");
             for voter in [1u32, 2] {
                 let voter = ValidatorId(voter);
-                deliver(&mut worker, NarwhalMsg::BatchAck { digest, voter });
+                let mut ctx = Context::new(0, 4);
+                let ack = NarwhalMsg::BatchAck { digest, voter };
+                worker.on_message(4 + voter.0 as NodeId, ack, &mut ctx);
             }
         }
         assert_eq!((worker.resident_batches(), worker.stored_batches()), (0, 5));

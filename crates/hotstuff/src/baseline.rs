@@ -16,7 +16,7 @@ use crate::types::{HsMsg, HsPayload};
 use crate::TICK;
 use narwhal::worker::SAMPLES_PER_BATCH;
 use nt_crypto::KeyPair;
-use nt_network::{Actor, Context, NodeId};
+use nt_network::{Actor, ActorFactory, Context, NodeId};
 use nt_types::{Batch, CommitEvent, Committee, TxSample, ValidatorId, WorkerId, TX_BYTES};
 use std::collections::VecDeque;
 
@@ -262,23 +262,12 @@ impl Actor for BaselineValidator {
     }
 }
 
-/// Builds a Baseline-HS deployment: one host per validator, each fed
+/// Builds a Baseline-HS deployment: one factory per validator, each host fed
 /// `rate_per_validator` transactions per second.
-pub fn build_baseline_hs_actors(
-    n: usize,
-    rate_per_validator: f64,
-) -> Vec<Box<dyn Actor<Message = HsMsg>>> {
-    let (committee, kps) = Committee::deterministic(n, 0, nt_crypto::Scheme::Insecure);
-    (0..n)
-        .map(|v| {
-            Box::new(BaselineValidator::new(
-                committee.clone(),
-                rate_per_validator,
-                ValidatorId(v as u32),
-                kps[v].clone(),
-            )) as Box<dyn Actor<Message = HsMsg>>
-        })
-        .collect()
+pub fn build_baseline_hs_actors(n: usize, rate_per_validator: f64) -> Vec<ActorFactory<HsMsg>> {
+    crate::validator_factories(n, move |committee, v, keypair| {
+        BaselineValidator::new(committee, rate_per_validator, v, keypair)
+    })
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@
 //! 5 s view timeout ([`core::VIEW_TIMEOUT`]). The one value a deployment
 //! chooses is its clients' rate, `rate_per_validator`.
 
-use nt_network::{Time, MS};
+use nt_crypto::KeyPair;
+use nt_network::{Actor, ActorFactory, Time, MS};
+use nt_types::{Committee, ValidatorId};
 
 pub mod baseline;
 pub mod batched;
@@ -37,3 +39,24 @@ pub use types::{HsBlock, HsMsg, HsPayload, HsTimeout, HsVote, Qc, Tc};
 
 /// The gossip/batching tick of the Baseline-HS and Batched-HS mempools.
 const TICK: Time = 100 * MS;
+
+/// One factory per validator of a deployment without workers (Baseline-HS,
+/// Batched-HS): `validator` builds validator `v`'s host from the committee
+/// and `v`'s key.
+fn validator_factories<A>(
+    n: usize,
+    validator: impl Fn(Committee, ValidatorId, KeyPair) -> A + Clone + Send + 'static,
+) -> Vec<ActorFactory<HsMsg>>
+where
+    A: Actor<Message = HsMsg> + 'static,
+{
+    let (committee, kps) = Committee::deterministic(n, 0, nt_crypto::Scheme::Insecure);
+    kps.into_iter()
+        .enumerate()
+        .map(|(v, keypair)| -> ActorFactory<HsMsg> {
+            let (committee, validator, v) =
+                (committee.clone(), validator.clone(), ValidatorId(v as u32));
+            Box::new(move || Box::new(validator(committee.clone(), v, keypair.clone())))
+        })
+        .collect()
+}

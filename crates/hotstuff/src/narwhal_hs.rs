@@ -16,8 +16,8 @@ use crate::core::{HotStuffCore, HsAction};
 use crate::types::{HsMsg, HsPayload};
 use narwhal::{ConsensusOut, Dag, DagConsensus, NarwhalConfig};
 use nt_crypto::{Digest, KeyPair};
-use nt_network::Actor;
-use nt_types::{Committee, ValidatorId, WorkerId};
+use nt_network::ActorFactory;
+use nt_types::{Committee, ValidatorId};
 use std::collections::HashSet;
 
 struct PendingProposal {
@@ -172,40 +172,20 @@ impl DagConsensus for NarwhalHsConsensus {
     }
 }
 
-/// Builds a Narwhal-HS deployment in [`AddressBook`](narwhal::AddressBook)
-/// order: `n` primaries (each embedding a HotStuff replica) followed by
-/// `workers` workers per validator. No host is ever restarted: each writes
-/// through a fresh store in memory, and no snapshot is taken.
+/// Builds a Narwhal-HS deployment through [`narwhal::committee_factories`]:
+/// `n` primaries (each embedding a HotStuff replica) followed by `workers`
+/// workers per validator, each writing through a fresh store in memory.
 pub fn build_narwhal_hs_actors(
     n: usize,
     workers: u32,
     config: &NarwhalConfig,
-    _seed: u64,
-) -> Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> {
+) -> Vec<ActorFactory<narwhal::NarwhalMsg<HsMsg>>> {
     let (committee, kps) = Committee::deterministic(n, workers, nt_crypto::Scheme::Insecure);
-    let config = NarwhalConfig {
-        snapshot_interval: 0,
-        ..config.clone()
+    let keys = kps.clone();
+    let rule = move |v: u32, c: &Committee| {
+        NarwhalHsConsensus::new(c.clone(), ValidatorId(v), keys[v as usize].clone())
     };
-    let mut actors: Vec<Box<dyn Actor<Message = narwhal::NarwhalMsg<HsMsg>>>> = Vec::new();
-    for v in 0..n as u32 {
-        let consensus =
-            NarwhalHsConsensus::new(committee.clone(), ValidatorId(v), kps[v as usize].clone());
-        let primary = narwhal::NodeBuilder::new(committee.clone(), v)
-            .config(config.clone())
-            .keypair(kps[v as usize].clone())
-            .build_primary(consensus);
-        actors.push(Box::new(primary));
-    }
-    for v in 0..n as u32 {
-        for w in 0..workers {
-            let worker = narwhal::NodeBuilder::new(committee.clone(), v)
-                .config(config.clone())
-                .build_worker::<HsMsg>(WorkerId(w));
-            actors.push(Box::new(worker));
-        }
-    }
-    actors
+    narwhal::committee_factories(&committee, &kps, config, rule, |_, b| b)
 }
 
 #[cfg(test)]
@@ -216,8 +196,8 @@ mod tests {
     #[test]
     fn builder_produces_full_deployment() {
         let config = NarwhalConfig::with_load(1_000.0);
-        let actors = build_narwhal_hs_actors(4, 2, &config, 7);
-        assert_eq!(actors.len(), 12);
+        let factories = build_narwhal_hs_actors(4, 2, &config);
+        assert_eq!(factories.len(), 12);
     }
 
     #[test]

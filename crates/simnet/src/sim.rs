@@ -14,7 +14,7 @@
 //!
 //! Crashed hosts neither send nor receive. A crashed host can later
 //! *restart*: a fresh actor is built by the host's factory (see
-//! [`Simulation::from_factories`]), its NIC/CPU queues reset, timers armed
+//! [`Simulation::new`]), its NIC/CPU queues reset, timers armed
 //! by the previous incarnation are discarded, and messages that arrived
 //! while the host was down stay dropped — exactly the fault model of the
 //! paper's crash experiments plus the recovery path its RocksDB layer
@@ -98,8 +98,7 @@ pub struct SimConfig {
     /// `(node, time)` crash schedule.
     pub crashes: Vec<(NodeId, Time)>,
     /// `(node, time)` restart schedule. Each entry revives a crashed host
-    /// with a *fresh* actor built by its factory; the simulation must have
-    /// been built with [`Simulation::from_factories`]. A host may crash and
+    /// with a *fresh* actor built by its factory. A host may crash and
     /// restart repeatedly — entries pair up with `crashes` by time order,
     /// and at the same instant a restart resolves before a crash (it closes
     /// the previous outage; the crash opens the next one).
@@ -188,6 +187,7 @@ impl<M> Ord for Event<M> {
     }
 }
 
+#[derive(Default)]
 struct HostState {
     egress_free: Time,
     ingress_free: Time,
@@ -214,46 +214,27 @@ impl<M: Clone + Send + 'static> Actor for Tombstone<M> {
     fn on_message(&mut self, _: NodeId, _: M, _: &mut Context<M>) {}
 }
 
-/// A configured simulation ready to run.
+/// A configured simulation ready to run, and the state of the run.
 pub struct Simulation<M: SimMessage> {
     topology: Topology,
     config: SimConfig,
+    /// `factories[i]()` builds the actor of `topology.hosts[i]`.
+    factories: Vec<ActorFactory<M>>,
     actors: Vec<Box<dyn Actor<Message = M>>>,
-    /// Per-host factories; required for restart schedules.
-    factories: Option<Vec<ActorFactory<M>>>,
     /// Invoked on every host restart, before the factory runs.
     restart_hook: Option<RestartHook>,
+    hosts: Vec<HostState>,
+    queue: BinaryHeap<Reverse<Event<M>>>,
+    /// Order of scheduling: breaks ties between same-instant events.
+    seq: u64,
+    rng: SmallRng,
+    /// FIFO clamp per (from, to) pair, emulating TCP ordering.
+    last_arrival: HashMap<(NodeId, NodeId), Time>,
+    commits: Vec<(Time, NodeId, CommitEvent)>,
+    dropped: u64,
 }
 
 impl<M: SimMessage> Simulation<M> {
-    /// Builds a simulation; `actors[i]` runs on `topology.hosts[i]`.
-    ///
-    /// Restart schedules need per-host factories — use
-    /// [`Simulation::from_factories`] for those.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the actor and host counts differ, or if the config
-    /// schedules restarts (no factories to rebuild actors from).
-    pub fn new(
-        topology: Topology,
-        config: SimConfig,
-        actors: Vec<Box<dyn Actor<Message = M>>>,
-    ) -> Self {
-        assert_eq!(topology.len(), actors.len(), "one actor per topology host");
-        assert!(
-            config.restarts.is_empty(),
-            "restart schedules require Simulation::from_factories"
-        );
-        Simulation {
-            topology,
-            config,
-            actors,
-            factories: None,
-            restart_hook: None,
-        }
-    }
-
     /// Builds a simulation from per-host actor factories;
     /// `factories[i]()` builds the actor for `topology.hosts[i]`, and is
     /// called again whenever the config restarts that host. State an actor
@@ -264,23 +245,27 @@ impl<M: SimMessage> Simulation<M> {
     /// # Panics
     ///
     /// Panics if the factory and host counts differ.
-    pub fn from_factories(
-        topology: Topology,
-        config: SimConfig,
-        mut factories: Vec<ActorFactory<M>>,
-    ) -> Self {
+    pub fn new(topology: Topology, config: SimConfig, mut factories: Vec<ActorFactory<M>>) -> Self {
         assert_eq!(
             topology.len(),
             factories.len(),
             "one factory per topology host"
         );
-        let actors = factories.iter_mut().map(|f| f()).collect();
+        let actors: Vec<_> = factories.iter_mut().map(|f| f()).collect();
+        let hosts = actors.iter().map(|_| HostState::default()).collect();
         Simulation {
             topology,
+            rng: SmallRng::seed_from_u64(config.seed),
             config,
+            factories,
             actors,
-            factories: Some(factories),
             restart_hook: None,
+            hosts,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            last_arrival: HashMap::new(),
+            commits: Vec::new(),
+            dropped: 0,
         }
     }
 
@@ -290,27 +275,16 @@ impl<M: SimMessage> Simulation<M> {
         self.restart_hook = Some(hook);
     }
 
+    fn schedule(&mut self, time: Time, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.seq += 1;
+    }
+
     /// Runs to completion and returns the results.
     pub fn run(mut self) -> SimResult {
         let n = self.actors.len();
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut queue: BinaryHeap<Reverse<Event<M>>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut hosts: Vec<HostState> = (0..n)
-            .map(|_| HostState {
-                egress_free: 0,
-                ingress_free: 0,
-                cpu_free: 0,
-                down: false,
-                incarnation: 0,
-            })
-            .collect();
-        // FIFO clamp per (from, to) pair, emulating TCP ordering.
-        let mut last_arrival: HashMap<(NodeId, NodeId), Time> = HashMap::new();
-
-        let mut commits = Vec::new();
         let mut delivered: u64 = 0;
-        let mut dropped: u64 = 0;
         let mut end_time: Time = 0;
 
         // Fault events first: their setup-time sequence numbers are lower
@@ -327,88 +301,62 @@ impl<M: SimMessage> Simulation<M> {
         }
         for (node, at) in &self.config.restarts {
             assert!(*node < n, "restart schedule names unknown host {node}");
-            assert!(
-                self.factories.is_some(),
-                "restart schedules require Simulation::from_factories"
-            );
             faults.push((*at, false, *node));
         }
         faults.sort_by_key(|(at, is_crash, node)| (*at, *is_crash, *node));
         for (at, is_crash, node) in faults {
-            queue.push(Reverse(Event {
-                time: at,
-                seq,
-                kind: if is_crash {
-                    EventKind::Crash { node }
-                } else {
-                    EventKind::Restart { node }
-                },
-            }));
-            seq += 1;
+            let kind = if is_crash {
+                EventKind::Crash { node }
+            } else {
+                EventKind::Restart { node }
+            };
+            self.schedule(at, kind);
         }
         for node in 0..n {
-            queue.push(Reverse(Event {
-                time: 0,
-                seq,
-                kind: EventKind::Start { node },
-            }));
-            seq += 1;
+            self.schedule(0, EventKind::Start { node });
         }
 
-        while let Some(Reverse(event)) = queue.pop() {
+        while let Some(Reverse(event)) = self.queue.pop() {
             let now = event.time;
             if now > self.config.duration {
                 break;
             }
             end_time = now;
 
-            match event.kind {
+            let ctx = match event.kind {
                 EventKind::Start { node } => {
-                    if hosts[node].down {
+                    if self.hosts[node].down {
                         continue;
                     }
                     let mut ctx = Context::new(now, node);
                     self.actors[node].on_start(&mut ctx);
-                    self.apply_effects(
-                        node,
-                        ctx.drain(),
-                        now,
-                        &mut hosts,
-                        &mut queue,
-                        &mut seq,
-                        &mut rng,
-                        &mut last_arrival,
-                        &mut commits,
-                        &mut dropped,
-                    );
+                    ctx
                 }
                 EventKind::Arrive { to, from, msg } => {
-                    if hosts[to].down {
-                        dropped += 1;
+                    let host = &mut self.hosts[to];
+                    if host.down {
+                        self.dropped += 1;
                         continue;
                     }
                     // Ingress NIC serialization.
                     let size = msg.wire_size();
-                    let nic = nic_time(size);
-                    let ingress_start = now.max(hosts[to].ingress_free);
-                    let ingress_end = ingress_start + nic;
-                    hosts[to].ingress_free = ingress_end;
+                    let ingress_end = now.max(host.ingress_free) + nic_time(size);
+                    host.ingress_free = ingress_end;
                     // CPU service.
                     let cpu = cost::recv(size, msg.verify_count());
-                    let exec_start = ingress_end.max(hosts[to].cpu_free);
-                    let exec_end = exec_start + cpu;
-                    hosts[to].cpu_free = exec_end;
-                    queue.push(Reverse(Event {
-                        time: exec_end,
-                        seq,
-                        kind: EventKind::ExecMsg {
+                    let exec_end = ingress_end.max(host.cpu_free) + cpu;
+                    host.cpu_free = exec_end;
+                    let incarnation = host.incarnation;
+                    self.schedule(
+                        exec_end,
+                        EventKind::ExecMsg {
                             node: to,
                             from,
                             msg,
-                            incarnation: hosts[to].incarnation,
+                            incarnation,
                         },
-                    }));
-                    seq += 1;
+                    );
+                    continue;
                 }
                 EventKind::ExecMsg {
                     node,
@@ -416,57 +364,32 @@ impl<M: SimMessage> Simulation<M> {
                     msg,
                     incarnation,
                 } => {
-                    if hosts[node].down || hosts[node].incarnation != incarnation {
-                        dropped += 1;
+                    if self.hosts[node].down || self.hosts[node].incarnation != incarnation {
+                        self.dropped += 1;
                         continue;
                     }
                     delivered += 1;
                     let mut ctx = Context::new(now, node);
                     self.actors[node].on_message(from, msg, &mut ctx);
-                    self.apply_effects(
-                        node,
-                        ctx.drain(),
-                        now,
-                        &mut hosts,
-                        &mut queue,
-                        &mut seq,
-                        &mut rng,
-                        &mut last_arrival,
-                        &mut commits,
-                        &mut dropped,
-                    );
+                    ctx
                 }
                 EventKind::Fire {
                     node,
                     tag,
                     incarnation,
                 } => {
-                    if hosts[node].down || hosts[node].incarnation != incarnation {
+                    if self.hosts[node].down || self.hosts[node].incarnation != incarnation {
                         continue;
                     }
                     let mut ctx = Context::new(now, node);
                     self.actors[node].on_timer(tag, &mut ctx);
-                    self.apply_effects(
-                        node,
-                        ctx.drain(),
-                        now,
-                        &mut hosts,
-                        &mut queue,
-                        &mut seq,
-                        &mut rng,
-                        &mut last_arrival,
-                        &mut commits,
-                        &mut dropped,
-                    );
+                    ctx
                 }
                 EventKind::Crash { node } => {
-                    hosts[node].down = true;
+                    self.hosts[node].down = true;
+                    continue;
                 }
                 EventKind::Restart { node } => {
-                    let factories = self
-                        .factories
-                        .as_mut()
-                        .expect("restart schedules require Simulation::from_factories");
                     // Drop the dead incarnation *before* building its
                     // replacement: the old actor may hold exclusive
                     // resources (e.g. a WAL file handle) the new one reopens.
@@ -478,8 +401,8 @@ impl<M: SimMessage> Simulation<M> {
                     if let Some(hook) = &mut self.restart_hook {
                         hook(node, now);
                     }
-                    self.actors[node] = (factories[node])();
-                    let host = &mut hosts[node];
+                    self.actors[node] = (self.factories[node])();
+                    let host = &mut self.hosts[node];
                     host.down = false;
                     host.incarnation += 1;
                     // A rebooted machine has idle NICs and CPU.
@@ -488,49 +411,28 @@ impl<M: SimMessage> Simulation<M> {
                     host.cpu_free = now;
                     let mut ctx = Context::new(now, node);
                     self.actors[node].on_start(&mut ctx);
-                    self.apply_effects(
-                        node,
-                        ctx.drain(),
-                        now,
-                        &mut hosts,
-                        &mut queue,
-                        &mut seq,
-                        &mut rng,
-                        &mut last_arrival,
-                        &mut commits,
-                        &mut dropped,
-                    );
+                    ctx
                 }
-            }
+            };
+            self.apply_effects(ctx);
         }
 
         SimResult {
-            commits,
+            commits: self.commits,
             delivered,
-            dropped,
+            dropped: self.dropped,
             end_time,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn apply_effects(
-        &mut self,
-        node: NodeId,
-        effects: Vec<Effect<M>>,
-        now: Time,
-        hosts: &mut [HostState],
-        queue: &mut BinaryHeap<Reverse<Event<M>>>,
-        seq: &mut u64,
-        rng: &mut SmallRng,
-        last_arrival: &mut HashMap<(NodeId, NodeId), Time>,
-        commits: &mut Vec<(Time, NodeId, CommitEvent)>,
-        dropped: &mut u64,
-    ) {
-        for effect in effects {
+    /// Carries out what an actor asked for while handling one event.
+    fn apply_effects(&mut self, mut ctx: Context<M>) {
+        let (node, now) = (ctx.node(), ctx.now());
+        for effect in ctx.drain() {
             match effect {
                 Effect::Send { to, msg } => {
-                    if to >= hosts.len() {
-                        *dropped += 1;
+                    if to >= self.hosts.len() {
+                        self.dropped += 1;
                         continue;
                     }
                     // Partitions are decided at send time.
@@ -540,21 +442,19 @@ impl<M: SimMessage> Simulation<M> {
                         .iter()
                         .any(|p| p.crosses(node, to, now))
                     {
-                        *dropped += 1;
+                        self.dropped += 1;
                         continue;
                     }
                     let size = msg.wire_size();
+                    let host = &mut self.hosts[node];
                     // Sender CPU: serialization + signing.
-                    let send_cpu = cost::send(size, msg.sign_count());
-                    hosts[node].cpu_free = hosts[node].cpu_free.max(now) + send_cpu;
+                    host.cpu_free = host.cpu_free.max(now) + cost::send(size, msg.sign_count());
                     // Egress NIC: broadcasts serialize.
-                    let nic = nic_time(size);
-                    let ser_start = now.max(hosts[node].egress_free);
-                    let ser_end = ser_start + nic;
-                    hosts[node].egress_free = ser_end;
+                    let ser_end = now.max(host.egress_free) + nic_time(size);
+                    host.egress_free = ser_end;
                     // Link propagation (+ any active delay spike, decided at
                     // send time like partitions) + per-pair FIFO clamp.
-                    let latency = self.topology.latency(node, to, rng);
+                    let latency = self.topology.latency(node, to, &mut self.rng);
                     let spike = self
                         .config
                         .spikes
@@ -564,42 +464,38 @@ impl<M: SimMessage> Simulation<M> {
                         .max()
                         .unwrap_or(0);
                     let mut arrival = ser_end + latency + spike;
-                    let clamp = last_arrival.entry((node, to)).or_insert(0);
+                    let clamp = self.last_arrival.entry((node, to)).or_insert(0);
                     if arrival <= *clamp {
                         arrival = *clamp + 1;
                     }
                     *clamp = arrival;
-                    queue.push(Reverse(Event {
-                        time: arrival,
-                        seq: *seq,
-                        kind: EventKind::Arrive {
+                    self.schedule(
+                        arrival,
+                        EventKind::Arrive {
                             to,
                             from: node,
                             msg,
                         },
-                    }));
-                    *seq += 1;
+                    );
                 }
                 Effect::Timer { delay, tag } => {
                     let at = now + delay;
                     if at <= self.config.duration {
-                        queue.push(Reverse(Event {
-                            time: at,
-                            seq: *seq,
-                            kind: EventKind::Fire {
+                        let incarnation = self.hosts[node].incarnation;
+                        self.schedule(
+                            at,
+                            EventKind::Fire {
                                 node,
                                 tag,
-                                incarnation: hosts[node].incarnation,
+                                incarnation,
                             },
-                        }));
-                        *seq += 1;
+                        );
                     }
                 }
-                Effect::Commit(ev) => {
-                    commits.push((now, node, ev));
-                }
+                Effect::Commit(ev) => self.commits.push((now, node, ev)),
                 Effect::Cpu { nanos } => {
-                    hosts[node].cpu_free = hosts[node].cpu_free.max(now) + nanos;
+                    let host = &mut self.hosts[node];
+                    host.cpu_free = host.cpu_free.max(now) + nanos;
                 }
             }
         }
@@ -658,17 +554,21 @@ mod tests {
         Topology::new(vec![HostSpec::new(0, r1), HostSpec::new(1, r2)])
     }
 
-    fn ping_actors() -> Vec<Box<dyn Actor<Message = Ping>>> {
+    fn ping_factories() -> Vec<ActorFactory<Ping>> {
         vec![
-            Box::new(PingActor {
-                peer: 1,
-                initiator: true,
-                sent_at: 0,
+            Box::new(|| {
+                Box::new(PingActor {
+                    peer: 1,
+                    initiator: true,
+                    sent_at: 0,
+                })
             }),
-            Box::new(PingActor {
-                peer: 0,
-                initiator: false,
-                sent_at: 0,
+            Box::new(|| {
+                Box::new(PingActor {
+                    peer: 0,
+                    initiator: false,
+                    sent_at: 0,
+                })
             }),
         ]
     }
@@ -678,7 +578,7 @@ mod tests {
         let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::ApSoutheast2),
             SimConfig::new(7, 10 * SEC),
-            ping_actors(),
+            ping_factories(),
         );
         let result = sim.run();
         assert_eq!(result.commits.len(), 1);
@@ -693,7 +593,7 @@ mod tests {
             let sim = Simulation::new(
                 two_hosts(Region::UsEast1, Region::EuNorth1),
                 SimConfig::new(seed, 10 * SEC),
-                ping_actors(),
+                ping_factories(),
             );
             let r = sim.run();
             (r.commits[0].0, r.delivered)
@@ -709,7 +609,7 @@ mod tests {
         let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsWest1),
             config,
-            ping_actors(),
+            ping_factories(),
         );
         let result = sim.run();
         assert!(result.commits.is_empty(), "no echo from a crashed peer");
@@ -728,7 +628,7 @@ mod tests {
         let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsWest1),
             config,
-            ping_actors(),
+            ping_factories(),
         );
         let result = sim.run();
         assert!(result.commits.is_empty());
@@ -790,7 +690,7 @@ mod tests {
         let mut config = SimConfig::new(1, 10 * SEC);
         config.crashes.push((1, 3 * SEC));
         config.restarts.push((1, 6 * SEC));
-        let sim = Simulation::from_factories(
+        let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsWest1),
             config,
             periodic_factories(),
@@ -826,7 +726,7 @@ mod tests {
         let mut config = SimConfig::new(1, 12 * SEC);
         config.crashes.push((0, 3 * SEC));
         config.restarts.push((0, 4 * SEC));
-        let sim = Simulation::from_factories(
+        let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsEast1),
             config,
             periodic_factories(),
@@ -874,7 +774,7 @@ mod tests {
             Box::new(|| Box::new(Counter { ticks: 0 })),
             Box::new(|| Box::new(Counter { ticks: 0 })),
         ];
-        let sim = Simulation::from_factories(
+        let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsEast1),
             config,
             factories,
@@ -899,7 +799,7 @@ mod tests {
         config.crashes.push((1, 3 * SEC));
         config.crashes.push((1, 6 * SEC));
         config.restarts.push((1, 6 * SEC));
-        let sim = Simulation::from_factories(
+        let sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsWest1),
             config,
             periodic_factories(),
@@ -915,18 +815,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "require Simulation::from_factories")]
-    fn restarts_without_factories_are_rejected() {
-        let mut config = SimConfig::new(1, SEC);
-        config.restarts.push((0, SEC / 2));
-        let _ = Simulation::new(
-            two_hosts(Region::UsEast1, Region::UsWest1),
-            config,
-            ping_actors(),
-        );
-    }
-
-    #[test]
     fn link_spike_delays_without_dropping() {
         // Same-region ping normally echoes in ~2 ms; a 500 ms spike on the
         // link delays both legs but the echo still arrives.
@@ -936,7 +824,7 @@ mod tests {
             let sim = Simulation::new(
                 two_hosts(Region::UsEast1, Region::UsEast1),
                 config,
-                ping_actors(),
+                ping_factories(),
             );
             sim.run()
         };
@@ -984,7 +872,7 @@ mod tests {
         let mut config = SimConfig::new(1, 10 * SEC);
         config.crashes.push((1, 3 * SEC));
         config.restarts.push((1, 6 * SEC));
-        let mut sim = Simulation::from_factories(
+        let mut sim = Simulation::new(
             two_hosts(Region::UsEast1, Region::UsWest1),
             config,
             periodic_factories(),
@@ -1125,8 +1013,8 @@ mod tests {
             two_hosts(Region::UsEast1, Region::UsEast1),
             SimConfig::new(5, 10 * SEC),
             vec![
-                Box::new(Burst) as Box<dyn Actor<Message = Heavy>>,
-                Box::new(HeavySink::default()),
+                Box::new(|| Box::new(Burst)),
+                Box::new(|| Box::new(HeavySink::default())),
             ],
         );
         let result = sim.run();
@@ -1142,8 +1030,8 @@ mod tests {
             two_hosts(Region::UsEast1, Region::UsEast1),
             SimConfig::new(3, 30 * SEC),
             vec![
-                Box::new(Flooder { count: 100 }) as Box<dyn Actor<Message = Ping>>,
-                Box::new(Sink::default()),
+                Box::new(|| Box::new(Flooder { count: 100 })),
+                Box::new(|| Box::new(Sink::default())),
             ],
         );
         let result = sim.run();

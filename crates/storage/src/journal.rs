@@ -1,15 +1,15 @@
-//! An in-memory store with a tearable write journal.
+//! An in-memory store whose un-synced writes can be torn.
 //!
-//! [`JournalStore`] behaves like [`crate::MemStore`] but additionally keeps
-//! every write (put or delete) in an append-ordered journal, so
-//! [`Store::tear_tail`] can discard the most recent writes — the in-memory
-//! stand-in for a [`crate::WalStore`] whose un-synced tail was lost to a
-//! crash. The schedule fuzzer uses it to inject torn-tail faults into
-//! simulated validators without paying file I/O for every record.
+//! [`JournalStore`] behaves like [`crate::MemStore`] but can also undo the
+//! most recent writes (puts and deletes alike) since its last
+//! [`Store::sync_barrier`] — the in-memory stand-in for a
+//! [`crate::WalStore`] whose un-synced tail was lost to a crash. The
+//! schedule fuzzer uses it to inject torn-tail faults into simulated
+//! validators without paying file I/O for every record.
 //!
-//! The journal grows with every write for the lifetime of the store; that
-//! is the point (any suffix must be revocable) and is fine for simulation
-//! runs, which are minutes of simulated time at most.
+//! It keeps only what a crash could tear: one undo record per write since
+//! the last barrier, holding the value that write replaced. Every value
+//! lives once, in the map, and a barrier drops the records.
 
 use crate::{unpoisoned, Store, StoreError};
 use std::collections::BTreeMap;
@@ -17,16 +17,15 @@ use std::sync::Mutex;
 
 #[derive(Default)]
 struct Inner {
-    /// `(key, Some(value))` for puts, `(key, None)` for deletes, in write
-    /// order. Replaying a prefix reproduces the store at that point.
-    journal: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    /// Journal index of the latest [`Store::sync_barrier`]: writes below
-    /// it are durable and cannot tear.
-    synced: usize,
     map: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// One record per write since the latest [`Store::sync_barrier`], in
+    /// write order: the key, and the value the write replaced (`None` if
+    /// the key was absent). Undoing a suffix restores the store as it was
+    /// before those writes.
+    undo: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
 
-/// A thread-safe in-memory store whose write history can be torn.
+/// A thread-safe in-memory store whose un-synced writes can be torn.
 #[derive(Default)]
 pub struct JournalStore {
     inner: Mutex<Inner>,
@@ -37,23 +36,13 @@ impl JournalStore {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of journalled write operations since creation.
-    pub fn journal_len(&self) -> usize {
-        unpoisoned(self.inner.lock()).journal.len()
-    }
-
-    /// Journal index of the latest durability barrier.
-    pub fn synced_len(&self) -> usize {
-        unpoisoned(self.inner.lock()).synced
-    }
 }
 
 impl Store for JournalStore {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let mut inner = unpoisoned(self.inner.lock());
-        inner.journal.push((key.to_vec(), Some(value.to_vec())));
-        inner.map.insert(key.to_vec(), value.to_vec());
+        let replaced = inner.map.insert(key.to_vec(), value.to_vec());
+        inner.undo.push((key.to_vec(), replaced));
         Ok(())
     }
 
@@ -63,8 +52,8 @@ impl Store for JournalStore {
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         let mut inner = unpoisoned(self.inner.lock());
-        inner.journal.push((key.to_vec(), None));
-        inner.map.remove(key);
+        let replaced = inner.map.remove(key);
+        inner.undo.push((key.to_vec(), replaced));
         Ok(())
     }
 
@@ -83,31 +72,21 @@ impl Store for JournalStore {
     }
 
     fn sync_barrier(&self) -> Result<(), StoreError> {
-        let mut inner = unpoisoned(self.inner.lock());
-        inner.synced = inner.journal.len();
+        unpoisoned(self.inner.lock()).undo.clear();
         Ok(())
     }
 
     fn tear_tail(&self, ops: usize) -> Result<usize, StoreError> {
-        let mut inner = unpoisoned(self.inner.lock());
-        let torn = ops.min(inner.journal.len() - inner.synced);
-        if torn == 0 {
-            return Ok(0);
+        let mut guard = unpoisoned(self.inner.lock());
+        let inner = &mut *guard;
+        let torn = ops.min(inner.undo.len());
+        let keep = inner.undo.len() - torn;
+        for (key, replaced) in inner.undo.drain(keep..).rev() {
+            match replaced {
+                Some(value) => inner.map.insert(key, value),
+                None => inner.map.remove(&key),
+            };
         }
-        let keep = inner.journal.len() - torn;
-        inner.journal.truncate(keep);
-        let mut map = BTreeMap::new();
-        for (key, value) in &inner.journal {
-            match value {
-                Some(v) => {
-                    map.insert(key.clone(), v.clone());
-                }
-                None => {
-                    map.remove(key);
-                }
-            }
-        }
-        inner.map = map;
         Ok(torn)
     }
 }
@@ -127,7 +106,6 @@ mod tests {
         assert_eq!(s.get(b"h/2").unwrap(), None);
         assert_eq!(s.keys_with_prefix(b"h/").unwrap(), vec![b"h/1".to_vec()]);
         assert_eq!(s.len().unwrap(), 2);
-        assert_eq!(s.journal_len(), 4, "deletes are journalled too");
     }
 
     #[test]
@@ -153,57 +131,90 @@ mod tests {
         s.sync_barrier().unwrap();
         s.put(b"b", b"2").unwrap();
         s.delete(b"a").unwrap();
-        assert_eq!(s.synced_len(), 1);
         assert_eq!(s.tear_tail(10).unwrap(), 2, "barrier caps the tear");
         assert_eq!(s.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(s.get(b"b").unwrap(), None);
         assert_eq!(s.tear_tail(1).unwrap(), 0);
     }
 
-    #[test]
-    fn matches_wal_store_tear_semantics() {
-        // The same op sequence torn by the same amount must leave the
-        // journal store and the WAL store with identical contents.
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "nt-journal-vs-wal-{}-{}.log",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let wal = crate::WalStore::open(&path).unwrap();
-        let jrn = JournalStore::new();
-        let ops: Vec<(&[u8], Option<&[u8]>)> = vec![
-            (b"k1", Some(b"a")),
-            (b"k2", Some(b"b")),
-            (b"k1", Some(b"c")),
-            (b"k2", None),
-            (b"k3", Some(b"d")),
-        ];
-        for (k, v) in &ops {
-            match v {
-                Some(v) => {
-                    wal.put(k, v).unwrap();
-                    jrn.put(k, v).unwrap();
+    mod wal_equivalence {
+        use super::*;
+        use crate::WalStore;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Put(u8, Vec<u8>),
+            Delete(u8),
+            Barrier,
+            Tear(usize),
+        }
+
+        /// Few keys, so overwrites and deletes of absent keys are common.
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                4 => (0u8..4, proptest::collection::vec(any::<u8>(), 0..3))
+                    .prop_map(|(k, v)| Op::Put(k, v)),
+                2 => (0u8..4).prop_map(Op::Delete),
+                1 => Just(Op::Barrier),
+                2 => (0usize..6).prop_map(Op::Tear),
+            ]
+        }
+
+        fn fresh_wal() -> (WalStore, std::path::PathBuf) {
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "nt-journal-vs-wal-{}-{}.log",
+                std::process::id(),
+                CASE.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::remove_file(&path).ok();
+            (WalStore::open(&path).unwrap(), path)
+        }
+
+        fn contents(s: &dyn Store) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+            let keys = s.keys_with_prefix(b"").unwrap();
+            keys.into_iter()
+                .map(|k| {
+                    let v = s.get(&k).unwrap();
+                    (k, v)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            /// The same writes, barriers and tears leave the journal store
+            /// and the WAL store with the same contents, and every tear
+            /// reports the same count.
+            #[test]
+            fn matches_wal_store_tear_semantics(ops in proptest::collection::vec(arb_op(), 0..40)) {
+                let (wal, path) = fresh_wal();
+                let jrn = JournalStore::new();
+                for op in &ops {
+                    match op {
+                        Op::Put(k, v) => {
+                            wal.put(&[*k], v).unwrap();
+                            jrn.put(&[*k], v).unwrap();
+                        }
+                        Op::Delete(k) => {
+                            wal.delete(&[*k]).unwrap();
+                            jrn.delete(&[*k]).unwrap();
+                        }
+                        Op::Barrier => {
+                            wal.sync_barrier().unwrap();
+                            jrn.sync_barrier().unwrap();
+                        }
+                        Op::Tear(n) => {
+                            prop_assert_eq!(jrn.tear_tail(*n).unwrap(), wal.tear_tail(*n).unwrap(), "{:?}", ops);
+                        }
+                    }
+                    prop_assert_eq!(contents(&jrn), contents(&wal), "{:?}", ops);
                 }
-                None => {
-                    wal.delete(k).unwrap();
-                    jrn.delete(k).unwrap();
-                }
+                std::fs::remove_file(&path).ok();
             }
         }
-        for tear in [1usize, 2] {
-            assert_eq!(wal.tear_tail(tear).unwrap(), jrn.tear_tail(tear).unwrap());
-            assert_eq!(
-                wal.keys_with_prefix(b"").unwrap(),
-                jrn.keys_with_prefix(b"").unwrap()
-            );
-            for key in jrn.keys_with_prefix(b"").unwrap() {
-                assert_eq!(wal.get(&key).unwrap(), jrn.get(&key).unwrap());
-            }
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -183,7 +183,6 @@ struct Inner {
     /// Records covered by the latest durability barrier ([`Store::sync_barrier`]
     /// or the state found on open); [`Store::tear_tail`] cannot cross it.
     synced_records: usize,
-    sync_writes: bool,
 }
 
 /// A WAL-backed persistent store.
@@ -204,15 +203,6 @@ impl WalStore {
     /// If the tail of the log is torn (a crash happened mid-append), the bad
     /// tail is discarded and the store opens with every complete record.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with(path, false)
-    }
-
-    /// Opens with `fsync` after every write (slower, stronger durability).
-    pub fn open_durable(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with(path, true)
-    }
-
-    fn open_with(path: impl AsRef<Path>, sync_writes: bool) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let log = replay(&path, usize::MAX)?;
         let (writer, reader) = open_handles(&path)?;
@@ -229,7 +219,6 @@ impl WalStore {
                 log,
                 writer,
                 reader,
-                sync_writes,
             }),
         })
     }
@@ -276,13 +265,9 @@ impl WalStore {
         unpoisoned(self.inner.lock()).log.live_bytes
     }
 
-    /// Flushes buffered writes to the OS (and disk if opened durable).
+    /// Flushes buffered writes to the OS.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut inner = unpoisoned(self.inner.lock());
-        inner.writer.flush()?;
-        if inner.sync_writes {
-            inner.writer.get_ref().sync_all()?;
-        }
+        unpoisoned(self.inner.lock()).writer.flush()?;
         Ok(())
     }
 
@@ -292,9 +277,6 @@ impl WalStore {
         // The record reaches the OS before the index can hand out its
         // offset to a reader.
         inner.writer.flush()?;
-        if inner.sync_writes {
-            inner.writer.get_ref().sync_all()?;
-        }
         inner.log.apply(key, value.map(|v| v.len() as u32));
         Ok(())
     }

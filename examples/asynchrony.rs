@@ -13,10 +13,10 @@
 //! cargo run --release --example asynchrony
 //! ```
 
-use nt_bench::runner::{crash_schedule, narwhal_topology, split_partition};
-use nt_bench::{BenchParams, System};
+use nt_bench::runner::split_partition;
+use nt_bench::{dag_factories, run_factories, BenchParams, System};
 use nt_network::SEC;
-use nt_simnet::{Partition, SimConfig, Simulation};
+use nt_simnet::Partition;
 
 fn partitions(nodes: usize, workers: u32, duration: u64) -> Vec<Partition> {
     // 10 s calm, then 10 s partitioned (committee split 5/5), repeating.
@@ -52,19 +52,17 @@ fn run(system: System, duration: u64) -> Vec<u64> {
         workers,
         ..params.clone()
     };
-    let topology = narwhal_topology(&actors_params);
-    let mut config = SimConfig::new(params.seed, params.duration);
-    config.crashes = crash_schedule(&actors_params);
-    config.partitions = partitions(params.nodes, workers, duration);
+    let split = partitions(params.nodes, workers, duration);
     let commits = match system {
         System::Tusk => {
-            let actors = nt_bench::build_dag_actors(System::Tusk, &actors_params);
-            Simulation::new(topology, config, actors).run().commits
+            let config = actors_params.no_restart_config();
+            let factories = dag_factories(System::Tusk, &actors_params, &config, |_, b| b);
+            run_factories(factories, &actors_params, split, vec![], vec![]).commits
         }
         System::BatchedHs => {
-            let actors =
+            let factories =
                 nt_hotstuff::build_batched_hs_actors(params.nodes, params.rate_per_validator());
-            Simulation::new(topology, config, actors).run().commits
+            run_factories(factories, &actors_params, split, vec![], vec![]).commits
         }
         _ => unreachable!("demo compares Tusk and Batched-HS"),
     };

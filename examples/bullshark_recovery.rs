@@ -15,8 +15,8 @@
 //! cargo run --release --example bullshark_recovery
 //! ```
 
-use nt_bench::runner::{build_dag_actors, run_actors_result, split_partition};
-use nt_bench::{committed_sequences, sequences_prefix_consistent, BenchParams, RunStats, System};
+use nt_bench::runner::split_partition;
+use nt_bench::{agreement, dag_factories, run_factories, BenchParams, RunStats, System};
 use nt_network::SEC;
 
 const DURATION_S: u64 = 60;
@@ -38,16 +38,14 @@ fn run(system: System) -> Outcome {
         seed: 11,
         ..Default::default()
     };
-    let result = run_actors_result(
-        build_dag_actors(system, &params),
-        &params,
-        vec![split_partition(
-            params.nodes,
-            params.workers,
-            SPLIT_FROM_S * SEC,
-            SPLIT_UNTIL_S * SEC,
-        )],
+    let split = split_partition(
+        params.nodes,
+        params.workers,
+        SPLIT_FROM_S * SEC,
+        SPLIT_UNTIL_S * SEC,
     );
+    let factories = dag_factories(system, &params, &params.no_restart_config(), |_, b| b);
+    let result = run_factories(factories, &params, vec![split], vec![], vec![]);
     // Committed transactions per 5-second window (creator-counted).
     let mut buckets = vec![0u64; (DURATION_S / 5) as usize + 1];
     for (at, node, ev) in &result.commits {
@@ -56,11 +54,10 @@ fn run(system: System) -> Outcome {
         }
     }
     let stats = RunStats::from_result(&result, params.duration, params.nodes);
-    let seqs = committed_sequences(&result.commits, params.nodes);
     Outcome {
         buckets,
         stats,
-        consistent: sequences_prefix_consistent(&seqs),
+        consistent: agreement(&result.commits, params.nodes).is_empty(),
     }
 }
 

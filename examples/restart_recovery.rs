@@ -19,8 +19,8 @@
 //! ```
 
 use narwhal::BlockStore;
-use nt_bench::runner::{build_dag_actor_factories, run_factories_result, validator_hosts};
-use nt_bench::{committed_sequences, sequences_prefix_consistent, BenchParams, RunStats, System};
+use nt_bench::runner::{dag_factories, run_factories, validator_hosts};
+use nt_bench::{agreement, BenchParams, RunStats, System};
 use nt_crypto::Scheme;
 use nt_network::{NodeId, Time, SEC};
 use nt_storage::{DynStore, WalStore};
@@ -58,8 +58,7 @@ fn main() {
     println!();
 
     // One write-ahead log per validator, shared by its primary and worker
-    // (the paper's per-validator store). `WalStore::open_durable` would add
-    // an fsync per write; the demo uses the buffered mode.
+    // (the paper's per-validator store).
     let paths: Vec<_> = (0..NODES).map(wal_path).collect();
     for p in &paths {
         std::fs::remove_file(p).ok();
@@ -73,23 +72,20 @@ fn main() {
     let hosts = validator_hosts(NODES, params.workers, victim);
     let crashes: Vec<(NodeId, Time)> = hosts.iter().map(|h| (*h, CRASH_S * SEC)).collect();
     let restarts: Vec<(NodeId, Time)> = hosts.iter().map(|h| (*h, RESTART_S * SEC)).collect();
-    let result = run_factories_result(
-        build_dag_actor_factories(System::Bullshark, &params, &stores),
-        &params,
-        vec![],
-        crashes,
-        restarts,
-    );
+    let node_stores = stores.clone();
+    let node = move |v: u32, b: narwhal::NodeBuilder| b.store(node_stores[v as usize].clone());
+    let factories = dag_factories(System::Bullshark, &params, &params.narwhal_config(), node);
+    let result = run_factories(factories, &params, vec![], crashes, restarts);
 
     let stats = RunStats::from_result(&result, params.duration, params.nodes);
-    let seqs = committed_sequences(&result.commits, params.nodes);
     println!(
         "committed {} tx at {:.0} tx/s, avg latency {:.2}s",
         stats.total_txs, stats.throughput_tps, stats.avg_latency_s
     );
+    let disagreements = agreement(&result.commits, params.nodes);
     assert!(
-        sequences_prefix_consistent(&seqs),
-        "committed prefixes must agree across the outage"
+        disagreements.is_empty(),
+        "committed prefixes must agree across the outage: {disagreements:?}"
     );
     println!("committed prefixes across all validators: CONSISTENT");
     println!();

@@ -15,7 +15,7 @@
 use narwhal_tusk::bench::fuzz::{fuzz_config, fuzz_params};
 use narwhal_tusk::bench::runner::narwhal_topology;
 use narwhal_tusk::bench::BenchParams;
-use narwhal_tusk::bench::{build_dag_actor_factories_with_app, validator_hosts, System};
+use narwhal_tusk::bench::{dag_factories, validator_hosts, System};
 use narwhal_tusk::crypto::Digest;
 use narwhal_tusk::execution::{BatchData, Execution, LedgerApp};
 use narwhal_tusk::narwhal::{BlockStore, NarwhalConfig};
@@ -38,13 +38,17 @@ fn run_with_ledger(
     let stores: Vec<DynStore> = (0..nodes)
         .map(|_| Arc::new(JournalStore::new()) as DynStore)
         .collect();
-    let factories = build_dag_actor_factories_with_app(system, params, config, &stores, true);
+    let node_stores = stores.clone();
+    let factories = dag_factories(system, params, config, move |v, b| {
+        let store = node_stores[v as usize].clone();
+        b.store(store).execution(Box::new(LedgerApp::new()))
+    });
     let unit_hosts: Vec<Vec<NodeId>> = (0..nodes)
         .map(|v| validator_hosts(nodes, params.workers, ValidatorId(v as u32)))
         .collect();
     let mut sim_config = SimConfig::new(params.seed, params.duration);
     schedule.apply(&mut sim_config, &unit_hosts);
-    let sim = Simulation::from_factories(narwhal_topology(params), sim_config, factories);
+    let sim = Simulation::new(narwhal_topology(params), sim_config, factories);
     let result = sim.run();
     let mut streams = vec![Vec::new(); nodes];
     for (_, node, event) in result.commits {

@@ -1,9 +1,8 @@
 //! End-to-end Tusk integration tests on the WAN simulator.
 
-use nt_bench::runner::{crash_schedule, narwhal_topology};
-use nt_bench::{build_dag_actors, run_system, BenchParams, System};
+use nt_bench::{dag_factories, run_factories, run_system, BenchParams, System};
 use nt_network::{NodeId, Time, SEC};
-use nt_simnet::{Partition, SimConfig, Simulation};
+use nt_simnet::Partition;
 use nt_types::{Round, ValidatorId};
 
 /// Runs Tusk and returns per-node committed `(round, author)` sequences.
@@ -11,12 +10,8 @@ fn committed_sequences(
     params: &BenchParams,
     partitions: Vec<Partition>,
 ) -> Vec<Vec<(Round, ValidatorId)>> {
-    let actors = build_dag_actors(System::Tusk, params);
-    let topology = narwhal_topology(params);
-    let mut config = SimConfig::new(params.seed, params.duration);
-    config.crashes = crash_schedule(params);
-    config.partitions = partitions;
-    let result = Simulation::new(topology, config, actors).run();
+    let factories = dag_factories(System::Tusk, params, &params.no_restart_config(), |_, b| b);
+    let result = run_factories(factories, params, partitions, vec![], vec![]);
     let mut seqs = vec![Vec::new(); params.nodes];
     for (_, node, ev) in &result.commits {
         if *node < params.nodes {
@@ -128,11 +123,8 @@ fn partition_heals_and_commits_catch_up() {
         seed: 8,
         ..Default::default()
     };
-    let actors = build_dag_actors(System::Tusk, &params);
-    let topology = narwhal_topology(&params);
-    let mut config = SimConfig::new(params.seed, duration);
-    config.partitions = vec![partition];
-    let result = Simulation::new(topology, config, actors).run();
+    let factories = dag_factories(System::Tusk, &params, &params.no_restart_config(), |_, b| b);
+    let result = run_factories(factories, &params, vec![partition], vec![], vec![]);
 
     // Committed transactions before, during, and after the partition.
     let bucket = |from: Time, to: Time| -> u64 {
