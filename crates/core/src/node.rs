@@ -20,11 +20,12 @@ use crate::store::BlockStore;
 use crate::worker::Worker;
 use nt_crypto::KeyPair;
 use nt_execution::Execution;
-use nt_network::{Actor, Context, Effect, NodeId};
+use nt_network::{
+    bounded, Actor, BoundedReceiver, BoundedSender, Context, Effect, NodeId, Refused,
+};
 use nt_storage::{DynStore, MemStore};
 use nt_types::{CommitEvent, Committee, ValidatorId, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -175,7 +176,7 @@ pub enum NodeRole {
 }
 
 struct CommitSub {
-    tx: SyncSender<CommitEvent>,
+    tx: BoundedSender<CommitEvent>,
     dropped: Arc<AtomicU64>,
 }
 
@@ -221,14 +222,17 @@ impl<Ext: Clone + Send + 'static> Node<Ext> {
         self.role
     }
 
-    /// Subscribes to the node's committed sequence with a bounded buffer of
-    /// `capacity` events. Subscribe before handing the node to a runtime.
+    /// Subscribes to the node's committed sequence, holding at most
+    /// `capacity` unread events. Subscribe before handing the node to a
+    /// runtime.
     ///
-    /// If a subscriber falls more than `capacity` events behind, further
-    /// events are dropped for it (never blocking the protocol thread) and
-    /// counted in [`CommitStream::dropped`].
+    /// `capacity` is a bound, not a reservation: the subscription's memory
+    /// follows the events queued in it, so a deep bound costs nothing while
+    /// the consumer keeps up. If a subscriber falls `capacity` events
+    /// behind, further events are dropped for it (never blocking the
+    /// protocol thread) and counted in [`CommitStream::dropped`].
     pub fn subscribe_commits(&mut self, capacity: usize) -> CommitStream {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
+        let (tx, rx) = bounded(capacity.max(1));
         let dropped = Arc::new(AtomicU64::new(0));
         self.subs.push(CommitSub {
             tx,
@@ -270,13 +274,13 @@ impl<Ext: Clone + Send + 'static> Node<Ext> {
         for effect in &ctx.effects()[from_index..] {
             if let Effect::Commit(event) = effect {
                 self.subs
-                    .retain(|sub| match sub.tx.try_send(event.clone()) {
+                    .retain(|sub| match sub.tx.try_send_with(|| event.clone()) {
                         Ok(()) => true,
-                        Err(TrySendError::Full(_)) => {
+                        Err(Refused::Full) => {
                             sub.dropped.fetch_add(1, Ordering::Relaxed);
                             true
                         }
-                        Err(TrySendError::Disconnected(_)) => false,
+                        Err(Refused::Disconnected) => false,
                     });
             }
         }
@@ -305,7 +309,7 @@ impl<Ext: Clone + Send + 'static> Actor for Node<Ext> {
 /// consumer lags past the subscription capacity, events are dropped and
 /// [`CommitStream::dropped`] counts them.
 pub struct CommitStream {
-    rx: Receiver<CommitEvent>,
+    rx: BoundedReceiver<CommitEvent>,
     dropped: Arc<AtomicU64>,
 }
 
@@ -315,14 +319,18 @@ impl CommitStream {
         self.rx.try_recv().ok()
     }
 
+    /// Waits for the next event, however long the committee takes.
+    ///
+    /// `None` means the node is gone and every event it teed was taken.
+    pub fn next(&self) -> Option<CommitEvent> {
+        self.rx.recv().ok()
+    }
+
     /// Waits up to `timeout` for the next event.
     ///
     /// `None` means the timeout elapsed or the node is gone.
     pub fn next_timeout(&self, timeout: Duration) -> Option<CommitEvent> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(event) => Some(event),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Drains all currently buffered events.
@@ -437,6 +445,29 @@ mod tests {
         node.handle(CLIENT, any_message(), &mut ctx);
         assert_eq!(stream.drain().len(), 2);
         assert_eq!(stream.dropped(), 2);
+        // After the consumer takes k events, exactly k more fit: k = 2 of
+        // the next four commits, then k = 1 of the four after.
+        node.handle(CLIENT, any_message(), &mut ctx);
+        assert_eq!(stream.dropped(), 4);
+        assert_eq!(stream.try_next().map(|e| e.sequence), Some(1));
+        node.handle(CLIENT, any_message(), &mut ctx);
+        assert_eq!(stream.dropped(), 7);
+        let sequences: Vec<u64> = stream.drain().iter().map(|e| e.sequence).collect();
+        assert_eq!(sequences, vec![2, 1]);
+    }
+
+    #[test]
+    fn next_waits_for_a_late_commit_and_ends_with_the_node() {
+        let (mut node, stream, mut ctx) = committer_node(1, 8);
+        let consumer = std::thread::spawn(move || (stream.next(), stream.next()));
+        // Longer than any poll a consumer might use in place of waiting.
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(!consumer.is_finished(), "next() gave up before the commit");
+        node.handle(CLIENT, any_message(), &mut ctx);
+        drop(node);
+        let (late, after_drop) = consumer.join().expect("consumer thread");
+        assert_eq!(late.map(|e| e.sequence), Some(1));
+        assert!(after_drop.is_none(), "next() ends once the node is gone");
     }
 
     #[test]

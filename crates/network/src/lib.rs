@@ -16,13 +16,16 @@
 //! simulator asks of a protocol — [`SimMessage`] (a message's wire size and
 //! signature work) and [`ActorFactory`] (how a restarted host is rebuilt) —
 //! is declared here too, so the protocol crates, and `narwhal-node` with
-//! them, never link the simulator.
+//! them, never link the simulator. So is the one bounded queue both the
+//! commit subscriptions and the socket runtime's outboxes use ([`queue`]).
 
 pub mod actor;
 pub mod addr;
+pub mod queue;
 
 pub use actor::{Actor, ActorFactory, Context, Effect, NodeId, SimMessage, Time, CLIENT};
 pub use addr::PeerAddr;
+pub use queue::{bounded, BoundedReceiver, BoundedSender, Refused};
 
 /// Nanoseconds per second.
 pub const SEC: Time = 1_000_000_000;

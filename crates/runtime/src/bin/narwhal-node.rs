@@ -35,12 +35,22 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Commit subscription depth; a stalled log consumer drops past this.
+/// Commit subscription bound; a stalled log consumer drops past this. Its
+/// memory follows the events the log has not yet written, not this bound.
 const COMMIT_BUFFER: usize = 65536;
 /// How often a primary prints its stats line.
 const STATS_INTERVAL: Duration = Duration::from_secs(10);
+
+/// Spawns a thread named `name`, or says why it could not.
+fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>, String> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(f)
+        .map_err(|e| format!("spawning the {name} thread: {e}"))
+}
 
 /// Prints the newest commit's cumulative counters once per
 /// [`STATS_INTERVAL`], until the node is gone. Every event carries running
@@ -205,12 +215,13 @@ fn run(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("opening {path}: {e}"))?;
         writeln!(file, "# start").map_err(|e| e.to_string())?;
         file.flush().map_err(|e| e.to_string())?;
-        log_thread = Some(std::thread::spawn(move || {
+        let log = move || {
             // Lag-shed events must be observable: whenever the bounded
             // subscription dropped more commits since the last line, record
-            // the running total before the next event.
+            // the running total before the next event. A committee that
+            // stalls for any length of time and recovers keeps its log.
             let mut dropped_logged = 0;
-            while let Some(event) = commits.next_timeout(Duration::from_secs(3600)) {
+            while let Some(event) = commits.next() {
                 let dropped = commits.dropped();
                 if dropped > dropped_logged {
                     dropped_logged = dropped;
@@ -229,14 +240,18 @@ fn run(args: &[String]) -> Result<(), String> {
                     return;
                 }
             }
-        }));
+        };
+        log_thread = Some(spawn_named("commit-log", log)?);
     }
 
     // Workers commit nothing; only a primary has stats to print.
-    let stats_thread = (role == NodeRole::Primary).then(|| {
-        let commits = node.subscribe_commits(64);
-        std::thread::spawn(move || stats_loop(commits))
-    });
+    let stats_thread = match role {
+        NodeRole::Primary => {
+            let commits = node.subscribe_commits(64);
+            Some(spawn_named("stats", move || stats_loop(commits))?)
+        }
+        NodeRole::Worker(_) => None,
+    };
 
     let peers: Vec<(NodeId, SocketAddr)> = config
         .all_hosts()

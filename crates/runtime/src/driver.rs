@@ -18,7 +18,7 @@
 
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
-use narwhal::{NarwhalMsg, Node};
+use narwhal::{NarwhalMsg, Node, NodeRole};
 use nt_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use nt_network::{Context, Effect, Time, CLIENT};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,16 +43,27 @@ impl DriverHandle {
     }
 }
 
-/// Spawns a thread driving `node` over `transport` until stopped.
+/// Spawns a thread driving `node` over `transport` until stopped, named
+/// after the node's role and validator (`primary-2`, `worker-2-0`).
+///
+/// # Panics
+///
+/// Panics if the OS cannot spawn the thread.
 pub fn spawn_node<Ext>(node: Node<Ext>, transport: Transport) -> DriverHandle
 where
     Ext: Clone + Send + Encode + Decode + 'static,
 {
+    let validator = node.validator().0;
+    let name = match node.role() {
+        NodeRole::Primary => format!("primary-{validator}"),
+        NodeRole::Worker(worker) => format!("worker-{validator}-{}", worker.0),
+    };
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
-    let thread = std::thread::spawn(move || {
-        drive(node, transport, &stop_flag);
-    });
+    let thread = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || drive(node, transport, &stop_flag))
+        .expect("spawning a node driver thread");
     DriverHandle { stop, thread }
 }
 

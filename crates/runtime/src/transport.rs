@@ -14,19 +14,26 @@
 //!   attempt fails, the frames queued so far are dropped and counted — the
 //!   same at-most-once contract the actors already survive under the
 //!   simulator's partitions and crashes — so a dead peer never pins more than one
-//!   backoff interval's worth of frames in memory.
+//!   backoff interval's worth of frames in memory. An outbox is an
+//!   [`nt_network::bounded`] queue: its memory follows the frames it holds,
+//!   not its bound.
+//!
+//! Every thread is named after its job and its host (`accept-3`, `read-3`,
+//! `write-3-5` for host 3's writer to host 5), within Linux's 15-byte limit
+//! for thread names, so `top -H` and `/proc/<pid>/task/*/comm` tell them
+//! apart.
 //!
 //! The transport never interprets payloads: it moves `(NodeId, Vec<u8>)`
 //! pairs. Decoding (and dropping undecodable payloads) is the driver's job.
 
 use crate::backoff::Backoff;
 use nt_codec::{encode_to_vec, Envelope, EnvelopeRef, MAX_FRAME_LEN, PROTOCOL_VERSION};
-use nt_network::{NodeId, CLIENT};
+use nt_network::{bounded, BoundedReceiver, BoundedSender, NodeId, CLIENT};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -35,23 +42,25 @@ use std::time::Duration;
 const POLL: Duration = Duration::from_millis(50);
 /// Per-attempt TCP connect timeout.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-/// Outbox depth per peer; beyond this, sends to a dead peer are dropped.
+/// Outbox depth per peer; beyond this, sends to a dead or stalled peer are
+/// dropped. A bound, not a reservation: an outbox allocates per queued
+/// frame.
 const OUTBOX_CAPACITY: usize = 4096;
-/// Inbox depth, the outbox's. `sync_channel` allocates the whole ring up
-/// front (40-byte slots) and each delivery touches the next slot, so a deep
-/// ring is resident memory that grows with deliveries until it has cycled:
-/// 2.6 MB per host at the former 65 536, 160 KB at this. What fills it is a
-/// driver stalled for over a second at the ~3 k deliveries/s a loaded host
-/// sees (the fsync hiccups observed on a shared disk are <= 0.6 s). Full is
-/// not loss: readers block and the kernel's socket buffers push back on the
-/// senders (TCP backpressure) until the driver catches up.
+/// Inbox depth, the outbox's. The inbox is std's bounded channel, because a
+/// full inbox must block the readers: that is what lets the kernel's socket
+/// buffers push back on the senders (TCP backpressure) until the driver
+/// catches up, so full is not loss. std builds that ring whole and writes
+/// every slot (40 bytes each) when it is created: 160 KB per host, resident
+/// from the start (2.6 MB at the former 65 536). What fills it is a driver
+/// stalled for over a second at the ~3 k deliveries/s a loaded host sees
+/// (the fsync hiccups observed on a shared disk are <= 0.6 s).
 const INBOX_CAPACITY: usize = 4096;
 
 /// A running socket endpoint for one host.
 pub struct Transport {
     local_addr: SocketAddr,
     inbox_rx: Receiver<(NodeId, Vec<u8>)>,
-    outboxes: BTreeMap<NodeId, SyncSender<Vec<u8>>>,
+    outboxes: BTreeMap<NodeId, BoundedSender<Vec<u8>>>,
     me: NodeId,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -64,6 +73,9 @@ impl Transport {
     ///
     /// `peers` maps flat host ids to socket addresses; it should contain
     /// every host this node may address (its own entry is ignored).
+    ///
+    /// Fails if the address cannot be bound or a thread cannot be spawned;
+    /// the threads already running are then stopped and joined.
     pub fn start(
         me: NodeId,
         listen: SocketAddr,
@@ -73,44 +85,54 @@ impl Transport {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let dropped_sends = Arc::new(AtomicU64::new(0));
         let (inbox_tx, inbox_rx) = sync_channel(INBOX_CAPACITY);
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut threads = Vec::new();
-        {
-            let stop = stop.clone();
-            let readers = readers.clone();
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, inbox_tx, stop, readers);
-            }));
+        let mut transport = Transport {
+            local_addr,
+            inbox_rx,
+            outboxes: BTreeMap::new(),
+            me,
+            stop: Arc::new(AtomicBool::new(false)),
+            threads: Vec::new(),
+            readers: Arc::new(Mutex::new(Vec::new())),
+            dropped_sends: Arc::new(AtomicU64::new(0)),
+        };
+        match transport.spawn_threads(listener, inbox_tx, peers) {
+            Ok(()) => Ok(transport),
+            Err(e) => {
+                transport.shutdown();
+                Err(e)
+            }
         }
+    }
 
-        let mut outboxes = BTreeMap::new();
+    /// Starts the acceptor and one writer per peer, each outbox with it.
+    fn spawn_threads(
+        &mut self,
+        listener: TcpListener,
+        inbox_tx: SyncSender<(NodeId, Vec<u8>)>,
+        peers: &[(NodeId, SocketAddr)],
+    ) -> io::Result<()> {
+        let me = self.me;
+        let stop = self.stop.clone();
+        let readers = self.readers.clone();
+        self.threads
+            .push(spawn_named(format!("accept-{me}"), move || {
+                accept_loop(me, listener, inbox_tx, stop, readers);
+            })?);
         for &(peer, addr) in peers {
             if peer == me {
                 continue;
             }
-            let (tx, rx) = sync_channel(OUTBOX_CAPACITY);
-            outboxes.insert(peer, tx);
-            let stop = stop.clone();
-            let dropped_sends = dropped_sends.clone();
-            threads.push(std::thread::spawn(move || {
-                writer_loop(me, peer, addr, rx, stop, dropped_sends);
-            }));
+            let (tx, rx) = bounded(OUTBOX_CAPACITY);
+            let stop = self.stop.clone();
+            let dropped_sends = self.dropped_sends.clone();
+            self.threads
+                .push(spawn_named(format!("write-{me}-{peer}"), move || {
+                    writer_loop(me, peer, addr, rx, stop, dropped_sends);
+                })?);
+            self.outboxes.insert(peer, tx);
         }
-
-        Ok(Transport {
-            local_addr,
-            inbox_rx,
-            outboxes,
-            me,
-            stop,
-            threads,
-            readers,
-            dropped_sends,
-        })
+        Ok(())
     }
 
     /// The bound listen address (with the OS-assigned port when bound to 0).
@@ -132,18 +154,14 @@ impl Transport {
     ///
     /// Unknown destinations and overflowing outboxes drop the payload
     /// (counted in [`Transport::dropped_sends`]) — never block the caller.
+    /// The frame is sealed only once the outbox has room for it.
     pub fn send(&self, to: NodeId, payload: Vec<u8>) {
-        let frame = seal_frame(self.me, payload);
-        match self.outboxes.get(&to) {
-            Some(tx) => match tx.try_send(frame) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            None => {
-                self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-            }
+        let queued = self
+            .outboxes
+            .get(&to)
+            .is_some_and(|tx| tx.try_send_with(|| seal_frame(self.me, payload)).is_ok());
+        if !queued {
+            self.dropped_sends.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -153,6 +171,9 @@ impl Transport {
     }
 
     /// Stops all I/O threads and closes every connection.
+    ///
+    /// A writer blocked on a peer that stopped reading notices within one
+    /// `POLL`, so this returns whatever the peers do.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.outboxes);
@@ -179,7 +200,13 @@ fn seal_frame(me: NodeId, payload: Vec<u8>) -> Vec<u8> {
     frame
 }
 
+/// Spawns a thread named `name` (at most 15 bytes: Linux's limit).
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
+}
+
 fn accept_loop(
+    me: NodeId,
     listener: TcpListener,
     inbox: SyncSender<(NodeId, Vec<u8>)>,
     stop: Arc<AtomicBool>,
@@ -190,8 +217,14 @@ fn accept_loop(
             Ok((stream, _)) => {
                 let inbox = inbox.clone();
                 let stop = stop.clone();
-                let handle = std::thread::spawn(move || reader_loop(stream, inbox, stop));
-                readers.lock().expect("reader list").push(handle);
+                // A reader that cannot be spawned drops its connection (the
+                // stream closes with the closure); the peer reconnects.
+                let spawned = spawn_named(format!("read-{me}"), move || {
+                    reader_loop(stream, inbox, stop)
+                });
+                if let Ok(handle) = spawned {
+                    readers.lock().expect("reader list").push(handle);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL);
@@ -280,7 +313,7 @@ fn writer_loop(
     me: NodeId,
     peer: NodeId,
     addr: SocketAddr,
-    outbox: Receiver<Vec<u8>>,
+    outbox: BoundedReceiver<Vec<u8>>,
     stop: Arc<AtomicBool>,
     dropped_sends: Arc<AtomicU64>,
 ) {
@@ -300,7 +333,7 @@ fn writer_loop(
         }
         match conn.as_mut() {
             Some(stream) => {
-                if stream.write_all(&frame).is_err() {
+                if write_frame(stream, &frame, &stop).is_err() {
                     // The peer is gone; this frame is lost (at-most-once)
                     // and the next send goes through a fresh connection.
                     conn = None;
@@ -311,11 +344,34 @@ fn writer_loop(
             // retransmission covers them — so drop them now instead of
             // holding a full outbox for a peer that may never return.
             None => {
-                let dropped = 1 + outbox.try_iter().count() as u64;
-                dropped_sends.fetch_add(dropped, Ordering::Relaxed);
+                let stale = std::iter::from_fn(|| outbox.try_recv().ok()).count();
+                dropped_sends.fetch_add(1 + stale as u64, Ordering::Relaxed);
             }
         }
     }
+}
+
+/// Writes one whole frame, giving up only on a socket error or, while the
+/// peer does not read, once `stop` is set.
+fn write_frame(stream: &mut TcpStream, frame: &[u8], stop: &AtomicBool) -> io::Result<()> {
+    let mut rest = frame;
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut
+                    || e.kind() == io::ErrorKind::Interrupted =>
+            {
+                if stop.load(Ordering::SeqCst) {
+                    return Err(e);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// One connection attempt; on failure, sleeps the backoff delay (in
@@ -324,6 +380,8 @@ fn try_connect(addr: SocketAddr, backoff: &mut Backoff, stop: &AtomicBool) -> Op
     match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
         Ok(stream) => {
             let _ = stream.set_nodelay(true);
+            // Bounds each blocked write, so `write_frame` sees shutdown.
+            let _ = stream.set_write_timeout(Some(POLL));
             backoff.reset();
             Some(stream)
         }
@@ -544,6 +602,55 @@ mod tests {
         assert!(
             done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
             "shutdown hung joining a reader blocked on the full inbox"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_costs_one_outbox_and_shutdown_returns() {
+        // The peer accepts and then never reads, so once the kernel's
+        // socket buffers are full the writer stalls mid-frame.
+        let peer = TcpListener::bind(loopback()).unwrap();
+        let t = Transport::start(1, loopback(), &[(0, peer.local_addr().unwrap())]).unwrap();
+        let outbox = &t.outboxes[&0];
+        let payload = vec![0u8; 1024];
+        t.send(0, payload.clone());
+        let (_held, _) = peer.accept().unwrap();
+        // Keep the outbox topped up until a pause moves nothing out of it.
+        // The cap bounds what an unbounded outbox could pin here (40 MB).
+        const MAX_SENDS: u64 = 40_000;
+        let mut sent = 1;
+        loop {
+            let dropped = t.dropped_sends();
+            while t.dropped_sends() == dropped && sent < MAX_SENDS {
+                t.send(0, payload.clone());
+                sent += 1;
+            }
+            assert!(
+                t.dropped_sends() > dropped,
+                "{sent} frames and none dropped: the outbox is unbounded"
+            );
+            std::thread::sleep(4 * POLL);
+            if outbox.queued() == OUTBOX_CAPACITY {
+                break;
+            }
+        }
+        // Stalled with a full outbox: every further frame is dropped and
+        // counted, and the outbox holds its bound, not one frame more.
+        let before = t.dropped_sends();
+        const EXTRA: u64 = 100;
+        for _ in 0..EXTRA {
+            t.send(0, payload.clone());
+        }
+        assert_eq!(t.dropped_sends(), before + EXTRA);
+        assert_eq!(outbox.queued(), OUTBOX_CAPACITY);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            t.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown hung joining a writer blocked on a peer that does not read"
         );
     }
 

@@ -161,8 +161,16 @@ fn a_trickle_is_batched_by_the_proposal_clock_and_commits_exactly_once() {
         gc_depth: 1_000_000,
         ..NarwhalConfig::default()
     };
+    let first_deadline = Duration::from_nanos(narwhal.max_header_delay);
+    let spawned = Instant::now();
     let (committee, mut clients) =
         committee_under(narwhal, Scheme::Insecure, SystemKind::Tusk, Some(&stores));
+    // The first round is idle, so validator 0's first block leaves at its
+    // header deadline, and its worker seals nothing before that block:
+    // what arrives earlier waits for it. Starting the trickle half that
+    // deadline after the spawn began, rather than whenever spawning
+    // returns, keeps that wait the same however long spawning takes.
+    std::thread::sleep((spawned + first_deadline / 2).saturating_duration_since(Instant::now()));
     let worker_store = BlockStore::new(stores[0].clone());
     let mut batches = HashSet::new();
     let mut times_committed: BTreeMap<u64, u32> = BTreeMap::new();
