@@ -4,8 +4,8 @@
 //!
 //! Every seed deterministically yields a fault schedule (crashes +
 //! restarts, torn WAL tails at restart, partitions that form and heal,
-//! per-link delay spikes), which runs against one of the four DAG systems
-//! (Tusk, DAG-Rider, Bullshark, Bullshark-Rep) and is judged by the
+//! per-link delay spikes), which runs against one of the six DAG systems
+//! (`fuzz::SYSTEMS`) and is judged by the
 //! checker suite (agreement, total order, commit loss, batch exactly-once,
 //! catch-up, tail liveness, fairness). On a violation the harness prints
 //! the seed, shrinks the schedule to a minimal reproducer, and emits a
@@ -24,17 +24,19 @@
 //!
 //! - (no flags): a 1000-schedule crash corpus, a 120-case Byzantine
 //!   corpus, plus the self-test.
-//! - `--test`: the CI corpora (240 crash schedules, 60 per system; 24
-//!   Byzantine cases), the deliberate-bug + adversary self-test, and the
-//!   shrinker gate.
+//! - `--test`: the CI corpora (240 crash schedules, 40 per system; 24
+//!   Byzantine cases), the checker self-test (over-`f` coalitions and a
+//!   run without snapshots must each trip a checker), and the shrinker
+//!   gate. The arms that prove a recovery mechanism load-bearing are
+//!   source mutants instead (`crates/bench/mutants.txt`).
 //! - `--seed N [--system NAME]`: replay one crash-corpus seed (all
 //!   systems by default), printing its schedule and any violations.
 //! - `--schedules N`: override the crash corpus size.
 //! - `--byz-cases N`: override the Byzantine corpus size.
 
 use nt_bench::fuzz::{
-    self, fuzz_params, noisy_selftest_schedule, run_byz_case, run_case, run_schedule, shrink_case,
-    QUIET_TAIL,
+    self, fuzz_params, noisy_selftest_schedule, run_byz_case, run_case, run_schedule,
+    run_schedule_byz, shrink_case, QUIET_TAIL,
 };
 use nt_bench::{regression_snippet, System, Violation};
 use nt_network::SEC;
@@ -48,7 +50,7 @@ struct Failure {
     violations: Vec<Violation>,
 }
 
-/// Runs seeds `[start, start + count)` round-robin over the four systems,
+/// Runs seeds `[start, start + count)` round-robin over the six systems,
 /// in parallel, collecting failures and corpus statistics.
 fn run_corpus(start: u64, count: u64) -> (Vec<Failure>, String) {
     let failures: Mutex<Vec<Failure>> = Mutex::new(Vec::new());
@@ -105,7 +107,7 @@ fn run_corpus(start: u64, count: u64) -> (Vec<Failure>, String) {
 }
 
 /// Runs the Byzantine corpus: seeds `[start, start + count)` round-robin
-/// over the four systems, each with its seed's adversary coalition over
+/// over the six systems, each with its seed's adversary coalition over
 /// the seed-weighted committee. Any violation here is an honest-validator
 /// safety or liveness breach under `f` Byzantine actors — a real bug.
 fn run_byz_corpus(start: u64, count: u64) -> Vec<Failure> {
@@ -168,12 +170,7 @@ fn report_failure(failure: &Failure) {
     }
     println!("shrinking to a minimal reproducer...");
     let params = fuzz_params(failure.seed);
-    let minimal = shrink_case(
-        failure.system,
-        &params,
-        &failure.schedule,
-        Default::default(),
-    );
+    let minimal = shrink_case(failure.system, &params, &failure.schedule);
     println!(
         "minimized to {} — paste into tests/sim_fuzz_regressions.rs:",
         minimal.summary()
@@ -196,7 +193,7 @@ fn replay(seed: u64, system: Option<System>) {
     };
     let mut any = false;
     for system in systems {
-        let outcome = run_schedule(system, &params, &schedule, Default::default());
+        let outcome = run_schedule(system, &params, &schedule);
         println!(
             "{:>13}: {} commit events, {:.0} tx/s, {} violations",
             system.name(),
@@ -220,11 +217,11 @@ fn replay(seed: u64, system: Option<System>) {
     assert!(!any, "seed {seed} violated an invariant");
 }
 
-/// Flips each deliberate-bug switch and asserts the checkers catch every
-/// arm that can fire under crash faults — the proof the suite is alive.
+/// Runs the checker arms and asserts the checkers catch every one — the
+/// proof the suite is alive.
 fn self_test() {
     println!();
-    println!("Self-test: deliberate bugs must trip the checkers");
+    println!("Self-test: over-f coalitions and a run without snapshots must trip the checkers");
     let arms = fuzz::self_test();
     let mut distinct: Vec<&'static str> = Vec::new();
     for arm in &arms {
@@ -243,7 +240,7 @@ fn self_test() {
         };
         println!(
             "  {:<24} vs {:<13}{adversaries} -> {}",
-            arm.bug,
+            arm.name,
             arm.system.name(),
             if fired.is_empty() {
                 "(no checker fired)".to_string()
@@ -251,13 +248,11 @@ fn self_test() {
                 fired.join(", ")
             }
         );
-        if arm.expect_fire {
-            assert!(
-                !arm.fired.is_empty(),
-                "bug {} went completely undetected — the checkers are vacuous",
-                arm.bug
-            );
-        }
+        assert!(
+            !arm.fired.is_empty(),
+            "arm {} went completely undetected — the checkers are vacuous",
+            arm.name
+        );
         for checker in &arm.fired {
             if !distinct.contains(&checker.name()) {
                 distinct.push(checker.name());
@@ -275,16 +270,24 @@ fn self_test() {
         distinct.join(", ")
     );
 
-    // Shrinker gate: a noisy 6-event failing case must reduce to a handful
-    // of events (the single outage actually needed).
-    let (noisy, bugs) = noisy_selftest_schedule();
+    // Shrinker gate: a noisy 6-event case that an over-f equivocating
+    // coalition fails must reduce to a handful of events, and still fail. None of its
+    // events is needed, so this drives the shrinker end to end without
+    // showing it keeps the one event a failure needs: that part is pinned
+    // by `nt_simnet::fuzz::tests::shrink_drops_irrelevant_events_and_narrows`
+    // (no honest-tree failure that needs exactly one event is known).
+    let (noisy, coalition) = noisy_selftest_schedule();
     let params = fuzz_params(11);
-    let outcome = run_schedule(System::Bullshark, &params, &noisy, bugs);
+    let fails = |schedule: &Schedule| {
+        !run_schedule_byz(System::Bullshark, &params, schedule, &coalition)
+            .violations
+            .is_empty()
+    };
     assert!(
-        !outcome.violations.is_empty(),
+        fails(&noisy),
         "the noisy self-test case must fail pre-shrink"
     );
-    let minimal = shrink_case(System::Bullshark, &params, &noisy, bugs);
+    let minimal = nt_simnet::shrink(&noisy, &mut |candidate| fails(candidate));
     println!();
     println!("Shrinker: {} -> {}", noisy.summary(), minimal.summary());
     println!("{}", minimal.to_rust());
@@ -293,12 +296,7 @@ fn self_test() {
         "shrinker left {} events (> 5)",
         minimal.events.len()
     );
-    assert!(
-        !run_schedule(System::Bullshark, &params, &minimal, bugs)
-            .violations
-            .is_empty(),
-        "the minimized schedule still fails"
-    );
+    assert!(fails(&minimal), "the minimized schedule still fails");
 }
 
 fn main() {

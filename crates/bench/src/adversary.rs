@@ -35,8 +35,7 @@
 //! emits effects in a pure function of the delivered event, so a Byzantine
 //! run replays bit-identically from its seed like any honest run.
 
-use crate::deployment::AddressBook;
-use crate::messages::NarwhalMsg;
+use narwhal::{AddressBook, NarwhalMsg};
 use nt_crypto::{Digest, Hashable, KeyPair};
 use nt_network::{Actor, Context, Effect, NodeId, MS};
 use nt_types::{Certificate, Committee, Header, Round, ValidatorId, Vote};
@@ -413,7 +412,7 @@ impl<Ext: Clone + Send + 'static> Actor for Byzantine<Ext> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::NoExt;
+    use narwhal::NoExt;
     use nt_crypto::Scheme;
     use nt_types::WorkerId;
     use std::sync::{Arc, Mutex};
@@ -673,7 +672,7 @@ mod tests {
             NarwhalMsg::Header(own_header(&committee, &kps, 0, 3)),
             &mut ctx,
         );
-        let victim_batch = crate::messages::BatchInfo {
+        let victim_batch = narwhal::BatchInfo {
             digest: Digest::of(b"victim-batch"),
             worker: WorkerId(0),
             creator: victim,
@@ -689,7 +688,7 @@ mod tests {
             NarwhalMsg::Header(own_header(&committee, &kps, 1, 3)),
             &mut ctx,
         );
-        let peer_batch = crate::messages::BatchInfo {
+        let peer_batch = narwhal::BatchInfo {
             digest: Digest::of(b"peer-batch"),
             worker: WorkerId(0),
             creator: ValidatorId(1),

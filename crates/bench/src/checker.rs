@@ -37,7 +37,7 @@
 //!   any safety invariant; this checker is what catches it.
 //!
 //! Runs may include declared Byzantine validators ([`CheckInput::byzantine`],
-//! wrapped in [`narwhal::Byzantine`] adversary actors). The paper's claims
+//! wrapped in [`crate::Byzantine`] adversary actors). The paper's claims
 //! quantify over *honest* validators only, so the per-validator checkers
 //! skip Byzantine commit streams and stores entirely, and the cross-validator
 //! checkers compare honest pairs only — an equivocator's own garbage output

@@ -6,25 +6,32 @@
 //! - [`fuzz_params`] / [`fuzz_plan`] / [`fuzz_config`]: the fixed run
 //!   envelope — a 4-validator committee under load, a generation plan whose
 //!   fault mass is bounded well inside the GC window, and a Narwhal config
-//!   with the bug switches all off.
+//!   with the fuzz GC window.
 //! - [`run_schedule`]: one deterministic run of `(system, seed, schedule)`
 //!   over per-validator [`JournalStore`]s, with torn tails injected at
 //!   restarts through the simulator's restart hook, checked by
-//!   [`crate::checker::check_all`].
+//!   [`crate::checker::check_all`]. [`run_schedule_byz`] adds adversaries
+//!   ([`crate::adversary`]), [`run_schedule_with`] a config of its own.
 //! - [`run_case`]: generate the seed's schedule, then [`run_schedule`].
 //! - [`shrink_case`]: minimize a failing schedule (greedy event drop +
 //!   narrowing, re-running the full checker suite per candidate).
 //! - [`regression_snippet`]: render a failing case as a ready-to-paste
 //!   Rust test (see `tests/sim_fuzz_regressions.rs` for landed examples).
-//! - [`self_test`]: flip each deliberate-bug switch
-//!   ([`narwhal::SelfTestBugs`]) and confirm the checkers catch it.
+//! - [`self_test`]: run the [`checker_arms`], over-`f` coalitions and a
+//!   config without snapshots, and confirm the checkers catch each.
+//! - [`mechanism_arms`]: the schedules that prove a recovery mechanism
+//!   load-bearing. They are clean on this tree (`tests/mechanism_arms.rs`);
+//!   the mutation manifest (`crates/bench/mutants.txt`, run by the
+//!   `mutants` binary) deletes each mechanism from the source and requires
+//!   its arm to fail.
 
+use crate::adversary::{AdversaryKind, Byzantine};
 use crate::checker::{check_all, CheckInput, Checker, Violation};
 use crate::metrics::RunStats;
 use crate::params::BenchParams;
 use crate::runner::System;
 use crate::runner::{dag_factories, narwhal_topology, validator_hosts};
-use narwhal::{AddressBook, AdversaryKind, Byzantine, NarwhalConfig, SelfTestBugs};
+use narwhal::{AddressBook, NarwhalConfig};
 use nt_crypto::Scheme;
 use nt_network::{NodeId, Time, MS, SEC};
 use nt_simnet::{ActorFactory, FaultEvent, FuzzPlan, Schedule, SimConfig, Simulation};
@@ -87,11 +94,10 @@ pub fn fuzz_plan(params: &BenchParams) -> FuzzPlan {
 }
 
 /// Narwhal config for fuzz runs: the params' config with the fuzz GC
-/// window and the given bug switches.
-pub fn fuzz_config(params: &BenchParams, bugs: SelfTestBugs) -> NarwhalConfig {
+/// window.
+pub fn fuzz_config(params: &BenchParams) -> NarwhalConfig {
     NarwhalConfig {
         gc_depth: FUZZ_GC_DEPTH,
-        bugs,
         ..params.narwhal_config()
     }
 }
@@ -112,34 +118,38 @@ pub struct FuzzOutcome {
 }
 
 /// Runs `schedule` against `system` and checks every invariant.
-/// Deterministic: same `(system, params.seed, schedule, bugs)` ⇒ same
-/// outcome.
-pub fn run_schedule(
-    system: System,
-    params: &BenchParams,
-    schedule: &Schedule,
-    bugs: SelfTestBugs,
-) -> FuzzOutcome {
-    run_schedule_byz(system, params, schedule, bugs, &[])
+/// Deterministic: same `(system, params.seed, schedule)` ⇒ same outcome.
+pub fn run_schedule(system: System, params: &BenchParams, schedule: &Schedule) -> FuzzOutcome {
+    run_schedule_byz(system, params, schedule, &[])
 }
 
 /// [`run_schedule`] with adversary actors: each `(validator, kind)` pair
-/// wraps that validator's primary in a [`narwhal::Byzantine`] actor, and
-/// the checkers judge the honest remainder only ([`CheckInput::byzantine`]).
+/// wraps that validator's primary in a [`Byzantine`] actor, and the
+/// checkers judge the honest remainder only ([`CheckInput::byzantine`]).
 /// Deterministic like `run_schedule`; adversaries compose with the fault
 /// schedule (a crashed adversary restarts as the same adversary).
 pub fn run_schedule_byz(
     system: System,
     params: &BenchParams,
     schedule: &Schedule,
-    bugs: SelfTestBugs,
+    byzantine: &[(ValidatorId, AdversaryKind)],
+) -> FuzzOutcome {
+    run_schedule_with(system, params, &fuzz_config(params), schedule, byzantine)
+}
+
+/// [`run_schedule_byz`] under `config` instead of [`fuzz_config`]; the
+/// catch-up checker judges by `config.gc_depth`.
+pub fn run_schedule_with(
+    system: System,
+    params: &BenchParams,
+    config: &NarwhalConfig,
+    schedule: &Schedule,
     byzantine: &[(ValidatorId, AdversaryKind)],
 ) -> FuzzOutcome {
     let nodes = params.nodes;
     let stores: Vec<DynStore> = (0..nodes)
         .map(|_| Arc::new(JournalStore::new()) as DynStore)
         .collect();
-    let config = fuzz_config(params, bugs);
     let node_stores = stores.clone();
     let node = move |v: u32, b: narwhal::NodeBuilder| b.store(node_stores[v as usize].clone());
     // Each listed validator's primary (the first `nodes` factories) runs
@@ -148,7 +158,7 @@ pub fn run_schedule_byz(
     // honest: every adversary here attacks the primary protocol.
     let (committee, kps) = Committee::deterministic(nodes, params.workers, Scheme::Insecure);
     let addr = AddressBook::new(nodes, params.workers);
-    let factories = dag_factories(system, params, &config, node)
+    let factories = dag_factories(system, params, config, node)
         .into_iter()
         .enumerate()
         .map(|(i, mut inner)| -> ActorFactory<tusk::TuskMsg> {
@@ -194,7 +204,7 @@ pub fn run_schedule_byz(
         nodes,
         duration: params.duration,
         quiet_tail: QUIET_TAIL,
-        gc_depth: FUZZ_GC_DEPTH,
+        gc_depth: config.gc_depth,
         schedule,
         stores: &stores,
         committee: &committee,
@@ -216,13 +226,13 @@ pub fn run_schedule_byz(
     }
 }
 
-/// Generates seed `seed`'s schedule and runs it against `system` with all
-/// bug switches off. Returns the schedule alongside the outcome so a
-/// violation can be reported and shrunk.
+/// Generates seed `seed`'s schedule and runs it against `system`. Returns
+/// the schedule alongside the outcome so a violation can be reported and
+/// shrunk.
 pub fn run_case(system: System, seed: u64) -> (Schedule, FuzzOutcome) {
     let params = fuzz_params(seed);
     let schedule = Schedule::generate(seed, &fuzz_plan(&params));
-    let outcome = run_schedule(system, &params, &schedule, SelfTestBugs::default());
+    let outcome = run_schedule(system, &params, &schedule);
     (schedule, outcome)
 }
 
@@ -291,20 +301,15 @@ pub fn run_byz_case(
     let params = corpus_params(seed);
     let schedule = Schedule::generate(seed, &corpus_plan(&params));
     let byz = byz_assignment(seed, params.nodes);
-    let outcome = run_schedule_byz(system, &params, &schedule, SelfTestBugs::default(), &byz);
+    let outcome = run_schedule_byz(system, &params, &schedule, &byz);
     (schedule, byz, outcome)
 }
 
 /// Greedily minimizes a failing schedule, re-running the checkers on every
 /// candidate. The result still violates at least one invariant.
-pub fn shrink_case(
-    system: System,
-    params: &BenchParams,
-    schedule: &Schedule,
-    bugs: SelfTestBugs,
-) -> Schedule {
+pub fn shrink_case(system: System, params: &BenchParams, schedule: &Schedule) -> Schedule {
     nt_simnet::shrink(schedule, &mut |candidate| {
-        !run_schedule(system, params, candidate, bugs)
+        !run_schedule(system, params, candidate)
             .violations
             .is_empty()
     })
@@ -330,74 +335,197 @@ fn fuzz_regression_seed_{seed}() {{
     use narwhal_tusk::network::MS;
     use narwhal_tusk::simnet::{{FaultEvent, Schedule}};
     let schedule = {schedule_src};
-    let outcome = run_schedule(
-        System::{system:?},
-        &fuzz_params({seed}),
-        &schedule,
-        Default::default(),
-    );
+    let outcome = run_schedule(System::{system:?}, &fuzz_params({seed}), &schedule);
     assert!(outcome.violations.is_empty(), "{{:#?}}", outcome.violations);
 }}"#
     )
 }
 
-/// Outcome of one bug-switch arm of the self-test.
-pub struct SelfTestArm {
-    /// Name of the switch that was flipped (or the adversary coalition
-    /// that ran, for the Byzantine arms).
-    pub bug: &'static str,
-    /// The system it ran against.
+/// One arm of the checker self-test: candidate schedules, each with the
+/// simulation seed it runs under, against one system, with an adversary
+/// coalition and a Narwhal config.
+pub struct Arm {
+    /// What the arm exercises: the mechanism it proves load-bearing, or
+    /// the coalition it runs.
+    pub name: &'static str,
+    /// The system it runs against.
     pub system: System,
-    /// Checkers that fired (first firing candidate schedule).
-    pub fired: Vec<Checker>,
-    /// How many candidate schedules were tried before one fired (equals
-    /// the candidate count when none did).
-    pub candidates_tried: usize,
-    /// Whether the arm is expected to fire at all.
-    pub expect_fire: bool,
-    /// The adversary coalition the arm ran with (empty for pure
-    /// bug-switch arms).
+    /// The config every candidate runs under.
+    pub config: NarwhalConfig,
+    /// `(simulation seed, schedule)` pairs, tried in order.
+    pub candidates: Vec<(u64, Schedule)>,
+    /// The adversary coalition (empty for crash-only arms).
     pub byzantine: Vec<(ValidatorId, AdversaryKind)>,
 }
 
-/// The deliberate-bug self-test: flip each [`SelfTestBugs`] switch on
-/// crash–restart schedules and record which checkers catch it. A checker
-/// suite that stays green here is vacuous — the `sim_fuzz --test` gate
-/// asserts every `expect_fire` arm fired and that at least three distinct
-/// checkers tripped overall.
-///
-/// Each arm tries a small fixed list of candidate schedules and stops at
-/// the first that fires: some bugs only bite under a particular fault
-/// phase (e.g. `skip_ordered_persist` needs GC to have pruned markers
-/// before the crash; the re-proposal bugs need an outage short enough that
-/// the restarted validator rejoins at the live round). Everything is
-/// deterministic — the same candidate fires every time.
+impl Arm {
+    fn new(name: &'static str, system: System, candidates: Vec<(u64, Schedule)>) -> Self {
+        Arm {
+            name,
+            system,
+            config: fuzz_config(&fuzz_params(0)),
+            candidates,
+            byzantine: vec![],
+        }
+    }
+
+    fn with_byzantine(mut self, byzantine: Vec<(ValidatorId, AdversaryKind)>) -> Self {
+        self.byzantine = byzantine;
+        self
+    }
+
+    /// Runs the candidates in order and stops at the first that violates
+    /// an invariant: its index and the checkers that fired, sorted and
+    /// deduplicated, with the violations themselves. `None` if every
+    /// candidate ran clean.
+    pub fn first_violation(&self) -> Option<(usize, Vec<Checker>, Vec<Violation>)> {
+        self.candidates
+            .iter()
+            .enumerate()
+            .find_map(|(i, (seed, schedule))| {
+                let params = fuzz_params(*seed);
+                let outcome = run_schedule_with(
+                    self.system,
+                    &params,
+                    &self.config,
+                    schedule,
+                    &self.byzantine,
+                );
+                if outcome.violations.is_empty() {
+                    return None;
+                }
+                let mut fired: Vec<Checker> =
+                    outcome.violations.iter().map(|v| v.checker).collect();
+                fired.sort_unstable();
+                fired.dedup();
+                Some((i, fired, outcome.violations))
+            })
+    }
+}
+
+/// Outcome of one arm of [`self_test`].
+pub struct SelfTestArm {
+    /// The arm's name.
+    pub name: &'static str,
+    /// The system it ran against.
+    pub system: System,
+    /// Checkers that fired (first firing candidate schedule; empty if
+    /// none fired).
+    pub fired: Vec<Checker>,
+    /// The adversary coalition the arm ran with.
+    pub byzantine: Vec<(ValidatorId, AdversaryKind)>,
+}
+
+/// An equivocator with a vote-amnesiac accomplice (two of four validators,
+/// over the f = 1 a 4-validator committee tolerates): the accomplice's
+/// double votes certify both twins, and their payload commits twice.
+pub fn equivocate_amnesia() -> Vec<(ValidatorId, AdversaryKind)> {
+    vec![
+        (ValidatorId(0), AdversaryKind::Equivocate),
+        (ValidatorId(1), AdversaryKind::VoteAmnesia),
+    ]
+}
+
+/// The adversary coalition of the censor arms: two of four validators (over
+/// the f = 1 a 4-validator committee tolerates) starve validator 0.
+pub fn censor_pair() -> Vec<(ValidatorId, AdversaryKind)> {
+    let censor = AdversaryKind::Censor {
+        victim: ValidatorId(0),
+    };
+    vec![(ValidatorId(2), censor), (ValidatorId(3), censor)]
+}
+
+/// The arms that must trip a checker on this tree: over-`f` adversary
+/// coalitions (each beyond the f = 1 a 4-validator committee tolerates,
+/// so the checker it trips catches exactly the misbehaviour the adversary
+/// produces), and an outage past the GC horizon with snapshots off
+/// (`snapshot_interval: 0`), where only state transfer could bring the
+/// victim back.
+pub fn checker_arms() -> Vec<Arm> {
+    // An outage past the GC horizon (> FUZZ_GC_DEPTH rounds ≈ 10 s): peers
+    // prune the victim's missing history, so only snapshot state transfer
+    // brings it back — without snapshots it stalls forever.
+    let past_gc_outages = [outage(3, 1_500, 13_500, 0), outage(3, 2_000, 13_000, 0)];
+    let quiet = || vec![(11, Schedule::default())];
+    let mut no_snapshots = Arm::new("no_snapshots", System::Tusk, seeded(&past_gc_outages));
+    no_snapshots.config.snapshot_interval = 0;
+    vec![
+        no_snapshots,
+        Arm::new("equivocate+vote_amnesia", System::Tusk, quiet())
+            .with_byzantine(equivocate_amnesia()),
+        Arm::new("censor_pair", System::Bullshark, quiet()).with_byzantine(censor_pair()),
+        // The same censoring coalition under pipelined anchors: the
+        // fairness window tightens with the every-round cadence, and the
+        // checker must still convict a starved victim there.
+        Arm::new("censor_pair_pipelined", System::BullsharkPipelined, quiet())
+            .with_byzantine(censor_pair()),
+        Arm::new("delay_release_pair", System::DagRider, quiet()).with_byzantine(vec![
+            (ValidatorId(2), AdversaryKind::DelayRelease { rounds: 8 }),
+            (ValidatorId(3), AdversaryKind::DelayRelease { rounds: 8 }),
+        ]),
+    ]
+}
+
+/// The checker self-test: runs every [`checker_arms`] arm and records
+/// which checkers catch it. A checker suite that stays green here is
+/// vacuous — the `sim_fuzz --test` gate asserts every arm fired and that
+/// at least three distinct checkers tripped overall. Deterministic: the
+/// same candidate fires every time.
 pub fn self_test() -> Vec<SelfTestArm> {
-    let outage = |at_ms: u64, until_ms: u64, tear: u32| Schedule {
+    checker_arms()
+        .into_iter()
+        .map(|arm| SelfTestArm {
+            fired: arm.first_violation().map_or(vec![], |(_, fired, _)| fired),
+            name: arm.name,
+            system: arm.system,
+            byzantine: arm.byzantine,
+        })
+        .collect()
+}
+
+/// A single outage of `unit` from `at_ms` to `until_ms`, tearing `tear`
+/// writes at the restart.
+fn outage(unit: u32, at_ms: u64, until_ms: u64, tear: u32) -> Schedule {
+    Schedule {
         events: vec![FaultEvent::Outage {
-            unit: 3,
+            unit,
             at: at_ms * MS,
             until: until_ms * MS,
             tear,
         }],
-    };
+    }
+}
+
+/// Pairs each schedule with simulation seed 11.
+fn seeded(schedules: &[Schedule]) -> Vec<(u64, Schedule)> {
+    schedules.iter().map(|s| (11, s.clone())).collect()
+}
+
+/// The arms that prove a recovery mechanism load-bearing, by name: each
+/// runs clean on this tree (`tests/mechanism_arms.rs` asserts it), and
+/// the entry of the same name in `crates/bench/mutants.txt` deletes the
+/// mechanism from the source and requires the arm to trip the checkers it
+/// names.
+///
+/// Each arm tries a small fixed list of candidate schedules: some
+/// mechanisms only matter under a particular fault phase (the ordered
+/// markers need GC to have pruned before the crash; the re-proposal
+/// guards need an outage short enough that the restarted validator
+/// rejoins at the live round).
+pub fn mechanism_arms() -> Vec<Arm> {
     // A long mid-run outage: peers advance ~12 rounds while the victim is
     // down, recovery has real catch-up work.
-    let long_outages = vec![outage(6_000, 9_000, 0), outage(8_000, 11_000, 5)];
-    // An outage past the GC horizon (> FUZZ_GC_DEPTH rounds ≈ 10 s): peers
-    // prune the victim's missing history, so only snapshot state transfer
-    // brings it back — with snapshots disabled it stalls forever.
-    let past_gc_outages = vec![outage(1_500, 13_500, 0), outage(2_000, 13_000, 0)];
+    let long_outages = seeded(&[outage(3, 6_000, 9_000, 0), outage(3, 8_000, 11_000, 5)]);
     // Short outages: the restarted validator rejoins at (nearly) the live
     // round, so a wrongly re-proposed payload actually certifies instead
     // of dying in a stale-round block peers dismiss.
-    let short_outages = vec![
-        outage(8_000, 8_100, 0),
-        outage(6_500, 6_600, 0),
-        outage(8_000, 8_250, 0),
-        outage(8_000, 8_400, 0),
-        outage(6_500, 6_650, 0),
-    ];
+    let short_outages = seeded(&[
+        outage(3, 8_000, 8_100, 0),
+        outage(3, 6_500, 6_600, 0),
+        outage(3, 8_000, 8_250, 0),
+        outage(3, 8_000, 8_400, 0),
+        outage(3, 6_500, 6_650, 0),
+    ]);
     // The original seed-219 find: a link spike stretches round timing, a
     // short outage with a torn tail erases the victim's freshest own
     // certificate (and in-flight proposal) while their broadcasts already
@@ -427,57 +555,13 @@ pub fn self_test() -> Vec<SelfTestArm> {
         (79, torn_outage(10_100, 16)),
         (364, torn_outage(10_100, 20)),
     ];
-    let bug = |f: fn(&mut SelfTestBugs)| {
-        let mut bugs = SelfTestBugs::default();
-        f(&mut bugs);
-        bugs
-    };
-    let seeded = |schedules: Vec<Schedule>| -> Vec<(u64, Schedule)> {
-        schedules.into_iter().map(|s| (11, s)).collect()
-    };
-    /// One self-test arm: `(bug name, switches, system, seeded candidate
-    /// schedules, whether a checker is expected to fire, adversaries)`.
-    type Arm = (
-        &'static str,
-        SelfTestBugs,
-        System,
-        Vec<(u64, Schedule)>,
-        bool,
-        Vec<(ValidatorId, AdversaryKind)>,
-    );
-    // Adversary coalitions for the Byzantine arms. Each exceeds the f = 1
-    // a 4-validator committee tolerates (or pairs a bug switch with an
-    // equivocator) — proving the corresponding checker catches exactly the
-    // misbehaviour the adversary produces.
-    let equivocate_amnesia = vec![
-        (ValidatorId(0), AdversaryKind::Equivocate),
-        (ValidatorId(1), AdversaryKind::VoteAmnesia),
-    ];
-    let censor_pair = vec![
-        (
-            ValidatorId(2),
-            AdversaryKind::Censor {
-                victim: ValidatorId(0),
-            },
-        ),
-        (
-            ValidatorId(3),
-            AdversaryKind::Censor {
-                victim: ValidatorId(0),
-            },
-        ),
-    ];
-    let delay_pair = vec![
-        (ValidatorId(2), AdversaryKind::DelayRelease { rounds: 8 }),
-        (ValidatorId(3), AdversaryKind::DelayRelease { rounds: 8 }),
-    ];
-    // `skip_vote_persist` needs an equivocator plus a crash that makes one
-    // original-voter forget its (never-persisted) vote lock while the
-    // committee is still in the same round: the restarted voter signs the
-    // retransmitted twin, both twins certify, and the payload commits
-    // twice. Candidates vary the crashed voter and the phase; the outage
-    // must be short enough that the round hasn't moved on at restart.
-    let voter_crashes: Vec<(u64, Schedule)> = [
+    // Without persisted vote locks an equivocator needs a crash that makes
+    // one original voter forget its lock while the committee is still in
+    // the same round: the restarted voter signs the retransmitted twin,
+    // both twins certify, and the payload commits twice. Candidates vary
+    // the crashed voter and the phase; the outage must be short enough
+    // that the round hasn't moved on at restart.
+    let voter_crashes = [
         (11, 1, 8_000, 150),
         (11, 2, 8_000, 150),
         (11, 1, 6_500, 120),
@@ -487,144 +571,25 @@ pub fn self_test() -> Vec<SelfTestArm> {
         (7, 2, 7_400, 140),
     ]
     .into_iter()
-    .map(|(seed, unit, at_ms, len_ms): (u64, u32, u64, u64)| {
-        (
-            seed,
-            Schedule {
-                events: vec![FaultEvent::Outage {
-                    unit,
-                    at: at_ms * MS,
-                    until: (at_ms + len_ms) * MS,
-                    tear: 0,
-                }],
-            },
-        )
-    })
+    .map(|(seed, unit, at_ms, len_ms)| (seed, outage(unit, at_ms, at_ms + len_ms, 0)))
     .collect();
-    let arms: Vec<Arm> = vec![
-        (
-            "skip_ordered_persist",
-            bug(|b| b.skip_ordered_persist = true),
-            System::Tusk,
-            seeded(long_outages.clone()),
-            true,
-            vec![],
-        ),
-        (
-            "skip_sequence_persist",
-            bug(|b| b.skip_sequence_persist = true),
-            System::Bullshark,
-            seeded(long_outages.clone()),
-            true,
-            vec![],
-        ),
-        (
-            "skip_inflight_recovery",
-            bug(|b| b.skip_inflight_recovery = true),
-            System::Bullshark,
-            seeded(short_outages.clone()),
-            true,
-            vec![],
-        ),
-        (
-            "disable_cert_pull",
-            bug(|b| b.disable_cert_pull = true),
-            System::DagRider,
-            seeded(long_outages.clone()),
-            true,
-            vec![],
-        ),
-        (
-            "skip_sync_barriers",
-            bug(|b| b.skip_sync_barriers = true),
-            System::BullsharkRep,
-            torn_outages.clone(),
-            true,
-            vec![],
-        ),
-        (
-            "disable_snapshots",
-            bug(|b| b.disable_snapshots = true),
-            System::Tusk,
-            seeded(past_gc_outages.clone()),
-            true,
-            vec![],
-        ),
-        (
-            "skip_vote_persist",
-            bug(|b| b.skip_vote_persist = true),
-            System::Tusk,
-            voter_crashes,
-            true,
-            vec![(ValidatorId(0), AdversaryKind::Equivocate)],
-        ),
-        (
-            "equivocate+vote_amnesia",
-            SelfTestBugs::default(),
-            System::Tusk,
-            vec![(11, Schedule::default())],
-            true,
-            equivocate_amnesia,
-        ),
-        (
-            "censor_pair",
-            SelfTestBugs::default(),
-            System::Bullshark,
-            vec![(11, Schedule::default())],
-            true,
-            censor_pair.clone(),
-        ),
-        // The same censoring coalition under pipelined anchors: the
-        // fairness window tightens with the every-round cadence, and the
-        // checker must still convict a starved victim there.
-        (
-            "censor_pair_pipelined",
-            SelfTestBugs::default(),
-            System::BullsharkPipelined,
-            vec![(11, Schedule::default())],
-            true,
-            censor_pair,
-        ),
-        (
-            "delay_release_pair",
-            SelfTestBugs::default(),
-            System::DagRider,
-            vec![(11, Schedule::default())],
-            true,
-            delay_pair,
-        ),
-    ];
-    arms.into_iter()
-        .map(|(bug, bugs, system, candidates, expect_fire, byzantine)| {
-            let mut fired: Vec<Checker> = Vec::new();
-            let mut tried = 0;
-            for (params_seed, schedule) in candidates {
-                tried += 1;
-                let params = fuzz_params(params_seed);
-                let outcome = run_schedule_byz(system, &params, &schedule, bugs, &byzantine);
-                if !outcome.violations.is_empty() {
-                    fired = outcome.violations.iter().map(|v| v.checker).collect();
-                    fired.sort_unstable();
-                    fired.dedup();
-                    break;
-                }
-            }
-            SelfTestArm {
-                bug,
-                system,
-                fired,
-                candidates_tried: tried,
-                expect_fire,
-                byzantine,
-            }
-        })
-        .collect()
+    vec![
+        Arm::new("ordered_persist", System::Tusk, long_outages.clone()),
+        Arm::new("sequence_persist", System::Bullshark, long_outages.clone()),
+        Arm::new("inflight_recovery", System::Bullshark, short_outages),
+        Arm::new("cert_pull", System::DagRider, long_outages),
+        Arm::new("sync_barriers", System::BullsharkRep, torn_outages),
+        Arm::new("vote_persist", System::Tusk, voter_crashes)
+            .with_byzantine(vec![(ValidatorId(0), AdversaryKind::Equivocate)]),
+    ]
 }
 
 /// A deliberately noisy failing case for exercising the shrinker end to
-/// end: the violation needs only the outage; the split and spikes are
-/// chaff the shrinker must discard.
-pub fn noisy_selftest_schedule() -> (Schedule, SelfTestBugs) {
+/// end: [`equivocate_amnesia`] fails on an empty schedule and with these
+/// events (Bullshark, seed 11), so every event is chaff the shrinker must
+/// discard. ([`censor_pair`] does not: its victim's starvation hides among
+/// the outages.)
+pub fn noisy_selftest_schedule() -> (Schedule, Vec<(ValidatorId, AdversaryKind)>) {
     (
         Schedule {
             events: vec![
@@ -666,18 +631,13 @@ pub fn noisy_selftest_schedule() -> (Schedule, SelfTestBugs) {
                 },
             ],
         },
-        SelfTestBugs {
-            skip_sequence_persist: true,
-            ..Default::default()
-        },
+        equivocate_amnesia(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use narwhal::AdversaryKind;
-    use nt_types::ValidatorId;
 
     /// Byzantine runs replay bit-identically from their seed: the adversary
     /// wrappers keep ordered state and emit effects as a pure function of
@@ -720,13 +680,7 @@ mod tests {
             ),
         ];
         let run = || {
-            let out = run_schedule_byz(
-                System::Bullshark,
-                &params,
-                &schedule,
-                SelfTestBugs::default(),
-                &byz,
-            );
+            let out = run_schedule_byz(System::Bullshark, &params, &schedule, &byz);
             (
                 format!("{:?}", out.violations),
                 out.commit_events,

@@ -16,11 +16,18 @@
 //! | `sim_fuzz` | §5 safety/liveness under randomized fault schedules |
 //! | `perf_baseline` | machine-readable `BENCH_<n>.json` perf baseline |
 //!
+//! Beside them, the schedule fuzzer ([`fuzz`], with its [`checker`]s and
+//! the Byzantine [`adversary`] wrappers) and two binaries: `calibrate`,
+//! the cost-model probe, and `mutants`, which applies each source mutant
+//! of `mutants.txt` to a copy of the tree and requires the tests it names
+//! to fail.
+//!
 //! The harness runs every system on the discrete-event simulator with the
 //! paper's WAN topology and reports throughput (committed tx/s in the
 //! steady-state window) and latency (client submission to commit at the
 //! proposing validator), exactly the two metrics of §7.
 
+pub mod adversary;
 pub mod baseline;
 pub mod checker;
 pub mod fuzz;
@@ -29,6 +36,7 @@ pub mod params;
 pub mod runner;
 pub mod table;
 
+pub use adversary::{AdversaryKind, Byzantine, ADVERSARY_TAG_BASE};
 pub use checker::{agreement, check_all, CheckInput, Checker, Violation};
 pub use fuzz::{fuzz_params, regression_snippet, run_case, run_schedule, shrink_case};
 pub use metrics::RunStats;

@@ -80,8 +80,8 @@ fn same_seed_same_run_under_a_fault_schedule() {
         !schedule.events.is_empty(),
         "seed 7 generates a non-trivial schedule"
     );
-    let a = run_schedule(System::Bullshark, &params, &schedule, Default::default());
-    let b = run_schedule(System::Bullshark, &params, &schedule, Default::default());
+    let a = run_schedule(System::Bullshark, &params, &schedule);
+    let b = run_schedule(System::Bullshark, &params, &schedule);
     assert_eq!(a.commit_events, b.commit_events);
     assert_eq!(a.stats.total_txs, b.stats.total_txs);
     assert_eq!(a.stats.samples, b.stats.samples);

@@ -98,9 +98,7 @@ impl Certifier {
             .or_default()
             .insert(id.me, digest);
         let s = &id.store;
-        if !id.config.bugs.skip_vote_persist {
-            fail_stop(s.put_vote(header.round, id.me, &digest));
-        }
+        fail_stop(s.put_vote(header.round, id.me, &digest));
         // Persist the in-flight proposal and sync, both *before* the
         // broadcast below leaves (effects drain after this handler): a
         // primary that crashes between proposing and certifying can neither
@@ -110,9 +108,7 @@ impl Certifier {
         // 19 and 378). Recovery re-arms the slot and §4.1 retransmission
         // completes the round.
         fail_stop(s.put_own_header(&header));
-        if !id.config.bugs.skip_sync_barriers {
-            fail_stop(s.barrier());
-        }
+        fail_stop(s.barrier());
         for node in id.addr.other_primaries(id.me) {
             ctx.send(node, NarwhalMsg::Header(header.clone()));
         }
@@ -166,9 +162,7 @@ impl Certifier {
                 e.insert(digest);
                 // Persist the lock *before* the vote leaves: a restarted
                 // incarnation must remember what it signed (§3.1 cond. 4).
-                if !id.config.bugs.skip_vote_persist {
-                    fail_stop(id.store.put_vote(header.round, header.author, &digest));
-                }
+                fail_stop(id.store.put_vote(header.round, header.author, &digest));
             }
         }
         let vote = Vote::new(&id.keypair, id.me, digest, header.round, header.author);

@@ -16,56 +16,6 @@ pub struct SyntheticLoad {
     pub rate_tps: f64,
 }
 
-/// Deliberate-bug switches for the schedule fuzzer's checker self-test.
-///
-/// Each switch disables one correctness mechanism the crash-recovery path
-/// depends on. The `sim_fuzz` harness flips them one at a time and asserts
-/// that its safety checkers *catch* the resulting misbehaviour — proving
-/// the checkers are live, not vacuously green. Production and benchmark
-/// code paths must leave this at `Default` (all off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelfTestBugs {
-    /// Do not persist ordered markers on commit: a restarted validator
-    /// forgets what it linearized and re-commits its whole history at
-    /// fresh sequence numbers.
-    pub skip_ordered_persist: bool,
-    /// Do not persist the commit-sequence counter: a restarted validator
-    /// numbers new commits from 1 again while peers continue.
-    pub skip_sequence_persist: bool,
-    /// Do not persist §3.1 vote locks before votes leave. With crash-only
-    /// faults this cannot certify an equivocation (peers keep their locks),
-    /// but against an *equivocating* adversary the forgotten lock is
-    /// fatal: a restarted validator re-votes for the twin of a block it
-    /// already signed, both twins certify, and the committee double-commits
-    /// the payload — the `skip_vote_persist` self-test arm pairs this
-    /// switch with [`crate::adversary::AdversaryKind::Equivocate`] to
-    /// prove the persist is load-bearing.
-    pub skip_vote_persist: bool,
-    /// Skip the recovery step that re-derives in-flight own payloads from
-    /// certified-but-uncommitted blocks: a restarted validator re-proposes
-    /// batches already on their way to commit, committing them twice.
-    pub skip_inflight_recovery: bool,
-    /// Disable §4.1 pull synchronization (initial digest requests, their
-    /// retries, and the batched round-range pull): a validator that misses
-    /// certificates never recovers them and stalls behind the committee.
-    pub disable_cert_pull: bool,
-    /// Skip the durability barriers taken before a proposal's broadcast
-    /// leaves and after an own certificate is persisted, re-opening the
-    /// crash-consistency windows the fuzzer originally found: a torn tail
-    /// can then erase a certificate whose broadcast already left (the
-    /// restarted validator re-proposes its payload and the committee
-    /// commits it twice — seed 219), or erase the in-flight proposal slot
-    /// (the restarted validator can neither finish nor replace the round
-    /// it already signed, and the round stalls).
-    pub skip_sync_barriers: bool,
-    /// Disable snapshot production, serving and fetching: a validator that
-    /// falls more than `gc_depth` rounds behind has no state-transfer path
-    /// left and stalls behind the committee forever (the pre-snapshot
-    /// behaviour, kept so the fuzzer can prove the snapshot path is
-    /// load-bearing).
-    pub disable_snapshots: bool,
-}
-
 /// How long a request for what is missing — a certificate (§4.1), a batch,
 /// a snapshot chunk — waits for its answer before it is sent again, to the
 /// next peer; also the period of both roles' retry timer.
@@ -113,8 +63,6 @@ pub struct NarwhalConfig {
     pub snapshot_interval: u64,
     /// If set, workers self-generate synthetic load at this rate.
     pub load: Option<SyntheticLoad>,
-    /// Deliberate-bug switches; all off outside the fuzzer's self-test.
-    pub bugs: SelfTestBugs,
 }
 
 impl Default for NarwhalConfig {
@@ -126,7 +74,6 @@ impl Default for NarwhalConfig {
             gc_depth: 50,
             snapshot_interval: 32,
             load: None,
-            bugs: SelfTestBugs::default(),
         }
     }
 }

@@ -225,14 +225,7 @@ impl Executor {
         // torn tail can only lose whole commits — never leave the
         // counter and the ordered set disagreeing (recovery would then
         // renumber the replay and diverge from the committee).
-        if !id.config.bugs.skip_ordered_persist {
-            let persisted_seq = if id.config.bugs.skip_sequence_persist {
-                0
-            } else {
-                self.sequence
-            };
-            fail_stop(id.store.put_ordered(&digest, persisted_seq));
-        }
+        fail_stop(id.store.put_ordered(&digest, self.sequence));
         self.sequence
     }
 

@@ -294,9 +294,7 @@ impl<C: DagConsensus> Primary<C> {
         // validator with a boundary round it could never assemble a quorum
         // for — wedging it permanently (found by `sim_fuzz` seed 19).
         let s = &self.id.store;
-        if !self.id.config.bugs.skip_sequence_persist {
-            fail_stop(s.put_sequence(self.executor.sequence));
-        }
+        fail_stop(s.put_sequence(self.executor.sequence));
         fail_stop(s.put_gc_round(gc_round));
         let forgotten = self.proposer.prune(gc_round, &pruned, &self.id);
         self.executor.prune(&pruned, &forgotten, &self.id);
@@ -431,10 +429,8 @@ impl<C: DagConsensus> Primary<C> {
         // certificate, a torn tail must not erase our record of having
         // proposed its payload, or a restarted incarnation re-proposes
         // those batches and the committee commits them twice. Found by
-        // `sim_fuzz` (seed 219) before this barrier existed;
-        // `skip_sync_barriers` re-opens the window to prove the checkers
-        // still see it.
-        if cert.origin() == self.id.me && !self.id.config.bugs.skip_sync_barriers {
+        // `sim_fuzz` (seed 219) before this barrier existed.
+        if cert.origin() == self.id.me {
             fail_stop(self.id.store.barrier());
         }
         self.synchronizer.arrived(&digest);

@@ -150,9 +150,6 @@ impl Proposer {
             self.own_payloads
                 .insert(header.round, payload_digests(header));
         }
-        if id.config.bugs.skip_inflight_recovery {
-            return Ok(());
-        }
         for round in dag.first_retained_round()..=dag.highest_round() {
             let Some(cert) = dag.get(round, id.me) else {
                 continue;

@@ -7,8 +7,8 @@
 //! `app` halves, buffered peer `votes`) and the fetching side (`fetch`).
 //! Produced packages live in the primary's store, and peers count on our
 //! signature over them. All of it is off when `snapshot_interval` is 0 (a
-//! run that never restarts a validator) or the `disable_snapshots`
-//! self-test switch is set: nothing is produced, served or asked for.
+//! run that never restarts a validator): nothing is produced, served or
+//! asked for.
 //!
 //! Outcomes: [`StateTransfer::on_response`] returns the downloaded package
 //! once it is complete and verified, for the caller to install.
@@ -77,7 +77,7 @@ fn snapshot_request<E>(to: NodeId, sequence: u64, cursor: u64, ctx: &mut Ctx<E>)
 impl StateTransfer {
     /// Whether this validator produces, serves and fetches snapshots.
     fn enabled(id: &Identity) -> bool {
-        !id.config.bugs.disable_snapshots && id.config.snapshot_interval > 0
+        id.config.snapshot_interval > 0
     }
 
     /// Never re-produce a snapshot bucket that was in progress when the
@@ -335,9 +335,6 @@ impl StateTransfer {
         else {
             return None;
         };
-        if id.config.bugs.disable_snapshots {
-            return None;
-        }
         let fetch = self.fetch.as_mut()?;
         let digest = manifest.digest();
         let adopt = match &fetch.manifest {

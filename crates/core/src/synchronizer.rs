@@ -195,7 +195,7 @@ impl Synchronizer {
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) {
-        if dag.contains_digest(&digest) || id.config.bugs.disable_cert_pull {
+        if dag.contains_digest(&digest) {
             return;
         }
         let entry = self.missing_certs.entry(digest).or_insert(MissingCert {
@@ -216,9 +216,6 @@ impl Synchronizer {
 
     /// Retries missing-certificate pulls against rotating targets.
     pub(crate) fn retry<E>(&mut self, now: Time, id: &Identity, ctx: &mut Ctx<E>) {
-        if id.config.bugs.disable_cert_pull {
-            self.missing_certs.clear();
-        }
         for (digest, missing) in self.missing_certs.iter_mut() {
             if now.saturating_sub(missing.last) >= SYNC_RETRY_DELAY {
                 missing.attempts += 1;
@@ -406,12 +403,6 @@ impl Synchronizer {
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) {
-        // The range pull is part of §4.1 pull synchronization; the
-        // `disable_cert_pull` self-test arm must take down both sync paths
-        // or the checkers would never see the stall it exists to prove.
-        if id.config.bugs.disable_cert_pull {
-            return;
-        }
         if cert.round() <= round + RANGE_PULL_LAG {
             return;
         }

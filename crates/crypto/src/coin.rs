@@ -16,7 +16,7 @@
 //! Unlike real threshold BLS, `f + 1` *specific* colluding parties could
 //! predict their own shares ahead of time. That difference is not
 //! load-bearing here: every adversary this reproduction runs (the simulator's
-//! fault schedules and `narwhal::Byzantine`'s fixed strategies) is chosen
+//! fault schedules and `nt_bench::Byzantine`'s fixed strategies) is chosen
 //! before the run and never adapts to a coin value.
 
 use crate::digest::Digest;

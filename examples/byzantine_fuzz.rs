@@ -21,8 +21,7 @@
 //! ```
 
 use narwhal_tusk::bench::fuzz::{byz_assignment, corpus_params, fuzz_params, run_schedule_byz};
-use narwhal_tusk::bench::System;
-use narwhal_tusk::narwhal::AdversaryKind;
+use narwhal_tusk::bench::{AdversaryKind, System};
 use narwhal_tusk::simnet::Schedule;
 use narwhal_tusk::types::ValidatorId;
 
@@ -34,13 +33,7 @@ fn main() {
     for (v, kind) in &coalition {
         println!("  validator {} runs {}", v.0, kind.name());
     }
-    let outcome = run_schedule_byz(
-        System::Bullshark,
-        &params,
-        &Schedule::default(),
-        Default::default(),
-        &coalition,
-    );
+    let outcome = run_schedule_byz(System::Bullshark, &params, &Schedule::default(), &coalition);
     println!(
         "  -> {} commit events, {} violations (expect 0)\n",
         outcome.commit_events,
@@ -65,13 +58,7 @@ fn main() {
         ),
     ];
     println!("4 validators, censor pair against validator 0:");
-    let outcome = run_schedule_byz(
-        System::Bullshark,
-        &params,
-        &Schedule::default(),
-        Default::default(),
-        &censors,
-    );
+    let outcome = run_schedule_byz(System::Bullshark, &params, &Schedule::default(), &censors);
     for v in &outcome.violations {
         println!("  {v}");
     }

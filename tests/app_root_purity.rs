@@ -191,7 +191,7 @@ fn app_root_is_a_pure_function_of_the_committed_sequence() {
 #[test]
 fn app_root_survives_restart_replay() {
     let params = fuzz_params(7);
-    let config = fuzz_config(&params, Default::default());
+    let config = fuzz_config(&params);
     let schedule = Schedule {
         events: vec![FaultEvent::Outage {
             unit: 2,
@@ -220,7 +220,7 @@ fn app_root_survives_restart_replay() {
 #[test]
 fn app_root_survives_snapshot_restore() {
     let params = fuzz_params(721);
-    let config = fuzz_config(&params, Default::default());
+    let config = fuzz_config(&params);
     let schedule = Schedule {
         events: vec![FaultEvent::Outage {
             unit: 2,

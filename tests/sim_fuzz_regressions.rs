@@ -6,8 +6,9 @@
 //! schedule, and the emitted snippet lands here so the bug can never
 //! return unnoticed.
 
-use narwhal_tusk::bench::fuzz::{fuzz_params, run_schedule};
+use narwhal_tusk::bench::fuzz::{fuzz_config, fuzz_params, run_schedule, run_schedule_with};
 use narwhal_tusk::bench::System;
+use narwhal_tusk::narwhal::NarwhalConfig;
 use narwhal_tusk::network::MS;
 use narwhal_tusk::simnet::{FaultEvent, Schedule};
 
@@ -40,12 +41,7 @@ fn fuzz_regression_seed_19() {
             },
         ],
     };
-    let outcome = run_schedule(
-        System::BullsharkRep,
-        &fuzz_params(19),
-        &schedule,
-        Default::default(),
-    );
+    let outcome = run_schedule(System::BullsharkRep, &fuzz_params(19), &schedule);
     assert!(outcome.violations.is_empty(), "{:#?}", outcome.violations);
 }
 
@@ -89,12 +85,7 @@ fn fuzz_regression_seed_378_lost_inflight_proposals() {
             },
         ],
     };
-    let outcome = run_schedule(
-        System::Tusk,
-        &fuzz_params(378),
-        &schedule,
-        Default::default(),
-    );
+    let outcome = run_schedule(System::Tusk, &fuzz_params(378), &schedule);
     assert!(outcome.violations.is_empty(), "{:#?}", outcome.violations);
 }
 
@@ -137,12 +128,7 @@ fn fuzz_regression_seed_300_checkpoint_ahead_of_markers() {
             },
         ],
     };
-    let outcome = run_schedule(
-        System::Tusk,
-        &fuzz_params(300),
-        &schedule,
-        Default::default(),
-    );
+    let outcome = run_schedule(System::Tusk, &fuzz_params(300), &schedule);
     assert!(outcome.violations.is_empty(), "{:#?}", outcome.violations);
 }
 
@@ -154,8 +140,9 @@ fn fuzz_regression_seed_300_checkpoint_ahead_of_markers() {
 /// fire. Fixed by snapshot state transfer: the victim detects certificates
 /// arriving from past the GC horizon, fetches a 2f+1-signed snapshot of
 /// the committed frontier, installs it, and rejoins at the live round.
-/// The second half pins the pre-fix behaviour via the `disable_snapshots`
-/// switch, proving the snapshot path is what closes the gap.
+/// The second half pins the pre-fix behaviour with snapshots off
+/// (`snapshot_interval: 0`), proving the snapshot path is what closes the
+/// gap.
 #[test]
 fn fuzz_regression_seed_721_outage_past_gc_horizon() {
     let schedule = Schedule {
@@ -167,18 +154,18 @@ fn fuzz_regression_seed_721_outage_past_gc_horizon() {
         }],
     };
     let params = fuzz_params(721);
-    let clean = run_schedule(System::Tusk, &params, &schedule, Default::default());
+    let clean = run_schedule(System::Tusk, &params, &schedule);
     assert!(clean.violations.is_empty(), "{:#?}", clean.violations);
     assert!(
         !clean.snapshot_installs[2].is_empty(),
         "the victim's recovery must have gone through a snapshot install"
     );
 
-    let bugs = narwhal_tusk::narwhal::SelfTestBugs {
-        disable_snapshots: true,
-        ..Default::default()
+    let no_snapshots = NarwhalConfig {
+        snapshot_interval: 0,
+        ..fuzz_config(&params)
     };
-    let broken = run_schedule(System::Tusk, &params, &schedule, bugs);
+    let broken = run_schedule_with(System::Tusk, &params, &no_snapshots, &schedule, &[]);
     assert!(
         broken.violations.iter().any(|v| matches!(
             v.checker,
@@ -199,7 +186,9 @@ fn fuzz_regression_seed_721_outage_past_gc_horizon() {
 /// twice (batch-exactly-once fired at every validator). Fixed by taking a
 /// durability barrier right after persisting an own certificate — writes
 /// behind a barrier cannot tear — so recovery always knows every payload
-/// it externalized.
+/// it externalized. The barrier is load-bearing, not coincidental: the
+/// `sync_barriers` entry of `crates/bench/mutants.txt` deletes it and
+/// requires this test to fail with the double commit back.
 #[test]
 fn fuzz_regression_seed_219_torn_certificate() {
     let schedule = Schedule {
@@ -228,24 +217,8 @@ fn fuzz_regression_seed_219_torn_certificate() {
     // the batch clock under synthetic load moved them again, seed 1 did;
     // deleting the coverage wish moved them back out, seed 118 does).
     let params = fuzz_params(118);
-    let clean = run_schedule(System::BullsharkRep, &params, &schedule, Default::default());
+    let clean = run_schedule(System::BullsharkRep, &params, &schedule);
     assert!(clean.violations.is_empty(), "{:#?}", clean.violations);
-
-    // The checker still sees the bug when the barrier is disabled — the
-    // fix is load-bearing, not coincidental.
-    let bugs = narwhal_tusk::narwhal::SelfTestBugs {
-        skip_sync_barriers: true,
-        ..Default::default()
-    };
-    let broken = run_schedule(System::BullsharkRep, &params, &schedule, bugs);
-    assert!(
-        broken
-            .violations
-            .iter()
-            .any(|v| v.checker == narwhal_tusk::bench::Checker::BatchExactlyOnce),
-        "without the barrier the double commit comes back: {:#?}",
-        broken.violations
-    );
 }
 
 /// Byzantine corpus reproducer, seed 14 (16 validators, Bullshark): an
@@ -264,7 +237,7 @@ fn fuzz_regression_seed_219_torn_certificate() {
 #[test]
 fn fuzz_regression_byz_seed_14_recovery_crawl() {
     use narwhal_tusk::bench::fuzz::{corpus_params, run_schedule_byz};
-    use narwhal_tusk::narwhal::AdversaryKind;
+    use narwhal_tusk::bench::AdversaryKind;
     use narwhal_tusk::types::ValidatorId;
 
     let schedule = Schedule {
@@ -295,7 +268,6 @@ fn fuzz_regression_byz_seed_14_recovery_crawl() {
         System::Bullshark,
         &corpus_params(14),
         &schedule,
-        Default::default(),
         &[(ValidatorId(13), AdversaryKind::Equivocate)],
     );
     assert!(outcome.violations.is_empty(), "{:#?}", outcome.violations);
@@ -323,15 +295,14 @@ fn fuzz_regression_byz_seed_14_recovery_crawl() {
 #[test]
 fn fuzz_regression_certified_twins_do_not_wedge_honest_validators() {
     use narwhal_tusk::bench::fuzz::run_schedule_byz;
+    use narwhal_tusk::bench::AdversaryKind;
     use narwhal_tusk::bench::Checker;
-    use narwhal_tusk::narwhal::AdversaryKind;
     use narwhal_tusk::types::ValidatorId;
 
     let outcome = run_schedule_byz(
         System::Tusk,
         &fuzz_params(11),
         &Schedule::default(),
-        Default::default(),
         &[
             (ValidatorId(0), AdversaryKind::Equivocate),
             (ValidatorId(1), AdversaryKind::VoteAmnesia),
