@@ -24,7 +24,7 @@
 //! path: its additions cost about half as much, but a point operation is
 //! bound by multiplier throughput, where 25 products lose to 16 + 4. It was
 //! slower on every signature operation, so this one stayed; the numbers are
-//! in ROADMAP.md item 1(b).
+//! in CHANGES.md, PR 18.
 //!
 //! **Nothing here is constant-time.** Inversion and square roots use fixed
 //! addition chains, but full reduction loops on the value and the callers

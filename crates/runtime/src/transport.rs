@@ -13,10 +13,13 @@
 //!   backoff + jitter ([`Backoff`]). When the outbox is full, or a connect
 //!   attempt fails, the frames queued so far are dropped and counted — the
 //!   same at-most-once contract the actors already survive under the
-//!   simulator's partitions and crashes — so a dead peer never pins more than one
-//!   backoff interval's worth of frames in memory. An outbox is an
-//!   [`nt_network::bounded`] queue: its memory follows the frames it holds,
-//!   not its bound.
+//!   simulator's partitions and crashes. While the writer waits out a
+//!   backoff delay it keeps dropping what arrives, once per `POLL`, so a
+//!   dead peer never pins more than one `POLL`'s worth of frames in memory.
+//!   A peer that accepts and never reads is not dead: it still pins a full
+//!   outbox, 4,096 frames of up to a batch (`batch_bytes`, 500 KB) each, so
+//!   up to ~2 GB per link. An outbox is an [`nt_network::bounded`] queue:
+//!   its memory follows the frames it holds, not its bound.
 //!
 //! Every thread is named after its job and its host (`accept-3`, `read-3`,
 //! `write-3-5` for host 3's writer to host 5), within Linux's 15-byte limit
@@ -27,7 +30,7 @@
 //! pairs. Decoding (and dropping undecodable payloads) is the driver's job.
 
 use crate::backoff::Backoff;
-use nt_codec::{encode_to_vec, Envelope, EnvelopeRef, MAX_FRAME_LEN, PROTOCOL_VERSION};
+use nt_codec::{Encode, Envelope, EnvelopeRef, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use nt_network::{bounded, BoundedReceiver, BoundedSender, NodeId, CLIENT};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -190,13 +193,15 @@ impl Transport {
     }
 }
 
-/// Encodes `payload` from `me` into one wire-ready frame.
+/// Encodes `payload` from `me` into one wire-ready frame, in one allocation:
+/// the length prefix, then the envelope encoded behind it.
 fn seal_frame(me: NodeId, payload: Vec<u8>) -> Vec<u8> {
     let sender = if me == CLIENT { u64::MAX } else { me as u64 };
-    let body = encode_to_vec(&Envelope::new(sender, payload));
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+    let envelope = Envelope::new(sender, payload);
+    let len = envelope.encoded_len();
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    envelope.encode(&mut frame);
     frame
 }
 
@@ -319,6 +324,14 @@ fn writer_loop(
 ) {
     let mut backoff = Backoff::for_link(me as u64, peer as u64);
     let mut conn: Option<TcpStream> = None;
+    // Drops every frame queued in the outbox, and `taken` more already taken
+    // off it, counting them all. A down peer's frames are stale — the
+    // protocol's own retransmission covers them — so they go as they come
+    // instead of filling the outbox for a peer that may never return.
+    let shed = |taken: u64| {
+        let queued = std::iter::from_fn(|| outbox.try_recv().ok()).count() as u64;
+        dropped_sends.fetch_add(taken + queued, Ordering::Relaxed);
+    };
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -329,7 +342,7 @@ fn writer_loop(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         if conn.is_none() {
-            conn = try_connect(addr, &mut backoff, &stop);
+            conn = try_connect(addr, &mut backoff, &stop, || shed(0));
         }
         match conn.as_mut() {
             Some(stream) => {
@@ -339,14 +352,9 @@ fn writer_loop(
                     conn = None;
                 }
             }
-            // Still down after the backoff sleep: this frame and all that
-            // queued behind it meanwhile are stale — the protocol's own
-            // retransmission covers them — so drop them now instead of
-            // holding a full outbox for a peer that may never return.
-            None => {
-                let stale = std::iter::from_fn(|| outbox.try_recv().ok()).count();
-                dropped_sends.fetch_add(1 + stale as u64, Ordering::Relaxed);
-            }
+            // Still down after the backoff sleep: this frame and whatever
+            // queued since the sleep's last poll go too.
+            None => shed(1),
         }
     }
 }
@@ -374,9 +382,15 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8], stop: &AtomicBool) -> io::R
     Ok(())
 }
 
-/// One connection attempt; on failure, sleeps the backoff delay (in
-/// shutdown-aware slices) and reports `None`.
-fn try_connect(addr: SocketAddr, backoff: &mut Backoff, stop: &AtomicBool) -> Option<TcpStream> {
+/// One connection attempt; on failure, sleeps the backoff delay in
+/// shutdown-aware `POLL` slices, calling `shed` after each, and reports
+/// `None`.
+fn try_connect(
+    addr: SocketAddr,
+    backoff: &mut Backoff,
+    stop: &AtomicBool,
+    shed: impl Fn(),
+) -> Option<TcpStream> {
     match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
         Ok(stream) => {
             let _ = stream.set_nodelay(true);
@@ -391,6 +405,7 @@ fn try_connect(addr: SocketAddr, backoff: &mut Backoff, stop: &AtomicBool) -> Op
                 let slice = remaining.min(POLL);
                 std::thread::sleep(slice);
                 remaining = remaining.saturating_sub(slice);
+                shed();
             }
             None
         }
@@ -422,6 +437,7 @@ impl ClientConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nt_codec::encode_to_vec;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -582,6 +598,77 @@ mod tests {
         );
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn a_dead_peer_costs_one_poll_of_frames_not_one_backoff() {
+        let dead = TcpListener::bind(loopback()).unwrap().local_addr().unwrap();
+        let b = Transport::start(1, loopback(), &[(0, dead)]).unwrap();
+        let outbox = &b.outboxes[&0];
+        // The writer's own schedule (its jitter is seeded by the link). Fed
+        // one frame per poll for the delays before the first of 1.6 s or
+        // more, plus two polls an attempt to take the next frame, the
+        // writer is then in a sleep of at least 1.6 s, or past it and
+        // about to start a longer one.
+        let mut schedule = Backoff::for_link(1, 0);
+        let mut warmup = Duration::ZERO;
+        loop {
+            let delay = schedule.next_delay();
+            if delay >= Duration::from_millis(1600) {
+                break;
+            }
+            warmup += delay + 2 * POLL;
+        }
+        let mut sent = 0u64;
+        let start = std::time::Instant::now();
+        while start.elapsed() < warmup {
+            b.send(0, vec![0]);
+            sent += 1;
+            std::thread::sleep(POLL);
+        }
+        // Three bursts 300 ms apart: one sleep's end can shed at most one
+        // of them, so a writer that holds frames until its sleep ends
+        // fails here. Only the frame the writer holds for its next
+        // connect attempt may still be uncounted.
+        const BURST: u64 = 1000;
+        for burst in 0..3 {
+            let at = std::time::Instant::now();
+            for _ in 0..BURST {
+                b.send(0, vec![burst]);
+            }
+            sent += BURST;
+            while (outbox.queued() > 0 || b.dropped_sends() + 1 < sent) && at.elapsed() < 4 * POLL {
+                std::thread::sleep(POLL / 10);
+            }
+            assert_eq!(outbox.queued(), 0, "burst {burst} still queued");
+            assert!(
+                b.dropped_sends() + 1 >= sent,
+                "burst {burst}: {} of {sent} frames counted as dropped",
+                b.dropped_sends()
+            );
+            std::thread::sleep(Duration::from_millis(300).saturating_sub(at.elapsed()));
+        }
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_frame_is_sealed_as_the_length_prefix_before_the_encoded_envelope() {
+        // Reference: the envelope encoded on its own, then copied behind
+        // its length prefix.
+        fn sealed_in_two(me: NodeId, payload: Vec<u8>) -> Vec<u8> {
+            let sender = if me == CLIENT { u64::MAX } else { me as u64 };
+            let body = encode_to_vec(&Envelope::new(sender, payload));
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            frame
+        }
+        for me in [CLIENT, 5] {
+            for payload in [Vec::new(), vec![7u8; 500_000]] {
+                let frame = seal_frame(me, payload.clone());
+                assert_eq!(frame, sealed_in_two(me, payload));
+                assert_eq!(frame.capacity(), frame.len(), "the frame was regrown");
+            }
+        }
     }
 
     #[test]
