@@ -14,7 +14,9 @@
 //! style anchor candidate every round) and `FinWhale` (a two-round
 //! terminating commit). Under synchrony the pipelined variant must decide
 //! at a strictly lower DAG depth than plain Bullshark, which in turn sits
-//! below Tusk — the `d-rnds` ordering this bench gates on.
+//! below Tusk — the `d-rnds` ordering this bench gates on. The last arm
+//! is DAG-Rider, whose 4-round waves (§5) Tusk's piggybacked coin round
+//! shortens: Tusk must decide below it.
 //!
 //! `-- --test` runs a small committee for a short window and asserts the
 //! headline claims (CI smoke); the default run reproduces the full
@@ -107,6 +109,7 @@ fn main() {
         System::BullsharkRep,
         System::BullsharkPipelined,
         System::FinWhale,
+        System::DagRider,
     ];
     for scenario in &SCENARIOS {
         let partitions = (scenario.partitions_for)(&params);
@@ -133,13 +136,25 @@ fn main() {
         );
         if scenario.name == "synchrony" {
             // `systems` order: rows[0] is Tusk, rows[1] Bullshark,
-            // rows[3] Bullshark-Pipelined.
+            // rows[3] Bullshark-Pipelined, rows[5] DAG-Rider.
             let tusk = &rows[0].1;
             let bull = &rows[1].1;
             let pipelined = &rows[3].1;
+            let rider = &rows[5].1;
             println!(
-                "   decision depth: Pipelined {:.1} < Bullshark {:.1} < Tusk {:.1} rounds",
-                pipelined.decision_rounds, bull.decision_rounds, tusk.decision_rounds
+                "   decision depth: Pipelined {:.1} < Bullshark {:.1} < Tusk {:.1} < DAG-Rider \
+                 {:.1} rounds",
+                pipelined.decision_rounds,
+                bull.decision_rounds,
+                tusk.decision_rounds,
+                rider.decision_rounds
+            );
+            assert!(
+                tusk.decision_rounds < rider.decision_rounds,
+                "Tusk must decide at a lower DAG depth than DAG-Rider \
+                 ({:.2} vs {:.2})",
+                tusk.decision_rounds,
+                rider.decision_rounds
             );
             assert!(
                 bull.decision_rounds < tusk.decision_rounds,
@@ -166,6 +181,7 @@ fn main() {
     }
     println!();
     println!("Expectation: under synchrony Bullshark's d-rnds and latency sit");
-    println!("below Tusk's (no coin round to wait for); under partitions both");
-    println!("stall and recover, never diverging on the committed prefix.");
+    println!("below Tusk's (no coin round to wait for), and Tusk's d-rnds below");
+    println!("DAG-Rider's (4-round waves); under partitions all stall and");
+    println!("recover, never diverging on the committed prefix.");
 }

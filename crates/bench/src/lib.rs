@@ -1,26 +1,25 @@
 //! Experiment harness reproducing the paper's evaluation (§7).
 //!
-//! Each bench target under `benches/` regenerates one table or figure:
+//! Each bench target under `benches/` prints one figure or ablation:
 //!
 //! | target | paper artifact |
 //! |---|---|
-//! | `fig1_summary` | Figure 1 (headline WAN scatter) |
 //! | `fig6_common_case` | Figure 6 (committee-size sweep, all systems) |
 //! | `fig7_scale_out` | Figure 7 (worker scale-out + SLO plot) |
-//! | `fig8_faults` | Figure 8 (crash faults) |
-//! | `table1_matrix` | Table 1 (latency/robustness matrix) |
-//! | `ablation_dag_rider` | §5/§8.2 wave-size ablation |
-//! | `ablation_bullshark` | Bullshark vs Tusk commit-latency ablation |
-//! | `ablation_gc_memory` | §3.3 memory-bound ablation |
-//! | `ablation_commit_lemmas` | Lemmas 3-5 statistics |
+//! | `ablation_bullshark` | Bullshark vs Tusk vs DAG-Rider decision-depth ablation |
+//! | `ablation_recovery` | crash-restart recovery and catch-up |
 //! | `sim_fuzz` | §5 safety/liveness under randomized fault schedules |
 //! | `perf_baseline` | machine-readable `BENCH_<n>.json` perf baseline |
 //!
+//! The claims the paper makes with numbers are tests, not printouts:
+//! `tests/paper_claims.rs` holds Lemmas 3-5 and Figure 7's 1- and
+//! 4-worker rows, the workspace's `tests/hotstuff_systems.rs` Figure 8's
+//! fault hierarchy, and `narwhal`'s DAG tests §3.3's bounded memory.
+//!
 //! Beside them, the schedule fuzzer ([`fuzz`], with its [`checker`]s and
-//! the Byzantine [`adversary`] wrappers) and two binaries: `calibrate`,
-//! the cost-model probe, and `mutants`, which applies each source mutant
-//! of `mutants.txt` to a copy of the tree and requires the tests it names
-//! to fail.
+//! the Byzantine [`adversary`] wrappers) and one binary, `mutants`, which
+//! applies each source mutant of `mutants.txt` to a copy of the tree and
+//! requires the tests it names to fail.
 //!
 //! The harness runs every system on the discrete-event simulator with the
 //! paper's WAN topology and reports throughput (committed tx/s in the

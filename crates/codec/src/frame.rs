@@ -21,8 +21,8 @@
 //! must drop the connection (and never panic); the peer will reconnect.
 
 use crate::{
-    decode_borrowed_from_slice, decode_from_slice, encode_to_vec, Decode, DecodeBorrowed,
-    DecodeError, Encode, Reader,
+    decode_borrowed_from_slice, decode_from_slice, encode_to_vec, put_bytes, Decode,
+    DecodeBorrowed, DecodeError, Encode, Reader,
 };
 
 /// Version stamped into every [`Envelope`]; bump on incompatible wire changes.
@@ -70,7 +70,7 @@ impl Encode for Envelope {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.version.encode(buf);
         self.sender.encode(buf);
-        self.payload.encode(buf);
+        put_bytes(buf, &self.payload);
     }
 
     fn encoded_len(&self) -> usize {
@@ -83,7 +83,7 @@ impl Decode for Envelope {
         Ok(Envelope {
             version: u32::decode(reader)?,
             sender: u64::decode(reader)?,
-            payload: Vec::<u8>::decode(reader)?,
+            payload: reader.take_bytes()?.to_vec(),
         })
     }
 }
@@ -132,7 +132,7 @@ impl<'a> DecodeBorrowed<'a> for EnvelopeRef<'a> {
         Ok(EnvelopeRef {
             version: u32::decode(reader)?,
             sender: u64::decode(reader)?,
-            payload: <&[u8]>::decode_borrowed(reader)?,
+            payload: reader.take_bytes()?,
         })
     }
 }

@@ -1,6 +1,6 @@
 //! [`Encode`]/[`Decode`] implementations for primitives and containers.
 
-use crate::{put_varint, varint_len, Decode, DecodeError, Encode, Reader};
+use crate::{put_bytes, put_varint, varint_len, Decode, DecodeError, Encode, Reader};
 
 impl Encode for u8 {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -161,8 +161,7 @@ impl<T: Decode> Decode for Vec<T> {
 
 impl Encode for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self.as_bytes());
+        put_bytes(buf, self.as_bytes());
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
@@ -171,8 +170,7 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = reader.take_len()?;
-        let bytes = reader.take(len)?;
+        let bytes = reader.take_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
     }
 }
@@ -212,7 +210,7 @@ impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
 
 #[cfg(test)]
 mod tests {
-    use crate::{decode_from_slice, encode_to_vec};
+    use crate::{decode_from_slice, encode_to_vec, put_bytes, Reader};
     use proptest::prelude::*;
 
     fn roundtrip<T: crate::Encode + crate::Decode + PartialEq + std::fmt::Debug>(value: T) {
@@ -241,6 +239,22 @@ mod tests {
         roundtrip((1u64, String::from("x"), false));
     }
 
+    fn put_bytes_is_the_vec_encoding(bytes: &[u8]) {
+        let mut buf = Vec::new();
+        put_bytes(&mut buf, bytes);
+        assert_eq!(buf, encode_to_vec(&bytes.to_vec()));
+        assert_eq!(Reader::new(&buf).take_bytes(), Ok(bytes));
+    }
+
+    #[test]
+    fn put_bytes_matches_the_vec_encoding_across_varint_widths() {
+        // One-, two- and three-byte length prefixes, and a batch-sized one.
+        for len in [0, 127, 128, 16_383, 16_384, 500_000] {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            put_bytes_is_the_vec_encoding(&bytes);
+        }
+    }
+
     #[test]
     fn nested_containers_roundtrip() {
         roundtrip(vec![vec![1u64, 2], vec![], vec![3]]);
@@ -256,6 +270,11 @@ mod tests {
         #[test]
         fn prop_bytes_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
             roundtrip(v);
+        }
+
+        #[test]
+        fn prop_put_bytes_matches_the_vec_encoding(v in proptest::collection::vec(any::<u8>(), 0..512)) {
+            put_bytes_is_the_vec_encoding(&v);
         }
 
         #[test]

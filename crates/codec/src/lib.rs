@@ -104,8 +104,7 @@ pub trait DecodeBorrowed<'a>: Sized {
 
 impl<'a> DecodeBorrowed<'a> for &'a [u8] {
     fn decode_borrowed(reader: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let len = reader.take_len()?;
-        reader.take(len)
+        reader.take_bytes()
     }
 }
 
@@ -195,6 +194,13 @@ impl<'a> Reader<'a> {
         }
         Ok(n as usize)
     }
+
+    /// Reads a length-prefixed byte string ([`put_bytes`]), borrowing it:
+    /// accepts exactly what `Vec::<u8>::decode` accepts.
+    pub fn take_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.take_len()?;
+        self.take(len)
+    }
 }
 
 /// Writes `value` as a LEB128 varint into `out` and returns the bytes
@@ -226,6 +232,15 @@ pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
         }
         buf.push(byte | 0x80);
     }
+}
+
+/// Appends `bytes` behind their varint length: the bytes of
+/// `Vec::<u8>::encode`, written as one copy instead of a push per byte.
+/// Every byte string on the wire (payloads, transactions, chunks) goes
+/// through it; [`Reader::take_bytes`] reads it back.
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
 }
 
 /// Length in bytes of the varint encoding of `value`.

@@ -1061,5 +1061,35 @@ mod tests {
         assert_eq!(dag.len(), 4 * 10);
         assert_eq!(dag.round_size(20), 0);
         assert_eq!(dag.round_size(21), 4);
+
+        // Round by round, collecting behind the head at every step: the
+        // DAG never holds more than `depth + 1` rounds, and without GC it
+        // grows by one round of blocks per round.
+        let n = 10;
+        for depth in [None, Some(1), Some(5), Some(50)] {
+            let (committee, kps) = Committee::deterministic(n, 1, Scheme::Insecure);
+            let mut dag = Dag::new();
+            dag.insert_genesis(Certificate::genesis_set(&committee));
+            for r in 1..=120u64 {
+                let parents: Vec<Digest> =
+                    dag.round_certs(r - 1).map(|c| c.header_digest()).collect();
+                for a in 0..n as u32 {
+                    let cert = crate::testing::certify(&committee, &kps, a, r, parents.clone());
+                    dag.insert(cert);
+                }
+                match depth {
+                    None => assert_eq!(dag.len(), n * (r as usize + 1)),
+                    Some(depth) => {
+                        dag.gc(r.saturating_sub(depth));
+                        assert!(
+                            dag.len() <= n * (depth as usize + 1),
+                            "{depth}: {}",
+                            dag.len()
+                        );
+                    }
+                }
+            }
+            dag.check_invariants();
+        }
     }
 }

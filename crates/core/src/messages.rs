@@ -368,8 +368,7 @@ impl<Ext: Encode> Encode for NarwhalMsg<Ext> {
                 manifest.encode(buf);
                 signatures.encode(buf);
                 chunk_index.encode(buf);
-                nt_codec::put_varint(buf, chunk.len() as u64);
-                buf.extend_from_slice(chunk);
+                nt_codec::put_bytes(buf, chunk);
                 base.encode(buf);
             }
         }
@@ -425,10 +424,7 @@ impl<Ext: Decode> Decode for NarwhalMsg<Ext> {
                 manifest: SnapshotManifest::decode(reader)?,
                 signatures: Vec::<SnapshotSig>::decode(reader)?,
                 chunk_index: u64::decode(reader)?,
-                chunk: {
-                    let len = reader.take_len()?;
-                    reader.take(len)?.to_vec()
-                },
+                chunk: reader.take_bytes()?.to_vec(),
                 base: Option::<SnapshotBase>::decode(reader)?,
             },
             other => return Err(DecodeError::InvalidTag(other)),

@@ -26,7 +26,7 @@
 //!   Byzantine server (e.g. anchoring the ordered set in the manifest) is
 //!   recorded as headroom in the ROADMAP.
 
-use nt_codec::{put_varint, Decode, DecodeError, Encode, Reader};
+use nt_codec::{put_bytes, Decode, DecodeError, Encode, Reader};
 use nt_crypto::{Digest, KeyPair, Signature};
 use nt_types::{Certificate, Committee, Round, ValidatorId};
 
@@ -326,21 +326,11 @@ impl Decode for OrderedRef {
     }
 }
 
-fn encode_bytes(bytes: &[u8], buf: &mut Vec<u8>) {
-    put_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn decode_bytes(reader: &mut Reader<'_>) -> Result<Vec<u8>, DecodeError> {
-    let len = reader.take_len()?;
-    Ok(reader.take(len)?.to_vec())
-}
-
 impl Encode for SnapshotBase {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.frontier.encode(buf);
         self.ordered.encode(buf);
-        encode_bytes(&self.consensus, buf);
+        put_bytes(buf, &self.consensus);
         self.checkpoint_seq.encode(buf);
         self.gc_round.encode(buf);
     }
@@ -351,7 +341,7 @@ impl Decode for SnapshotBase {
         Ok(SnapshotBase {
             frontier: Vec::decode(reader)?,
             ordered: Vec::decode(reader)?,
-            consensus: decode_bytes(reader)?,
+            consensus: reader.take_bytes()?.to_vec(),
             checkpoint_seq: u64::decode(reader)?,
             gc_round: Option::<Round>::decode(reader)?,
         })
@@ -363,7 +353,7 @@ impl Encode for SnapshotPackage {
         self.manifest.encode(buf);
         self.signatures.encode(buf);
         self.base.encode(buf);
-        encode_bytes(&self.app, buf);
+        put_bytes(buf, &self.app);
     }
 }
 
@@ -373,7 +363,7 @@ impl Decode for SnapshotPackage {
             manifest: SnapshotManifest::decode(reader)?,
             signatures: Vec::decode(reader)?,
             base: SnapshotBase::decode(reader)?,
-            app: decode_bytes(reader)?,
+            app: reader.take_bytes()?.to_vec(),
         })
     }
 }

@@ -10,8 +10,9 @@
 //! paper's `m5.8xlarge` testbed).
 //!
 //! Calibrated against the paper's single-worker saturation point
-//! (~140-170k tx/s of 512 B transactions per §7.1) with the `calibrate`
-//! bin of `nt_bench`. Costs are in nanoseconds.
+//! (~140-170k tx/s of 512 B transactions per §7.1); `nt_bench`'s
+//! `fig7_scale_out` bench prints a single worker's rows up to 150k tx/s.
+//! Costs are in nanoseconds.
 
 /// Fixed per-received-message cost: dispatch, framing, allocation.
 pub const RECV_MESSAGE_NS: u64 = 20_000;

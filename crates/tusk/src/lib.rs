@@ -9,8 +9,10 @@
 //!
 //! The crate also contains [`DagRider`], the 4-round-wave protocol Tusk
 //! improves on (§8.2): the paper predicts Tusk commits each block in ~4.5
-//! rounds in the common case versus ~5.5 for DAG-Rider, which the
-//! `ablation_dag_rider` bench reproduces.
+//! rounds in the common case versus ~5.5 for DAG-Rider. The wave
+//! arithmetic is `dag_rider`'s unit tests; that Tusk decides at a lower
+//! DAG depth on a running committee is gated by `nt_bench`'s
+//! `ablation_bullshark -- --test`.
 //!
 //! Both are policies over `narwhal::AnchorWalk`, which owns the scan, the
 //! walk, the counters and the checkpoint.

@@ -246,8 +246,7 @@ impl Encode for BatchRef<'_> {
                 buf.push(0);
                 nt_codec::put_varint(buf, txs.len() as u64);
                 for tx in txs {
-                    nt_codec::put_varint(buf, tx.payload.len() as u64);
-                    buf.extend_from_slice(tx.payload);
+                    nt_codec::put_bytes(buf, tx.payload);
                 }
             }
             BatchPayloadRef::Synthetic { count, bytes } => {

@@ -1,7 +1,7 @@
 //! Client transactions and the latency-sampling machinery.
 
 use crate::WireSize;
-use nt_codec::{put_varint, varint_len, Decode, DecodeBorrowed, DecodeError, Encode, Reader};
+use nt_codec::{put_bytes, varint_len, Decode, DecodeBorrowed, DecodeError, Encode, Reader};
 
 /// Transaction size of every experiment in the paper (§7), in bytes: what a
 /// simulated client submits.
@@ -47,8 +47,7 @@ impl Encode for Transaction {
     /// The bytes of `Vec<u8>::encode`, as one copy instead of a push per
     /// byte: a batch encodes at one `extend_from_slice` per transaction.
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.payload.len() as u64);
-        buf.extend_from_slice(&self.payload);
+        put_bytes(buf, &self.payload);
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.payload.len() as u64) + self.payload.len()
@@ -60,7 +59,7 @@ impl Decode for Transaction {
     /// push per byte.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Transaction {
-            payload: <&[u8]>::decode_borrowed(reader)?.to_vec(),
+            payload: reader.take_bytes()?.to_vec(),
         })
     }
 }
@@ -100,7 +99,7 @@ impl TransactionRef<'_> {
 impl<'a> DecodeBorrowed<'a> for TransactionRef<'a> {
     fn decode_borrowed(reader: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(TransactionRef {
-            payload: <&[u8]>::decode_borrowed(reader)?,
+            payload: reader.take_bytes()?,
         })
     }
 }
@@ -193,7 +192,7 @@ mod tests {
             }
         }
         let mut over = Vec::new();
-        put_varint(&mut over, nt_codec::MAX_SEQUENCE_LEN + 1);
+        nt_codec::put_varint(&mut over, nt_codec::MAX_SEQUENCE_LEN + 1);
         let overflow = DecodeError::LengthOverflow(nt_codec::MAX_SEQUENCE_LEN + 1);
         assert_eq!(one_copy(&over), Err(overflow));
         assert_eq!(generic(&over), one_copy(&over));
