@@ -38,9 +38,11 @@
 //! the slab (dropping pruned slots and renumbering the survivors), keeping
 //! the working set dense under the §3.3 sliding window.
 //!
-//! Consensus implementations use the id-based read API via [`Dag::view`];
-//! the digest-based entry points remain for callers holding certificates
-//! that may not be in the DAG (ingress, state transfer).
+//! Consensus implementations read ids through [`Dag::view`] (support,
+//! paths, parents); the certificate- and digest-keyed entry points
+//! (lookups, [`Dag::missing_parents`], [`Dag::path_exists`],
+//! [`Dag::collect_history`]) serve callers holding certificates that may
+//! not be in the DAG (ingress, state transfer, linearization).
 
 use nt_crypto::Digest;
 use nt_types::{Certificate, Round, ValidatorId};
@@ -262,26 +264,6 @@ impl Dag {
             .filter(|d| !self.by_digest.contains_key(*d))
             .copied()
             .collect()
-    }
-
-    /// Number of blocks in `round + 1` whose parents include `digest`
-    /// (the "votes" of Tusk's commit rule, §5).
-    pub fn support(&self, digest: &Digest, round: Round) -> usize {
-        match self.by_digest.get(digest) {
-            // Resolved: every live reference to this digest is interned
-            // (children are patched the moment the digest arrives), so the
-            // count is pure id comparisons.
-            Some(id) => self
-                .round_ids(round + 1)
-                .filter(|c| self.slot(*c).parents.contains(&Some(*id)))
-                .count(),
-            // Unresolved: no live reference is interned either; compare the
-            // raw header digests.
-            None => self
-                .round_certs(round + 1)
-                .filter(|c| c.header.parents.contains(digest))
-                .count(),
-        }
     }
 
     /// True if a path of parent edges leads from `from` down to `to`.
@@ -830,15 +812,13 @@ mod tests {
     fn support_counts_referencing_blocks() {
         let (_, _, dag) = full_dag(4, 2);
         // Fully connected: all 4 round-2 blocks reference each round-1 block.
-        let leader = dag.get(1, ValidatorId(2)).unwrap();
-        assert_eq!(dag.support(&leader.header_digest(), 1), 4);
-        // Nothing at the top round references anyone yet.
-        let top = dag.get(2, ValidatorId(0)).unwrap();
-        assert_eq!(dag.support(&top.header_digest(), 2), 0);
-        // The id-based view agrees.
         let view = dag.view();
-        let leader_id = view.id_at(1, ValidatorId(2)).unwrap();
+        let leader = dag.get(1, ValidatorId(2)).unwrap();
+        let leader_id = view.id_of(&leader.header_digest()).unwrap();
         assert_eq!(view.support(leader_id), 4);
+        // Nothing at the top round references anyone yet.
+        let top = view.id_at(2, ValidatorId(0)).unwrap();
+        assert_eq!(view.support(top), 0);
     }
 
     #[test]
@@ -974,7 +954,11 @@ mod tests {
         }
         // Support and paths still work across the surviving rounds.
         let leader = dag.get(5, ValidatorId(1)).unwrap().clone();
-        assert_eq!(dag.support(&leader.header_digest(), 5), 4);
+        let view = dag.view();
+        assert_eq!(
+            view.support(view.id_of(&leader.header_digest()).unwrap()),
+            4
+        );
         let high = dag.get(6, ValidatorId(2)).unwrap().clone();
         assert!(dag.path_exists(&high, &leader));
         // Round 4's parents are pruned: their digests are unresolved again.
@@ -987,9 +971,9 @@ mod tests {
 
     #[test]
     fn late_parent_patches_waiting_children() {
-        // Insert a child before its parent: the edge is unresolved, support
-        // and paths still see it via the digest fallback; once the parent
-        // arrives, the edge is interned and id walks traverse it.
+        // Insert a child before its parent: the edge is unresolved, paths
+        // still see it via the digest fallback; once the parent arrives,
+        // the edge is interned and id walks count and traverse it.
         let (committee, kps, dag) = full_dag(4, 2);
         let parents: Vec<Digest> = dag.round_certs(2).map(|c| c.header_digest()).collect();
         let header = Header::new(&kps[0], ValidatorId(0), 3, vec![], parents, None);
@@ -1021,13 +1005,16 @@ mod tests {
         }
         partial.insert(child.clone());
         partial.check_invariants();
-        // The unresolved edge still counts as support and as a path.
-        assert_eq!(partial.support(&withheld.header_digest(), 2), 1);
+        // The unresolved edge still counts as a path.
         assert!(partial.path_exists(&child, &withheld));
         // Late arrival interns the edge.
         assert_eq!(partial.insert(withheld.clone()), InsertOutcome::Inserted);
         partial.check_invariants();
-        assert_eq!(partial.support(&withheld.header_digest(), 2), 1);
+        let view = partial.view();
+        assert_eq!(
+            view.support(view.id_of(&withheld.header_digest()).unwrap()),
+            1
+        );
         assert!(partial.path_exists(&child, &withheld));
         let history = partial
             .collect_history(&child, &HashSet::new())

@@ -6,7 +6,13 @@
 //! (`sequence`), its complement among the payload-bearing blocks of the DAG
 //! (`unordered_payload`: what the committee still owes an anchor, and so
 //! what keeps a round live), the execution engine, and the engine's backlog
-//! with its three bookkeeping sets (`exec_*`).
+//! with the one batch fetch it blocks on (`waiting`) and the batch deletions
+//! GC deferred until the backlog applies (`deferred_delete`).
+//!
+//! A commit applies with each batch's bytes from the store. A batch the
+//! store cannot serve (one store per role) that our worker reported folds
+//! as [`BatchData::Missing`] at once; only an unreported one is fetched
+//! through our worker first, and folds once its report arrives.
 //!
 //! Outcomes: [`Executor::next_anchor`] returns the next anchor with the
 //! history to commit under it, or the certificates that history still
@@ -14,13 +20,13 @@
 //! the engine just reached.
 
 use crate::dag::Dag;
-use crate::messages::NarwhalMsg;
+use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::primary::{Ctx, Identity};
 use crate::store::{fail_stop, BlockStore, BlockStoreError};
 use nt_crypto::Digest;
 use nt_execution::{BatchData, Execution, SnapshotPackage};
 use nt_types::{Certificate, CommitEvent, ValidatorId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// An anchor pending linearization: either a held certificate or a digest
 /// still being resolved (Narwhal-HS commits digests).
@@ -53,11 +59,6 @@ pub(crate) struct Executor {
     backlog: VecDeque<(CommitEvent, bool)>,
     /// Batch digest the backlog front is blocked on (fetch in flight).
     waiting: Option<Digest>,
-    /// Batches whose fetch round-trip completed but whose bytes the
-    /// primary's store cannot serve (one store per role): folded as
-    /// [`BatchData::Missing`] from then on. Every validator of such a
-    /// deployment folds identically, so app roots still agree.
-    unresolved: HashSet<Digest>,
     /// Batch deletions GC owed but could not take because the execution
     /// backlog still needed the bytes; settled after the engine applies
     /// the referencing commit.
@@ -259,24 +260,11 @@ impl Executor {
             .flat_map(|(event, _)| event.payload.iter().map(|(digest, _)| digest))
             .collect();
         for batch_digest in forgotten {
-            self.unresolved.remove(batch_digest);
             if pending.contains(batch_digest) {
                 self.deferred_delete.insert(*batch_digest);
             } else {
                 fail_stop(store.delete_batch(batch_digest));
             }
-        }
-    }
-
-    /// Our worker reported `digest`; if the backlog front was blocked on
-    /// it, the fetch round-trip completed. If the store still cannot serve
-    /// the bytes (one store per role), the digest is folded as missing from
-    /// here on; `drain` re-checks the store first, so this mark is moot
-    /// wherever it can read.
-    pub(crate) fn on_report(&mut self, digest: Digest) {
-        if self.waiting == Some(digest) {
-            self.waiting = None;
-            self.unresolved.insert(digest);
         }
     }
 
@@ -289,13 +277,15 @@ impl Executor {
     /// Pushes the committed sequence through the execution engine, in
     /// order, resolving each commit's batches first. The front of the
     /// backlog blocks (at most one fetch in flight) until its batches are
-    /// either served by the store or deterministically folded as missing.
-    /// Leaves the app bytes in `snapshot_app` when the engine reaches
-    /// exactly the `snapshot_due` sequence.
+    /// either served by the store or, once our worker `reported` them,
+    /// deterministically folded as missing. Leaves the app bytes in
+    /// `snapshot_app` when the engine reaches exactly the `snapshot_due`
+    /// sequence.
     pub(crate) fn drain<E>(
         &mut self,
         snapshot_due: Option<u64>,
         snapshot_app: &mut Option<Vec<u8>>,
+        reported: &HashMap<Digest, BatchInfo>,
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) {
@@ -306,14 +296,17 @@ impl Executor {
             for (digest, worker) in &front.payload {
                 match fail_stop(store.get_batch(digest)) {
                     Some(batch) => batches.push(BatchData::Full(batch)),
-                    None if !self.unresolved.contains(digest) => {
+                    // Our worker holds it, but our store cannot serve it
+                    // (one store per role): fold the commitment. Every
+                    // validator of such a deployment folds identically, so
+                    // app roots still agree.
+                    None if reported.contains_key(digest) => {
+                        batches.push(BatchData::Missing(*digest))
+                    }
+                    None => {
                         missing = Some((*digest, *worker));
                         break;
                     }
-                    // A completed fetch the store still cannot serve (one
-                    // store per role): fold the commitment. Deterministic
-                    // per deployment.
-                    None => batches.push(BatchData::Missing(*digest)),
                 }
             }
             if let Some((digest, worker)) = missing {
@@ -399,7 +392,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::consensus::{NoConsensus, NoExt};
-    use crate::testing::fixture::{effects, identity};
+    use crate::testing::fixture::{batch, effects, identity};
     use crate::testing::{certify_header, DagBench};
     use nt_execution::{LedgerApp, OrderedRef, SnapshotBase, SnapshotManifest};
     use nt_network::Effect;
@@ -424,6 +417,15 @@ mod tests {
             store.put_batch(&digest, &bytes).expect("store");
         }
         digest
+    }
+
+    /// The reports of our worker for `digests`.
+    fn reported(digests: &[Digest]) -> HashMap<Digest, BatchInfo> {
+        let report = |digest: &Digest| BatchInfo {
+            digest: *digest,
+            ..batch(1, 0)
+        };
+        digests.iter().map(|d| (*d, report(d))).collect()
     }
 
     /// Orders a block carrying `batches` and hands its commit to `executor`.
@@ -573,7 +575,7 @@ mod tests {
         let held = |digest| s.has_batch(digest).expect("store");
         assert!(held(&needed) && !held(&idle), "deferred, not deleted");
         let mut app = None;
-        executor.drain(Some(1), &mut app, &id, &mut ctx);
+        executor.drain(Some(1), &mut app, &HashMap::new(), &id, &mut ctx);
         let applied = commits(&mut ctx);
         assert_eq!(applied.len(), 1);
         assert_ne!(applied[0].app_root, Digest::default(), "engine-stamped");
@@ -590,7 +592,7 @@ mod tests {
         commit(&mut executor, &[elsewhere], &id, &mut ctx);
         let worker = id.addr.worker(id.me, WorkerId(0));
         for resend in [true, false, true] {
-            executor.drain(None, &mut None, &id, &mut ctx);
+            executor.drain(None, &mut None, &HashMap::new(), &id, &mut ctx);
             let (fetches, _) = effects(&mut ctx, 0);
             let fetch = matches!(
                 &fetches[..],
@@ -604,9 +606,25 @@ mod tests {
         }
         // The worker answers, but our store (not shared with it) still
         // cannot serve the bytes: fold the commitment.
-        executor.on_report(elsewhere);
-        executor.drain(None, &mut None, &id, &mut ctx);
+        executor.drain(None, &mut None, &reported(&[elsewhere]), &id, &mut ctx);
         assert_eq!(commits(&mut ctx).len(), 1);
+    }
+
+    /// One store per role: our worker reported the batch, so the commit
+    /// folds it at once, and no fetch leaves to hear the same report again.
+    #[test]
+    fn a_reported_batch_the_store_lacks_is_folded_without_a_fetch() {
+        let (id, mut ctx) = (validator_0(), Ctx::new(0, 0));
+        let elsewhere = peer_batch(1, None);
+        let mut executor = with_engine();
+        commit(&mut executor, &[elsewhere], &id, &mut ctx);
+        executor.drain(None, &mut None, &reported(&[elsewhere]), &id, &mut ctx);
+        let effects = ctx.drain();
+        let [Effect::Commit(applied)] = &effects[..] else {
+            panic!("one commit and nothing sent: {} effects", effects.len());
+        };
+        let folded = LedgerApp::new().apply(applied, &[BatchData::Missing(elsewhere)]);
+        assert_eq!(applied.app_root, folded, "applied with the commitment");
     }
 
     #[test]

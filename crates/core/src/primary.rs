@@ -342,7 +342,7 @@ impl<C: DagConsensus> Primary<C> {
     }
 
     fn handle_header(&mut self, header: Header, ctx: &mut Ctx<C::Ext>) {
-        let stored = &self.proposer.stored_batches;
+        let stored = &self.proposer.batch_meta;
         let ready = self
             .synchronizer
             .on_header(header, &self.dag, stored, &self.id, ctx);
@@ -458,7 +458,6 @@ impl<C: DagConsensus> Primary<C> {
             self.try_propose(ctx);
         }
         self.wake(Wait::Batch, &digest, ctx);
-        self.executor.on_report(digest);
         self.drain_execution(ctx);
     }
 
@@ -480,7 +479,8 @@ impl<C: DagConsensus> Primary<C> {
     /// point for due snapshots — with or without an engine.
     fn drain_execution(&mut self, ctx: &mut Ctx<C::Ext>) {
         let (due, app) = (self.transfer.due, &mut self.transfer.app);
-        self.executor.drain(due, app, &self.id, ctx);
+        let reported = &self.proposer.batch_meta;
+        self.executor.drain(due, app, reported, &self.id, ctx);
         let has_engine = self.executor.has_engine();
         self.transfer.try_finish(has_engine, &self.id, ctx);
     }

@@ -45,12 +45,14 @@
 //! Owns the round pacing state (`last_proposed`, the [`ProposalWait`] in
 //! force, the [`ProposalCounts`] it feeds), the queue of own digests
 //! awaiting a block (`pending_digests`), what each own block
-//! carried (`own_payloads`), and the three batch-bookkeeping sets. Two of
-//! those gate and feed proposals — `committed_batches` keeps a re-reported
-//! batch out of a second block, `batch_meta` is what re-injection re-queues
-//! and an own commit is accounted from — and `stored_batches` is filled by
-//! the same report and emptied by the same prune; its one outside reader,
-//! the vote's availability check, is lent the set.
+//! carried (`own_payloads`), and `batch_meta`: every batch our workers
+//! reported and GC has not forgotten, the primary's one record of what its
+//! workers hold (§4.2). Re-injection re-queues from it, an own commit is
+//! accounted from it, and its two outside readers are lent the map: the
+//! vote's availability check, and the executor, which folds a reported
+//! batch its store cannot serve. Which own batches committed is the
+//! durable `cb/` marker alone ([`BlockStore::is_committed_batch`]): it
+//! keeps a re-reported batch out of a second block.
 //!
 //! Outcomes: [`Proposer::try_propose`] returns the signed header to certify,
 //! or arms the one `TAG_PROPOSE` timer of the wait it is in;
@@ -109,12 +111,10 @@ pub(crate) struct Proposer {
     pub(crate) proposals: ProposalCounts,
     /// Own-batch digests ready for inclusion (from own workers).
     pending_digests: VecDeque<BatchInfo>,
-    /// Digests queued or included but not yet committed (for re-injection).
-    batch_meta: HashMap<Digest, BatchInfo>,
-    /// Batches our workers hold (availability condition for voting, §4.2).
-    pub(crate) stored_batches: HashSet<Digest>,
-    /// Own batches that reached the committed sequence.
-    committed_batches: HashSet<Digest>,
+    /// Batches our workers reported, until GC forgets them: the
+    /// availability condition for voting (§4.2), and what re-injection
+    /// re-queues and an own commit is accounted from.
+    pub(crate) batch_meta: HashMap<Digest, BatchInfo>,
     /// Payload digests of our own proposed blocks, per round (§3.3).
     own_payloads: BTreeMap<Round, Vec<Digest>>,
 }
@@ -124,17 +124,17 @@ fn payload_digests(header: &Header) -> Vec<Digest> {
 }
 
 impl Proposer {
-    /// Recovers own committed batches (so they are not re-proposed) and
-    /// the payloads of our own certified-but-not-yet-committed blocks: the
-    /// recovered worker re-reports every batch it holds, and without this
-    /// in-flight record `on_report` would queue these digests for a
-    /// *second* proposal — committing the same transactions twice once both
-    /// blocks linearize. (Committed blocks' payloads are covered by
-    /// `committed_batches`; blocks pruned uncommitted were re-injected by
-    /// the pre-crash GC.) Resumes behind the vote locks: `last_signed` is
-    /// the highest round we already signed a block for, which must never
-    /// get a second one, and `unfinished` that block if it never certified
-    /// — its payload is in flight again.
+    /// Recovers the payloads of our own certified-but-not-yet-committed
+    /// blocks: the recovered worker re-reports every batch it holds, and
+    /// without this in-flight record `on_report` would queue these digests
+    /// for a *second* proposal — committing the same transactions twice
+    /// once both blocks linearize. (Committed blocks' payloads carry `cb/`
+    /// markers, re-written here where a torn tail cut them; blocks pruned
+    /// uncommitted were re-injected by the pre-crash GC.) Resumes behind
+    /// the vote locks: `last_signed` is the highest round we already
+    /// signed a block for, which must never get a second one, and
+    /// `unfinished` that block if it never certified — its payload is in
+    /// flight again.
     pub(crate) fn recover(
         &mut self,
         store: &BlockStore,
@@ -144,7 +144,6 @@ impl Proposer {
         unfinished: Option<&Header>,
         id: &Identity,
     ) -> Result<(), BlockStoreError> {
-        self.committed_batches = store.committed_batches()?;
         self.last_proposed = last_signed;
         if let Some(header) = unfinished.filter(|h| !h.payload.is_empty()) {
             self.own_payloads
@@ -159,7 +158,11 @@ impl Proposer {
                 // Linearized: its payload is committed, whether or not
                 // the (later-written, thus more tearable) cb/ markers
                 // survived the crash.
-                self.committed_batches.extend(digests);
+                for digest in digests {
+                    if !store.is_committed_batch(&digest)? {
+                        store.put_committed_batch(&digest)?;
+                    }
+                }
             } else if !digests.is_empty() {
                 self.own_payloads.insert(round, digests);
             }
@@ -224,7 +227,7 @@ impl Proposer {
         // leads this one.
         if absent(&(self.last_proposed, id.me)) {
             if let Some(digests) = self.own_payloads.remove(&self.last_proposed) {
-                self.requeue(digests);
+                self.requeue(digests, &id.store);
             }
         }
         let counts = &mut self.proposals;
@@ -257,9 +260,9 @@ impl Proposer {
 
     /// Puts the uncommitted among `digests` back at the head of the queue,
     /// in their order.
-    fn requeue(&mut self, digests: Vec<Digest>) {
+    fn requeue(&mut self, digests: Vec<Digest>, store: &BlockStore) {
         for digest in digests.iter().rev() {
-            if !self.committed_batches.contains(digest) {
+            if !fail_stop(store.is_committed_batch(digest)) {
                 if let Some(info) = self.batch_meta.get(digest) {
                     self.pending_digests.push_front(info.clone());
                 }
@@ -271,7 +274,6 @@ impl Proposer {
     /// digest for proposal.
     pub(crate) fn on_report(&mut self, info: BatchInfo, id: &Identity) -> bool {
         let digest = info.digest;
-        self.stored_batches.insert(digest);
         let own = info.creator == id.me;
         let first = self.batch_meta.insert(digest, info.clone()).is_none();
         // A recovered worker re-reports everything it holds; own batches
@@ -284,13 +286,12 @@ impl Proposer {
                 .values()
                 .any(|digests| digests.contains(&digest))
         };
-        // `prune` bounds `committed_batches` by forgetting the batches of
-        // pruned blocks, but a worker whose store the primary's GC does not
-        // reach (one WAL per role) holds them for good and re-reports them
-        // all when it restarts: the durable marker is the permanent filter.
+        // GC forgets the batches of pruned blocks, but a worker whose store
+        // the primary's GC does not reach (one WAL per role) holds them for
+        // good and re-reports them all when it restarts: the durable marker
+        // is the permanent filter.
         let marked = || fail_stop(id.store.is_committed_batch(&digest));
-        let queue =
-            own && first && !self.committed_batches.contains(&digest) && !in_flight() && !marked();
+        let queue = own && first && !in_flight() && !marked();
         if queue {
             self.pending_digests.push_back(info);
         }
@@ -313,7 +314,6 @@ impl Proposer {
                 event.tx_count += info.tx_count;
                 event.tx_bytes += info.tx_bytes;
                 event.samples.extend(info.samples.iter().copied());
-                self.committed_batches.insert(*batch_digest);
                 fail_stop(id.store.put_committed_batch(batch_digest));
             }
         }
@@ -322,7 +322,6 @@ impl Proposer {
 
     /// Forgets one batch no retained block references.
     fn forget(&mut self, digest: &Digest, forgotten: &mut Vec<Digest>) {
-        self.stored_batches.remove(digest);
         self.batch_meta.remove(digest);
         forgotten.push(*digest);
     }
@@ -347,12 +346,12 @@ impl Proposer {
         // transactions eventually commit (transaction-level fairness, §8.2).
         let retained = self.own_payloads.split_off(&(gc_round + 1));
         for digests in std::mem::replace(&mut self.own_payloads, retained).into_values() {
-            self.requeue(digests);
+            self.requeue(digests, &id.store);
         }
-        // Bound the committed-batch set: pruned own blocks are final.
+        // Pruned own blocks are final: their committed batches go too.
         for cert in pruned.iter().filter(|c| c.origin() == id.me) {
             for (batch_digest, _) in &cert.header.payload {
-                if self.committed_batches.remove(batch_digest) {
+                if fail_stop(id.store.is_committed_batch(batch_digest)) {
                     self.forget(batch_digest, &mut forgotten);
                 }
             }
@@ -385,11 +384,8 @@ impl Proposer {
                     self.own_payloads.insert(round, digests);
                 }
                 _ => {
-                    for digest in digests {
-                        if self.committed_batches.insert(digest) {
-                            presumed_committed.push(digest);
-                        }
-                    }
+                    let unmarked = |d: &Digest| !fail_stop(id.store.is_committed_batch(d));
+                    presumed_committed.extend(digests.into_iter().filter(unmarked));
                 }
             }
         }
@@ -737,7 +733,7 @@ mod tests {
             vec![c.digest, a.digest],
             "peers', then own committed"
         );
-        assert!(p.stored_batches.contains(&b.digest) && p.stored_batches.len() == 1);
+        assert!(p.batch_meta.contains_key(&b.digest) && p.batch_meta.len() == 1);
         let queued: Vec<Digest> = p.pending_digests.iter().map(|i| i.digest).collect();
         assert_eq!(queued, vec![b.digest], "`a` committed; `b` goes again");
         assert!(p.own_payloads.is_empty());
@@ -758,10 +754,32 @@ mod tests {
         let block = certify_header(&bench.committee, &bench.keypairs, block);
         p.on_own_commit(&block, &mut CommitEvent::default(), &id);
         assert_eq!(p.prune(1, &[block], &id), vec![a.digest]);
-        assert!(p.batch_meta.is_empty() && p.committed_batches.is_empty());
+        assert!(p.batch_meta.is_empty());
+        assert!(id.store.is_committed_batch(&a.digest).expect("store"));
         assert!(!p.on_report(a.clone(), &id), "committed once, for good");
         assert!(p.pending_digests.is_empty());
         // A batch that never committed is still ours to propose.
         assert!(p.on_report(batch(0, 2), &id));
+    }
+
+    /// The `cb/` markers are written after their block's ordered marker, so
+    /// a torn tail can keep the order and cut the markers: recovery writes
+    /// them again, and the re-reported batch stays out of a second block.
+    #[test]
+    fn recovery_re_marks_the_batches_of_an_ordered_own_block() {
+        let mut bench = DagBench::new(4, |_| NoConsensus);
+        let id = identity(&bench, 0);
+        let a = batch(0, 1);
+        let mut p = Proposer::default();
+        p.on_report(a.clone(), &id);
+        let block = propose(&mut p, &bench, 1, ENTERED).0.expect("payload");
+        let block = certify_header(&bench.committee, &bench.keypairs, block);
+        bench.feed(vec![block.clone()]);
+        let ordered = HashSet::from([block.header_digest()]);
+        let mut revived = Proposer::default();
+        let recovered = revived.recover(&id.store, &bench.dag, &ordered, 1, None, &id);
+        recovered.expect("store");
+        assert!(id.store.is_committed_batch(&a.digest).expect("store"));
+        assert!(!revived.on_report(a, &id), "committed, not queued again");
     }
 }

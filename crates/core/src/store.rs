@@ -257,16 +257,6 @@ impl BlockStore {
         Ok(self.inner.contains(&committed_batch_key(digest))?)
     }
 
-    /// Digests of own batches marked committed.
-    pub fn committed_batches(&self) -> Result<HashSet<Digest>, BlockStoreError> {
-        Ok(self
-            .inner
-            .keys_with_prefix(b"cb/")?
-            .iter()
-            .filter_map(|key| digest_after(key, 3))
-            .collect())
-    }
-
     /// Marks a block as linearized into the committed sequence at position
     /// `sequence`. One atomic record carries both facts: a torn log tail
     /// can lose whole commits (recovery then re-derives the same order)
@@ -722,14 +712,13 @@ mod tests {
     fn keys_of_the_wrong_length_are_skipped_by_every_reader() {
         use nt_storage::Store;
         let backend = Arc::new(MemStore::new());
-        for prefix in ["b/", "c/", "cb/", "o/", "v/", "s/p/", "s/j/"] {
+        for prefix in ["b/", "c/", "o/", "v/", "s/p/", "s/j/"] {
             backend
                 .put(format!("{prefix}?").as_bytes(), &[0; 8])
                 .unwrap();
         }
         let s = BlockStore::new(backend);
         assert!(s.batch_digests().unwrap().is_empty());
-        assert!(s.committed_batches().unwrap().is_empty());
         assert_eq!(s.load_ordered().unwrap(), (HashSet::new(), 0));
         assert!(s.ordered_refs().unwrap().is_empty());
         assert!(s.load_votes().unwrap().is_empty());
@@ -737,7 +726,7 @@ mod tests {
         assert_eq!(s.gc_certificates_below(Round::MAX).unwrap(), 0);
         assert!(s.snapshot_sequences().unwrap().is_empty());
         assert!(s.snapshot_installs().unwrap().is_empty());
-        assert_eq!(s.len().unwrap(), 7, "skipped, not deleted");
+        assert_eq!(s.len().unwrap(), 6, "skipped, not deleted");
     }
 
     #[test]
@@ -830,7 +819,6 @@ mod tests {
         let mut expected = vec![a.digest(), b.digest()];
         expected.sort();
         assert_eq!(recovered, expected);
-        assert!(s.committed_batches().unwrap().contains(&a.digest()));
         assert!(s.is_committed_batch(&a.digest()).unwrap());
         assert!(!s.is_committed_batch(&b.digest()).unwrap());
         // GC removes the bytes; the marker is the permanent filter.

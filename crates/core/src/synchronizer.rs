@@ -25,7 +25,7 @@
 
 use crate::config::SYNC_RETRY_DELAY;
 use crate::dag::Dag;
-use crate::messages::NarwhalMsg;
+use crate::messages::{BatchInfo, NarwhalMsg};
 use crate::primary::{Ctx, Identity};
 use nt_crypto::{Digest, Hashable, Signature};
 use nt_network::{NodeId, Time};
@@ -228,12 +228,13 @@ impl Synchronizer {
 
     /// Accepts a peer's block: returns it if it can be voted on now,
     /// otherwise parks it and pulls what it waits on — parent certificates
-    /// from its author, batches through our worker.
+    /// from its author, batches our workers have not reported (`stored`)
+    /// through our worker.
     pub(crate) fn on_header<E>(
         &mut self,
         header: Header,
         dag: &Dag,
-        stored: &HashSet<Digest>,
+        stored: &HashMap<Digest, BatchInfo>,
         id: &Identity,
         ctx: &mut Ctx<E>,
     ) -> Option<Header> {
@@ -268,7 +269,7 @@ impl Synchronizer {
         let missing_batches: HashSet<Digest> = header
             .payload
             .iter()
-            .filter(|(d, _)| !stored.contains(d))
+            .filter(|(d, _)| !stored.contains_key(d))
             .map(|(d, _)| *d)
             .collect();
         if missing_parents.is_empty() && missing_batches.is_empty() {
@@ -466,7 +467,7 @@ impl Synchronizer {
 mod tests {
     use super::*;
     use crate::consensus::{NoConsensus, NoExt};
-    use crate::testing::fixture::{effects, identity, Msg};
+    use crate::testing::fixture::{batch, effects, identity, Msg};
     use crate::testing::{certify, DagBench};
     use nt_types::WorkerId;
 
@@ -497,7 +498,7 @@ mod tests {
         let mut ctx = Ctx::new(0, 0);
         let unknown: Vec<Digest> = (0..3u8).map(|i| Digest::of(&[i, 99])).collect();
         let header = block(&bench, unknown.clone(), &[]);
-        let stored = HashSet::new();
+        let stored = HashMap::new();
         let ready = sync.on_header(header.clone(), &bench.dag, &stored, &id, &mut ctx);
         assert!(ready.is_none(), "no vote");
         let pulls = sends(&mut ctx);
@@ -529,11 +530,12 @@ mod tests {
             let late = certify(&bench.committee, &bench.keypairs, 3, 1, bench.parents(0));
             let mut parents = bench.parents(1);
             parents.push(late.header_digest());
-            let batch = Digest::of(b"some batch");
+            let report = batch(1, 1);
+            let batch = report.digest;
             let header = block(&bench, parents, &[batch]);
             let mut sync = Synchronizer::default();
             let mut ctx = Ctx::new(0, 0);
-            let mut stored = HashSet::new();
+            let mut stored = HashMap::new();
             let parked = sync.on_header(header.clone(), &bench.dag, &stored, &id, &mut ctx);
             assert!(parked.is_none());
             let asked = sends(&mut ctx);
@@ -554,7 +556,7 @@ mod tests {
             assert!(sync.next_ready(second.0, &second.1).is_none(), "once");
             // With both at hand, the same block needs no wait at all.
             bench.feed(vec![late]);
-            stored.insert(batch);
+            stored.insert(batch, report);
             let ready = sync.on_header(header.clone(), &bench.dag, &stored, &id, &mut ctx);
             assert_eq!(ready, Some(header));
         }
@@ -668,7 +670,7 @@ mod tests {
         let id = identity(&bench, 0);
         bench.full_round(1);
         let (committee, kps) = (bench.committee.clone(), bench.keypairs.clone());
-        let stored = HashSet::new();
+        let stored = HashMap::new();
         let mut sync = Synchronizer::default();
         let mut ctx = Ctx::new(0, 0);
         let header = block(&bench, bench.parents(1), &[]);

@@ -191,9 +191,9 @@ impl<Ext: Clone + Send + 'static> Worker<Ext> {
 
     /// Re-reports every persisted batch to the primary after a crash, one
     /// batch in memory at a time; the primary rebuilds its availability
-    /// view (`stored_batches`) from the reports — own uncommitted batches
+    /// view (`batch_meta`) from the reports — own uncommitted batches
     /// re-enter the proposal queue there, committed ones are filtered by
-    /// the primary's own recovered state. Also resumes the batch/sample
+    /// their `cb/` markers. Also resumes the batch/sample
     /// sequence counters so new batches never collide with pre-crash
     /// digests.
     fn recover(&mut self, ctx: &mut Ctx<Ext>) {
